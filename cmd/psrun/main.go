@@ -79,40 +79,19 @@ func main() {
 		Verify:      *verify,
 	}
 	// With -data, commits flow through the file storage backend: a fresh
-	// directory is seeded with the program's initial working memory as a
-	// non-firing record; a non-empty one restores the recovered store and
-	// the program's declared WMEs are skipped (they are already durable).
+	// directory is seeded with the program's initial working memory; a
+	// non-empty one restores the recovered store (pdps.OpenDurable).
 	var backend *pdps.FileBackend
 	var restoreBase *pdps.Store
 	if *dataDir != "" {
-		backend, err = pdps.OpenFileBackend(*dataDir, pdps.FileBackendOptions{})
+		var rec *pdps.StorageRecovery
+		backend, opts.Restore, rec, err = pdps.OpenDurable(*dataDir, &prog)
 		if err != nil {
 			log.Fatal(err)
 		}
-		rec, err := backend.Recover()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if rec.LSN == 0 {
-			base := pdps.NewStore()
-			var init pdps.Delta
-			for _, iw := range prog.WMEs {
-				init.Adds = append(init.Adds, base.Insert(iw.Class, iw.Attrs))
-			}
-			if len(init.Adds) > 0 {
-				if _, err := backend.Append(&pdps.StorageRecord{Delta: &init}); err != nil {
-					log.Fatal(err)
-				}
-				if err := backend.Sync(); err != nil {
-					log.Fatal(err)
-				}
-			}
-			opts.Restore = base
-		} else {
+		if rec.LSN > 0 {
 			fmt.Printf("recovered %d records (LSN %d) from %s\n", len(rec.Records), rec.LSN, *dataDir)
-			opts.Restore = rec.Store
 		}
-		prog.WMEs = nil
 		restoreBase = opts.Restore.Clone()
 		opts.Storage = backend
 	}

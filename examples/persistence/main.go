@@ -53,31 +53,18 @@ func main() {
 		log.Fatal(err)
 	}
 	defer os.RemoveAll(dir)
-	backend, err := pdps.OpenFileBackend(dir, pdps.FileBackendOptions{})
+	// The directory is fresh, so OpenDurable seeds it with the initial
+	// working memory as a non-firing record (recovery then replays onto
+	// an empty base) and moves that memory from the program to base.
+	backend, base, _, err := pdps.OpenDurable(dir, &prog)
 	if err != nil {
-		log.Fatal(err)
-	}
-
-	// Seed the backend with the initial working memory as a non-firing
-	// record, so recovery replays onto an empty base.
-	base := pdps.NewStore()
-	var init pdps.Delta
-	for _, iw := range prog.WMEs {
-		init.Adds = append(init.Adds, base.Insert(iw.Class, iw.Attrs))
-	}
-	if _, err := backend.Append(&pdps.StorageRecord{Delta: &init}); err != nil {
-		log.Fatal(err)
-	}
-	if err := backend.Sync(); err != nil {
 		log.Fatal(err)
 	}
 	checkBase := base.Clone()
 
 	// Run in parallel; every commit is acknowledged only after its
 	// record reaches disk (group-commit fsync).
-	run := prog
-	run.WMEs = nil // the backend already carries the initial WM
-	eng, err := pdps.NewParallelEngine(run, pdps.SchemeRcRaWa, pdps.Options{
+	eng, err := pdps.NewParallelEngine(prog, pdps.SchemeRcRaWa, pdps.Options{
 		Np: 4, Storage: backend, Restore: base,
 	})
 	if err != nil {

@@ -95,9 +95,6 @@ type Options struct {
 	// Deadlock selects the lock manager's deadlock policy for the
 	// dynamic engine: detection (default), wound-wait or wait-die.
 	Deadlock lock.DeadlockPolicy
-	// LockShards sets the dynamic engine's lock-table shard count;
-	// values below 1 mean lock.DefaultShards.
-	LockShards int
 	// HybridElision enables the hybrid static/dynamic consistency layer
 	// in the Parallel engine: a firing whose rule statically interferes
 	// with no rule currently in flight (Section 4.1, Theorem 1) skips

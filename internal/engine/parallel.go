@@ -183,7 +183,7 @@ func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error)
 	e := &Parallel{
 		rt:         rt,
 		scheme:     scheme,
-		lm:         lock.NewManagerShards(scheme, rt.opts.Deadlock, rt.opts.LockShards),
+		lm:         lock.NewManagerPolicy(scheme, rt.opts.Deadlock),
 		clock:      rt.opts.Clock,
 		active:     make(map[string]bool),
 		dispatched: make(map[string]bool),

@@ -100,23 +100,14 @@ func (s *Session) Log() *trace.Log { return s.rt.opts.Log }
 // LoadSnapshot replaces the session's working memory with a snapshot
 // and rebuilds the match state; refraction history is reset.
 func (s *Session) LoadSnapshot(r io.Reader) error {
-	store, err := wm.ReadSnapshot(r)
-	if err != nil {
+	o := s.rt.opts
+	var err error
+	if o.Restore, err = wm.ReadSnapshot(r); err != nil {
 		return err
 	}
-	inner, err := newMatcher(s.rt.opts.Matcher, s.rt.opts.MatchShards, s.rt.opts.AdaptiveRete)
+	store, m, err := load(Program{Rules: s.rules}, o)
 	if err != nil {
 		return err
-	}
-	for _, rule := range s.rules {
-		if err := inner.AddRule(rule); err != nil {
-			return err
-		}
-	}
-	m := match.Instrument(inner, s.rt.opts.Metrics, s.rt.opts.Clock)
-	store.SetMetrics(s.rt.opts.Metrics)
-	for _, w := range store.All() {
-		m.Insert(w)
 	}
 	s.rt.store = store
 	s.rt.matcher = m

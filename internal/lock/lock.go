@@ -222,8 +222,7 @@ func (s *shard) broadcastLocked() {
 	s.waiters = s.waiters[:0]
 }
 
-// DefaultShards is the lock-table shard count used by NewManager and
-// NewManagerPolicy.
+// DefaultShards is the lock-table shard count of every Manager.
 const DefaultShards = 16
 
 // Manager is the sharded lock manager. All methods are safe for
@@ -279,17 +278,8 @@ func NewManager(s Scheme) *Manager {
 // NewManagerPolicy returns a lock manager with an explicit deadlock
 // policy and DefaultShards lock-table shards.
 func NewManagerPolicy(s Scheme, p DeadlockPolicy) *Manager {
-	return NewManagerShards(s, p, DefaultShards)
-}
-
-// NewManagerShards returns a lock manager with an explicit lock-table
-// shard count (values below 1 mean DefaultShards).
-func NewManagerShards(s Scheme, p DeadlockPolicy, shards int) *Manager {
-	if shards < 1 {
-		shards = DefaultShards
-	}
 	m := &Manager{scheme: s, policy: p, seed: maphash.MakeSeed()}
-	m.shards = make([]*shard, shards)
+	m.shards = make([]*shard, DefaultShards)
 	for i := range m.shards {
 		m.shards[i] = &shard{entries: make(map[Resource]*entry)}
 	}

@@ -26,10 +26,10 @@ func newStrategy(name string) (cr.Strategy, error) {
 // conn is one client connection: a reader goroutine decoding frames
 // and dispatching them, and a mutex-serialised writer shared by the
 // reader and the session actors streaming responses back. Sessions
-// created on a connection are owned by it: when the connection dies —
-// clean close, abrupt kill, half-written frame — the reader's cleanup
-// tears every owned session down, so an abandoned tenant never leaks
-// an actor goroutine or a storage backend.
+// created on a connection are owned by it until they are torn down:
+// when the connection dies — clean close, abrupt kill, half-written
+// frame — the reader's cleanup tears every owned session down, so an
+// abandoned tenant never leaks an actor goroutine or a storage backend.
 type conn struct {
 	srv *Server
 	c   net.Conn
@@ -41,10 +41,22 @@ type conn struct {
 	owned map[string]*session
 }
 
-// adopt records a session as owned by this connection.
+// adopt records a session as owned by this connection, unless it was
+// already torn down: teardown stops the session before it disowns it,
+// so a teardown racing the create can never leave a stale entry.
 func (c *conn) adopt(sess *session) {
 	c.mu.Lock()
-	c.owned[sess.id] = sess
+	if !sess.stopped() {
+		c.owned[sess.id] = sess
+	}
+	c.mu.Unlock()
+}
+
+// disown forgets a torn-down session, so a long-lived connection does
+// not keep every session it ever closed reachable.
+func (c *conn) disown(sess *session) {
+	c.mu.Lock()
+	delete(c.owned, sess.id)
 	c.mu.Unlock()
 }
 

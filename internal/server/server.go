@@ -13,7 +13,6 @@ import (
 	"pdps/internal/obs"
 	"pdps/internal/sched"
 	"pdps/internal/storage"
-	"pdps/internal/wm"
 )
 
 // Config tunes a Server. The zero value is usable: default queue
@@ -324,6 +323,7 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 	sess := &session{
 		id:    id,
 		srv:   s,
+		owner: c,
 		queue: make(chan task, s.cfg.QueueDepth),
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
@@ -336,15 +336,15 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 		if err != nil {
 			return errFromProto(q.ID, err)
 		}
-		backend, rec, n, l, err := openDurable(dir, &prog)
+		backend, restore, rec, err := engine.OpenDurable(dir, &prog)
 		if err != nil {
 			s.releaseDir(dir, id)
 			return errResp(q.ID, CodeInternal, fmt.Sprintf("storage: %v", err))
 		}
 		sess.backend, sess.dir = backend, dir
 		opts.Storage = backend
-		opts.Restore = rec
-		recovered, lsn = n, l
+		opts.Restore = restore
+		recovered, lsn = len(rec.Records), rec.LSN
 	}
 
 	eng, err := engine.NewSession(prog, opts)
@@ -374,46 +374,6 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 	s.wg.Add(1)
 	go sess.loop()
 	return &Response{Type: RespCreated, ID: q.ID, Session: id, Recovered: recovered, LSN: uint64(lsn)}
-}
-
-// openDurable opens a file backend for the directory and reconciles
-// the program with what survived: a fresh directory is seeded with the
-// program's initial working memory as a non-firing record; a non-empty
-// one restores the recovered store and skips the program's declared
-// WMEs (they are already durable) — exactly the psrun -data protocol.
-func openDurable(dir string, prog *engine.Program) (backend storage.Backend, restore *wm.Store, recovered int, lsn storage.LSN, err error) {
-	f, err := storage.OpenFile(dir, storage.FileOptions{})
-	if err != nil {
-		return nil, nil, 0, 0, err
-	}
-	rec, err := f.Recover()
-	if err != nil {
-		f.Close()
-		return nil, nil, 0, 0, err
-	}
-	if rec.LSN == 0 {
-		base := wm.NewStore()
-		var init wm.Delta
-		for _, iw := range prog.WMEs {
-			init.Adds = append(init.Adds, base.Insert(iw.Class, iw.Attrs))
-		}
-		if len(init.Adds) > 0 {
-			if _, err := f.Append(&storage.Record{Delta: &init}); err != nil {
-				f.Close()
-				return nil, nil, 0, 0, err
-			}
-			if err := f.Sync(); err != nil {
-				f.Close()
-				return nil, nil, 0, 0, err
-			}
-		}
-		restore = base
-	} else {
-		restore = rec.Store
-		recovered = len(rec.Records)
-	}
-	prog.WMEs = nil
-	return f, restore, recovered, rec.LSN, nil
 }
 
 func errResp(id uint64, code, msg string) *Response {

@@ -247,6 +247,47 @@ func TestSessionLifecycleBasics(t *testing.T) {
 	}
 }
 
+// TestClosedSessionsReleasedByConnection pins that a closed session
+// stops being owned by the connection that created it, whichever
+// connection sends the close: a long-lived client creating and closing
+// sessions in a loop must not keep every closed engine reachable.
+func TestClosedSessionsReleasedByConnection(t *testing.T) {
+	srv := startServer(t, Config{})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	other, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	for i := 0; i < 50; i++ {
+		id, _, _, err := c.Create(tenantProgram("a"), SessionOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		closer := c
+		if i%2 == 1 {
+			closer = other
+		}
+		if err := closer.CloseSession(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv.mu.Lock()
+	defer srv.mu.Unlock()
+	for conn := range srv.conns {
+		conn.mu.Lock()
+		n := len(conn.owned)
+		conn.mu.Unlock()
+		if n != 0 {
+			t.Fatalf("connection still owns %d closed sessions", n)
+		}
+	}
+}
+
 // TestAdmissionControl pins the session-table bound: creates beyond
 // MaxSessions are rejected with a typed overloaded error and counted.
 func TestAdmissionControl(t *testing.T) {

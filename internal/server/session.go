@@ -40,9 +40,10 @@ const (
 // submitter via stop, waits for in-flight submits and only then closes
 // the queue — so the actor's range loop observes every task.
 type session struct {
-	id  string
-	srv *Server
-	eng *engine.Session
+	id    string
+	srv   *Server
+	owner *conn // the connection that created it
+	eng   *engine.Session
 
 	backend storage.Backend // nil for ephemeral sessions
 	dir     string          // reserved storage dir, "" if none
@@ -103,8 +104,9 @@ func (s *session) blockSubmit(t task) submitResult {
 
 // teardown initiates (and, across callers, deduplicates) session
 // shutdown. It unregisters the session, stops new submits, wakes
-// blocked ones and closes the queue; the actor finishes the drain and
-// the resource cleanup, then closes done.
+// blocked ones, drops it from its owning connection — whichever
+// connection sent the close — and closes the queue; the actor
+// finishes the drain and the resource cleanup, then closes done.
 func (s *session) teardown() {
 	s.once.Do(func() {
 		s.srv.unregister(s)
@@ -112,6 +114,7 @@ func (s *session) teardown() {
 		s.closed = true
 		s.subMu.Unlock()
 		close(s.stop)
+		s.owner.disown(s)
 		s.subWG.Wait()
 		close(s.queue)
 	})

@@ -237,7 +237,7 @@ func (s *File) newSegLocked() error {
 		f.Close()
 		return fmt.Errorf("storage: new segment: %w", err)
 	}
-	if err := wm.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		f.Close()
 		return fmt.Errorf("storage: new segment: %w", err)
 	}
@@ -261,7 +261,7 @@ func (s *File) Append(r *Record) (LSN, error) {
 	}
 	body := EncodeRecord(s.buf[:0], r)
 	s.buf = body[:0]
-	s.frame = wm.AppendFrame(s.frame[:0], body)
+	s.frame = appendFrame(s.frame[:0], body)
 	if _, err := s.bw.Write(s.frame); err != nil {
 		return 0, fmt.Errorf("storage: append: %w", err)
 	}
@@ -399,7 +399,7 @@ func (s *File) writeSnapshot(st *wm.Store, seq, lsn uint64) error {
 		os.Remove(tmp.Name())
 		return fmt.Errorf("storage: checkpoint: %w", err)
 	}
-	if err := wm.SyncDir(s.dir); err != nil {
+	if err := syncDir(s.dir); err != nil {
 		return fmt.Errorf("storage: checkpoint: %w", err)
 	}
 	// The new snapshot is durable; everything it covers can go. A
@@ -420,7 +420,7 @@ func (s *File) writeSnapshot(st *wm.Store, seq, lsn uint64) error {
 			os.Remove(filepath.Join(s.dir, en))
 		}
 	}
-	return wm.SyncDir(s.dir)
+	return syncDir(s.dir)
 }
 
 // Checkpoint folds the store into a snapshot synchronously.
@@ -530,32 +530,33 @@ func DecodeRecord(body []byte) (*Record, error) {
 // rather than an error; the recovery loop then applies the same
 // final-segment-only rule it applies to torn records.
 func ReadSegment(r io.Reader) (recs []*Record, valid int64, err error) {
+	br := bufio.NewReader(r)
 	head := make([]byte, len(segMagic))
-	n, herr := io.ReadFull(r, head)
+	n, herr := io.ReadFull(br, head)
 	if herr != nil {
 		if (herr == io.EOF || herr == io.ErrUnexpectedEOF) && strings.HasPrefix(segMagic, string(head[:n])) {
 			return nil, 0, nil
 		}
 		return nil, 0, fmt.Errorf("segment header: %w", herr)
 	}
-	fs, err := wm.NewFrameScanner(io.MultiReader(strings.NewReader(string(head)), r), segMagic)
-	if err != nil {
-		return nil, 0, fmt.Errorf("segment header: %w", err)
+	if string(head) != segMagic {
+		return nil, 0, fmt.Errorf("segment header: bad magic %q", head)
 	}
+	fs := &frameScanner{br: br, valid: int64(len(segMagic))}
 	for {
-		body, err := fs.Next()
+		body, err := fs.next()
 		if err == io.EOF {
-			return recs, fs.ValidBytes(), nil
+			return recs, fs.valid, nil
 		}
 		if err != nil {
-			return recs, fs.ValidBytes(), fmt.Errorf("record %d: %w", fs.Records(), err)
+			return recs, fs.valid, fmt.Errorf("record %d: %w", fs.records, err)
 		}
 		rec, derr := DecodeRecord(body)
 		if derr != nil {
-			if rerr := fs.Reject(derr); rerr == io.EOF {
-				return recs, fs.ValidBytes(), nil
+			if rerr := fs.reject(derr); rerr == io.EOF {
+				return recs, fs.valid, nil
 			}
-			return recs, fs.ValidBytes(), fmt.Errorf("record %d: %w", fs.Records(), derr)
+			return recs, fs.valid, fmt.Errorf("record %d: %w", fs.records, derr)
 		}
 		recs = append(recs, rec)
 	}
@@ -585,6 +586,21 @@ func syncFile(path string) error {
 	}
 	defer f.Close()
 	return f.Sync()
+}
+
+// syncDir fsyncs a directory so renames and file creations within it
+// are durable. On filesystems that refuse fsync on directories the
+// error is ignored (there is nothing more the caller can do).
+func syncDir(dir string) error {
+	f, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer f.Close()
+	if err := f.Sync(); err != nil && !os.IsPermission(err) {
+		return err
+	}
+	return nil
 }
 
 // --- little-codec helpers (byte-slice variants of wm's) ---

@@ -2,7 +2,11 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -394,5 +398,81 @@ func TestFileBackendTornHeaderTruncated(t *testing.T) {
 	}
 	if _, err := OpenFile(dir, FileOptions{}); err == nil {
 		t.Fatal("torn header on a non-final segment must refuse to open")
+	}
+}
+
+// segmentBytes encodes n records as a complete segment stream and
+// returns it with the offset where each framed record starts.
+func segmentBytes(t *testing.T, n int) ([]byte, []int) {
+	t.Helper()
+	live := wm.NewStore()
+	b := []byte(segMagic)
+	var starts []int
+	for i := 0; i < n; i++ {
+		starts = append(starts, len(b))
+		b = appendFrame(b, EncodeRecord(nil, mkRecord(t, live, "r", "a", i)))
+	}
+	return b, starts
+}
+
+// TestReadSegment pins the segment reader's torn-tail policy: a record
+// cut short, a checksum failure or an undecodable record at the end of
+// the stream (optionally followed by zero bytes) ends the valid prefix
+// silently; the same defects followed by real data, or a bad magic,
+// are errors.
+func TestReadSegment(t *testing.T) {
+	seg, starts := segmentBytes(t, 3)
+	last := starts[2]
+	with := func(edit func([]byte) []byte) []byte {
+		return edit(append([]byte(nil), seg...))
+	}
+	zeros := make([]byte, 40)
+	cases := []struct {
+		name    string
+		data    []byte
+		records int
+		valid   int
+		wantErr bool
+	}{
+		{"clean", seg, 3, len(seg), false},
+		{"torn header", []byte(segMagic[:3]), 0, 0, false},
+		{"bad magic", with(func(b []byte) []byte { copy(b, "XXXXXXXX"); return b }), 0, 0, true},
+		{"torn frame", seg[:last+5], 2, last, false},
+		{"torn body", seg[:len(seg)-3], 2, last, false},
+		{"checksum mismatch at tail", with(func(b []byte) []byte { b[len(b)-1] ^= 0xff; return b }), 2, last, false},
+		// A zero-filled block decodes as a frame with an empty body and
+		// a zero CRC, which checksums cleanly: the record decoder
+		// rejects it and the zeros after it make it a torn tail.
+		{"zero-filled tail", append(append([]byte(nil), seg...), zeros...), 3, len(seg), false},
+		{"zero frame then data", append(append(append([]byte(nil), seg...), zeros...), 1), 3, len(seg), true},
+		{"absurd length at tail", with(func(b []byte) []byte { b[last] = 0xff; return b[:last+12] }), 2, last, false},
+		{"mid-log corruption", with(func(b []byte) []byte { b[starts[0]+12+4] ^= 0xff; return b }), 0, starts[0], true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs, valid, err := ReadSegment(bytes.NewReader(tc.data))
+			if (err != nil) != tc.wantErr {
+				t.Fatalf("err = %v, want error %v", err, tc.wantErr)
+			}
+			if len(recs) != tc.records || valid != int64(tc.valid) {
+				t.Fatalf("records=%d valid=%d, want %d/%d", len(recs), valid, tc.records, tc.valid)
+			}
+		})
+	}
+}
+
+// TestDecodeRecordCraftedLength is the network-facing half of the wm
+// crafted-length regression: replication followers decode shipped
+// record bytes with DecodeRecord, so a WME class length of 2^64-1 in
+// the embedded delta must come back as an error, not a panic.
+func TestDecodeRecordCraftedLength(t *testing.T) {
+	r := mkRecord(t, wm.NewStore(), "r", "a", 1)
+	body := EncodeRecord(nil, r)
+	// The delta ends the record; its class length sits after the remove
+	// count, add count, ID and time tag.
+	classLen := len(body) - len(wm.EncodeDelta(nil, r.Delta)) + 32
+	binary.BigEndian.PutUint64(body[classLen:], math.MaxUint64)
+	if _, err := DecodeRecord(body); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("err = %v, want %v", err, io.ErrUnexpectedEOF)
 	}
 }

@@ -60,24 +60,14 @@ func BenchmarkSnapshotRoundTrip(b *testing.B) {
 	b.ReportMetric(1000, "wmes")
 }
 
-func BenchmarkWALAppend(b *testing.B) {
+func BenchmarkEncodeDelta(b *testing.B) {
 	s := NewStore()
-	var buf bytes.Buffer
-	wal, err := NewWAL(&buf)
-	if err != nil {
-		b.Fatal(err)
-	}
 	w := s.Insert("part", attrs("id", 1, "status", "ready"))
 	d := &Delta{Adds: []*WME{w}}
+	var buf []byte
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := wal.Append(d); err != nil {
-			b.Fatal(err)
-		}
-		if buf.Len() > 1<<24 {
-			buf.Reset()
-			buf.WriteString(walMagic)
-		}
+		buf = EncodeDelta(buf[:0], d)
 	}
 }
 

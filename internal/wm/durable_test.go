@@ -1,145 +1,129 @@
-package wm
+// Black-box tests of working-memory durability: committed transaction
+// deltas are logged to the file storage backend and the store is
+// rebuilt from it on reopen. The package is wm_test because storage
+// imports wm.
+package wm_test
 
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
+
+	"pdps/internal/storage"
+	"pdps/internal/wm"
 )
 
-func commitInsert(t *testing.T, d *Durable, class string, a map[string]Value) *WME {
+// commitLogged runs one insert transaction on s and stages its delta
+// on the backend, as the engine's committer does.
+func commitLogged(t *testing.T, f *storage.File, s *wm.Store, class string, v int64) {
 	t.Helper()
-	tx := d.Store().Begin()
-	w := tx.Insert(class, a)
+	tx := s.Begin()
+	tx.Insert(class, map[string]wm.Value{"v": wm.Int(v)})
 	delta, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.WAL().Append(delta); err != nil {
+	if _, err := f.Append(&storage.Record{Delta: delta}); err != nil {
 		t.Fatal(err)
 	}
-	return w
 }
 
-func TestDurableInitRunReopen(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDurable(dir)
+func segments(t *testing.T, dir string) []string {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitInsert(t, d, "part", attrs("id", 1))
-	w2 := commitInsert(t, d, "part", attrs("id", 2))
-
-	// Remove via logged transaction.
-	tx := d.Store().Begin()
-	if err := tx.Remove(w2.ID); err != nil {
-		t.Fatal(err)
-	}
-	delta, err := tx.Commit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.WAL().Append(delta); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen: one part with id 1 survives.
-	d2, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	parts := d2.Store().ByClass("part")
-	if len(parts) != 1 || !parts[0].Attr("id").Equal(Int(1)) {
-		t.Fatalf("recovered parts = %v", parts)
-	}
-	// ID counters survive: a fresh insert gets a new ID.
-	n := commitInsert(t, d2, "part", attrs("id", 3))
-	if n.ID <= parts[0].ID {
-		t.Fatalf("ID reuse after recovery: %d", n.ID)
-	}
+	sort.Strings(segs)
+	return segs
 }
 
 func TestDurableTornTailDropped(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(dir)
+	f, err := storage.OpenFile(dir, storage.FileOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	commitInsert(t, d, "a", attrs("v", 1))
-	commitInsert(t, d, "a", attrs("v", 2))
-	if err := d.Close(); err != nil {
+	live := wm.NewStore()
+	commitLogged(t, f, live, "a", 1)
+	commitLogged(t, f, live, "a", 2)
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: chop bytes off the log.
-	walPath := filepath.Join(dir, "wal.log")
-	raw, err := os.ReadFile(walPath)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Simulate a crash mid-append: chop bytes off the newest segment.
+	segs := segments(t, dir)
+	if len(segs) == 0 {
+		t.Fatal("no log segment written")
+	}
+	last := segs[len(segs)-1]
+	raw, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(walPath, raw[:len(raw)-6], 0o644); err != nil {
+	if err := os.WriteFile(last, raw[:len(raw)-6], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenDurable(dir)
+	g, err := storage.OpenFile(dir, storage.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
+	defer g.Close()
+	rec, err := g.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
 	// First record survives, torn second is dropped.
-	if got := len(d2.Store().ByClass("a")); got != 1 {
+	if got := len(rec.Store.ByClass("a")); got != 1 {
 		t.Fatalf("recovered %d tuples, want 1", got)
+	}
+	if rec.LSN != 1 {
+		t.Fatalf("recovered LSN = %d, want 1", rec.LSN)
 	}
 }
 
 func TestDurableCheckpointTruncatesLog(t *testing.T) {
 	dir := t.TempDir()
-	d, err := OpenDurable(dir)
+	f, err := storage.OpenFile(dir, storage.FileOptions{CheckpointBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
-		commitInsert(t, d, "a", attrs("v", i))
+	live := wm.NewStore()
+	for i := int64(0); i < 5; i++ {
+		commitLogged(t, f, live, "a", i)
 	}
-	if d.WAL().Records() != 5 {
-		t.Fatalf("records = %d", d.WAL().Records())
+	if f.LSN() != 5 {
+		t.Fatalf("LSN = %d, want 5", f.LSN())
 	}
-	if err := d.Checkpoint(); err != nil {
+	if err := f.Checkpoint(live.Clone()); err != nil {
 		t.Fatal(err)
 	}
-	if d.WAL().Records() != 0 {
-		t.Fatal("checkpoint must start a fresh log")
+	// Only the fresh live segment remains; the covered log is gone.
+	if segs := segments(t, dir); len(segs) != 1 {
+		t.Fatalf("segments after checkpoint = %v, want one fresh log", segs)
 	}
-	if err := d.Sync(); err != nil {
+	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Close(); err != nil {
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	d2, err := OpenDurable(dir)
+	g, err := storage.OpenFile(dir, storage.FileOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d2.Close()
-	if d2.Store().Len() != 5 {
-		t.Fatalf("recovered %d tuples, want 5", d2.Store().Len())
-	}
-}
-
-func TestDurableEmptyDirAndDoubleClose(t *testing.T) {
-	dir := t.TempDir()
-	d, err := OpenDurable(filepath.Join(dir, "nested", "deeper"))
+	defer g.Close()
+	rec, err := g.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Store().Len() != 0 {
-		t.Fatal("fresh store not empty")
+	if len(rec.Records) != 0 || rec.SnapshotLSN != 5 {
+		t.Fatalf("checkpoint must start a fresh log: records=%d snapshotLSN=%d", len(rec.Records), rec.SnapshotLSN)
 	}
-	if err := d.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Close(); err != nil {
-		t.Fatal("double close must be a no-op")
+	if rec.Store.Len() != 5 {
+		t.Fatalf("recovered %d tuples, want 5", rec.Store.Len())
 	}
 }

@@ -4,109 +4,72 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
-	"sync"
 )
 
 // Persistence gives working memory the "knowledge persistence" the
-// paper's introduction motivates: point-in-time snapshots plus a
-// write-ahead log of commit deltas. A store is recovered by loading
-// the latest snapshot and replaying the log; every record carries a
-// CRC so torn tails are detected and recovery stops cleanly at the
-// last complete record.
+// paper's introduction motivates. This file holds the two codecs it
+// rests on: point-in-time snapshots, and the commit-delta encoding
+// that internal/storage frames into its log segments. A store is
+// recovered by loading a snapshot and re-applying logged deltas with
+// ApplyLogged; framing, checksums and the torn-tail policy belong to
+// the storage layer.
 
-const (
-	snapshotMagic = "PDPSSNP1"
-	walMagic      = "PDPSWAL1"
-)
+const snapshotMagic = "PDPSSNP1"
 
 // WriteSnapshot serialises the store's current contents, including the
 // ID and recency counters, so recovery continues the same sequences.
 func (s *Store) WriteSnapshot(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(snapshotMagic); err != nil {
-		return err
-	}
 	all := s.All() // deterministic order: by ID
-	writeU64(bw, uint64(s.nextID.Load()))
-	writeU64(bw, s.clock.Load())
-	writeU64(bw, uint64(len(all)))
+	b := append([]byte(nil), snapshotMagic...)
+	b = appendU64(b, uint64(s.nextID.Load()))
+	b = appendU64(b, s.clock.Load())
+	b = appendU64(b, uint64(len(all)))
 	for _, wme := range all {
-		if err := writeWME(bw, wme); err != nil {
+		if _, err := bw.Write(b); err != nil {
 			return err
 		}
+		b = appendWME(b[:0], wme)
+	}
+	if _, err := bw.Write(b); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// ReadSnapshot reconstructs a store from a snapshot stream.
+// ReadSnapshot reconstructs a store from a snapshot stream. The stream
+// is read whole and decoded with the same reader as the delta codec.
 func ReadSnapshot(r io.Reader) (*Store, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(snapshotMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("wm: snapshot header: %w", err)
+	b, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("wm: snapshot: %w", err)
 	}
-	if string(magic) != snapshotMagic {
+	if len(b) < len(snapshotMagic) {
+		return nil, fmt.Errorf("wm: snapshot header: %w", io.ErrUnexpectedEOF)
+	}
+	if magic := b[:len(snapshotMagic)]; string(magic) != snapshotMagic {
 		return nil, fmt.Errorf("wm: bad snapshot magic %q", magic)
 	}
+	p := &byteReader{b: b, pos: len(snapshotMagic)}
+	var head [3]uint64 // next ID, clock, WME count
+	for i := range head {
+		if head[i], err = p.u64(); err != nil {
+			return nil, fmt.Errorf("wm: snapshot header: %w", err)
+		}
+	}
 	s := NewStore()
-	nextID, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	clock, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	count, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	s.nextID.Store(int64(nextID))
-	s.clock.Store(clock)
-	for i := uint64(0); i < count; i++ {
-		w, err := readWME(br)
+	s.nextID.Store(int64(head[0]))
+	s.clock.Store(head[1])
+	for i := uint64(0); i < head[2]; i++ {
+		w, err := p.wme()
 		if err != nil {
 			return nil, fmt.Errorf("wm: snapshot WME %d: %w", i, err)
 		}
 		s.add(w)
 	}
 	return s, nil
-}
-
-// WAL is an append-only write-ahead log of commit deltas. Append is
-// safe for concurrent use (engines call it from worker goroutines).
-type WAL struct {
-	mu  sync.Mutex
-	w   io.Writer
-	buf []byte // body scratch
-	out []byte // framed-record scratch (one Write per record)
-	n   int    // records appended
-}
-
-// NewWAL starts a log on the writer, emitting the header.
-func NewWAL(w io.Writer) (*WAL, error) {
-	if _, err := io.WriteString(w, walMagic); err != nil {
-		return nil, err
-	}
-	return &WAL{w: w}, nil
-}
-
-// Append writes one delta record: removes as (id, timetag) pairs and
-// adds as full WMEs, framed with a length and CRC32.
-func (l *WAL) Append(d *Delta) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	body := EncodeDelta(l.buf[:0], d)
-	l.out = AppendFrame(l.out[:0], body)
-	l.buf = body[:0]
-	if _, err := l.w.Write(l.out); err != nil {
-		return err
-	}
-	l.n++
-	return nil
 }
 
 // EncodeDelta appends the log encoding of a commit delta to b: removes
@@ -129,19 +92,6 @@ func EncodeDelta(b []byte, d *Delta) []byte {
 // content); adds are complete. The whole body must be consumed.
 func DecodeDelta(body []byte) (*Delta, error) {
 	p := &byteReader{b: body}
-	d, err := decodeDelta(p)
-	if err != nil {
-		return nil, err
-	}
-	if p.pos != len(body) {
-		return nil, fmt.Errorf("wm: delta record: %d trailing bytes", len(body)-p.pos)
-	}
-	return d, nil
-}
-
-// decodeDelta parses a delta at the reader's position, leaving any
-// following bytes (used when a delta is embedded in a larger record).
-func decodeDelta(p *byteReader) (*Delta, error) {
 	d := &Delta{}
 	nRem, err := p.u64()
 	if err != nil {
@@ -175,6 +125,9 @@ func decodeDelta(p *byteReader) (*Delta, error) {
 		}
 		d.Adds = append(d.Adds, w)
 	}
+	if p.pos != len(body) {
+		return nil, fmt.Errorf("wm: delta record: %d trailing bytes", len(body)-p.pos)
+	}
 	return d, nil
 }
 
@@ -206,175 +159,7 @@ func (s *Store) ApplyLogged(d *Delta) error {
 	return nil
 }
 
-// Records returns how many records have been appended.
-func (l *WAL) Records() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// ReplayWAL applies the log's deltas to the store in order and returns
-// the number of complete records applied. Recovery distinguishes a
-// torn tail (the bytes a crash mid-append leaves behind: a truncated
-// frame or body, or a zero-filled/checksum-failed final record with
-// nothing but zero bytes after it) from mid-log corruption: the tail
-// is dropped silently — standard recovery semantics — while
-// corruption followed by further data is reported as an error. Each
-// record is fully decoded before it is applied, so a torn tail never
-// leaves the store partially updated.
-func ReplayWAL(r io.Reader, s *Store) (int, error) {
-	fs, err := NewFrameScanner(r, walMagic)
-	if err != nil {
-		return 0, fmt.Errorf("wm: wal header: %w", err)
-	}
-	applied := 0
-	for {
-		body, err := fs.Next()
-		if err == io.EOF {
-			return applied, nil
-		}
-		if err != nil {
-			return applied, fmt.Errorf("wm: wal record %d: %w", applied, err)
-		}
-		d, derr := DecodeDelta(body)
-		if derr != nil {
-			if rerr := fs.Reject(derr); rerr == io.EOF {
-				return applied, nil // undecodable torn tail
-			}
-			return applied, fmt.Errorf("wm: wal record %d: %w", applied, derr)
-		}
-		if aerr := s.ApplyLogged(d); aerr != nil {
-			return applied, fmt.Errorf("wm: wal record %d: %w", applied, aerr)
-		}
-		applied++
-	}
-}
-
-// --- framed record streams ---
-
-// maxRecordBytes bounds a single framed record; larger length fields
-// are treated as corruption (or a torn frame, if at the tail).
-const maxRecordBytes = 1 << 30
-
-// AppendFrame appends one framed record to dst: an 8-byte big-endian
-// body length, a CRC32 (IEEE) of the body, then the body itself. This
-// is the frame layout shared by the WAL and the storage backends'
-// segment files.
-func AppendFrame(dst, body []byte) []byte {
-	var frame [12]byte
-	binary.BigEndian.PutUint64(frame[:8], uint64(len(body)))
-	binary.BigEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(body))
-	dst = append(dst, frame[:]...)
-	return append(dst, body...)
-}
-
-// FrameScanner reads a stream of AppendFrame records, implementing the
-// recovery policy for crash-truncated logs: a record that cannot be
-// read in full, or that fails its checksum with nothing but zero
-// bytes after it, is a torn tail and ends the scan with io.EOF; a bad
-// record with real data after it is corruption and errors. ValidBytes
-// reports the length of the validated prefix so callers can truncate
-// the file there.
-type FrameScanner struct {
-	br      *bufio.Reader
-	valid   int64 // bytes of validated prefix, including header
-	lastLen int64 // framed size of the record Next most recently accepted
-	records int
-}
-
-// NewFrameScanner checks the stream's magic header and returns a
-// scanner positioned at the first record.
-func NewFrameScanner(r io.Reader, magic string) (*FrameScanner, error) {
-	br := bufio.NewReader(r)
-	m := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, m); err != nil {
-		return nil, err
-	}
-	if string(m) != magic {
-		return nil, fmt.Errorf("bad magic %q", m)
-	}
-	return &FrameScanner{br: br, valid: int64(len(magic))}, nil
-}
-
-// Next returns the next complete, checksum-valid record body. It
-// returns io.EOF at a clean end of log or at a torn tail, and an
-// error for mid-log corruption.
-func (fs *FrameScanner) Next() ([]byte, error) {
-	var frame [12]byte
-	if _, err := io.ReadFull(fs.br, frame[:]); err != nil {
-		return nil, io.EOF // clean end or torn frame
-	}
-	length := binary.BigEndian.Uint64(frame[:8])
-	sum := binary.BigEndian.Uint32(frame[8:])
-	if length > maxRecordBytes {
-		return nil, fs.tailOr(fmt.Errorf("absurd length %d", length))
-	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(fs.br, body); err != nil {
-		return nil, io.EOF // torn body
-	}
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, fs.tailOr(fmt.Errorf("checksum mismatch"))
-	}
-	fs.lastLen = 12 + int64(length)
-	fs.valid += fs.lastLen
-	fs.records++
-	return body, nil
-}
-
-// Reject reports that the body Next most recently returned failed to
-// decode despite a valid checksum (a zero-filled tail checksums
-// cleanly: CRC32 of an empty body is zero). It applies the same
-// tail-versus-corruption policy as Next — io.EOF if the bad record is
-// the tail, an error wrapping cause otherwise — and unwinds the
-// record from the validated prefix.
-func (fs *FrameScanner) Reject(cause error) error {
-	fs.valid -= fs.lastLen
-	fs.records--
-	fs.lastLen = 0
-	return fs.tailOr(cause)
-}
-
-// tailOr decides whether a bad record is a torn tail: if the rest of
-// the stream is empty or all zero bytes (a crash mid-append can leave
-// a zero-filled block), the scan ends with io.EOF; any real data
-// after the bad record means mid-log corruption and cause is
-// returned.
-func (fs *FrameScanner) tailOr(cause error) error {
-	for {
-		b, err := fs.br.ReadByte()
-		if err != nil {
-			return io.EOF
-		}
-		if b != 0 {
-			return fmt.Errorf("%w (followed by further data)", cause)
-		}
-	}
-}
-
-// ValidBytes returns the length in bytes of the validated log prefix
-// (header plus every record accepted so far). After a scan ends with
-// io.EOF, truncating the file to this offset removes the torn tail.
-func (fs *FrameScanner) ValidBytes() int64 { return fs.valid }
-
-// Records returns how many records have been accepted so far.
-func (fs *FrameScanner) Records() int { return fs.records }
-
 // --- encoding helpers ---
-
-func writeU64(w *bufio.Writer, v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	w.Write(b[:]) //nolint:errcheck // surfaced by the final Flush
-}
-
-func readU64(r io.Reader) (uint64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b[:]), nil
-}
 
 func appendU64(b []byte, v uint64) []byte {
 	var t [8]byte
@@ -413,20 +198,21 @@ func appendWME(b []byte, w *WME) []byte {
 	return b
 }
 
-func writeWME(w *bufio.Writer, x *WME) error {
-	buf := appendWME(nil, x)
-	_, err := w.Write(buf)
-	return err
-}
-
-// byteReader decodes from an in-memory record.
+// byteReader decodes snapshots and delta records from memory. Every
+// length it reads is checked against the bytes that remain, so a
+// corrupt or hostile length is an error, never a slice panic.
 type byteReader struct {
 	b   []byte
 	pos int
 }
 
+// remaining reports whether at least n more bytes are available.
+func (r *byteReader) remaining(n uint64) bool {
+	return n <= uint64(len(r.b)-r.pos)
+}
+
 func (r *byteReader) u64() (uint64, error) {
-	if r.pos+8 > len(r.b) {
+	if !r.remaining(8) {
 		return 0, io.ErrUnexpectedEOF
 	}
 	v := binary.BigEndian.Uint64(r.b[r.pos:])
@@ -439,7 +225,7 @@ func (r *byteReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if r.pos+int(n) > len(r.b) {
+	if !r.remaining(n) {
 		return "", io.ErrUnexpectedEOF
 	}
 	s := string(r.b[r.pos : r.pos+int(n)])
@@ -448,7 +234,7 @@ func (r *byteReader) str() (string, error) {
 }
 
 func (r *byteReader) value() (Value, error) {
-	if r.pos >= len(r.b) {
+	if !r.remaining(1) {
 		return Value{}, io.ErrUnexpectedEOF
 	}
 	kind := Kind(r.b[r.pos])
@@ -456,12 +242,9 @@ func (r *byteReader) value() (Value, error) {
 	switch kind {
 	case KindNil:
 		return Nil(), nil
-	case KindInt:
+	case KindInt, KindBool:
 		v, err := r.u64()
-		return Value{kind: KindInt, i: int64(v)}, err
-	case KindBool:
-		v, err := r.u64()
-		return Value{kind: KindBool, i: int64(v)}, err
+		return Value{kind: kind, i: int64(v)}, err
 	case KindFloat:
 		v, err := r.u64()
 		return Float(math.Float64frombits(v)), err
@@ -489,6 +272,10 @@ func (r *byteReader) wme() (*WME, error) {
 	if err != nil {
 		return nil, err
 	}
+	// Each attribute takes at least a length word and a kind byte.
+	if n > 1<<24 || !r.remaining(n*9) {
+		return nil, io.ErrUnexpectedEOF
+	}
 	attrs := make(map[string]Value, n)
 	for i := uint64(0); i < n; i++ {
 		name, err := r.str()
@@ -502,76 +289,4 @@ func (r *byteReader) wme() (*WME, error) {
 		attrs[name] = v
 	}
 	return &WME{ID: int64(id), TimeTag: tag, Class: class, attrs: attrs}, nil
-}
-
-// readWME decodes one WME from a stream (snapshot format).
-func readWME(br *bufio.Reader) (*WME, error) {
-	// Snapshot WMEs use the same layout as WAL adds; decode by
-	// buffering the variable-size pieces through the stream reader.
-	id, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	tag, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	class, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	n, err := readU64(br)
-	if err != nil {
-		return nil, err
-	}
-	attrs := make(map[string]Value, n)
-	for i := uint64(0); i < n; i++ {
-		name, err := readString(br)
-		if err != nil {
-			return nil, err
-		}
-		v, err := readValue(br)
-		if err != nil {
-			return nil, err
-		}
-		attrs[name] = v
-	}
-	return &WME{ID: int64(id), TimeTag: tag, Class: class, attrs: attrs}, nil
-}
-
-func readString(br *bufio.Reader) (string, error) {
-	n, err := readU64(br)
-	if err != nil {
-		return "", err
-	}
-	if n > 1<<24 {
-		return "", fmt.Errorf("wm: absurd string length %d", n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
-		return "", err
-	}
-	return string(b), nil
-}
-
-func readValue(br *bufio.Reader) (Value, error) {
-	kb, err := br.ReadByte()
-	if err != nil {
-		return Value{}, err
-	}
-	kind := Kind(kb)
-	switch kind {
-	case KindNil:
-		return Nil(), nil
-	case KindInt, KindBool:
-		v, err := readU64(br)
-		return Value{kind: kind, i: int64(v)}, err
-	case KindFloat:
-		v, err := readU64(br)
-		return Float(math.Float64frombits(v)), err
-	case KindString, KindSymbol:
-		s, err := readString(br)
-		return Value{kind: kind, s: s}, err
-	}
-	return Value{}, fmt.Errorf("wm: unknown value kind %d", kind)
 }

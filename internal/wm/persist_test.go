@@ -2,9 +2,19 @@ package wm
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
+	"math"
+	"os"
 	"strings"
 	"testing"
 )
+
+// The TestWAL* tests cover the working-memory half of log recovery:
+// the delta encoding internal/storage frames into its WAL segments and
+// ApplyLogged, which replays decoded deltas. Framing, checksums and the
+// torn-tail policy are tested with the segment reader in storage.
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	s := NewStore()
@@ -66,27 +76,62 @@ func TestSnapshotBadInput(t *testing.T) {
 	}
 }
 
-func TestWALRecoveryReproducesStore(t *testing.T) {
-	// Run a sequence of transactions against a live store while
-	// logging, then recover from snapshot+log and compare.
-	live := NewStore()
-	live.Insert("counter", attrs("n", 0))
-	var snap bytes.Buffer
-	if err := live.WriteSnapshot(&snap); err != nil {
-		t.Fatal(err)
-	}
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
+// TestSnapshotFormatStable loads testdata/snapshot-v1.wm, a snapshot
+// holding every value kind, a negative integer and a gap in the ID
+// sequence, and requires the decoded store and its re-serialisation to
+// match. A change to the snapshot encoding fails here before it can
+// strand a data directory written by an earlier build.
+func TestSnapshotFormatStable(t *testing.T) {
+	raw, err := os.ReadFile("testdata/snapshot-v1.wm")
 	if err != nil {
 		t.Fatal(err)
 	}
+	s, err := ReadSnapshot(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[int64]string{
+		1: `(part ^id 1 ^name "axle" ^stage -3)`,
+		2: `(tally ^n 0 ^ratio 0.5)`,
+		4: `(flag ^none nil ^off false ^on true ^sym ready)`,
+	}
+	if s.Len() != len(want) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(want))
+	}
+	for id, str := range want {
+		w, ok := s.Get(id)
+		if !ok || w.String() != str {
+			t.Fatalf("WME %d = %v, want %s", id, w, str)
+		}
+	}
+	if n := s.Insert("x", nil); n.ID != 5 || n.TimeTag != 5 {
+		t.Fatalf("counters not restored: next insert got ID %d tag %d, want 5/5", n.ID, n.TimeTag)
+	}
+	s.Remove(5)
+	var out bytes.Buffer
+	if err := s.WriteSnapshot(&out); err != nil {
+		t.Fatal(err)
+	}
+	// The probe insert advanced both counters; everything after them
+	// is byte-identical.
+	head := len(snapshotMagic) + 16
+	if !bytes.Equal(out.Bytes()[head:], raw[head:]) {
+		t.Fatal("re-serialised snapshot differs from the stored one")
+	}
+}
+
+// logDeltas runs ten transactions against live, returning each commit
+// delta in its log encoding.
+func logDeltas(t *testing.T, live *Store) [][]byte {
+	t.Helper()
+	var log [][]byte
 	for i := 0; i < 10; i++ {
 		tx := live.Begin()
 		c := tx.ByClass("counter")[0]
 		if _, err := tx.Modify(c.ID, attrs("n", i+1)); err != nil {
 			t.Fatal(err)
 		}
-		tx.Insert("log", attrs("step", i))
+		tx.Insert("log", attrs("step", i, "note", Str("x"), "ok", true))
 		if i%3 == 2 {
 			logs := tx.ByClass("log")
 			if err := tx.Remove(logs[0].ID); err != nil {
@@ -97,24 +142,34 @@ func TestWALRecoveryReproducesStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := wal.Append(d); err != nil {
-			t.Fatal(err)
-		}
+		log = append(log, EncodeDelta(nil, d))
 	}
-	if wal.Records() != 10 {
-		t.Fatalf("records = %d", wal.Records())
+	return log
+}
+
+func TestWALRecoveryReproducesStore(t *testing.T) {
+	// Run a sequence of transactions against a live store while
+	// logging, then recover from snapshot + decoded deltas and compare.
+	live := NewStore()
+	live.Insert("counter", attrs("n", 0))
+	var snap bytes.Buffer
+	if err := live.WriteSnapshot(&snap); err != nil {
+		t.Fatal(err)
 	}
+	log := logDeltas(t, live)
 
 	recovered, err := ReadSnapshot(&snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	applied, err := ReplayWAL(bytes.NewReader(logBuf.Bytes()), recovered)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 10 {
-		t.Fatalf("applied = %d, want 10", applied)
+	for i, body := range log {
+		d, err := DecodeDelta(body)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if err := recovered.ApplyLogged(d); err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
 	}
 	if recovered.Len() != live.Len() {
 		t.Fatalf("recovered Len = %d, want %d", recovered.Len(), live.Len())
@@ -132,89 +187,71 @@ func TestWALRecoveryReproducesStore(t *testing.T) {
 	}
 }
 
+// TestWALTornTailStopsCleanly checks the property recovery's torn-tail
+// rule relies on: no proper prefix of a delta record decodes, so a
+// record cut short by a crash can never be half-applied.
 func TestWALTornTailStopsCleanly(t *testing.T) {
-	base := NewStore()
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	live := NewStore()
-	for i := 0; i < 3; i++ {
-		tx := live.Begin()
-		tx.Insert("a", attrs("v", i))
-		d, err := tx.Commit()
-		if err != nil {
-			t.Fatal(err)
+	live.Insert("counter", attrs("n", 0))
+	for i, body := range logDeltas(t, live) {
+		for cut := 0; cut < len(body); cut++ {
+			if _, err := DecodeDelta(body[:cut]); err == nil {
+				t.Fatalf("record %d cut at %d/%d decoded", i, cut, len(body))
+			}
 		}
-		if err := wal.Append(d); err != nil {
-			t.Fatal(err)
+		if _, err := DecodeDelta(append(body, 0)); err == nil {
+			t.Fatalf("record %d with a trailing byte decoded", i)
 		}
-	}
-	// Tear the last record.
-	torn := logBuf.Bytes()[:logBuf.Len()-5]
-	applied, err := ReplayWAL(bytes.NewReader(torn), base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied != 2 {
-		t.Fatalf("applied = %d, want 2 (torn tail dropped)", applied)
-	}
-	if base.Len() != 2 {
-		t.Fatalf("store has %d WMEs, want 2", base.Len())
 	}
 }
 
-func TestWALCorruptRecordDetected(t *testing.T) {
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := NewStore()
-	tx := live.Begin()
-	tx.Insert("a", attrs("v", 1))
-	d, _ := tx.Commit()
-	if err := wal.Append(d); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := live.Begin()
-	tx2.Insert("a", attrs("v", 2))
-	d2, _ := tx2.Commit()
-	if err := wal.Append(d2); err != nil {
-		t.Fatal(err)
-	}
-	// Flip a byte inside the first record's body (after header+frame).
-	raw := logBuf.Bytes()
-	raw[len(walMagic)+12+4] ^= 0xff
-	s := NewStore()
-	if _, err := ReplayWAL(bytes.NewReader(raw), s); err == nil {
-		t.Fatal("mid-log corruption must be reported")
-	}
-	if _, err := ReplayWAL(strings.NewReader("XXXXXXXX"), s); err == nil {
-		t.Fatal("bad wal magic must error")
-	}
-}
-
+// TestWALRemoveOfAbsentFails covers ApplyLogged against the wrong base:
+// both a remove with no target and an add of an ID already present are
+// refused, since either means the log does not belong to the store.
 func TestWALRemoveOfAbsentFails(t *testing.T) {
 	live := NewStore()
 	w := live.Insert("a", attrs("v", 1))
-	var logBuf bytes.Buffer
-	wal, err := NewWAL(&logBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
 	tx := live.Begin()
 	if err := tx.Remove(w.ID); err != nil {
 		t.Fatal(err)
 	}
-	d, _ := tx.Commit()
-	if err := wal.Append(d); err != nil {
+	d, err := tx.Commit()
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Replaying against an empty store: the remove has no target.
-	empty := NewStore()
-	if _, err := ReplayWAL(bytes.NewReader(logBuf.Bytes()), empty); err == nil {
-		t.Fatal("replay against wrong base must error")
+	if err := NewStore().ApplyLogged(d); err == nil {
+		t.Fatal("remove of an absent WME must error")
+	}
+
+	base := NewStore()
+	add := &Delta{Adds: []*WME{base.Insert("a", attrs("v", 2))}}
+	if err := base.ApplyLogged(add); err == nil {
+		t.Fatal("add of a duplicate WME must error")
+	}
+	if base.Len() != 1 {
+		t.Fatalf("duplicate add changed the store: Len = %d", base.Len())
+	}
+}
+
+// TestDecodeDeltaCraftedLength is the regression for a length field of
+// 2^64-1: converted to int it was -1, passed the bounds check and
+// panicked slicing. Every length word is now checked against the bytes
+// that remain, so each field of a record set to all ones decodes to an
+// error or a value, never a panic.
+func TestDecodeDeltaCraftedLength(t *testing.T) {
+	s := NewStore()
+	w := s.Insert("part", attrs("name", Str("axle"), "n", 1))
+	body := EncodeDelta(nil, &Delta{Adds: []*WME{w}})
+	// remove count, add count, ID, time tag, then the class length.
+	const classLen = 32
+	crafted := append([]byte(nil), body...)
+	binary.BigEndian.PutUint64(crafted[classLen:], math.MaxUint64)
+	if _, err := DecodeDelta(crafted); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("crafted class length: err = %v, want %v", err, io.ErrUnexpectedEOF)
+	}
+	for off := 0; off+8 <= len(body); off++ {
+		crafted := append([]byte(nil), body...)
+		binary.BigEndian.PutUint64(crafted[off:], math.MaxUint64)
+		DecodeDelta(crafted) //nolint:errcheck // must not panic
 	}
 }

@@ -64,27 +64,12 @@ type (
 	WME = wm.WME
 	// Store is the shared, transactional working memory.
 	Store = wm.Store
-	// WAL is a write-ahead log of committed working-memory deltas.
-	WAL = wm.WAL
 	// Delta is an atomic set of working-memory changes.
 	Delta = wm.Delta
 )
 
-// Persistence: snapshots, write-ahead logging, and a file-backed
-// durable store with checkpointing.
-var (
-	// NewWAL starts a write-ahead log on a writer.
-	NewWAL = wm.NewWAL
-	// ReadSnapshot reconstructs a store from a snapshot stream.
-	ReadSnapshot = wm.ReadSnapshot
-	// ReplayWAL applies a log's deltas to a store.
-	ReplayWAL = wm.ReplayWAL
-	// OpenDurable opens or initialises a file-backed store directory.
-	OpenDurable = wm.OpenDurable
-)
-
-// Durable is a file-backed working memory (snapshot + log directory).
-type Durable = wm.Durable
+// ReadSnapshot reconstructs a store from a snapshot stream.
+var ReadSnapshot = wm.ReadSnapshot
 
 // Pluggable storage layer (Options.Storage): engines append one record
 // per committed firing and group-commit fsync them; a backend recovers
@@ -118,6 +103,13 @@ var (
 	// OpenFileBackend opens or initialises a file-backend directory,
 	// recovering from its newest snapshot plus the surviving log.
 	OpenFileBackend = storage.OpenFile
+	// OpenDurable is the durable-run bootstrap: it opens a file backend
+	// in a directory, seeds a fresh one with the program's initial
+	// working memory or adopts what an earlier run left, and clears the
+	// program's WMEs. It returns the backend and the store to pass as
+	// Options.Storage and Options.Restore, plus the Recovery found at
+	// open.
+	OpenDurable = engine.OpenDurable
 )
 
 // Value constructors.
