@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet metrics-check serve-smoke repl-smoke bench bench-smoke bench-compare
+.PHONY: all build test race vet metrics-check serve-smoke repl-smoke bench bench-compare
 
 all: build vet test
 
@@ -48,52 +48,28 @@ repl-smoke:
 	$(GO) run ./cmd/psload -repl -events 500 -followers 2 -readers 1 \
 		-metrics-out metrics-artifacts/psrepl-metrics.json
 
+# bench is the CI guard: one iteration of every benchmark, so a bench
+# that breaks (bad firing count, matcher divergence, a paper figure's
+# number off, panic) fails the build even though no timing is collected.
 bench:
 	$(GO) test -bench . -benchtime 1x ./...
 
-# bench-smoke is the CI guard: one iteration of every benchmark, so a
-# bench that breaks (bad firing count, matcher divergence, panic)
-# fails the build even though no timing is collected. The E18 sweep
-# rides along: the hybrid consistency layer's experiment must keep
-# producing consistent traces under elision, escalation and batching.
-# E21 likewise: the cost-based Rete experiment self-checks conflict-set
-# sizes and firing counts on every shape it measures, and E22 the
-# shared alpha discrimination network (match parity between the routed
-# and linear networks, firing counts, GC book-keeping).
-bench-smoke:
-	$(GO) test -bench . -benchtime 1x ./...
-	$(GO) run ./cmd/psbench -experiment e18
-	$(GO) run ./cmd/psbench -experiment e21
-	$(GO) run ./cmd/psbench -experiment e22
-
-# bench-compare measures the tracked benchmarks on the working tree
-# against BASE (default: merge-base with main) and prints a
-# benchstat-style table via cmd/psbenchdiff. Artifacts land in
-# bench-artifacts/. COUNT repeats each benchmark so psbenchdiff can
-# take per-row medians. BenchmarkJoinDepth/BenchmarkChurn guard the
-# Rete planner's ±5% bound on well-ordered programs (E21): the chain
-# is already optimal, so the planner must keep source order and
-# match the base network's time. BenchmarkAlphaFanout tracks the
-# shared alpha discrimination network (E22). The rete-network
-# JoinDepth/Churn rows are additionally held to a hard per-row bound:
-# the alpha routing layer sits on the assert path of every join
-# benchmark, so a >10% regression on either row fails the compare
-# loudly even when the geomean stays healthy. (Only the rete rows are
-# gated — the treat/naive rows in the same benchmarks don't run this
-# code and would only contribute noise flakes.)
-BASE   ?= $(shell git merge-base HEAD main 2>/dev/null || echo HEAD~1)
-COUNT  ?= 5
-BENCHES = BenchmarkHybridElision|BenchmarkParallelLowConflict|BenchmarkJoinDepth|BenchmarkChurn|BenchmarkAlphaFanout
+# bench-compare runs the firing ledger (bench/, see bench/README.md) on
+# BASE (default: merge-base with main) and on the working tree, three
+# sets each, and prints bench -compare's regression table. BASE is
+# exported into bench-artifacts/base, built from its own sources and
+# removed once measured.
+# The target exits non-zero exactly when bench -compare does: a "worse"
+# row or a failed run. bench-artifacts/ keeps base.json, head.json and
+# compare.txt.
+BASE ?= $(shell git merge-base HEAD main 2>/dev/null || echo HEAD~1)
 bench-compare:
-	mkdir -p bench-artifacts
-	$(GO) test ./internal/engine/ ./internal/rete/ -run NONE -bench "$(BENCHES)" \
-		-benchtime 100x -count $(COUNT) | tee bench-artifacts/new.txt
-	git worktree add -f bench-artifacts/base $(BASE)
-	-cd bench-artifacts/base && $(GO) test ./internal/engine/ ./internal/rete/ -run NONE \
-		-bench "$(BENCHES)" -benchtime 100x -count $(COUNT) \
-		| tee ../old.txt
-	git worktree remove --force bench-artifacts/base
-	$(GO) run ./cmd/psbenchdiff -fail-row 'JoinDepth/indexed|JoinDepth/linear|Churn/rete' -fail-row-over 10 \
-		bench-artifacts/old.txt bench-artifacts/new.txt \
-		> bench-artifacts/diff.txt; status=$$?; \
-		cat bench-artifacts/diff.txt; exit $$status
+	rm -rf bench-artifacts/base
+	mkdir -p bench-artifacts/base
+	git archive $(BASE) | tar -x -C bench-artifacts/base
+	cd bench-artifacts/base && bash bench/run.sh -repeat 3 -out ../base.json
+	rm -rf bench-artifacts/base
+	bash bench/run.sh -repeat 3 -out bench-artifacts/head.json
+	$(GO) run ./bench -compare bench-artifacts/base.json bench-artifacts/head.json \
+		> bench-artifacts/compare.txt; status=$$?; \
+		cat bench-artifacts/compare.txt; exit $$status

@@ -6,7 +6,7 @@
 package pdps_test
 
 import (
-	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,33 +15,61 @@ import (
 
 // BenchmarkFig32ExecutionGraph regenerates the Section 3.3 example:
 // execution-graph construction plus full ES_single enumeration (E1).
+// On the reconstructed instance (EXPERIMENTS.md) the graph has 12
+// states and 19 completed sequences, and ES_single is a prefix-closed
+// set of 52 members.
 func BenchmarkFig32ExecutionGraph(b *testing.B) {
 	sys := pdps.Fig32System()
 	var states, seqs int
+	var all [][]string
 	for i := 0; i < b.N; i++ {
 		g := sys.BuildGraph(16)
-		all := sys.Sequences(16, false)
+		if g.Truncated {
+			b.Fatal("execution graph truncated")
+		}
+		all = sys.Sequences(16, false)
 		states, seqs = len(g.Nodes), len(all)
+	}
+	if done := len(sys.CompletedSequences(16)); states != 12 || done != 19 || seqs != 52 {
+		b.Fatalf("states/completed/ES_single = %d/%d/%d, want 12/19/52", states, done, seqs)
+	}
+	member := make(map[string]bool, len(all))
+	for _, seq := range all {
+		member[strings.Join(seq, " ")] = true
+	}
+	for _, seq := range all {
+		for n := 1; n < len(seq); n++ {
+			if !member[strings.Join(seq[:n], " ")] {
+				b.Fatalf("ES_single not prefix-closed: %v lacks prefix %v", seq, seq[:n])
+			}
+		}
 	}
 	b.ReportMetric(float64(states), "states")
 	b.ReportMetric(float64(seqs), "sequences")
 }
 
 // BenchmarkTable41LockCompatibility evaluates the full compatibility
-// matrix under both schemes (E2).
+// matrix under both schemes and checks it against Table 4.1 and the
+// 2PL matrix (E2). Rows are the held mode, columns the requested one,
+// both in Rc, Ra, Wa order.
 func BenchmarkTable41LockCompatibility(b *testing.B) {
 	modes := []pdps.LockMode{pdps.Rc, pdps.Ra, pdps.Wa}
-	sink := false
+	want := map[pdps.Scheme][3][3]bool{
+		pdps.SchemeRcRaWa: {{true, true, true}, {true, true, false}, {false, false, false}},
+		pdps.Scheme2PL:    {{true, true, false}, {true, true, false}, {false, false, false}},
+	}
 	for i := 0; i < b.N; i++ {
-		for _, scheme := range []pdps.Scheme{pdps.Scheme2PL, pdps.SchemeRcRaWa} {
-			for _, held := range modes {
-				for _, req := range modes {
-					sink = pdps.LockCompatible(scheme, held, req) || sink
+		for scheme, matrix := range want {
+			for h, held := range modes {
+				for r, req := range modes {
+					if got := pdps.LockCompatible(scheme, held, req); got != matrix[h][r] {
+						b.Fatalf("%v: held %v, requested %v: compatible = %v, want %v",
+							scheme, held, req, got, matrix[h][r])
+					}
 				}
 			}
 		}
 	}
-	_ = sink
 }
 
 // fig43Program is the Figure 4.3 scenario: pi writes what pj's
@@ -286,35 +314,38 @@ func BenchmarkLockSchemeAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkSpeedupFactorSweeps sweeps the three Section 5 factors on
-// the simulator and reports each point's speedup (E13).
+// BenchmarkSpeedupFactorSweeps sweeps two Section 5 factors on the
+// simulator — degree of conflict over 12 productions at Np=12, and Np
+// over 12 independent ones — and checks each point's T_single and
+// T_multi against the E13 tables (EXPERIMENTS.md).
 func BenchmarkSpeedupFactorSweeps(b *testing.B) {
-	for _, degree := range []int{0, 2, 8} {
-		b.Run(fmt.Sprintf("conflict=%d", degree), func(b *testing.B) {
-			sys := pdps.ConflictChain(12, degree, 3)
-			var s float64
-			for i := 0; i < b.N; i++ {
-				res, err := pdps.Simulate(sys, pdps.SimConfig{Np: 12})
-				if err != nil {
-					b.Fatal(err)
-				}
-				s = res.Speedup()
-			}
-			b.ReportMetric(s, "speedup")
-		})
+	points := []struct {
+		name                  string
+		degree, np            int
+		wantSingle, wantMulti int
+	}{
+		{"conflict=0", 0, 12, 48, 5},
+		{"conflict=2", 2, 12, 12, 3},
+		{"conflict=8", 8, 12, 6, 3},
+		{"np=1", 0, 1, 48, 48},
+		{"np=4", 0, 4, 48, 14},
+		{"np=12", 0, 12, 48, 5},
 	}
-	for _, np := range []int{1, 4, 12} {
-		b.Run(fmt.Sprintf("np=%d", np), func(b *testing.B) {
-			sys := pdps.ConflictChain(12, 0, 3)
-			var s float64
+	for _, p := range points {
+		b.Run(p.name, func(b *testing.B) {
+			sys := pdps.ConflictChain(12, p.degree, 3)
+			var res pdps.SimResult
 			for i := 0; i < b.N; i++ {
-				res, err := pdps.Simulate(sys, pdps.SimConfig{Np: np})
+				var err error
+				res, err = pdps.Simulate(sys, pdps.SimConfig{Np: p.np})
 				if err != nil {
 					b.Fatal(err)
 				}
-				s = res.Speedup()
 			}
-			b.ReportMetric(s, "speedup")
+			if res.TSingle != p.wantSingle || res.TMulti != p.wantMulti {
+				b.Fatalf("T_single/T_multi = %d/%d, want %d/%d", res.TSingle, res.TMulti, p.wantSingle, p.wantMulti)
+			}
+			b.ReportMetric(res.Speedup(), "speedup")
 		})
 	}
 }

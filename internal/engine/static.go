@@ -42,7 +42,7 @@ func (e *Static) Store() *wm.Store { return e.rt.store }
 func (e *Static) Metrics() *obs.Registry { return e.rt.opts.Metrics }
 
 // Interferes reports the cached interference relation between two
-// rules (exposed for tests and the psbench harness).
+// rules (exposed for tests).
 func (e *Static) Interferes(a, b string) bool { return e.im.Interferes(a, b) }
 
 // Run executes batched cycles until no unfired instantiation remains,

@@ -182,32 +182,39 @@ func TestStorageGroupCommitStatic(t *testing.T) {
 // TestStorageGroupCommitParallel checks the parallel committer's
 // durability invariants: every firing appended, every append covered
 // by some fsync before the run ends, ack only after sync (observable
-// as fsyncs ≤ appends with a positive count). Group sizes above one
-// depend on fsync latency and scheduling, so amortization itself is
-// measured by psbench E19, not asserted here.
+// as fsyncs ≤ appends with a positive count), and a commit trace that
+// stays admissible under group commit, with and without lock elision.
+// Group sizes above one depend on fsync latency and scheduling, so
+// amortization itself is a measurement (EXPERIMENTS.md, E19), not
+// asserted here.
 func TestStorageGroupCommitParallel(t *testing.T) {
-	prog := tallyProgram(6, 5)
-	m := storage.NewMem()
-	eng, err := NewParallel(prog, lock.SchemeRcRaWa, Options{Np: 4, CommitBatch: 64, Storage: m})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := eng.Metrics().Snapshot()
-	appends := snap.Counter("wal_append_total")
-	fsyncs := snap.Counter("wal_fsync_total")
-	if appends != int64(res.Firings) {
-		t.Fatalf("wal_append_total = %d, firings = %d", appends, res.Firings)
-	}
-	if fsyncs == 0 || fsyncs > appends {
-		t.Fatalf("fsyncs = %d out of range (appends %d)", fsyncs, appends)
-	}
-	h, ok := snap.Histogram("wal_group_size")
-	if !ok || h.Count != fsyncs || h.Sum != appends {
-		t.Fatalf("wal_group_size = %+v, want count %d sum %d", h, fsyncs, appends)
+	for _, elide := range []bool{false, true} {
+		prog := tallyProgram(6, 5)
+		m := storage.NewMem()
+		eng, err := NewParallel(prog, lock.SchemeRcRaWa, Options{Np: 4, CommitBatch: 64, Storage: m, HybridElision: elide})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := CheckTrace(prog, res.Log.Commits()); err != nil {
+			t.Fatalf("elide=%v: %v", elide, err)
+		}
+		snap := eng.Metrics().Snapshot()
+		appends := snap.Counter("wal_append_total")
+		fsyncs := snap.Counter("wal_fsync_total")
+		if appends != int64(res.Firings) {
+			t.Fatalf("elide=%v: wal_append_total = %d, firings = %d", elide, appends, res.Firings)
+		}
+		if fsyncs == 0 || fsyncs > appends {
+			t.Fatalf("elide=%v: fsyncs = %d out of range (appends %d)", elide, fsyncs, appends)
+		}
+		h, ok := snap.Histogram("wal_group_size")
+		if !ok || h.Count != fsyncs || h.Sum != appends {
+			t.Fatalf("elide=%v: wal_group_size = %+v, want count %d sum %d", elide, h, fsyncs, appends)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 // operation, so the quantities Section 5 of the paper argues about
 // (degree of conflict, abort and retry counts, lock-wait time,
 // per-rule firing latency) are observable on a live run instead of
-// only being assertable by the psbench harness.
+// only being inferable from a run's summary.
 //
 // Design constraints, in order:
 //
@@ -485,8 +485,8 @@ func (s Snapshot) Histogram(name string, labels ...Label) (HistogramPoint, bool)
 }
 
 // MarshalIndent renders the snapshot as stable, human-diffable JSON —
-// the format of the golden metrics file and the psbench -metrics-dir
-// artifacts.
+// the format of the golden metrics file, the commands' JSON metrics
+// output and the server's metrics replies.
 func (s Snapshot) MarshalIndent() ([]byte, error) {
 	return json.MarshalIndent(s, "", "  ")
 }

@@ -168,7 +168,11 @@ func BenchmarkPlanMisordered(b *testing.B) {
 					n.Insert(s.Insert("sel", map[string]wm.Value{"k": wm.Int(int64(k)), "hot": wm.Bool(true)}))
 				}
 			}
+			// Every hot key (one in 16) matches width×width times.
 			base := n.ConflictSet().Len()
+			if want := (keys + 15) / 16 * width * width; base != want {
+				b.Fatalf("conflict set = %d, want %d", base, want)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				w := s.Insert("wide0", map[string]wm.Value{"k": wm.Int(int64(i%keys | 1)), "v": wm.Int(-1)})

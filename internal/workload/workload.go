@@ -1,6 +1,6 @@
 // Package workload provides the paper's worked-example fixtures and
 // parameterised synthetic workload generators used by the tests,
-// benchmarks and the psbench harness.
+// benchmarks and the bench/ firing ledger.
 //
 // Reconstruction note: the published scan of the paper is partially
 // illegible exactly where the Section 3.3 add/delete sets and the

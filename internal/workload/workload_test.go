@@ -56,32 +56,42 @@ func TestConflictChainShape(t *testing.T) {
 
 func TestConcreteWorkloadsRunToCompletion(t *testing.T) {
 	cases := []struct {
-		name    string
-		prog    engine.Program
-		firings int
-		emptyWM bool
+		name     string
+		prog     engine.Program
+		matchers []string // nil: the default matcher only
+		firings  int
+		emptyWM  bool
 	}{
-		{"pipeline", Pipeline(5, 3), 15, true},
-		{"shared-counter", SharedCounter(4, 2), 8, false},
-		{"guarded", Guarded(8), 10, true},
+		{"pipeline", Pipeline(5, 3), nil, 15, true},
+		{"shared-counter", SharedCounter(4, 2), nil, 8, false},
+		{"guarded", Guarded(8), nil, 10, true},
+		{"join-heavy", JoinHeavy(24, 4), []string{"rete", "rete-linear", "treat", "naive"}, 24, false},
+		{"join-misordered", JoinHeavyMisordered(64, 4), []string{"rete", "rete-src"}, 4, false},
 	}
 	for _, c := range cases {
-		e, err := engine.NewSingle(c.prog, engine.Options{Verify: true})
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		matchers := c.matchers
+		if matchers == nil {
+			matchers = []string{""}
 		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if res.Firings != c.firings {
-			t.Fatalf("%s: firings = %d, want %d", c.name, res.Firings, c.firings)
-		}
-		if c.emptyWM && e.Store().Len() != 0 {
-			t.Fatalf("%s: %d tuples left", c.name, e.Store().Len())
-		}
-		if err := engine.CheckTrace(c.prog, res.Log.Commits()); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		for _, m := range matchers {
+			label := c.name + "/" + m
+			e, err := engine.NewSingle(c.prog, engine.Options{Matcher: m, Verify: true})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			res, err := e.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Firings != c.firings {
+				t.Fatalf("%s: firings = %d, want %d", label, res.Firings, c.firings)
+			}
+			if c.emptyWM && e.Store().Len() != 0 {
+				t.Fatalf("%s: %d tuples left", label, e.Store().Len())
+			}
+			if err := engine.CheckTrace(c.prog, res.Log.Commits()); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
 		}
 	}
 }

@@ -471,7 +471,7 @@ type RetePlan = rete.RulePlan
 // Matcher is the incremental match interface every engine drives.
 type Matcher = match.Matcher
 
-// Matcher construction (for match-phase experiments; engines normally
+// Matcher construction (for join-plan inspection; engines normally
 // select a matcher by name via Options.Matcher).
 var (
 	// NewReteNetwork returns an empty hashed-memory Rete network with
@@ -481,11 +481,6 @@ var (
 	// joins in rule-source order (the before-side of the E21 planning
 	// experiment).
 	NewSourceOrderReteNetwork = rete.NewSourceOrder
-	// NewLinearReteNetwork returns the unindexed baseline Rete network
-	// (the before-side of the E17 indexing experiment).
-	NewLinearReteNetwork = rete.NewLinear
-	// NewStore returns an empty working-memory store.
-	NewStore = wm.NewStore
 )
 
 // CompileRete compiles the program's rules into a Rete network and
@@ -508,16 +503,11 @@ func CompileRete(p Program) (*ReteNetwork, error) {
 type (
 	// System is an abstract production system over add/delete sets.
 	System = core.System
-	// AbstractProduction is one abstract production.
-	AbstractProduction = core.Production
 	// SimConfig parameterises a simulator run.
 	SimConfig = sim.Config
 	// SimResult is the simulator's outcome (σ, timings, speedup).
 	SimResult = sim.Result
 )
-
-// NewSystem builds an abstract system.
-var NewSystem = core.NewSystem
 
 // Simulate runs the Section 5 multiprocessor model.
 var Simulate = sim.Run
@@ -538,21 +528,6 @@ var (
 	Pipeline = workload.Pipeline
 	// SharedCounter generates the high-conflict tally workload.
 	SharedCounter = workload.SharedCounter
-	// JoinHeavy generates the match-bound deep-join workload.
-	JoinHeavy = workload.JoinHeavy
-	// JoinHeavyMisordered generates the adversarially-ordered join
-	// workload the static planner fixes (E21).
-	JoinHeavyMisordered = workload.JoinHeavyMisordered
-	// JoinHeavySkewed generates the run-time-skewed join workload only
-	// adaptive replanning fixes (E21).
-	JoinHeavySkewed = workload.JoinHeavySkewed
-	// ManyRulesFanout generates the wide single-CE rule-set workload
-	// the shared alpha discrimination network answers in O(1) per
-	// assert where the linear alpha walk pays O(rules) (E22).
-	ManyRulesFanout = workload.ManyRulesFanout
-	// Independent generates the pairwise non-interfering counter
-	// workload — the elision-friendly extreme of the hybrid scheme.
-	Independent = workload.Independent
 	// Guarded generates a workload with negated conditions.
 	Guarded = workload.Guarded
 	// RandomProgram generates random terminating concrete programs.
