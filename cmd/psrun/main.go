@@ -44,7 +44,7 @@ func main() {
 		check      = flag.Bool("check", true, "check the trace against ES_single after the run")
 		showTrace  = flag.Bool("trace", false, "print the full event trace")
 		showWM     = flag.Bool("wm", false, "print the final working memory")
-		dataDir    = flag.String("data", "", "durable storage directory: group-commit log every firing, recover prior state on reopen")
+		dataDir    = flag.String("data", "", "durable storage directory: log and fsync every firing, recover prior state on reopen")
 
 		showMetrics = flag.Bool("metrics", false, "print a text dump of the metrics registry after the run")
 		metricsJSON = flag.Bool("metrics-json", false, "print the metrics snapshot as JSON after the run")

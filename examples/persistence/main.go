@@ -1,7 +1,7 @@
 // Persistence: the "knowledge persistence" half of the paper's
 // motivation for database production systems. A parallel run appends
-// every committed firing to a durable storage backend under
-// group-commit fsync; the program then throws the in-memory state
+// every committed firing to a durable storage backend and fsyncs it;
+// the program then throws the in-memory state
 // away, recovers the working memory and the commit history from the
 // backend, proves the recovered store is identical and the recovered
 // trace admissible — then resumes rule execution on the recovered
@@ -63,7 +63,7 @@ func main() {
 	checkBase := base.Clone()
 
 	// Run in parallel; every commit is acknowledged only after its
-	// record reaches disk (group-commit fsync).
+	// record reaches disk (fsync per commit).
 	eng, err := pdps.NewParallelEngine(prog, pdps.SchemeRcRaWa, pdps.Options{
 		Np: 4, Storage: backend, Restore: base,
 	})

@@ -46,10 +46,6 @@ type Config struct {
 	// MatchShards, when above 1, shards the matcher for intra-phase
 	// match parallelism (engine.Options.MatchShards).
 	MatchShards int
-	// AdaptiveRete enables live replanning in the rete matcher
-	// (engine.Options.AdaptiveRete). Replans happen at conflict-set
-	// refreshes from deterministic inputs, so replay reproduces them.
-	AdaptiveRete bool
 	// Deadlock is the lock manager's deadlock policy.
 	Deadlock lock.DeadlockPolicy
 	// Abort is the Rc-victim policy.
@@ -63,15 +59,6 @@ type Config struct {
 	// MaxDecisions bounds scheduling decisions per run (a runaway
 	// backstop); 0 means 1<<16.
 	MaxDecisions int
-	// Elide enables the hybrid lock-elision path
-	// (engine.Options.HybridElision).
-	Elide bool
-	// Escalation is the class-lock escalation threshold
-	// (engine.Options.LockEscalation); 0 disables.
-	Escalation int
-	// CommitBatch is the committer's group-commit size
-	// (engine.Options.CommitBatch); 0 means 1.
-	CommitBatch int
 	// Storage is the durable backend commits are appended to
 	// (engine.Options.Storage); nil disables durability. Backend I/O
 	// happens inline on the committer task, so a deterministic schedule
@@ -105,21 +92,8 @@ func (c Config) String() string {
 	if c.MatchShards > 1 {
 		m = fmt.Sprintf("%s×%d", m, c.MatchShards)
 	}
-	s := fmt.Sprintf("scheme=%s np=%d matcher=%s deadlock=%s abort=%s",
+	return fmt.Sprintf("scheme=%s np=%d matcher=%s deadlock=%s abort=%s",
 		c.Scheme, c.np(), m, c.Deadlock, c.Abort)
-	if c.AdaptiveRete {
-		s += " adaptive=on"
-	}
-	if c.Elide {
-		s += " elide=on"
-	}
-	if c.Escalation > 0 {
-		s += fmt.Sprintf(" escalation=%d", c.Escalation)
-	}
-	if c.CommitBatch > 1 {
-		s += fmt.Sprintf(" batch=%d", c.CommitBatch)
-	}
-	return s
 }
 
 // RunOutcome is one deterministic run's result.
@@ -169,21 +143,17 @@ func RunUnder(p engine.Program, cfg Config, ctl *sched.Det) RunOutcome {
 		ctl.MaxSteps = cfg.maxDecisions()
 	}
 	opts := engine.Options{
-		Matcher:        cfg.Matcher,
-		MatchShards:    cfg.MatchShards,
-		AdaptiveRete:   cfg.AdaptiveRete,
-		Np:             cfg.np(),
-		Deadlock:       cfg.Deadlock,
-		AbortPolicy:    cfg.Abort,
-		MaxFirings:     cfg.MaxFirings,
-		CondDelay:      cfg.CondDelay,
-		RuleDelay:      cfg.RuleDelay,
-		Sched:          ctl,
-		HybridElision:  cfg.Elide,
-		LockEscalation: cfg.Escalation,
-		CommitBatch:    cfg.CommitBatch,
-		Storage:        cfg.Storage,
-		Restore:        cfg.Restore,
+		Matcher:     cfg.Matcher,
+		MatchShards: cfg.MatchShards,
+		Np:          cfg.np(),
+		Deadlock:    cfg.Deadlock,
+		AbortPolicy: cfg.Abort,
+		MaxFirings:  cfg.MaxFirings,
+		CondDelay:   cfg.CondDelay,
+		RuleDelay:   cfg.RuleDelay,
+		Sched:       ctl,
+		Storage:     cfg.Storage,
+		Restore:     cfg.Restore,
 	}
 	eng, err := engine.NewParallel(p, cfg.Scheme, opts)
 	if err != nil {

@@ -201,21 +201,6 @@ func Fuzz(cfg FuzzConfig) (*Violation, FuzzStats) {
 			Abort:        aborts[pi%len(aborts)],
 			MaxDecisions: cfg.MaxDecisions,
 		}
-		// Hybrid-consistency axis: alternate programs run with lock
-		// elision, class-lock escalation and group commit switched on,
-		// so the lock-free commit path and the intention-mode plumbing
-		// face the same oracle as the plain pipeline.
-		if pi%2 == 1 {
-			c.Elide = true
-			c.Escalation = 2
-			c.CommitBatch = 3
-		}
-		// Adaptive-replan axis: rete programs alternate with live
-		// replanning on, so mid-run chain swaps face the trace oracle
-		// and the metamorphic commit-count invariant too.
-		if c.Matcher == "rete" && pi%2 == 0 {
-			c.AdaptiveRete = true
-		}
 		for si := 0; si < cfg.seedsPer(); si++ {
 			seed := rng.Int63()
 			st.Runs++

@@ -49,7 +49,7 @@ func TestStorageDeterministic(t *testing.T) {
 			}
 			run := prog
 			run.WMEs = nil
-			cfg := Config{Scheme: lock.SchemeRcRaWa, Np: 3, CommitBatch: 4, Storage: m, Restore: base}
+			cfg := Config{Scheme: lock.SchemeRcRaWa, Np: 3, Storage: m, Restore: base}
 			return Run(run, cfg, sched.NewRandom(seed)), m
 		}
 		a, ma := mkOut()

@@ -87,46 +87,3 @@ func BenchmarkParallelLowConflict(b *testing.B) {
 		}
 	}
 }
-
-// BenchmarkHybridElision measures the hybrid consistency layer against
-// the plain locked path on the pairwise non-interfering workload where
-// every firing elides, and on the fully-conflicting counter where every
-// firing falls back — the second case bounds the cost of the census
-// check itself. The plain/elision-hot pair is what `make bench-compare`
-// tracks across commits (EXPERIMENTS.md E18).
-func BenchmarkHybridElision(b *testing.B) {
-	const rules, steps = 16, 8
-	cases := []struct {
-		name string
-		prog func() Program
-		want int
-		opts Options
-	}{
-		{"low-conflict/plain", func() Program { return independentProgram(rules, steps) },
-			rules * steps, Options{Np: 8}},
-		{"low-conflict/hybrid", func() Program { return independentProgram(rules, steps) },
-			rules * steps, Options{Np: 8, HybridElision: true, CommitBatch: 8}},
-		{"full-conflict/plain", func() Program { return counterProgram(12) },
-			12, Options{Np: 8}},
-		{"full-conflict/hybrid", func() Program { return counterProgram(12) },
-			12, Options{Np: 8, HybridElision: true, CommitBatch: 8}},
-	}
-	for _, tc := range cases {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e, err := NewParallel(tc.prog(), lock.SchemeRcRaWa, tc.opts)
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := e.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Firings != tc.want {
-					b.Fatalf("firings = %d, want %d", res.Firings, tc.want)
-				}
-			}
-			b.ReportMetric(float64(tc.want)*float64(b.N)/b.Elapsed().Seconds(), "firings/s")
-		})
-	}
-}

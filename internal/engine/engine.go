@@ -73,12 +73,6 @@ type Options struct {
 	// "rete-linear" (Rete without hashed memories — the unindexed
 	// baseline kept for experiments and oracle checks).
 	Matcher string
-	// AdaptiveRete enables live replanning in the "rete" matcher: at
-	// each conflict-set refresh the network compares every rule's plan
-	// cost under observed cardinalities and fanouts against the best
-	// alternative, and recompiles chains that fall behind by the
-	// threshold (DESIGN.md §15). Deterministic under detsched replay.
-	AdaptiveRete bool
 	// MatchShards, when above 1, enables intra-phase match parallelism
 	// (Section 2): rules are partitioned across that many matcher
 	// shards whose updates run concurrently.
@@ -95,24 +89,6 @@ type Options struct {
 	// Deadlock selects the lock manager's deadlock policy for the
 	// dynamic engine: detection (default), wound-wait or wait-die.
 	Deadlock lock.DeadlockPolicy
-	// HybridElision enables the hybrid static/dynamic consistency layer
-	// in the Parallel engine: a firing whose rule statically interferes
-	// with no rule currently in flight (Section 4.1, Theorem 1) skips
-	// the lock manager and goes straight to the committer, whose
-	// conflict-set validation stays as the backstop.
-	HybridElision bool
-	// LockEscalation, when above 0, escalates a firing's tuple-level
-	// lock plan to a single relation-level lock whenever it would take
-	// more than this many tuple locks in one class — the hierarchical
-	// class-granularity locking of multi-granularity schemes, collapsing
-	// O(tuples) lock-table operations into O(classes). 0 disables.
-	LockEscalation int
-	// CommitBatch, when above 1, lets the Parallel committer apply up to
-	// that many firings before refreshing the conflict set and
-	// re-dispatching — group commit. The refresh always runs once the
-	// event queue drains, so batching changes scheduling granularity,
-	// never the final state. Values below 1 mean 1 (refresh per firing).
-	CommitBatch int
 	// Verify recomputes the rule's matches from scratch against the
 	// shared store at every commit and fails the run if the committing
 	// instantiation is not active — a runtime check of the semantic
@@ -148,11 +124,10 @@ type Options struct {
 	// Storage, when non-nil, is the durability backend: every committed
 	// delta is appended as a storage record (rule, instantiation,
 	// matched-WME fingerprints, delta) and a commit is acknowledged to
-	// its firing only after a Sync covers it. Serial engines sync per
-	// commit; the Parallel committer syncs once per group, amortizing
-	// the fsync across CommitBatch firings exactly like the conflict-set
-	// refresh. The engine does not close the backend — the caller owns
-	// its lifecycle. See internal/storage.
+	// its firing only after a Sync covers it. Single, Session and the
+	// Parallel committer fsync every commit; Static fsyncs once per
+	// batch of non-interfering firings. The engine does not close the
+	// backend — the caller owns its lifecycle. See internal/storage.
 	Storage storage.Backend
 	// Restore, when non-nil, seeds the engine's working memory with a
 	// recovered store (from Backend.Recover) instead of building a
@@ -175,9 +150,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if out.Np == 0 {
 		out.Np = 4
-	}
-	if out.CommitBatch < 1 {
-		out.CommitBatch = 1
 	}
 	if out.Sched != nil {
 		out.Clock = out.Sched
@@ -220,11 +192,9 @@ type Result struct {
 }
 
 // newMatcher builds the selected matcher, optionally sharded for
-// intra-phase match parallelism. adaptive enables live replanning and
-// only applies to "rete"; under sharding every shard's network
-// replans independently (each rule lives in exactly one shard).
-func newMatcher(name string, shards int, adaptive bool) (match.Matcher, error) {
-	factory, err := matcherFactory(name, adaptive)
+// intra-phase match parallelism.
+func newMatcher(name string, shards int) (match.Matcher, error) {
+	factory, err := matcherFactory(name)
 	if err != nil {
 		return nil, err
 	}
@@ -234,14 +204,10 @@ func newMatcher(name string, shards int, adaptive bool) (match.Matcher, error) {
 	return factory(), nil
 }
 
-func matcherFactory(name string, adaptive bool) (func() match.Matcher, error) {
+func matcherFactory(name string) (func() match.Matcher, error) {
 	switch name {
 	case "rete":
-		return func() match.Matcher {
-			n := rete.New()
-			n.SetAdaptive(adaptive)
-			return n
-		}, nil
+		return func() match.Matcher { return rete.New() }, nil
 	case "rete-src":
 		return func() match.Matcher { return rete.NewSourceOrder() }, nil
 	case "rete-linear":
@@ -259,7 +225,7 @@ func matcherFactory(name string, adaptive bool) (func() match.Matcher, error) {
 // metrics registry before the first insert, so even the initial load
 // is observable.
 func load(p Program, o Options) (*wm.Store, match.Matcher, error) {
-	inner, err := newMatcher(o.Matcher, o.MatchShards, o.AdaptiveRete)
+	inner, err := newMatcher(o.Matcher, o.MatchShards)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -558,6 +558,74 @@ func TestMatchShardsEquivalence(t *testing.T) {
 	if err := CheckTrace(p, res.Log.Commits()); err != nil {
 		t.Fatal(err)
 	}
+
+	// A shard's journal may name one key as both added and removed
+	// between two merges: shifting a hold tuple retracts the old
+	// version (unblocking ship's instantiation) and asserts the new one
+	// (blocking it again) in one commit. The merge must resolve the pair
+	// against the shard's membership, or a blocked ship would be
+	// dispatched and Verify would fail the run.
+	p = heldJobsProgram()
+	for _, run := range []struct {
+		name string
+		eng  func() (interface{ Run() (Result, error) }, error)
+	}{
+		{"single", func() (interface{ Run() (Result, error) }, error) {
+			return NewSingle(p, Options{MatchShards: 3, Verify: true})
+		}},
+		{"parallel", func() (interface{ Run() (Result, error) }, error) {
+			return NewParallel(p, lock.SchemeRcRaWa, Options{MatchShards: 3, Np: 4, Verify: true})
+		}},
+	} {
+		e, err := run.eng()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("held jobs %s: %v", run.name, err)
+		}
+		if res.Firings != 12 {
+			t.Fatalf("held jobs %s: firings = %d, want 12", run.name, res.Firings)
+		}
+		if err := CheckTrace(p, res.Log.Commits()); err != nil {
+			t.Fatalf("held jobs %s: %v", run.name, err)
+		}
+	}
+}
+
+// heldJobsProgram ships four jobs, two of them held until their hold
+// tuple has been shifted three times and released: shift (6), release
+// (2), ship (4) — 12 firings. Every shift re-versions a hold, so ship's
+// negated CE is unblocked and blocked again within one commit.
+func heldJobsProgram() Program {
+	kx := match.AttrTest{Attr: "k", Op: match.OpEq, Var: "x"}
+	return Program{
+		Rules: []*match.Rule{
+			{Name: "ship", Conditions: []match.Condition{
+				{Class: "job", Tests: []match.AttrTest{kx, {Attr: "done", Op: match.OpEq, Const: wm.Bool(false)}}},
+				{Class: "hold", Negated: true, Tests: []match.AttrTest{kx}},
+			}, Actions: []match.Action{{Kind: match.ActModify, CE: 0, Assigns: []match.AttrAssign{
+				{Attr: "done", Expr: match.ConstExpr{Val: wm.Bool(true)}}}}}},
+			{Name: "shift", Conditions: []match.Condition{
+				{Class: "hold", Tests: []match.AttrTest{
+					{Attr: "n", Op: match.OpEq, Var: "n"}, {Attr: "n", Op: match.OpLt, Const: wm.Int(3)}}},
+			}, Actions: []match.Action{{Kind: match.ActModify, CE: 0, Assigns: []match.AttrAssign{
+				{Attr: "n", Expr: match.BinExpr{Op: match.ArithAdd,
+					L: match.VarExpr{Name: "n"}, R: match.ConstExpr{Val: wm.Int(1)}}}}}}},
+			{Name: "release", Conditions: []match.Condition{
+				{Class: "hold", Tests: []match.AttrTest{{Attr: "n", Op: match.OpEq, Const: wm.Int(3)}}},
+			}, Actions: []match.Action{{Kind: match.ActRemove, CE: 0}}},
+		},
+		WMEs: []InitialWME{
+			{Class: "job", Attrs: attrs("k", 0, "done", false)},
+			{Class: "job", Attrs: attrs("k", 1, "done", false)},
+			{Class: "job", Attrs: attrs("k", 2, "done", false)},
+			{Class: "job", Attrs: attrs("k", 3, "done", false)},
+			{Class: "hold", Attrs: attrs("k", 0, "n", 0)},
+			{Class: "hold", Attrs: attrs("k", 1, "n", 0)},
+		},
+	}
 }
 
 func TestEngineOptionErrors(t *testing.T) {

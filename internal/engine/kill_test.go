@@ -106,7 +106,7 @@ func TestKillChild(t *testing.T) {
 
 	run := prog
 	run.WMEs = nil
-	opts := Options{Np: 4, CommitBatch: 8, Storage: kb, Restore: base}
+	opts := Options{Np: 4, Storage: kb, Restore: base}
 	var eng interface{ Run() (Result, error) }
 	switch name := os.Getenv("PDPS_KILL_ENGINE"); name {
 	case "single":

@@ -11,12 +11,8 @@ import (
 // (Figure 4.1/4.2, phase 1): a tuple-level Rc on every matched WME,
 // and a relation-level Rc for every negated condition element — the
 // paper's lock escalation for conditions that depend on the absence of
-// tuples. When escalate is above 0, any class with more than that many
-// tuple-level entries collapses to a single relation-level Rc
-// (hierarchical class-granularity locking); the returned counts report
-// how many classes escalated and how many lock-table operations that
-// avoided.
-func rcResources(in *match.Instantiation, escalate int) (plan []lock.Resource, escalated, saved int) {
+// tuples.
+func rcResources(in *match.Instantiation) []lock.Resource {
 	var out []lock.Resource
 	for _, w := range in.WMEs {
 		out = append(out, lock.Resource{Class: w.Class, ID: w.ID})
@@ -26,11 +22,7 @@ func rcResources(in *match.Instantiation, escalate int) (plan []lock.Resource, e
 			out = append(out, lock.Relation(c.Class))
 		}
 	}
-	out = dedupeResources(out)
-	if escalate > 0 {
-		out, escalated, saved = escalateResources(out, escalate)
-	}
-	return out, escalated, saved
+	return dedupeResources(out)
 }
 
 // rhsLock pairs a resource with the mode the RHS needs on it.
@@ -44,11 +36,8 @@ type rhsLock struct {
 // remove, Ra on matched WMEs the action re-reads (Rule.ActionReads),
 // and a relation-level Wa for every class the action makes tuples in
 // (creation can falsify negated conditions anywhere in the class).
-// When escalate is above 0, any class with more than that many
-// tuple-level entries collapses to one relation-level lock at the
-// strongest mode those tuples needed. The plan is sorted for
-// deterministic acquisition order.
-func rhsLocks(in *match.Instantiation, escalate int) (plan []rhsLock, escalated, saved int) {
+// The plan is sorted for deterministic acquisition order.
+func rhsLocks(in *match.Instantiation) []rhsLock {
 	modes := make(map[lock.Resource]lock.Mode)
 	raise := func(res lock.Resource, m lock.Mode) {
 		if cur, ok := modes[res]; !ok || m > cur {
@@ -68,36 +57,7 @@ func rhsLocks(in *match.Instantiation, escalate int) (plan []rhsLock, escalated,
 			raise(lock.Resource{Class: w.Class, ID: w.ID}, lock.Wa)
 		}
 	}
-	if escalate > 0 {
-		perClass := make(map[string]int)
-		maxMode := make(map[string]lock.Mode)
-		for res, m := range modes {
-			if res.ID != lock.RelationLevel {
-				perClass[res.Class]++
-				if m > maxMode[res.Class] {
-					maxMode[res.Class] = m
-				}
-			}
-		}
-		for class, n := range perClass {
-			if n <= escalate {
-				continue
-			}
-			before := n
-			if _, ok := modes[lock.Relation(class)]; ok {
-				before++
-			}
-			for res := range modes {
-				if res.Class == class && res.ID != lock.RelationLevel {
-					delete(modes, res)
-				}
-			}
-			raise(lock.Relation(class), maxMode[class])
-			escalated++
-			saved += before - 1
-		}
-	}
-	plan = make([]rhsLock, 0, len(modes))
+	plan := make([]rhsLock, 0, len(modes))
 	for res, m := range modes {
 		plan = append(plan, rhsLock{res, m})
 	}
@@ -108,7 +68,7 @@ func rhsLocks(in *match.Instantiation, escalate int) (plan []rhsLock, escalated,
 		}
 		return a.ID < b.ID
 	})
-	return plan, escalated, saved
+	return plan
 }
 
 // dedupeResources sorts the plan and compacts duplicates in place —
@@ -128,41 +88,4 @@ func dedupeResources(rs []lock.Resource) []lock.Resource {
 		}
 	}
 	return out
-}
-
-// escalateResources collapses classes holding more than threshold
-// tuple-level entries in the sorted, deduped plan to one
-// relation-level resource each. A relation-level lock conflicts with
-// every tuple lock of the class (and vice versa, via intention marks),
-// so the escalated plan is strictly more conservative — never less
-// safe, possibly less concurrent. Returns the rewritten plan, the
-// number of classes escalated, and the lock acquisitions avoided.
-func escalateResources(rs []lock.Resource, threshold int) ([]lock.Resource, int, int) {
-	out := rs[:0]
-	escalated, saved := 0, 0
-	for i := 0; i < len(rs); {
-		j := i
-		for j < len(rs) && rs[j].Class == rs[i].Class {
-			j++
-		}
-		// RelationLevel (ID 0) sorts first within the class group.
-		hasRel := rs[i].ID == lock.RelationLevel
-		tuples := j - i
-		if hasRel {
-			tuples--
-		}
-		if tuples > threshold {
-			out = append(out, lock.Relation(rs[i].Class))
-			escalated++
-			before := tuples
-			if hasRel {
-				before++
-			}
-			saved += before - 1
-		} else {
-			out = append(out, rs[i:j]...)
-		}
-		i = j
-	}
-	return out, escalated, saved
 }

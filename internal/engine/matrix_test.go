@@ -77,21 +77,6 @@ func TestEngineMatcherMatrix(t *testing.T) {
 					}
 					res, err := e.Run()
 					check(fmt.Sprintf("parallel/%v/%s", scheme, m.name), prog, res, err)
-
-					// Hybrid row: the same cell with lock elision, class-lock
-					// escalation and group commit all enabled must converge to
-					// the same final working memory.
-					prog = mk()
-					hopts := popts
-					hopts.HybridElision = true
-					hopts.LockEscalation = 2
-					hopts.CommitBatch = 3
-					h, err := NewParallel(prog, scheme, hopts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err = h.Run()
-					check(fmt.Sprintf("hybrid/%v/%s", scheme, m.name), prog, res, err)
 				}
 			}
 		})

@@ -54,20 +54,6 @@ type engineMetrics struct {
 	dispatchQ *obs.Gauge
 	submitQ   *obs.Gauge
 
-	// elides counts firings that skipped the lock manager under
-	// HybridElision; elideFallback counts firings that wanted to elide
-	// but found an interfering rule in flight and took locks instead.
-	elides        *obs.Counter
-	elideFallback *obs.Counter
-	// escalations counts lock plans collapsed to a relation-level lock
-	// under LockEscalation; escalationSaved totals the tuple-level
-	// acquisitions those escalations avoided.
-	escalations     *obs.Counter
-	escalationSaved *obs.Counter
-	// commitBatch is the number of firings the committer applied between
-	// consecutive conflict-set refreshes (group commit).
-	commitBatch *obs.Histogram
-
 	mu    sync.Mutex
 	rules map[string]*ruleSeries
 }
@@ -87,11 +73,6 @@ func newEngineMetrics(reg *obs.Registry) *engineMetrics {
 		refreshDelta:    reg.Counter("engine_refresh_delta_total"),
 		dispatchQ:       reg.Gauge("engine_dispatch_depth"),
 		submitQ:         reg.Gauge("engine_submit_depth"),
-		elides:          reg.Counter("engine_elide_total"),
-		elideFallback:   reg.Counter("engine_elide_fallback_total"),
-		escalations:     reg.Counter("lock_escalation_total"),
-		escalationSaved: reg.Counter("lock_escalation_saved_locks_total"),
-		commitBatch:     reg.Histogram("commit_batch_size", "firings"),
 		rules:           make(map[string]*ruleSeries),
 	}
 }
@@ -107,11 +88,11 @@ func (em *engineMetrics) cycleInc()  { em.runCycles.Add(1); em.cycles.Inc() }
 // the no-storage registry shape).
 type storageMetrics struct {
 	// appends counts records staged on the backend; fsyncs counts Sync
-	// calls (the group-commit durability points).
+	// calls (the durability points).
 	appends *obs.Counter
 	fsyncs  *obs.Counter
 	// fsyncNS times each Sync; groupSize is the number of appended
-	// records each Sync made durable — the group-commit batch.
+	// records each Sync made durable (a Static batch; one elsewhere).
 	fsyncNS   *obs.Histogram
 	groupSize *obs.Histogram
 	// checkpoints counts checkpoints the engine triggered;

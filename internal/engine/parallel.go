@@ -47,28 +47,6 @@ type Parallel struct {
 	// without it the committer falls back to full rescans.
 	tracked bool
 
-	// inflight, when non-nil (Options.HybridElision), is the per-rule
-	// in-flight census gating lock elision; its matrix is the Section
-	// 4.1 interference analysis computed at construction.
-	inflight *inflightTable
-	// elideID mints trace transaction ids for elided firings, which
-	// never touch the lock manager; ids are negated so they can never
-	// collide with lock.TxnID values.
-	elideID atomic.Int64
-
-	// batchCommits counts commits applied since the last conflict-set
-	// refresh (group commit; committer-owned). The committer refreshes
-	// when it reaches Options.CommitBatch or its event queue drains.
-	batchCommits int
-
-	// acks holds the reply channels of commits whose records are staged
-	// on the storage backend but not yet fsynced (committer-owned).
-	// syncAcks closes them after the group fsync — a firing learns its
-	// commit succeeded only once the commit is durable. Without a
-	// backend the committer closes replies immediately and this stays
-	// empty.
-	acks []chan struct{}
-
 	// stopping is the workers' fast-path view of rt.stopping().
 	stopping atomic.Bool
 
@@ -131,21 +109,14 @@ const (
 
 // pevent is one message on the committer's event queue.
 type pevent struct {
-	kind pevKind
-	in   *match.Instantiation
-	txn  lock.TxnID
-	// tid is the trace transaction id: int64(txn) for locked firings, a
-	// negative elideID for elided ones.
-	tid int64
-	// elided marks a firing that skipped the lock manager; the
-	// committer then skips the abort check and the RcVictims scan (there
-	// is no lock transaction to consult).
-	elided bool
-	wtx    *wm.Txn
-	halt   bool
-	start  time.Time
-	err    error
-	reply  chan struct{}
+	kind  pevKind
+	in    *match.Instantiation
+	txn   lock.TxnID
+	wtx   *wm.Txn
+	halt  bool
+	start time.Time
+	err   error
+	reply chan struct{}
 }
 
 // PipelineStats reports the commit pipeline's queue depths: the
@@ -202,12 +173,6 @@ func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error)
 		t.TrackChanges(true)
 		e.tracked = true
 	}
-	if rt.opts.HybridElision {
-		// The pre-execution interference analysis (Section 4.1), shared
-		// with the Static engine's matrix type; rows materialise lazily,
-		// so programs whose rules all stay locked pay O(n) here.
-		e.inflight = newInflightTable(match.NewInterferenceMatrix(p.Rules))
-	}
 	return e, nil
 }
 
@@ -249,46 +214,16 @@ func (e *Parallel) Run() (Result, error) {
 		stop := e.stopping.Load()
 
 		// Pick the next dispatchable instantiation, lazily pruning
-		// entries whose keys fired or left the conflict set. Group
-		// commit: only when the dispatch queue runs dry (and no
-		// submitted event is waiting) is the deferred conflict-set
-		// refresh applied — it may enable new work, and the quiescence
-		// check below must see it. Flushing on a dry queue rather than
-		// a drained event channel is what lets batches accumulate to
-		// CommitBatch while the workers stay fed from older pending
-		// activations.
+		// entries whose keys fired or left the conflict set.
 		var sendCh chan *match.Instantiation
 		var next *match.Instantiation
 		if !stop {
 			next = e.nextDispatch()
 		}
-		if next == nil && len(e.events) == 0 {
-			e.flushRefresh()
-			if !stop {
-				next = e.nextDispatch()
-			}
-		}
 		if next != nil {
 			sendCh = e.work
 		}
 		rt.met.dispatchQ.Set(int64(len(e.pending)))
-
-		// Group commit, durability half: release the staged group only
-		// when the committer is about to block without guaranteed
-		// progress — no event queued and either nothing to dispatch or
-		// no free worker to take it. A worker parked on its ack can
-		// neither take new work nor submit events (and still holds its
-		// locks, so an in-flight firing may be blocked behind it);
-		// inflight+len(acks) == Np means every worker is busy or
-		// parked. While a free worker exists for dispatchable work the
-		// hand-off below must complete, so the group can keep growing —
-		// this is what lets the fsync group approach Np instead of
-		// collapsing to whatever drained between two dispatches. Runs
-		// before the quiescence check: a worker awaiting its ack has
-		// already been counted out of inflight.
-		if len(e.events) == 0 && (next == nil || inflight+len(e.acks) >= rt.opts.Np) {
-			e.syncAcks()
-		}
 
 		if sendCh == nil && inflight == 0 && timers == 0 && (stop || len(e.pending) == 0) {
 			break
@@ -330,15 +265,10 @@ func (e *Parallel) runDet() (Result, error) {
 		}
 		stop := e.stopping.Load()
 
-		// Dispatch up to Np tasks; group commit flushes the deferred
-		// refresh only when the dispatch queue runs dry, as in Run.
+		// Dispatch up to Np tasks.
 		if !stop {
 			for inflight < rt.opts.Np {
 				next := e.nextDispatch()
-				if next == nil && len(e.det.events) == 0 {
-					e.flushRefresh()
-					next = e.nextDispatch()
-				}
 				if next == nil {
 					break
 				}
@@ -347,10 +277,6 @@ func (e *Parallel) runDet() (Result, error) {
 				in := next
 				e.ctl.Go("fire:"+in.Rule.Name, func() { e.fire(in) })
 			}
-		} else if len(e.det.events) == 0 {
-			// Stopping: flush so the batch histogram and conflict set
-			// settle before the quiescence check.
-			e.flushRefresh()
 		}
 		rt.met.dispatchQ.Set(int64(len(e.pending)))
 
@@ -363,12 +289,6 @@ func (e *Parallel) runDet() (Result, error) {
 			timers += dt
 			continue
 		}
-
-		// Event queue dry: release the fsync group before parking or
-		// breaking, exactly as the free-running loop does — tasks
-		// parked on their acks are not counted in inflight and only
-		// resume once the group is durable.
-		e.syncAcks()
 
 		if inflight == 0 && timers == 0 && (stop || len(e.pending) == 0) {
 			break
@@ -407,19 +327,16 @@ func (e *Parallel) handleEvent(ev pevent) (dInflight, dTimers int) {
 	case evCommit:
 		dInflight = -1
 		dTimers = e.resolveCommit(ev)
-		e.releaseInflight(ev.in)
 	case evAborted:
 		dInflight = -1
 		if ev.err != nil {
 			rt.fail(ev.err)
 		}
 		dTimers = e.noteAbort(ev.in)
-		e.releaseInflight(ev.in)
 	case evSkipped:
 		dInflight = -1
 		rt.met.skipInc()
 		delete(e.dispatched, ev.in.Key())
-		e.releaseInflight(ev.in)
 	case evRequeue:
 		dTimers = -1
 		k := ev.in.Key()
@@ -430,20 +347,6 @@ func (e *Parallel) handleEvent(ev pevent) (dInflight, dTimers int) {
 		}
 	}
 	return
-}
-
-// releaseInflight retires a firing's census registration. Every fire()
-// call submits exactly one terminal event (evCommit, evAborted or
-// evSkipped), so releasing here — on the committer, before the next
-// dispatch — pairs one release with each register and guarantees the
-// successor activation of the same rule sees the slot already free.
-func (e *Parallel) releaseInflight(in *match.Instantiation) {
-	if e.inflight == nil {
-		return
-	}
-	if idx, ok := e.inflight.im.Index(in.Rule.Name); ok {
-		e.inflight.release(idx)
-	}
 }
 
 // submit hands a worker-side event to the committer.
@@ -553,26 +456,19 @@ func (e *Parallel) refresh(cs *match.ConflictSet) {
 
 // resolveCommit is the committer's half of a firing: validate the
 // submission against the current conflict set and lock state, commit
-// through the shared runtime, kill Rc victims, and activate the
-// instantiations the delta enabled. Returns the number of backoff
-// timers armed.
+// through the shared runtime, kill Rc victims, fsync the commit, and
+// activate the instantiations the delta enabled. Returns the number of
+// backoff timers armed.
 //
-// The reply channel is closed immediately on every outcome except a
-// successful commit with a storage backend: there the ack is deferred
-// into e.acks and released by syncAcks only after the group fsync, so
-// a firing never observes success before its commit is durable.
+// Every outcome closes the firing's reply channel. A successful commit
+// closes it only after the fsync, so a firing never observes success
+// before its commit is durable, and the conflict-set refresh follows
+// before the committer takes its next event.
 func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 	rt := e.rt
 	key := ev.in.Key()
-	acked := false
-	defer func() {
-		if !acked {
-			close(ev.reply)
-		}
-	}()
-
 	switch {
-	case !ev.elided && e.lm.Aborted(ev.txn):
+	case e.lm.Aborted(ev.txn):
 		ev.wtx.Abort()
 		e.logResolution(trace.KindAbort, ev, "rc-wa victim")
 		timers = e.noteAbort(ev.in)
@@ -593,7 +489,7 @@ func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 			delete(e.retries, key)
 			break
 		}
-		if err := rt.commit(ev.in, ev.wtx, ev.tid, ev.halt); err != nil {
+		if err := rt.commit(ev.in, ev.wtx, int64(ev.txn), ev.halt); err != nil {
 			rt.fail(err)
 			if errors.Is(err, ErrInconsistent) {
 				ev.wtx.Abort()
@@ -612,61 +508,27 @@ func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 		e.deactivate(key)
 		delete(e.dispatched, key)
 		delete(e.retries, key)
-		if !ev.elided {
-			cs = rt.matcher.ConflictSet() // post-commit state
-			// Rule (ii): abort conflicting Rc holders — unless the
-			// reevaluate policy finds their instantiation untouched by
-			// this commit.
-			for _, victim := range e.lm.RcVictims(ev.txn) {
-				if rt.opts.AbortPolicy == AbortReevaluate {
-					if vk, ok := e.txnInst.Load(victim); ok {
-						if k := vk.(string); cs.Contains(k) && !rt.fired[k] {
-							continue
-						}
+		cs = rt.matcher.ConflictSet() // post-commit state
+		// Rule (ii): abort conflicting Rc holders — unless the
+		// reevaluate policy finds their instantiation untouched by this
+		// commit.
+		for _, victim := range e.lm.RcVictims(ev.txn) {
+			if rt.opts.AbortPolicy == AbortReevaluate {
+				if vk, ok := e.txnInst.Load(victim); ok {
+					if k := vk.(string); cs.Contains(k) && !rt.fired[k] {
+						continue
 					}
 				}
-				e.lm.Abort(victim)
 			}
+			e.lm.Abort(victim)
 		}
-		// Group commit: defer the conflict-set refresh until the batch
-		// fills; the run loop flushes early whenever its queue drains.
-		// The durability ack defers the same way — syncAcks fsyncs the
-		// group and releases every waiting firing at once.
-		if rt.opts.Storage != nil {
-			e.acks = append(e.acks, ev.reply)
-			acked = true
-		}
-		e.batchCommits++
-		if e.batchCommits >= rt.opts.CommitBatch {
-			e.syncAcks()
-			e.flushRefresh()
-		}
+		rt.syncStorage()
+		close(ev.reply)
+		e.refresh(rt.matcher.ConflictSet())
+		return timers
 	}
+	close(ev.reply)
 	return timers
-}
-
-// syncAcks fsyncs the staged commit group and releases the firings
-// waiting on it. Without a backend (or with nothing staged) it only
-// closes stray acks, which cannot exist then — a no-op.
-func (e *Parallel) syncAcks() {
-	e.rt.syncStorage()
-	for _, ch := range e.acks {
-		close(ch)
-	}
-	e.acks = e.acks[:0]
-}
-
-// flushRefresh applies the deferred post-commit refresh: one
-// conflict-set reconciliation and dispatch pass covering every commit
-// since the previous flush. With CommitBatch 1 (the default) it runs
-// after every commit, reproducing the unbatched pipeline exactly.
-func (e *Parallel) flushRefresh() {
-	if e.batchCommits == 0 {
-		return
-	}
-	e.rt.met.commitBatch.Observe(int64(e.batchCommits))
-	e.batchCommits = 0
-	e.refresh(e.rt.matcher.ConflictSet())
 }
 
 // noteAbort counts an abort and, if the instantiation is still live,
@@ -705,7 +567,7 @@ func (e *Parallel) deactivate(key string) {
 // logResolution records the committer's verdict on a submission.
 func (e *Parallel) logResolution(kind trace.Kind, ev pevent, detail string) {
 	e.rt.opts.Log.Append(trace.Event{Kind: kind, Rule: ev.in.Rule.Name,
-		Inst: ev.in.Key(), Txn: ev.tid, Detail: detail})
+		Inst: ev.in.Key(), Txn: int64(ev.txn), Detail: detail})
 }
 
 // workerLoop fires instantiations from the work channel until it
@@ -718,29 +580,10 @@ func (e *Parallel) workerLoop() {
 }
 
 // fire executes one instantiation as a transaction and submits the
-// outcome to the committer. Under HybridElision it first registers
-// with the in-flight census; a firing whose rule interferes with
-// nothing in flight takes the lock-free path instead. The census
-// registration is released by the committer when it resolves the
-// firing's terminal event (see handleEvent), not here: the committer
-// dispatches successor activations right after resolving a commit, so
-// a worker-side deferred release would race the successor's census
-// check and turn clean elisions into spurious fallbacks.
+// outcome to the committer.
 func (e *Parallel) fire(in *match.Instantiation) {
 	rt := e.rt
 	key := in.Key()
-	if e.inflight != nil {
-		if idx, ok := e.inflight.im.Index(in.Rule.Name); ok {
-			// Register before checking: concurrent registrants of
-			// interfering rules each see the other and both fall back.
-			e.inflight.register(idx)
-			if e.inflight.canElide(idx) {
-				e.fireElided(in, key)
-				return
-			}
-			rt.met.elideFallback.Inc()
-		}
-	}
 	txn := e.lm.Begin()
 	e.txnInst.Store(txn, key)
 	end := func() {
@@ -760,14 +603,8 @@ func (e *Parallel) fire(in *match.Instantiation) {
 		e.submit(pevent{kind: evSkipped, in: in})
 	}
 
-	// Phase 1: Rc locks for condition evaluation (Figure 4.2),
-	// class-escalated past the LockEscalation threshold.
-	rcPlan, esc, saved := rcResources(in, rt.opts.LockEscalation)
-	if esc > 0 {
-		rt.met.escalations.Add(int64(esc))
-		rt.met.escalationSaved.Add(int64(saved))
-	}
-	for _, res := range rcPlan {
+	// Phase 1: Rc locks for condition evaluation (Figure 4.2).
+	for _, res := range rcResources(in) {
 		if err := e.lm.Acquire(txn, res, lock.Rc); err != nil {
 			abort("rc: "+err.Error(), nil)
 			return
@@ -790,14 +627,8 @@ func (e *Parallel) fire(in *match.Instantiation) {
 		e.clock.Sleep(d)
 	}
 
-	// Phase 2: all Ra and Wa locks at RHS start (Section 4.3),
-	// escalated like the Rc plan.
-	rhsPlan, esc, saved := rhsLocks(in, rt.opts.LockEscalation)
-	if esc > 0 {
-		rt.met.escalations.Add(int64(esc))
-		rt.met.escalationSaved.Add(int64(saved))
-	}
-	for _, l := range rhsPlan {
+	// Phase 2: all Ra and Wa locks at RHS start (Section 4.3).
+	for _, l := range rhsLocks(in) {
 		if err := e.lm.Acquire(txn, l.res, l.mode); err != nil {
 			abort(l.mode.String()+": "+err.Error(), nil)
 			return
@@ -819,48 +650,7 @@ func (e *Parallel) fire(in *match.Instantiation) {
 	// Submit to the committer; hold the lock transaction open until it
 	// answers so a commit's RcVictims scan still sees our locks.
 	reply := make(chan struct{})
-	e.submit(pevent{kind: evCommit, in: in, txn: txn, tid: int64(txn), wtx: wtx, halt: halt, start: start, reply: reply})
+	e.submit(pevent{kind: evCommit, in: in, txn: txn, wtx: wtx, halt: halt, start: start, reply: reply})
 	e.await(reply)
 	end()
-}
-
-// fireElided is the lock-free firing path of the hybrid scheme: by
-// Theorem 1 the rule interferes with nothing in flight, so its effects
-// commute with every concurrent firing and no lock transaction is
-// opened. The staleness check and the committer's conflict-set
-// validation still run — they, not the locks, are what guarantees
-// consistency; elision only removes the lock-table traffic.
-func (e *Parallel) fireElided(in *match.Instantiation, key string) {
-	rt := e.rt
-	tid := -e.elideID.Add(1)
-	// Count at path entry: engine_elide_total + engine_elide_fallback_total
-	// always equals commits+aborts+skips, making census leaks visible.
-	rt.met.elides.Inc()
-	if e.stopping.Load() || !e.activeHas(key) {
-		rt.opts.Log.Append(trace.Event{Kind: trace.KindSkip, Rule: in.Rule.Name,
-			Inst: key, Txn: tid, Detail: "stale before execution"})
-		e.submit(pevent{kind: evSkipped, in: in})
-		return
-	}
-	rt.opts.Log.Append(trace.Event{Kind: trace.KindFire, Rule: in.Rule.Name,
-		Inst: key, Txn: tid, Detail: "elided"})
-	start := e.clock.Now()
-	if d := rt.opts.CondDelay[in.Rule.Name]; d > 0 {
-		e.clock.Sleep(d)
-	}
-	if d := rt.opts.RuleDelay[in.Rule.Name]; d > 0 {
-		e.clock.Sleep(d)
-	}
-	wtx := rt.store.Begin()
-	halt, err := match.ExecuteActions(in, wtx)
-	if err != nil {
-		wtx.Abort()
-		rt.opts.Log.Append(trace.Event{Kind: trace.KindAbort, Rule: in.Rule.Name,
-			Inst: key, Txn: tid, Detail: "action error"})
-		e.submit(pevent{kind: evAborted, in: in, err: err})
-		return
-	}
-	reply := make(chan struct{})
-	e.submit(pevent{kind: evCommit, in: in, elided: true, tid: tid, wtx: wtx, halt: halt, start: start, reply: reply})
-	e.await(reply)
 }

@@ -94,8 +94,8 @@ func (rt *runtime) fail(err error) {
 // so the caller can abort it; any other error has consumed it.
 //
 // The storage append only stages the record — it becomes durable at
-// the next syncStorage, which is where a parallel committer closes
-// the firing's reply channel (group commit: ack after fsync).
+// the next syncStorage, after which the parallel committer closes the
+// firing's reply channel (ack after fsync).
 func (rt *runtime) commit(in *match.Instantiation, tx *wm.Txn, txn int64, halt bool) error {
 	key := in.Key()
 	if rt.opts.Verify && !verifyActive(rt.store, in) {

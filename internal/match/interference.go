@@ -7,12 +7,12 @@ import "sync"
 // read/write sets are derived once up front (O(n)), but a matrix row is
 // materialised only on first use, guarded by a sync.Once. Large
 // generated programs (cmd/psgen) therefore pay O(n) at construction
-// instead of O(n²), while engines that consult every pair (the static
-// batcher, the hybrid elision check) amortise to the same totals.
+// instead of O(n²), while the static batcher, which may consult every
+// pair, amortises to the same total.
 //
 // The matrix is safe for concurrent use: rows are built under their
 // Once and never mutated afterwards, so readers on different goroutines
-// (the parallel engine's workers) share them without locks.
+// share them without locks.
 type InterferenceMatrix struct {
 	rules []*Rule
 	index map[string]int
@@ -38,15 +38,6 @@ func NewInterferenceMatrix(rules []*Rule) *InterferenceMatrix {
 	return m
 }
 
-// Size returns the number of rules the matrix covers.
-func (m *InterferenceMatrix) Size() int { return len(m.rules) }
-
-// Index returns the matrix index of a rule name.
-func (m *InterferenceMatrix) Index(name string) (int, bool) {
-	i, ok := m.index[name]
-	return i, ok
-}
-
 // Row returns rule i's interference row, computing it on first use.
 // The returned slice is shared and must not be mutated.
 func (m *InterferenceMatrix) Row(i int) []bool {
@@ -59,9 +50,6 @@ func (m *InterferenceMatrix) Row(i int) []bool {
 	})
 	return m.rows[i]
 }
-
-// InterferesIdx reports interference between rules by matrix index.
-func (m *InterferenceMatrix) InterferesIdx(i, j int) bool { return m.Row(i)[j] }
 
 // Interferes reports interference between rules by name; unknown names
 // are conservatively reported as interfering.

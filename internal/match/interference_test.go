@@ -40,21 +40,18 @@ func TestInterferenceMatrixMatchesPairwise(t *testing.T) {
 		imRule("d", "s", "r"), // reads s.v,r.v; writes r.v
 	}
 	m := NewInterferenceMatrix(rules)
-	if m.Size() != len(rules) {
-		t.Fatalf("Size = %d, want %d", m.Size(), len(rules))
-	}
 	for i, a := range rules {
 		for j, b := range rules {
 			want := Interferes(a, b)
-			if got := m.InterferesIdx(i, j); got != want {
-				t.Errorf("InterferesIdx(%s,%s) = %v, want %v", a.Name, b.Name, got, want)
+			if got := m.Row(i)[j]; got != want {
+				t.Errorf("Row(%s)[%s] = %v, want %v", a.Name, b.Name, got, want)
 			}
 			if got := m.Interferes(a.Name, b.Name); got != want {
 				t.Errorf("Interferes(%s,%s) = %v, want %v", a.Name, b.Name, got, want)
 			}
 		}
 	}
-	// Spot-check the semantics the hybrid engine depends on: a rule
+	// Spot-check the semantics the static batcher depends on: a rule
 	// with writes always self-interferes; rules over disjoint classes
 	// never interfere.
 	if !m.Interferes("a", "a") {
@@ -74,9 +71,6 @@ func TestInterferenceMatrixUnknownName(t *testing.T) {
 	m := NewInterferenceMatrix([]*Rule{imRule("a", "p", "")})
 	if !m.Interferes("a", "ghost") || !m.Interferes("ghost", "a") {
 		t.Fatal("unknown rule names must be treated as interfering")
-	}
-	if _, ok := m.Index("ghost"); ok {
-		t.Fatal("Index must not resolve unknown names")
 	}
 }
 
@@ -105,10 +99,10 @@ func TestInterferenceMatrixConcurrentRows(t *testing.T) {
 	}
 	wg.Wait()
 	// Same class ⇒ interfere, different class ⇒ not.
-	if !m.InterferesIdx(0, 4) {
+	if !m.Row(0)[4] {
 		t.Error("r0 and r4 share class c0: must interfere")
 	}
-	if m.InterferesIdx(0, 1) {
+	if m.Row(0)[1] {
 		t.Error("r0 (c0) and r1 (c1) are disjoint: must not interfere")
 	}
 }

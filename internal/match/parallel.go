@@ -144,17 +144,6 @@ func (s *ShardedMatcher) TrackChanges(on bool) {
 // ConflictSet computes every shard's conflict set concurrently and
 // folds each shard's changes since the last call into the cached
 // merged set.
-//
-// Swap coordination with adaptive Rete: a shard's ConflictSet call is
-// the network's replan safe point, so a chain swap happens inside the
-// per-shard goroutine below — confined to that shard's matcher, whose
-// rules live nowhere else. A swap journals a remove+add pair for every
-// live instantiation of the replanned rule; the delta branch of
-// mergeShard resolves each pair against the shard's current membership
-// (Contains), so the merged set and its own journal see no change.
-// Nothing is read from the shard until wg.Wait, and the snapshot
-// heuristic below cannot misfire on a swap (a swap always journals
-// removals, which routes it to the delta branch).
 func (s *ShardedMatcher) ConflictSet() *ConflictSet {
 	if len(s.shards) == 1 {
 		return s.shards[0].ConflictSet()

@@ -225,8 +225,16 @@ func (f *Follower) adopt(resp *server.Response) error {
 	if f.program == "" {
 		var cfg RunConfig
 		if len(resp.ReplConfig) > 0 {
-			if err := json.Unmarshal(resp.ReplConfig, &cfg); err != nil {
+			// Refuse fields this build does not know: a primary that
+			// ships a setting the replica would silently drop could only
+			// surface as a later divergence.
+			dec := json.NewDecoder(bytes.NewReader(resp.ReplConfig))
+			dec.DisallowUnknownFields()
+			if err := dec.Decode(&cfg); err != nil {
 				return fmt.Errorf("repl: hello config: %w", err)
+			}
+			if dec.More() {
+				return errors.New("repl: hello config: trailing data")
 			}
 		}
 		dcfg, err := cfg.detConfig()

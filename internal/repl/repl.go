@@ -63,12 +63,6 @@ type RunConfig struct {
 	Abort string `json:"abort,omitempty"`
 	// MaxFirings bounds commits; 0 means the engine default.
 	MaxFirings int `json:"max_firings,omitempty"`
-	// Elide enables hybrid lock elision.
-	Elide bool `json:"elide,omitempty"`
-	// Escalation is the class-lock escalation threshold; 0 disables.
-	Escalation int `json:"escalation,omitempty"`
-	// CommitBatch is the group-commit size; 0 means 1.
-	CommitBatch int `json:"commit_batch,omitempty"`
 	// MaxDecisions bounds scheduling decisions; 0 means 1<<16. Primary
 	// and follower must share the bound or they would diverge on it.
 	MaxDecisions int `json:"max_decisions,omitempty"`
@@ -86,9 +80,6 @@ func (c RunConfig) detConfig() (detsched.Config, error) {
 		Matcher:      c.Matcher,
 		MatchShards:  c.MatchShards,
 		MaxFirings:   c.MaxFirings,
-		Elide:        c.Elide,
-		Escalation:   c.Escalation,
-		CommitBatch:  c.CommitBatch,
 		MaxDecisions: c.MaxDecisions,
 	}
 	switch c.Scheme {

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -231,5 +232,23 @@ func TestBadConfigRejected(t *testing.T) {
 	_, err = NewPrimary(PrimaryOptions{Program: "(p", Config: RunConfig{}})
 	if err == nil {
 		t.Fatal("unparsable program accepted")
+	}
+}
+
+// TestHelloConfigUnknownFieldsRefused pins the follower's strict hello
+// decoding: a config carrying a field this build does not know (a
+// setting from another build, or garbage) must fail the hello instead
+// of being silently dropped and replayed without it.
+func TestHelloConfigUnknownFieldsRefused(t *testing.T) {
+	for _, cfg := range []string{`{"elide":true}`, `{"bogus":1}`, `{"np":2} {"np":3}`} {
+		f := NewFollower(FollowerOptions{})
+		err := f.adopt(&server.Response{Program: growProgram, ReplConfig: []byte(cfg)})
+		if err == nil || !strings.Contains(err.Error(), "repl: hello config") {
+			t.Fatalf("config %s: err = %v, want a repl: hello config error", cfg, err)
+		}
+	}
+	f := NewFollower(FollowerOptions{})
+	if err := f.adopt(&server.Response{Program: growProgram, ReplConfig: []byte(`{"scheme":"2pl","np":2}`)}); err != nil {
+		t.Fatalf("known fields refused: %v", err)
 	}
 }

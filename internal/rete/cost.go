@@ -1,12 +1,6 @@
 package rete
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"pdps/internal/match"
-)
+import "pdps/internal/match"
 
 // This file is the cost model behind condition-element ordering — the
 // database-style join planner applied to Rete compilation. A rule's
@@ -20,14 +14,9 @@ import (
 // well-ordered rule compiles exactly as written, keeping golden traces
 // and detsched replay byte-identical.
 //
-// Two estimators feed the same formulas. The static estimator (compile
-// time) assumes planClassRows tuples per class and the selectivity
-// constants below — enough to rank "has a constant equality test"
-// above "unconstrained wide relation". The live estimator (adaptive
-// replanning, plan.go) replaces assumptions with observations: actual
-// alpha-memory sizes, working-memory class counts, and per-join
-// fanouts measured by the rete_index_probes / rete_index_bucket_size /
-// rete_scan_candidates instrumentation.
+// The estimates are static: the planner assumes planClassRows tuples
+// per class and the selectivity constants below — enough to rank "has
+// a constant equality test" above "unconstrained wide relation".
 
 const (
 	// planClassRows is the assumed relation cardinality when nothing is
@@ -41,102 +30,7 @@ const (
 	// Join selectivities per equality / inequality test.
 	selEqJoin   = 1.0 / 64
 	selIneqJoin = 1.0 / 3
-	// fanoutMinProbes is the observation count below which a measured
-	// fanout is not trusted over the formula.
-	fanoutMinProbes = 16
 )
-
-// estimator supplies the planner's cardinality knowledge.
-type estimator struct {
-	// rows estimates the alpha-memory size for a pattern; constSel is
-	// the modelled constant-test selectivity for estimators that only
-	// know per-class counts.
-	rows func(class, amemKey string, constSel float64) float64
-	// fanout returns the observed matches-per-activation for a join
-	// signature, when known.
-	fanout func(key string) (float64, bool)
-}
-
-// staticEstimator knows nothing: fixed class cardinality, no observed
-// fanouts.
-func staticEstimator() estimator {
-	return estimator{
-		rows: func(class, amemKey string, constSel float64) float64 {
-			return planClassRows * constSel
-		},
-		fanout: func(string) (float64, bool) { return 0, false },
-	}
-}
-
-// liveEstimator reads the network's current state: exact alpha-memory
-// sizes where the pattern already exists, working-memory class counts
-// otherwise, and observed per-join fanouts aggregated over live nodes
-// plus the banked statistics of retired ones.
-func (n *Network) liveEstimator() estimator {
-	fan := make(map[string]joinStats)
-	for key, s := range n.foldedStats {
-		fan[key] = *s
-	}
-	seenJ := make(map[*joinNode]bool)
-	seenN := make(map[*negNode]bool)
-	addJ := func(j *joinNode) {
-		if j == nil || seenJ[j] {
-			return
-		}
-		seenJ[j] = true
-		key := joinStatsKey(j.amem.key, j.tests)
-		s := fan[key]
-		s.probes += j.stats.probes
-		s.cands += j.stats.cands
-		fan[key] = s
-	}
-	addN := func(g *negNode) {
-		if g == nil || seenN[g] {
-			return
-		}
-		seenN[g] = true
-		key := joinStatsKey(g.amem.key, g.tests)
-		s := fan[key]
-		s.probes += g.stats.probes
-		s.cands += g.stats.cands
-		fan[key] = s
-	}
-	for _, rc := range n.chains {
-		for _, bl := range rc.levels {
-			addJ(bl.join)
-			addN(bl.neg)
-		}
-		addJ(rc.lastJoin)
-	}
-	return estimator{
-		rows: func(class, amemKey string, constSel float64) float64 {
-			if am, ok := n.alphaByKey[amemKey]; ok {
-				return float64(len(am.items))
-			}
-			return float64(n.classCount[class]) * constSel
-		},
-		fanout: func(key string) (float64, bool) {
-			s, ok := fan[key]
-			if !ok || s.probes < fanoutMinProbes {
-				return 0, false
-			}
-			return float64(s.cands) / float64(s.probes), true
-		},
-	}
-}
-
-// joinStatsKey identifies a join's statistical signature: the alpha
-// pattern joined through a test set. levelsUp is deliberately left
-// out, so a candidate plan that joins the same pattern on the same
-// attributes at a different chain position inherits the observation.
-func joinStatsKey(amemKey string, tests []joinTest) string {
-	parts := make([]string, len(tests))
-	for i, jt := range tests {
-		parts[i] = fmt.Sprintf("%s %s %s", jt.ownAttr, jt.op, jt.otherAttr)
-	}
-	sort.Strings(parts)
-	return amemKey + "\x03" + strings.Join(parts, ",")
-}
 
 // constSelectivity is the modelled fraction of a class passing the
 // CE's alpha-network tests.
@@ -192,15 +86,13 @@ func eligible(c match.Condition, bound map[string]bindingPos) bool {
 // placeCost evaluates placing CE c at chain level lvl given `tokens`
 // upstream partial matches: the resulting downstream token count and
 // the step's activation cost. bound is not modified.
-func placeCost(c match.Condition, lvl int, bound map[string]bindingPos, est estimator, tokens float64) (out, cost float64) {
+func placeCost(c match.Condition, lvl int, bound map[string]bindingPos, tokens float64) (out, cost float64) {
 	scratch := make(map[string]bindingPos, len(bound))
 	for k, v := range bound {
 		scratch[k] = v
 	}
 	cc := classifyCE(c, lvl, scratch)
-	key := alphaKey(c.Class, cc.consts, cc.intras, cc.presence)
-	rows := est.rows(c.Class, key, constSelectivity(cc))
-	f := joinFanout(cc, key, rows, est)
+	f := joinFanout(cc, planClassRows*constSelectivity(cc))
 	if c.Negated {
 		// A negative level costs one activation per token plus the
 		// matches found; a token survives when nothing matches, so the
@@ -210,11 +102,10 @@ func placeCost(c match.Condition, lvl int, bound map[string]bindingPos, est esti
 	return tokens * f, tokens * (1 + f)
 }
 
-// joinFanout estimates matches per activation for the CE's join: the
-// observed value when the estimator has one, otherwise rows scaled by
-// the per-test join selectivities (a join with no variable tests is a
-// cross product — every row matches).
-func joinFanout(cc compiledCE, amemKey string, rows float64, est estimator) float64 {
+// joinFanout estimates matches per activation for the CE's join: rows
+// scaled by the per-test join selectivities (a join with no variable
+// tests is a cross product — every row matches).
+func joinFanout(cc compiledCE, rows float64) float64 {
 	eq, ineq := 0, 0
 	for _, jt := range cc.joins {
 		if jt.op == match.OpEq {
@@ -226,9 +117,6 @@ func joinFanout(cc compiledCE, amemKey string, rows float64, est estimator) floa
 	if eq+ineq == 0 {
 		return rows
 	}
-	if f, ok := est.fanout(joinStatsKey(amemKey, cc.joins)); ok {
-		return f
-	}
 	f := rows
 	for i := 0; i < eq; i++ {
 		f *= selEqJoin
@@ -239,11 +127,11 @@ func joinFanout(cc compiledCE, amemKey string, rows float64, est estimator) floa
 	return f
 }
 
-// planOrderWith orders the rule's condition elements greedily under
-// the estimator: at each step place the eligible CE minimising
-// (result tokens, step cost, original index). Returns the order
-// (plan level -> original CE index) and the plan's estimated cost.
-func planOrderWith(r *match.Rule, est estimator) ([]int, float64) {
+// planOrder orders the rule's condition elements greedily: at each
+// step place the eligible CE minimising (result tokens, step cost,
+// original index). Returns the order (plan level -> original CE index)
+// and the plan's estimated cost.
+func planOrder(r *match.Rule) ([]int, float64) {
 	m := len(r.Conditions)
 	order := make([]int, 0, m)
 	placed := make([]bool, m)
@@ -256,7 +144,7 @@ func planOrderWith(r *match.Rule, est estimator) ([]int, float64) {
 			if placed[i] || !eligible(c, bound) {
 				continue
 			}
-			out, cost := placeCost(c, len(order), bound, est, tokens)
+			out, cost := placeCost(c, len(order), bound, tokens)
 			if bestIdx < 0 || out < bestOut || (out == bestOut && cost < bestCost) {
 				bestIdx, bestOut, bestCost = i, out, cost
 			}
@@ -270,14 +158,13 @@ func planOrderWith(r *match.Rule, est estimator) ([]int, float64) {
 	return order, total
 }
 
-// planCostFor evaluates a fixed order under the estimator with the
-// same formulas the planner uses, so current-plan and best-plan costs
-// are comparable.
-func planCostFor(r *match.Rule, order []int, est estimator) float64 {
+// planCostFor evaluates a fixed order with the same formulas the
+// planner uses.
+func planCostFor(r *match.Rule, order []int) float64 {
 	bound := make(map[string]bindingPos)
 	tokens, total := 1.0, 0.0
 	for lvl, idx := range order {
-		out, cost := placeCost(r.Conditions[idx], lvl, bound, est, tokens)
+		out, cost := placeCost(r.Conditions[idx], lvl, bound, tokens)
 		classifyCE(r.Conditions[idx], lvl, bound)
 		tokens = out
 		total += cost
@@ -294,7 +181,7 @@ func (n *Network) planRule(r *match.Rule) ([]int, float64) {
 		for i := range order {
 			order[i] = i
 		}
-		return order, planCostFor(r, order, staticEstimator())
+		return order, planCostFor(r, order)
 	}
-	return planOrderWith(r, staticEstimator())
+	return planOrder(r)
 }

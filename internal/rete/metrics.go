@@ -15,10 +15,9 @@ type netMetrics struct {
 	// node has no equality test), and scanned the candidates examined.
 	scans   *obs.Counter
 	scanned *obs.Counter
-	// replans counts adaptive chain recompiles; sharedBeta and planCost
-	// gauge the compiled network (beta levels referenced by more than
-	// one rule, and the summed estimated plan cost).
-	replans    *obs.Counter
+	// sharedBeta and planCost gauge the compiled network (beta levels
+	// referenced by more than one rule, and the summed estimated plan
+	// cost).
 	sharedBeta *obs.Gauge
 	planCost   *obs.Gauge
 	// alphaProbes counts hash probes on the alpha assert/retract path
@@ -40,7 +39,6 @@ func (n *Network) SetMetrics(reg *obs.Registry) {
 		bucket:     reg.Histogram("rete_index_bucket_size", "candidates"),
 		scans:      reg.Counter("rete_index_scans_total"),
 		scanned:    reg.Counter("rete_scan_candidates_total"),
-		replans:    reg.Counter("rete_replan_total"),
 		sharedBeta: reg.Gauge("rete_shared_beta"),
 		planCost:   reg.Gauge("rete_plan_cost"),
 
@@ -51,13 +49,9 @@ func (n *Network) SetMetrics(reg *obs.Registry) {
 	n.updatePlanGauges()
 }
 
-// metProbe records an indexed activation on the node's own statistics
-// (feeding the live cost estimator), the network's work accumulator
-// (the adaptive-replan trigger), and the obs registry.
-func (n *Network) metProbe(s *joinStats, bucketLen int) {
-	s.probes++
-	s.cands += int64(bucketLen)
-	n.obsWork += int64(bucketLen) + 1
+// metProbe records an indexed activation and the size of the bucket
+// it probed.
+func (n *Network) metProbe(bucketLen int) {
 	if n.met != nil {
 		n.met.probes.Inc()
 		n.met.bucket.Observe(int64(bucketLen))
@@ -65,10 +59,7 @@ func (n *Network) metProbe(s *joinStats, bucketLen int) {
 }
 
 // metScan is metProbe's linear-scan counterpart.
-func (n *Network) metScan(s *joinStats, candidates int) {
-	s.probes++
-	s.cands += int64(candidates)
-	n.obsWork += int64(candidates) + 1
+func (n *Network) metScan(candidates int) {
 	if n.met != nil {
 		n.met.scans.Inc()
 		n.met.scanned.Add(int64(candidates))
@@ -77,8 +68,6 @@ func (n *Network) metScan(s *joinStats, candidates int) {
 
 // metAlphaProbe records one hash probe on the discrimination
 // network's routing layer; metAlphaTest one residual test evaluation.
-// Neither feeds obsWork: the adaptive-replan trigger measures join
-// activity, which alpha routing is designed to be independent of.
 func (n *Network) metAlphaProbe() {
 	if n.met != nil {
 		n.met.alphaProbes.Inc()

@@ -119,21 +119,10 @@ func sameConflictSets(t *testing.T, seed int64, a, b *match.ConflictSet) {
 	}
 }
 
-// newAggressiveAdaptive builds a planned network that re-evaluates its
-// plans on essentially every ConflictSet call: the oracle streams
-// force replans mid-run, so the chain-swap machinery is exercised
-// against the naive matcher at every step.
-func newAggressiveAdaptive() *Network {
-	n := New()
-	n.SetAdaptive(true)
-	n.SetAdaptiveParams(1.01, 1)
-	return n
-}
-
 // constructors are the network variants every oracle test must agree
 // on: hashed planned memories (the default), source-order compilation,
-// the unindexed linear fallback, and aggressive adaptive replanning —
-// bare and behind the multi-shard wrapper.
+// the unindexed linear fallback, and the planned network behind the
+// multi-shard wrapper.
 var constructors = []struct {
 	name  string
 	build func() match.Matcher
@@ -141,12 +130,8 @@ var constructors = []struct {
 	{"planned", func() match.Matcher { return New() }},
 	{"source-order", func() match.Matcher { return NewSourceOrder() }},
 	{"linear", func() match.Matcher { return NewLinear() }},
-	{"adaptive", func() match.Matcher { return newAggressiveAdaptive() }},
 	{"sharded-planned", func() match.Matcher {
 		return match.NewSharded(3, func() match.Matcher { return New() })
-	}},
-	{"sharded-adaptive", func() match.Matcher {
-		return match.NewSharded(3, func() match.Matcher { return newAggressiveAdaptive() })
 	}},
 }
 

@@ -10,20 +10,7 @@ import (
 
 // This file owns the compiled-plan bookkeeping behind cost-based
 // compilation (cost.go): the per-rule chain records, the shared
-// beta-level cache, chain teardown, and adaptive replanning.
-//
-// Replan safe-point protocol: a Network is single-threaded (the engine
-// serialises matcher calls; ShardedMatcher confines each shard to one
-// goroutine per phase), so the only safe point needed is "not inside a
-// propagation". maybeReplan runs at the top of ConflictSet() — between
-// conflict-set refreshes from the engine's point of view. A replan
-// tears the rule's exclusive suffix down through the ordinary
-// token-deletion paths (removing the rule's instantiations) and
-// recompiles the chain against live memories, which re-derives exactly
-// the same instantiation keys: consumers that journal conflict-set
-// changes see a remove+add pair per live instantiation and resolve it
-// as a no-op via ConflictSet.Contains (see Parallel.refresh and
-// ShardedMatcher.mergeShard).
+// beta-level cache, and chain teardown (RemoveRule).
 
 // betaLevel is one shared-able level of a compiled chain: a join node
 // feeding a beta memory, or a negative node. Levels are cached by the
@@ -59,7 +46,6 @@ type ruleChain struct {
 	lastJoin   *joinNode  // exclusive pair-sink join; nil when the last CE is negated
 	lastParent betaSource // the last join's upstream (for detaching)
 	prod       *prodNode
-	replans    int
 }
 
 // sourceItems returns the tokens a beta source owns (valid or not).
@@ -78,8 +64,7 @@ func sourceItems(s betaSource) []*token {
 // monotone along a chain) is drained through the ordinary
 // token-deletion paths — maintaining hash indexes, join-result
 // registries and the conflict set — and the dead nodes are unhooked
-// from the surviving graph. Observed join statistics are banked for
-// the live estimator before the nodes go.
+// from the surviving graph.
 func (n *Network) removeChain(rc *ruleChain) {
 	firstDead := len(rc.levels)
 	for i := len(rc.levels) - 1; i >= 0; i-- {
@@ -115,13 +100,11 @@ func (n *Network) removeChain(rc *ruleChain) {
 	for i := firstDead; i < len(rc.levels); i++ {
 		bl := rc.levels[i]
 		if bl.join != nil {
-			n.foldStats(joinStatsKey(bl.join.amem.key, bl.join.tests), bl.join.stats)
 			bl.parent.removeChildSink(bl.join)
 			bl.join.amem.removeSuccessor(bl.join)
 			n.maybeGCAlpha(bl.join.amem)
 		}
 		if bl.neg != nil {
-			n.foldStats(joinStatsKey(bl.neg.amem.key, bl.neg.tests), bl.neg.stats)
 			bl.parent.removeChildSink(bl.neg)
 			bl.neg.amem.removeSuccessor(bl.neg)
 			n.maybeGCAlpha(bl.neg.amem)
@@ -131,7 +114,6 @@ func (n *Network) removeChain(rc *ruleChain) {
 		}
 	}
 	if rc.lastJoin != nil {
-		n.foldStats(joinStatsKey(rc.lastJoin.amem.key, rc.lastJoin.tests), rc.lastJoin.stats)
 		rc.lastParent.removeChildSink(rc.lastJoin)
 		rc.lastJoin.amem.removeSuccessor(rc.lastJoin)
 		n.maybeGCAlpha(rc.lastJoin.amem)
@@ -159,95 +141,6 @@ func (n *Network) RemoveRule(name string) error {
 	return nil
 }
 
-// SetAdaptive enables or disables adaptive replanning: at every
-// ConflictSet call (a safe point between conflict-set refreshes) the
-// network re-estimates each rule's plan against live cardinalities and
-// observed join fanouts, and recompiles a rule whose current plan
-// costs more than the threshold times the best alternative. Only
-// meaningful on networks built by New (planning enabled).
-func (n *Network) SetAdaptive(on bool) { n.adaptive = on }
-
-// SetAdaptiveParams overrides the replan trigger: threshold is the
-// current-vs-best estimated cost ratio that forces a recompile
-// (default 2.0), minWork the activation work (index probes plus
-// candidates examined) accumulated between evaluations (default 4096).
-// Exposed for tests and experiments that need aggressive replanning.
-func (n *Network) SetAdaptiveParams(threshold float64, minWork int64) {
-	if threshold > 0 {
-		n.adaptThreshold = threshold
-	}
-	if minWork > 0 {
-		n.adaptMinWork = minWork
-	}
-}
-
-// maybeReplan is the adaptive-replan evaluation, run at the
-// ConflictSet safe point. Rules are visited in name order so replay
-// under a deterministic schedule reproduces replans bit-for-bit.
-func (n *Network) maybeReplan() {
-	if n.obsWork-n.lastEval < n.adaptMinWork {
-		return
-	}
-	n.lastEval = n.obsWork
-	names := make([]string, 0, len(n.chains))
-	for name := range n.chains {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	est := n.liveEstimator()
-	changed := false
-	for _, name := range names {
-		rc := n.chains[name]
-		cur := planCostFor(rc.r, rc.order, est)
-		order, best := planOrderWith(rc.r, est)
-		if equalOrder(order, rc.order) || best*n.adaptThreshold >= cur {
-			continue
-		}
-		n.removeChain(rc)
-		nc := n.compileChain(rc.r, order, best)
-		nc.replans = rc.replans + 1
-		n.chains[name] = nc
-		n.replanCount++
-		if n.met != nil {
-			n.met.replans.Inc()
-		}
-		changed = true
-	}
-	if changed {
-		n.updatePlanGauges()
-		// Rebuilding memories re-ran seed activations; restart the
-		// observation window so they don't immediately re-trigger.
-		n.lastEval = n.obsWork
-	}
-}
-
-// foldStats banks a retiring node's observed statistics so the live
-// estimator keeps its knowledge across recompiles.
-func (n *Network) foldStats(key string, s joinStats) {
-	if s.probes == 0 && s.cands == 0 {
-		return
-	}
-	cur := n.foldedStats[key]
-	if cur == nil {
-		cur = &joinStats{}
-		n.foldedStats[key] = cur
-	}
-	cur.probes += s.probes
-	cur.cands += s.cands
-}
-
-func equalOrder(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // updatePlanGauges publishes the plan-cost and shared-beta gauges.
 func (n *Network) updatePlanGauges() {
 	if n.met == nil {
@@ -270,8 +163,7 @@ func (n *Network) updatePlanGauges() {
 
 // RulePlan reports one rule's compiled join order for diagnostics:
 // the CE classes in plan order (with their original indices), which
-// levels are shared with other rules, the estimated plan cost, and how
-// often adaptive replanning recompiled the rule.
+// levels are shared with other rules, and the estimated plan cost.
 type RulePlan struct {
 	Rule    string
 	Order   []int // plan level -> original CE index
@@ -283,7 +175,6 @@ type RulePlan struct {
 	// the discrimination network.
 	AlphaShared []bool
 	Cost        float64
-	Replans     int
 }
 
 // String renders the plan compactly: each level as class[origIdx],
@@ -306,11 +197,7 @@ func (p RulePlan) String() string {
 			b.WriteByte('\'')
 		}
 	}
-	fmt.Fprintf(&b, " (cost %.0f", p.Cost)
-	if p.Replans > 0 {
-		fmt.Fprintf(&b, ", replans %d", p.Replans)
-	}
-	b.WriteByte(')')
+	fmt.Fprintf(&b, " (cost %.0f)", p.Cost)
 	return b.String()
 }
 
@@ -326,10 +213,9 @@ func (n *Network) Plans() []RulePlan {
 	for _, name := range names {
 		rc := n.chains[name]
 		p := RulePlan{
-			Rule:    name,
-			Order:   append([]int(nil), rc.order...),
-			Cost:    rc.cost,
-			Replans: rc.replans,
+			Rule:  name,
+			Order: append([]int(nil), rc.order...),
+			Cost:  rc.cost,
 		}
 		for lvl, orig := range rc.order {
 			c := rc.r.Conditions[orig]
@@ -353,6 +239,3 @@ func (n *Network) Plans() []RulePlan {
 	}
 	return out
 }
-
-// Replans returns how many adaptive recompiles the network has done.
-func (n *Network) Replans() int64 { return n.replanCount }

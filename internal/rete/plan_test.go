@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pdps/internal/match"
-	"pdps/internal/obs"
 	"pdps/internal/wm"
 )
 
@@ -105,143 +104,6 @@ func TestStaticPlanOrdering(t *testing.T) {
 	if got, want := src.Plans()[0].Order, []int{0, 1}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("source-order plan = %v, want %v", got, want)
 	}
-}
-
-// TestAdaptiveReplanEquivalence forces a mid-run replan and proves the
-// conflict set is identical before and after the chain swap, then
-// drains working memory and checks nothing leaked from the retired
-// subnetwork.
-func TestAdaptiveReplanEquivalence(t *testing.T) {
-	reg := obs.NewRegistry()
-	n := New()
-	n.SetMetrics(reg)
-	n.SetAdaptive(true)
-	n.SetAdaptiveParams(2.0, 1)
-	r := &match.Rule{
-		Name: "skew",
-		Conditions: []match.Condition{
-			{Class: "big", Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
-			{Class: "tiny", Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
-		},
-		Actions: []match.Action{{Kind: match.ActHalt}},
-	}
-	if err := n.AddRule(r); err != nil {
-		t.Fatal(err)
-	}
-	// Statically big and tiny tie, so source order survives: big leads.
-	if got, want := n.Plans()[0].Order, []int{0, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("static plan = %v, want %v", got, want)
-	}
-	s := wm.NewStore()
-	var ws []*wm.WME
-	for i := 0; i < 256; i++ {
-		w := s.Insert("big", map[string]wm.Value{"k": wm.Int(int64(i))})
-		ws = append(ws, w)
-		n.Insert(w)
-	}
-	for i := 0; i < 2; i++ {
-		w := s.Insert("tiny", map[string]wm.Value{"k": wm.Int(int64(i))})
-		ws = append(ws, w)
-		n.Insert(w)
-	}
-	before := csKeys(n.cs) // read without triggering the safe point
-	if len(before) != 2 {
-		t.Fatalf("before replan: %d insts, want 2", len(before))
-	}
-
-	// The safe-point call sees 256-vs-2 live cardinalities and flips the
-	// plan to lead with tiny.
-	after := csKeys(n.ConflictSet())
-	if n.Replans() != 1 {
-		t.Fatalf("replans = %d, want 1", n.Replans())
-	}
-	if got, want := n.Plans()[0].Order, []int{1, 0}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("live plan = %v, want %v", got, want)
-	}
-	if n.Plans()[0].Replans != 1 {
-		t.Fatalf("per-rule replan count = %d, want 1", n.Plans()[0].Replans)
-	}
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("conflict set changed across replan:\nbefore %v\nafter  %v", before, after)
-	}
-	if got := reg.Counter("rete_replan_total").Value(); got != 1 {
-		t.Fatalf("rete_replan_total = %d, want 1", got)
-	}
-
-	// The swapped-in network must stay incremental: churn and drain.
-	w := s.Insert("tiny", map[string]wm.Value{"k": wm.Int(100)})
-	n.Insert(w)
-	if got := n.cs.Len(); got != 3 {
-		t.Fatalf("post-replan insert: %d insts, want 3", got)
-	}
-	n.Remove(w)
-	for _, w := range ws {
-		n.Remove(w)
-	}
-	if got := n.cs.Len(); got != 0 {
-		t.Fatalf("drained: %d insts, want 0", got)
-	}
-	assertDrained(t, n)
-}
-
-// TestReplanNoLeakUnderSharing is the leak regression for chain
-// teardown with shared prefixes: two rules share a reordered prefix,
-// aggressive replanning swaps chains mid-churn, and a full retraction
-// must drain every index, registry and memory.
-func TestReplanNoLeakUnderSharing(t *testing.T) {
-	n := newAggressiveAdaptive()
-	mk := func(name, lastClass string) *match.Rule {
-		return &match.Rule{
-			Name: name,
-			Conditions: []match.Condition{
-				{Class: "c0", Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
-				{Class: "c1", Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
-				{Class: lastClass, Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
-				{Class: "gate", Negated: true, Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
-			},
-			Actions: []match.Action{{Kind: match.ActHalt}},
-		}
-	}
-	if err := n.AddRule(mk("r1", "c2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := n.AddRule(mk("r2", "c3")); err != nil {
-		t.Fatal(err)
-	}
-	s := wm.NewStore()
-	var ws []*wm.WME
-	classes := []string{"c0", "c1", "c2", "c3", "gate"}
-	for round := 0; round < 6; round++ {
-		for i, cls := range classes {
-			// Skew the cardinalities differently each round so the live
-			// planner keeps finding better orders.
-			copies := 1 + (round+i)%3
-			for c := 0; c < copies; c++ {
-				w := s.Insert(cls, map[string]wm.Value{"k": wm.Int(int64(c % 2))})
-				ws = append(ws, w)
-				n.Insert(w)
-			}
-		}
-		n.ConflictSet() // safe point: evaluate and maybe swap chains
-		// Retract a prefix of the oldest WMEs to force unindexing through
-		// whatever chain shape is live right now.
-		cut := len(ws) / 3
-		for _, w := range ws[:cut] {
-			n.Remove(w)
-		}
-		ws = append([]*wm.WME(nil), ws[cut:]...)
-		n.ConflictSet()
-	}
-	if n.Replans() == 0 {
-		t.Fatal("churn never triggered a replan; the regression test is not exercising teardown")
-	}
-	for _, w := range ws {
-		n.Remove(w)
-	}
-	if got := n.ConflictSet().Len(); got != 0 {
-		t.Fatalf("drained: %d insts, want 0", got)
-	}
-	assertDrained(t, n)
 }
 
 // TestSharedPrefixSeeding checks that a rule added late shares the

@@ -156,8 +156,8 @@ func (m *memNode) removeToken(t *token) {
 
 // betaSource is the upstream of a join node: a beta memory (all tokens
 // valid) or a negative node (tokens with no join results are valid).
-// removeChildSink detaches a downstream node — chain teardown during
-// adaptive replanning (plan.go) unhooks retired nodes through it.
+// removeChildSink detaches a downstream node — chain teardown in
+// RemoveRule (plan.go) unhooks retired nodes through it.
 type betaSource interface {
 	validTokens() []*token
 	addChildSink(s tokenSink)
@@ -192,15 +192,6 @@ type joinNode struct {
 	left  map[string][]*token  // parent tokens by token-side key
 	right map[string][]*wm.WME // alpha WMEs by WME-side key
 	kbuf  []byte               // reusable key scratch; activations are single-threaded per network
-	stats joinStats            // observed activations, feeds the live cost estimator
-}
-
-// joinStats is a node's observed activation record: probes (or scans)
-// and the candidates they examined. The ratio is the node's measured
-// fanout — the live estimator's per-join cardinality signal.
-type joinStats struct {
-	probes int64
-	cands  int64
 }
 
 // newJoinNode builds a join over the already-populated alpha memory,
@@ -221,7 +212,7 @@ func newJoinNode(net *Network, parent betaSource, amem *alphaMem, tests []joinTe
 
 func (j *joinNode) onToken(t *token) {
 	if len(j.eq) == 0 {
-		j.net.metScan(&j.stats, len(j.amem.items))
+		j.net.metScan(len(j.amem.items))
 		for w := range j.amem.items {
 			if runTests(j.tests, t, w) {
 				j.out.receive(t, w)
@@ -238,7 +229,7 @@ func (j *joinNode) onToken(t *token) {
 	}
 	j.left[string(key)] = append(j.left[string(key)], t)
 	bucket := j.right[string(key)]
-	j.net.metProbe(&j.stats, len(bucket))
+	j.net.metProbe(len(bucket))
 	for _, w := range bucket {
 		if runTests(j.tests, t, w) {
 			j.out.receive(t, w)
@@ -260,7 +251,7 @@ func (j *joinNode) onTokenGone(t *token) {
 func (j *joinNode) rightActivate(w *wm.WME) {
 	if len(j.eq) == 0 {
 		vts := j.parent.validTokens()
-		j.net.metScan(&j.stats, len(vts))
+		j.net.metScan(len(vts))
 		for _, t := range vts {
 			if runTests(j.tests, t, w) {
 				j.out.receive(t, w)
@@ -275,7 +266,7 @@ func (j *joinNode) rightActivate(w *wm.WME) {
 	}
 	j.right[string(key)] = append(j.right[string(key)], w)
 	bucket := j.left[string(key)]
-	j.net.metProbe(&j.stats, len(bucket))
+	j.net.metProbe(len(bucket))
 	for _, t := range bucket {
 		if runTests(j.tests, t, w) {
 			j.out.receive(t, w)
@@ -311,7 +302,6 @@ type negNode struct {
 	left  map[string][]*token  // owned tokens by parent-chain key
 	right map[string][]*wm.WME // alpha WMEs by WME-side key
 	kbuf  []byte               // reusable key scratch; activations are single-threaded per network
-	stats joinStats            // observed activations, feeds the live cost estimator
 }
 
 // newNegNode builds a negative node over the already-populated alpha
@@ -354,7 +344,7 @@ func (n *negNode) onToken(parent *token) {
 		if ok {
 			n.left[string(key)] = append(n.left[string(key)], t)
 			bucket := n.right[string(key)]
-			n.net.metProbe(&n.stats, len(bucket))
+			n.net.metProbe(len(bucket))
 			for _, w := range bucket {
 				if runTests(n.tests, parent, w) {
 					t.joinResults[w] = true
@@ -366,7 +356,7 @@ func (n *negNode) onToken(parent *token) {
 		// the negated CE under this token — it stays valid forever and
 		// needs no index entry.
 	} else {
-		n.net.metScan(&n.stats, len(n.amem.items))
+		n.net.metScan(len(n.amem.items))
 		for w := range n.amem.items {
 			if runTests(n.tests, parent, w) {
 				t.joinResults[w] = true
@@ -391,10 +381,10 @@ func (n *negNode) rightActivate(w *wm.WME) {
 		}
 		n.right[string(key)] = append(n.right[string(key)], w)
 		candidates = n.left[string(key)]
-		n.net.metProbe(&n.stats, len(candidates))
+		n.net.metProbe(len(candidates))
 	} else {
 		candidates = n.items
-		n.net.metScan(&n.stats, len(candidates))
+		n.net.metScan(len(candidates))
 	}
 	for _, t := range candidates {
 		if !runTests(n.tests, t.parent, w) {
@@ -544,19 +534,9 @@ type Network struct {
 	// rules (compile.go). Both must be set before AddRule.
 	planning bool
 	sharing  bool
-	// adaptive enables replanning at the ConflictSet safe point; see
-	// plan.go for the protocol and the two trigger parameters.
-	adaptive       bool
-	adaptThreshold float64
-	adaptMinWork   int64
 
-	classCount  map[string]int        // live WMEs per class, for the live estimator
-	betaLevels  map[string]*betaLevel // shared beta prefixes by structural key
-	chains      map[string]*ruleChain // compiled chain per rule
-	foldedStats map[string]*joinStats // banked stats of retired nodes
-	obsWork     int64                 // cumulative activation work (probes + candidates)
-	lastEval    int64                 // obsWork at the last replan evaluation
-	replanCount int64
+	betaLevels map[string]*betaLevel // shared beta prefixes by structural key
+	chains     map[string]*ruleChain // compiled chain per rule
 
 	met *netMetrics
 }
@@ -598,14 +578,9 @@ func newNetwork() *Network {
 		wmes:         make(map[*wm.WME]bool),
 		tokensByWME:  make(map[*wm.WME][]*token),
 		jrOwners:     make(map[*wm.WME][]*token),
-		classCount:   make(map[string]int),
 		betaLevels:   make(map[string]*betaLevel),
 		chains:       make(map[string]*ruleChain),
-		foldedStats:  make(map[string]*joinStats),
 		disc:         make(map[string]*classDisc),
-
-		adaptThreshold: 2.0,
-		adaptMinWork:   4096,
 	}
 	n.top = &memNode{net: n}
 	n.dummy = &token{node: n.top}
@@ -623,15 +598,8 @@ func (n *Network) registerJoinResult(owner *token, w *wm.WME) {
 	n.jrOwners[w] = append(n.jrOwners[w], owner)
 }
 
-// ConflictSet returns the live conflict set. This is the adaptive
-// replan safe point: no propagation is in flight, so the network may
-// swap a rule's compiled chain here (see plan.go).
-func (n *Network) ConflictSet() *match.ConflictSet {
-	if n.adaptive {
-		n.maybeReplan()
-	}
-	return n.cs
-}
+// ConflictSet returns the live conflict set.
+func (n *Network) ConflictSet() *match.ConflictSet { return n.cs }
 
 // TrackChanges enables membership journaling on the live conflict set,
 // which this network maintains incrementally.
@@ -649,7 +617,6 @@ func (n *Network) Insert(w *wm.WME) {
 		return
 	}
 	n.wmes[w] = true
-	n.classCount[w.Class]++
 	if n.alphaIndexing {
 		mems := n.routeWME(w, n.amemScratch[:0])
 		for _, am := range mems {
@@ -680,10 +647,6 @@ func (n *Network) Remove(w *wm.WME) {
 		return
 	}
 	delete(n.wmes, w)
-	n.classCount[w.Class]--
-	if n.classCount[w.Class] == 0 {
-		delete(n.classCount, w.Class)
-	}
 	if n.alphaIndexing {
 		// WME versions are immutable, so re-routing reproduces exactly
 		// the memories the insert matched (or the back-fill populated).
@@ -785,7 +748,6 @@ type Stats struct {
 	WMEs      int
 	Rules     int
 	Insts     int
-	Replans   int
 }
 
 // Stats returns current network statistics.
@@ -795,7 +757,6 @@ func (n *Network) Stats() Stats {
 		WMEs:      len(n.wmes),
 		Rules:     len(n.rules),
 		Insts:     n.cs.Len(),
-		Replans:   int(n.replanCount),
 	}
 }
 

@@ -200,7 +200,7 @@ type SessionOptions struct {
 	MaxFirings int `json:"max_firings,omitempty"`
 	// StorageDir, when non-empty, opens a durable file backend under
 	// the server's storage root: ingested events and committed firings
-	// are group-commit logged, and re-creating a session on the same
+	// are logged and fsynced, and re-creating a session on the same
 	// directory recovers the surviving state (PR 6 semantics). The
 	// path must be relative and must not escape the root.
 	StorageDir string `json:"storage_dir,omitempty"`

@@ -20,8 +20,8 @@ import (
 // snapshot (`snapshot-<seq>-<lsn>.wm`, where seq is the first segment
 // NOT folded into it and lsn the last record it covers). Appends go
 // to the highest segment through a buffered writer; Sync flushes and
-// fsyncs it — that one fsync is the group-commit boundary the engine
-// amortizes. Segments rotate at SegmentBytes, and once CheckpointBytes
+// fsyncs it, covering every record appended since the last Sync.
+// Segments rotate at SegmentBytes, and once CheckpointBytes
 // of log accumulate a checkpoint is due: the log is sealed at a
 // segment boundary, the store is snapshotted (temp file, fsync,
 // rename, directory fsync), and covered segments and stale snapshots
@@ -304,7 +304,7 @@ func (s *File) sealLocked() error {
 }
 
 // Sync flushes buffered records and fsyncs the live segment — the
-// group-commit durability point. It also surfaces any background
+// durability point. It also surfaces any background
 // checkpoint failure.
 func (s *File) Sync() error {
 	s.mu.Lock()

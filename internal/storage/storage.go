@@ -1,9 +1,8 @@
 // Package storage is the pluggable durability layer under the engine:
 // an append-only log of commit records plus snapshot/checkpoint and
-// crash recovery. The engine's committer appends one record per
-// commit and fsyncs once per group (group commit), so durability cost
-// amortizes across a batch exactly like conflict-set refresh does
-// under Options.CommitBatch.
+// crash recovery. The engine appends one record per commit and fsyncs
+// before acknowledging it; the Static engine fsyncs once per batch of
+// non-interfering firings.
 //
 // Two implementations ship with the repo: Mem, an in-memory backend
 // for tests and for measuring the engine's no-durability ceiling, and

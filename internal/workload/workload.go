@@ -296,47 +296,6 @@ func JoinHeavyMisordered(keys, width int) engine.Program {
 	return p
 }
 
-// JoinHeavySkewed is the adaptive-replan workload: the rule's classes
-// look statically interchangeable (no constant tests on the join
-// classes, so the compile-time planner keeps task first and the big
-// classes before tiny), but at run time big0/big1 hold `width` tuples
-// per key while tiny holds one tuple per `sparsity` keys. Only live
-// cardinalities reveal that tiny should join right after task —
-// exactly what `Options.AdaptiveRete` discovers. Firings:
-// keys/sparsity.
-func JoinHeavySkewed(keys, width, sparsity int) engine.Program {
-	kv := func() []match.AttrTest {
-		return []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}
-	}
-	finish := &match.Rule{
-		Name: "finish",
-		Conditions: []match.Condition{
-			{Class: "task", Tests: []match.AttrTest{
-				{Attr: "k", Op: match.OpEq, Var: "x"},
-				{Attr: "done", Op: match.OpEq, Const: wm.Bool(false)},
-			}},
-			{Class: "big0", Tests: kv()},
-			{Class: "big1", Tests: kv()},
-			{Class: "tiny", Tests: kv()},
-		},
-		Actions: []match.Action{{Kind: match.ActModify, CE: 0, Assigns: []match.AttrAssign{
-			{Attr: "done", Expr: match.ConstExpr{Val: wm.Bool(true)}},
-		}}},
-	}
-	p := engine.Program{Rules: []*match.Rule{finish}}
-	for i := 0; i < keys; i++ {
-		p.WMEs = append(p.WMEs, engine.InitialWME{Class: "task", Attrs: attrs("k", i, "done", false)})
-		for c := 0; c < width; c++ {
-			p.WMEs = append(p.WMEs, engine.InitialWME{Class: "big0", Attrs: attrs("k", i, "v", c)})
-			p.WMEs = append(p.WMEs, engine.InitialWME{Class: "big1", Attrs: attrs("k", i, "v", c)})
-		}
-		if i%sparsity == 0 {
-			p.WMEs = append(p.WMEs, engine.InitialWME{Class: "tiny", Attrs: attrs("k", i)})
-		}
-	}
-	return p
-}
-
 // ManyRulesFanout is the alpha-network workload (E22): `rules`
 // single-CE rules over one event class, each testing three overlapping
 // constants — a category shared by rules/16 rules, a priority band,
@@ -408,14 +367,14 @@ func SharedCounter(parts, stages int) engine.Program {
 	return p
 }
 
-// Independent builds the elision-friendly extreme: `rules` rules, each
+// Independent builds the low-conflict extreme: `rules` rules, each
 // over its own private class, stepping its own single counter tuple
 // `steps` times. No rule's write set overlaps any other rule's read or
 // write set, so the Section 4.1 analysis declares every pair
 // non-interfering — and each rule has exactly one tuple, so no two
-// instances of the same rule are ever simultaneously active. Under
-// HybridElision every firing takes the lock-free path; with elision
-// off, every firing pays the full Rc/Wa lock round-trip for nothing.
+// instances of the same rule are ever simultaneously active. Every
+// lock the Parallel engine requests is granted at once, so its
+// Rc/Wa round-trips are pure overhead.
 // Firings: rules×steps; final value of every counter equals steps.
 func Independent(rules, steps int) engine.Program {
 	var p engine.Program

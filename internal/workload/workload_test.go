@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"pdps/internal/engine"
+	"pdps/internal/lock"
 	"pdps/internal/sim"
 )
 
@@ -92,6 +95,43 @@ func TestConcreteWorkloadsRunToCompletion(t *testing.T) {
 			if err := engine.CheckTrace(c.prog, res.Log.Commits()); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
+		}
+	}
+}
+
+// TestContendedDeckFreeRunning runs the hub-and-negation programs of
+// the par-contended bench deck, RandomContended(g, 6, 48, .5, .25) with
+// tuples shuffled by a fixed seed, on a free-running Parallel engine
+// under both locking schemes. Hub writers, relation-level Rc locks on
+// the negated CEs and commit-time Rc victims all race here outside the
+// deterministic scheduler, so this is the test that sees what only a
+// real interleaving provokes. Every run must commit exactly the
+// generator's count with no error, and its commit trace must pass
+// CheckTrace.
+func TestContendedDeckFreeRunning(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for g := int64(1); g <= 16; g++ {
+		prog, want := RandomContended(g, 6, 48, .5, .25)
+		rng.Shuffle(len(prog.WMEs), func(i, j int) { prog.WMEs[i], prog.WMEs[j] = prog.WMEs[j], prog.WMEs[i] })
+		// One run per program keeps the test near a second (about five
+		// under -race); the scheme and Np cycle so that every pair
+		// meets four programs.
+		scheme := []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa}[g%2]
+		np := []int{2, 4}[g/2%2]
+		label := fmt.Sprintf("g=%d/%v/np=%d", g, scheme, np)
+		e, err := engine.NewParallel(prog, scheme, engine.Options{Np: np})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if res.Firings != want {
+			t.Fatalf("%s: firings = %d, want %d", label, res.Firings, want)
+		}
+		if err := engine.CheckTrace(prog, res.Log.Commits()); err != nil {
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
 }

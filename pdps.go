@@ -72,8 +72,8 @@ type (
 var ReadSnapshot = wm.ReadSnapshot
 
 // Pluggable storage layer (Options.Storage): engines append one record
-// per committed firing and group-commit fsync them; a backend recovers
-// the working memory and the commit history after a crash.
+// per committed firing and fsync it before acknowledging it; a backend
+// recovers the working memory and the commit history after a crash.
 type (
 	// StorageBackend is the pluggable durability interface engines
 	// drive (set it as Options.Storage).
