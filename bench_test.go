@@ -351,10 +351,9 @@ func BenchmarkSpeedupFactorSweeps(b *testing.B) {
 }
 
 // BenchmarkMatchRETEvsTREAT times the match phase via full runs of the
-// same program under each matcher (E14); "rete-linear" is the
-// unindexed pre-index baseline kept for the E17 comparison.
+// same program under each matcher (E14).
 func BenchmarkMatchRETEvsTREAT(b *testing.B) {
-	for _, matcher := range []string{"rete", "rete-linear", "treat", "naive"} {
+	for _, matcher := range []string{"rete", "treat", "naive"} {
 		b.Run(matcher, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				eng, err := pdps.NewSingleEngine(pdps.Pipeline(60, 5), pdps.Options{Matcher: matcher})

@@ -37,7 +37,6 @@ func main() {
 		scheme     = flag.String("scheme", "rcrawa", "lock scheme for parallel engine: 2pl, rcrawa")
 		strategy   = flag.String("strategy", "lex", "conflict resolution: lex, mea, fifo, priority, specificity, random")
 		matcher    = flag.String("matcher", "rete", "matcher: rete, treat, naive")
-		shards     = flag.Int("shards", 1, "matcher shards (>1 enables intra-phase match parallelism)")
 		np         = flag.Int("np", 4, "processors (workers) for parallel engines")
 		maxFirings = flag.Int("max-firings", 10000, "firing safety bound")
 		verify     = flag.Bool("verify", false, "verify semantic consistency at every commit")
@@ -71,12 +70,11 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := pdps.Options{
-		Matcher:     *matcher,
-		MatchShards: *shards,
-		Strategy:    st,
-		Np:          *np,
-		MaxFirings:  *maxFirings,
-		Verify:      *verify,
+		Matcher:    *matcher,
+		Strategy:   st,
+		Np:         *np,
+		MaxFirings: *maxFirings,
+		Verify:     *verify,
 	}
 	// With -data, commits flow through the file storage backend: a fresh
 	// directory is seeded with the program's initial working memory; a

@@ -121,21 +121,16 @@ func (sh *shell) exec(out *os.File, line string) error {
 			fmt.Fprintf(out, "  %s (%d CEs, %d actions)\n", r.Name, len(r.Conditions), len(r.Actions))
 		}
 	case "plan":
-		// Compile the program's rules into fresh networks so the plans
-		// reflect current compilation, whatever matcher the session runs:
-		// source order on the left, the cost plan on the right.
-		src, pln := pdps.NewSourceOrderReteNetwork(), pdps.NewReteNetwork()
+		// Compile the program's rules into a fresh network so the plans
+		// reflect current compilation, whatever matcher the session runs.
+		pln := pdps.NewReteNetwork()
 		for _, r := range sh.prog.Rules {
-			if err := src.AddRule(r); err != nil {
-				return err
-			}
 			if err := pln.AddRule(r); err != nil {
 				return err
 			}
 		}
-		srcPlans, plnPlans := src.Plans(), pln.Plans()
-		for i := range plnPlans {
-			fmt.Fprintf(out, "  src:  %s\n  plan: %s\n", srcPlans[i], plnPlans[i])
+		for _, p := range pln.Plans() {
+			fmt.Fprintf(out, "  %s\n", p)
 		}
 	case "assert":
 		return sh.session.Assert(rest)

@@ -115,18 +115,18 @@ func TestIntegrationPrograms(t *testing.T) {
 			if strategyName == "" {
 				strategyName = "lex"
 			}
-			mkOpts := func(matcher string, shards int) pdps.Options {
+			mkOpts := func(matcher string) pdps.Options {
 				st, err := pdps.NewStrategy(strategyName)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return pdps.Options{Matcher: matcher, MatchShards: shards, Strategy: st, Np: 4, Verify: true}
+				return pdps.Options{Matcher: matcher, Strategy: st, Np: 4, Verify: true}
 			}
 			type build func() (string, pdps.Engine, pdps.Program)
 			builders := []build{
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewSingleEngine(p, mkOpts("rete", 1))
+					e, err := pdps.NewSingleEngine(p, mkOpts("rete"))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -134,7 +134,7 @@ func TestIntegrationPrograms(t *testing.T) {
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewSingleEngine(p, mkOpts("treat", 1))
+					e, err := pdps.NewSingleEngine(p, mkOpts("treat"))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -142,15 +142,15 @@ func TestIntegrationPrograms(t *testing.T) {
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewSingleEngine(p, mkOpts("naive", 3))
+					e, err := pdps.NewSingleEngine(p, mkOpts("naive"))
 					if err != nil {
 						t.Fatal(err)
 					}
-					return "single/naive-sharded", e, p
+					return "single/naive", e, p
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewParallelEngine(p, pdps.Scheme2PL, mkOpts("rete", 1))
+					e, err := pdps.NewParallelEngine(p, pdps.Scheme2PL, mkOpts("rete"))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -158,7 +158,7 @@ func TestIntegrationPrograms(t *testing.T) {
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewParallelEngine(p, pdps.SchemeRcRaWa, mkOpts("rete", 1))
+					e, err := pdps.NewParallelEngine(p, pdps.SchemeRcRaWa, mkOpts("rete"))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -166,7 +166,7 @@ func TestIntegrationPrograms(t *testing.T) {
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewStaticEngine(p, mkOpts("rete", 1))
+					e, err := pdps.NewStaticEngine(p, mkOpts("rete"))
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -43,9 +43,6 @@ type Config struct {
 	Np int
 	// Matcher is the match algorithm; "" means rete.
 	Matcher string
-	// MatchShards, when above 1, shards the matcher for intra-phase
-	// match parallelism (engine.Options.MatchShards).
-	MatchShards int
 	// Deadlock is the lock manager's deadlock policy.
 	Deadlock lock.DeadlockPolicy
 	// Abort is the Rc-victim policy.
@@ -88,9 +85,6 @@ func (c Config) String() string {
 	m := c.Matcher
 	if m == "" {
 		m = "rete"
-	}
-	if c.MatchShards > 1 {
-		m = fmt.Sprintf("%s×%d", m, c.MatchShards)
 	}
 	return fmt.Sprintf("scheme=%s np=%d matcher=%s deadlock=%s abort=%s",
 		c.Scheme, c.np(), m, c.Deadlock, c.Abort)
@@ -144,7 +138,6 @@ func RunUnder(p engine.Program, cfg Config, ctl *sched.Det) RunOutcome {
 	}
 	opts := engine.Options{
 		Matcher:     cfg.Matcher,
-		MatchShards: cfg.MatchShards,
 		Np:          cfg.np(),
 		Deadlock:    cfg.Deadlock,
 		AbortPolicy: cfg.Abort,

@@ -31,16 +31,8 @@ type FuzzConfig struct {
 	Seed int64
 	// Np is the worker count; 0 means 2.
 	Np int
-	// Matchers to cycle through; nil means {"rete", "rete-linear",
-	// "treat", "naive"} — "rete" routes asserts through the shared
-	// alpha discrimination network while "rete-linear" walks the
-	// per-class alpha list, so the default campaign cross-checks the
-	// discrimination axis at every shard count.
+	// Matchers to cycle through; nil means {"rete", "treat", "naive"}.
 	Matchers []string
-	// Shards is the matcher shard counts to cycle through; nil means
-	// {1, 3} so both the single-matcher and the sharded delta-merge
-	// paths face the oracle.
-	Shards []int
 	// Schemes to cycle through; nil means {2PL, RcRaWa}.
 	Schemes []lock.Scheme
 	// Aborts to cycle through; nil means {AbortAlways, AbortReevaluate}.
@@ -77,16 +69,9 @@ func (c FuzzConfig) seedsPer() int {
 
 func (c FuzzConfig) matchers() []string {
 	if c.Matchers == nil {
-		return []string{"rete", "rete-linear", "treat", "naive"}
+		return []string{"rete", "treat", "naive"}
 	}
 	return c.Matchers
-}
-
-func (c FuzzConfig) shardCounts() []int {
-	if c.Shards == nil {
-		return []int{1, 3}
-	}
-	return c.Shards
 }
 
 func (c FuzzConfig) schemes() []lock.Scheme {
@@ -182,7 +167,6 @@ func Fuzz(cfg FuzzConfig) (*Violation, FuzzStats) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var st FuzzStats
 	matchers, schemes, aborts, deadlocks := cfg.matchers(), cfg.schemes(), cfg.aborts(), cfg.deadlocks()
-	shards := cfg.shardCounts()
 	for pi := 0; pi < cfg.programs(); pi++ {
 		genSeed := rng.Int63()
 		layers := 1 + rng.Intn(3)
@@ -196,7 +180,6 @@ func Fuzz(cfg FuzzConfig) (*Violation, FuzzStats) {
 			Scheme:       schemes[pi%len(schemes)],
 			Np:           cfg.Np,
 			Matcher:      matchers[pi%len(matchers)],
-			MatchShards:  shards[pi%len(shards)],
 			Deadlock:     deadlocks[pi%len(deadlocks)],
 			Abort:        aborts[pi%len(aborts)],
 			MaxDecisions: cfg.MaxDecisions,

@@ -2,7 +2,6 @@ package detsched
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
@@ -25,49 +24,46 @@ func TestMetricsDeterministic(t *testing.T) {
 		delays[r.Name] = 2 * time.Millisecond
 	}
 	for _, scheme := range []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa} {
-		// shards=1 exercises the indexed Rete directly; shards=2 adds
-		// the sharded delta merge. Both must replay byte-identically —
-		// index bucketing and journal merging may not leak map-iteration
-		// order into anything observable.
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("%s/shards=%d", scheme, shards), func(t *testing.T) {
-				for seed := int64(0); seed < 5; seed++ {
-					cfg := Config{Scheme: scheme, Np: 4, MatchShards: shards,
-						RuleDelay: delays, CondDelay: delays}
-					a := Run(prog, cfg, sched.NewRandom(seed))
-					b := Run(prog, cfg, sched.NewRandom(seed))
-					if err := Check(prog, a); err != nil {
-						t.Fatalf("seed %d: %v", seed, err)
-					}
-					ja, err := a.Metrics.MarshalIndent()
-					if err != nil {
-						t.Fatal(err)
-					}
-					jb, err := b.Metrics.MarshalIndent()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(ja, jb) {
-						t.Fatalf("seed %d: metric snapshots differ:\n%s\n--- vs ---\n%s", seed, ja, jb)
-					}
-					// The snapshot must be non-trivial: commits happened,
-					// locks were taken, and simulated time was measured.
-					if n := a.Metrics.Counter("engine_commits_total"); n != int64(a.Result.Firings) {
-						t.Fatalf("seed %d: engine_commits_total = %d, want %d", seed, n, a.Result.Firings)
-					}
-					if a.Metrics.Counter("lock_txns_total") == 0 {
-						t.Fatalf("seed %d: no lock transactions recorded", seed)
-					}
-					h, ok := a.Metrics.Histogram("engine_commit_latency_ns")
-					if !ok || h.Count == 0 {
-						t.Fatalf("seed %d: commit latency histogram empty", seed)
-					}
-					if h.Sum == 0 {
-						t.Fatalf("seed %d: commit latency all zero despite simulated delays", seed)
-					}
+		// Replays must be byte-identical: index bucketing and journal
+		// draining may not leak map-iteration order into anything
+		// observable.
+		t.Run(scheme.String(), func(t *testing.T) {
+			for seed := int64(0); seed < 5; seed++ {
+				cfg := Config{Scheme: scheme, Np: 4,
+					RuleDelay: delays, CondDelay: delays}
+				a := Run(prog, cfg, sched.NewRandom(seed))
+				b := Run(prog, cfg, sched.NewRandom(seed))
+				if err := Check(prog, a); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
-			})
-		}
+				ja, err := a.Metrics.MarshalIndent()
+				if err != nil {
+					t.Fatal(err)
+				}
+				jb, err := b.Metrics.MarshalIndent()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(ja, jb) {
+					t.Fatalf("seed %d: metric snapshots differ:\n%s\n--- vs ---\n%s", seed, ja, jb)
+				}
+				// The snapshot must be non-trivial: commits happened,
+				// locks were taken, and simulated time was measured.
+				if n := a.Metrics.Counter("engine_commits_total"); n != int64(a.Result.Firings) {
+					t.Fatalf("seed %d: engine_commits_total = %d, want %d", seed, n, a.Result.Firings)
+				}
+				if a.Metrics.Counter("lock_txns_total") == 0 {
+					t.Fatalf("seed %d: no lock transactions recorded", seed)
+				}
+				h, ok := a.Metrics.Histogram("engine_commit_latency_ns")
+				if !ok || h.Count == 0 {
+					t.Fatalf("seed %d: commit latency histogram empty", seed)
+				}
+				if h.Sum == 0 {
+					t.Fatalf("seed %d: commit latency all zero despite simulated delays", seed)
+				}
+			}
+		})
 	}
 }
 

@@ -67,16 +67,10 @@ func (p AbortPolicy) String() string {
 // the LEX strategy, and a 10000-firing safety bound.
 type Options struct {
 	// Matcher selects the match algorithm: "rete" (default: hashed
-	// memories, cost-ordered joins and beta-prefix sharing), "treat",
-	// "naive", "rete-src" (Rete compiling joins in rule-source order —
-	// the pre-planner network kept for the E21 experiments), or
-	// "rete-linear" (Rete without hashed memories — the unindexed
-	// baseline kept for experiments and oracle checks).
+	// memories, cost-ordered joins and beta-prefix sharing), "treat"
+	// (the paper's comparison), or "naive" (the generate-and-test
+	// reference the oracle suites and Verify compare against).
 	Matcher string
-	// MatchShards, when above 1, enables intra-phase match parallelism
-	// (Section 2): rules are partitioned across that many matcher
-	// shards whose updates run concurrently.
-	MatchShards int
 	// Strategy is the conflict-resolution strategy; nil means LEX.
 	Strategy cr.Strategy
 	// MaxFirings bounds the number of commits; 0 means 10000. When the
@@ -191,33 +185,26 @@ type Result struct {
 	Store *wm.Store
 }
 
-// newMatcher builds the selected matcher, optionally sharded for
-// intra-phase match parallelism.
-func newMatcher(name string, shards int) (match.Matcher, error) {
-	factory, err := matcherFactory(name)
-	if err != nil {
-		return nil, err
-	}
-	if shards > 1 {
-		return match.NewSharded(shards, factory), nil
-	}
-	return factory(), nil
-}
-
-func matcherFactory(name string) (func() match.Matcher, error) {
+// newMatcher builds the selected matcher; "" selects rete.
+func newMatcher(name string) (match.Matcher, error) {
 	switch name {
-	case "rete":
-		return func() match.Matcher { return rete.New() }, nil
-	case "rete-src":
-		return func() match.Matcher { return rete.NewSourceOrder() }, nil
-	case "rete-linear":
-		return func() match.Matcher { return rete.NewLinear() }, nil
+	case "", "rete":
+		return rete.New(), nil
 	case "treat":
-		return func() match.Matcher { return treat.New() }, nil
+		return treat.New(), nil
 	case "naive":
-		return func() match.Matcher { return match.NewNaive() }, nil
+		return match.NewNaive(), nil
 	}
 	return nil, fmt.Errorf("engine: unknown matcher %q", name)
+}
+
+// CheckMatcher reports whether name selects a matcher, with the error
+// engine construction would return. Callers that must refuse a
+// configuration before acting on it (a server opening storage for a
+// session) validate through it.
+func CheckMatcher(name string) error {
+	_, err := newMatcher(name)
+	return err
 }
 
 // load builds the store and matcher for a program: rules first, then
@@ -225,13 +212,13 @@ func matcherFactory(name string) (func() match.Matcher, error) {
 // metrics registry before the first insert, so even the initial load
 // is observable.
 func load(p Program, o Options) (*wm.Store, match.Matcher, error) {
-	inner, err := newMatcher(o.Matcher, o.MatchShards)
+	inner, err := newMatcher(o.Matcher)
 	if err != nil {
 		return nil, nil, err
 	}
 	// Matchers with internal instrumentation (Rete's index probe/scan
-	// counters, the sharded merge histogram) wire into the shared
-	// registry; match.Instrument below adds the generic op timings.
+	// counters) wire into the shared registry; match.Instrument below
+	// adds the generic op timings.
 	if sm, ok := inner.(interface{ SetMetrics(*obs.Registry) }); ok {
 		sm.SetMetrics(o.Metrics)
 	}

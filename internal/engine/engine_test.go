@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"pdps/internal/cr"
@@ -519,77 +520,47 @@ func TestCheckTraceRejectsInvalidSequence(t *testing.T) {
 	}
 }
 
-// TestMatchShardsEquivalence: intra-phase match parallelism must not
-// change behaviour — same firings, same final working memory.
-func TestMatchShardsEquivalence(t *testing.T) {
-	for _, matcher := range []string{"naive", "rete"} {
-		p := pipelineProgram(6, 3)
-		e, err := NewSingle(p, Options{Matcher: matcher, MatchShards: 4, Verify: true})
+// TestHeldJobsJournalPairs runs a program whose commits journal one
+// key as both added and removed between two refreshes: shifting a hold
+// tuple retracts the old version (unblocking ship's instantiation) and
+// asserts the new one (blocking it again) in one commit. The refresh
+// must resolve the pair against the conflict set's membership, or a
+// blocked ship would be dispatched. Verify fails any commit of one;
+// the committer catches most first and aborts them as invalidated, so
+// the 2PL runs also require zero aborts — no two firings of this
+// program can deadlock under 2PL, and no Rc victims exist there.
+func TestHeldJobsJournalPairs(t *testing.T) {
+	p := heldJobsProgram()
+	check := func(label string, res Result, err error) {
+		t.Helper()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", label, err)
 		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", matcher, err)
-		}
-		if res.Firings != 18 {
-			t.Fatalf("%s: firings = %d, want 18", matcher, res.Firings)
-		}
-		if e.Store().Len() != 0 {
-			t.Fatalf("%s: WM not drained", matcher)
+		if res.Firings != 12 {
+			t.Fatalf("%s: firings = %d, want 12", label, res.Firings)
 		}
 		if err := CheckTrace(p, res.Log.Commits()); err != nil {
-			t.Fatalf("%s: %v", matcher, err)
+			t.Fatalf("%s: %v", label, err)
 		}
 	}
-	// And on the dynamic parallel engine.
-	p := tallyProgram(3, 3)
-	e, err := NewParallel(p, lock.SchemeRcRaWa, Options{MatchShards: 3, Np: 4, Verify: true})
+	e, err := NewSingle(p, Options{Verify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	res, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Firings != 9 {
-		t.Fatalf("parallel sharded: firings = %d, want 9", res.Firings)
-	}
-	if err := CheckTrace(p, res.Log.Commits()); err != nil {
-		t.Fatal(err)
-	}
-
-	// A shard's journal may name one key as both added and removed
-	// between two merges: shifting a hold tuple retracts the old
-	// version (unblocking ship's instantiation) and asserts the new one
-	// (blocking it again) in one commit. The merge must resolve the pair
-	// against the shard's membership, or a blocked ship would be
-	// dispatched and Verify would fail the run.
-	p = heldJobsProgram()
-	for _, run := range []struct {
-		name string
-		eng  func() (interface{ Run() (Result, error) }, error)
-	}{
-		{"single", func() (interface{ Run() (Result, error) }, error) {
-			return NewSingle(p, Options{MatchShards: 3, Verify: true})
-		}},
-		{"parallel", func() (interface{ Run() (Result, error) }, error) {
-			return NewParallel(p, lock.SchemeRcRaWa, Options{MatchShards: 3, Np: 4, Verify: true})
-		}},
-	} {
-		e, err := run.eng()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatalf("held jobs %s: %v", run.name, err)
-		}
-		if res.Firings != 12 {
-			t.Fatalf("held jobs %s: firings = %d, want 12", run.name, res.Firings)
-		}
-		if err := CheckTrace(p, res.Log.Commits()); err != nil {
-			t.Fatalf("held jobs %s: %v", run.name, err)
+	check("single", res, err)
+	for _, scheme := range []lock.Scheme{lock.SchemeRcRaWa, lock.Scheme2PL} {
+		for run := 0; run < 5; run++ {
+			e, err := NewParallel(p, scheme, Options{Np: 4, Verify: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Run()
+			label := fmt.Sprintf("parallel/%v run %d", scheme, run)
+			check(label, res, err)
+			if scheme == lock.Scheme2PL && res.Aborts != 0 {
+				t.Fatalf("%s: %d aborts, want 0 (a blocked ship was dispatched)", label, res.Aborts)
+			}
 		}
 	}
 }

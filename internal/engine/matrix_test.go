@@ -10,21 +10,11 @@ import (
 // TestEngineMatcherMatrix runs the full engines × matchers grid with
 // semantic verification enabled on every confluent workload and
 // requires every cell to converge to the same final working memory.
-// The parallel cells include a sharded matcher, which rebuilds its
-// conflict set per call and therefore exercises the committer's
-// snapshot-reconcile dispatch path (the incremental matchers exercise
-// the journal path).
+// The naive cells rebuild the conflict set per call and therefore
+// exercise the committer's snapshot-reconcile dispatch path (the
+// incremental matchers exercise the journal path).
 func TestEngineMatcherMatrix(t *testing.T) {
-	matchers := []struct {
-		name   string
-		opts   func(Options) Options
-		single bool // usable by the serial engines too
-	}{
-		{"rete", func(o Options) Options { o.Matcher = "rete"; return o }, true},
-		{"treat", func(o Options) Options { o.Matcher = "treat"; return o }, true},
-		{"naive", func(o Options) Options { o.Matcher = "naive"; return o }, true},
-		{"rete-sharded", func(o Options) Options { o.Matcher = "rete"; o.MatchShards = 2; return o }, false},
-	}
+	matchers := []string{"rete", "treat", "naive"}
 	for name, mk := range confluentPrograms() {
 		t.Run(name, func(t *testing.T) {
 			var want []string
@@ -49,24 +39,22 @@ func TestEngineMatcherMatrix(t *testing.T) {
 				}
 			}
 			for _, m := range matchers {
-				opts := m.opts(Options{Verify: true})
-				if m.single {
-					prog := mk()
-					e, err := NewSingle(prog, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err := e.Run()
-					check("single/"+m.name, prog, res, err)
-
-					prog = mk()
-					st, err := NewStatic(prog, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					res, err = st.Run()
-					check("static/"+m.name, prog, res, err)
+				opts := Options{Matcher: m, Verify: true}
+				prog := mk()
+				e, err := NewSingle(prog, opts)
+				if err != nil {
+					t.Fatal(err)
 				}
+				res, err := e.Run()
+				check("single/"+m, prog, res, err)
+
+				prog = mk()
+				st, err := NewStatic(prog, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err = st.Run()
+				check("static/"+m, prog, res, err)
 				for _, scheme := range []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa} {
 					prog := mk()
 					popts := opts
@@ -76,7 +64,7 @@ func TestEngineMatcherMatrix(t *testing.T) {
 						t.Fatal(err)
 					}
 					res, err := e.Run()
-					check(fmt.Sprintf("parallel/%v/%s", scheme, m.name), prog, res, err)
+					check(fmt.Sprintf("parallel/%v/%s", scheme, m), prog, res, err)
 				}
 			}
 		})

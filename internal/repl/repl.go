@@ -55,8 +55,6 @@ type RunConfig struct {
 	Np int `json:"np,omitempty"`
 	// Matcher is the match algorithm; "" means rete.
 	Matcher string `json:"matcher,omitempty"`
-	// MatchShards shards the matcher when above 1.
-	MatchShards int `json:"match_shards,omitempty"`
 	// Deadlock is "detect" (default), "wound-wait" or "wait-die".
 	Deadlock string `json:"deadlock,omitempty"`
 	// Abort is "always" (default) or "reevaluate".
@@ -78,7 +76,6 @@ func (c RunConfig) detConfig() (detsched.Config, error) {
 	out := detsched.Config{
 		Np:           c.Np,
 		Matcher:      c.Matcher,
-		MatchShards:  c.MatchShards,
 		MaxFirings:   c.MaxFirings,
 		MaxDecisions: c.MaxDecisions,
 	}

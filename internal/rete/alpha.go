@@ -331,25 +331,15 @@ func (n *Network) routeLevel(lv *discLevel, w *wm.WME, out []*alphaMem) []*alpha
 
 // maybeGCAlpha unregisters an alpha memory once its last successor is
 // detached (removeChain dropped the final join or negative node using
-// the pattern): the memory leaves alphaByKey/alphaByClass — so neither
-// the linear walk nor the discrimination network taxes future asserts
-// with it — and its discrimination path is ref-counted away. A later
+// the pattern): the memory leaves alphaByKey — so the discrimination
+// network no longer taxes future asserts with it — and its
+// discrimination path is ref-counted away. A later
 // AddRule needing the same pattern rebuilds and back-fills it.
 func (n *Network) maybeGCAlpha(am *alphaMem) {
 	if len(am.successors) > 0 || n.alphaByKey[am.key] != am {
 		return
 	}
 	delete(n.alphaByKey, am.key)
-	list := n.alphaByClass[am.class]
-	for i, x := range list {
-		if x == am {
-			n.alphaByClass[am.class] = append(list[:i], list[i+1:]...)
-			break
-		}
-	}
-	if len(n.alphaByClass[am.class]) == 0 {
-		delete(n.alphaByClass, am.class)
-	}
 	n.discDetach(am)
 	am.items = nil
 }

@@ -13,43 +13,20 @@ import (
 // assertAlphaConsistent checks the discrimination network's structural
 // invariants against the alpha-memory registries:
 //
-//   - alphaByKey and alphaByClass describe the same memory set, and no
-//     registered memory is successor-less (maybeGCAlpha missed it);
-//   - on alpha-indexed networks every memory holds a discrimination
-//     path whose terminal node carries it, every node's ref count
-//     equals the number of registered paths through it, and the trees
-//     contain no nodes beyond those paths (no GC leaks), no empty
-//     buckets or attribute roots, and no unpruned empty levels;
+//   - no registered memory is successor-less (maybeGCAlpha missed it);
+//   - every memory holds a discrimination path whose terminal node
+//     carries it, every node's ref count equals the number of
+//     registered paths through it, and the trees contain no nodes
+//     beyond those paths (no GC leaks), no empty buckets or attribute
+//     roots, and no unpruned empty levels;
 //   - each level's eqAttrs is sorted and mirrors its eqRoots keys, so
 //     routing stays deterministic.
 func assertAlphaConsistent(t *testing.T, n *Network) {
 	t.Helper()
-	byClass := 0
-	for class, list := range n.alphaByClass {
-		if len(list) == 0 {
-			t.Errorf("alphaByClass[%s] is registered but empty", class)
-		}
-		for _, am := range list {
-			byClass++
-			if n.alphaByKey[am.key] != am {
-				t.Errorf("alpha %s in alphaByClass but not alphaByKey", am.key)
-			}
-		}
-	}
-	if byClass != len(n.alphaByKey) {
-		t.Errorf("alphaByClass holds %d mems, alphaByKey %d", byClass, len(n.alphaByKey))
-	}
 	for key, am := range n.alphaByKey {
 		if len(am.successors) == 0 {
 			t.Errorf("alpha %s has no successors; maybeGCAlpha should have collected it", key)
 		}
-	}
-
-	if !n.alphaIndexing {
-		if len(n.disc) != 0 {
-			t.Errorf("non-indexing network holds %d discrimination trees", len(n.disc))
-		}
-		return
 	}
 
 	// Recompute every node's expected ref count from the registered
@@ -413,14 +390,13 @@ func TestRemoveRuleUnderBetaSharing(t *testing.T) {
 // TestRuleChurnOracle drives random add-rule / remove-rule / WME churn
 // against a naive matcher rebuilt from the live rule set at every
 // step: alpha GC and back-fill under sharing must never change what
-// matches. Runs over the routed and the linear alpha walk.
+// matches.
 func TestRuleChurnOracle(t *testing.T) {
 	variants := []struct {
 		name  string
 		build func() *Network
 	}{
 		{"planned", New},
-		{"linear", NewLinear},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {

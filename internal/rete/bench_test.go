@@ -80,10 +80,9 @@ func BenchmarkChurn(b *testing.B) {
 
 // BenchmarkJoinDepth isolates the cost the hashed memories remove: a
 // four-deep equality chain over resident reference classes of 256
-// keys each. Every c0 insert activates the whole chain; the linear
-// network scans each opposite memory in full (O(keys) per level)
-// while the indexed network probes single-entry buckets. This is the
-// E17 ≥2× acceptance benchmark (EXPERIMENTS.md).
+// keys each. Every c0 insert activates the whole chain; the indexed
+// network probes single-entry buckets where TREAT re-joins the
+// resident memories.
 func BenchmarkJoinDepth(b *testing.B) {
 	const keys, depth = 256, 4
 	for _, v := range []struct {
@@ -91,7 +90,6 @@ func BenchmarkJoinDepth(b *testing.B) {
 		mk   func() match.Matcher
 	}{
 		{"indexed", func() match.Matcher { return New() }},
-		{"linear", func() match.Matcher { return NewLinear() }},
 		{"treat", func() match.Matcher { return treat.New() }},
 	} {
 		b.Run(v.name, func(b *testing.B) {
@@ -120,10 +118,9 @@ func BenchmarkJoinDepth(b *testing.B) {
 
 // BenchmarkPlanMisordered is the cost planner's acceptance shape
 // (E21): a rule whose source order lists two wide reference classes
-// before the selective pattern and the task. Source-order compilation
-// ("src") joins every insert through the wide cross first; the
-// planned network ("planned") hoists the selective CE and answers
-// cold keys from an empty bucket.
+// before the selective pattern and the task. The planned network
+// hoists the selective CE and answers cold keys from an empty bucket
+// instead of joining every insert through the wide cross.
 func BenchmarkPlanMisordered(b *testing.B) {
 	const keys, width = 256, 8
 	kv := func() []match.AttrTest {
@@ -145,46 +142,38 @@ func BenchmarkPlanMisordered(b *testing.B) {
 		},
 		Actions: []match.Action{{Kind: match.ActHalt}},
 	}
-	for _, v := range []struct {
-		name string
-		mk   func() *Network
-	}{
-		{"planned", New},
-		{"src", NewSourceOrder},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			n := v.mk()
-			if err := n.AddRule(rule); err != nil {
-				b.Fatal(err)
+	b.Run("planned", func(b *testing.B) {
+		n := New()
+		if err := n.AddRule(rule); err != nil {
+			b.Fatal(err)
+		}
+		s := wm.NewStore()
+		for k := 0; k < keys; k++ {
+			n.Insert(s.Insert("task", map[string]wm.Value{"k": wm.Int(int64(k)), "done": wm.Bool(false)}))
+			for c := 0; c < width; c++ {
+				n.Insert(s.Insert("wide0", map[string]wm.Value{"k": wm.Int(int64(k)), "v": wm.Int(int64(c))}))
+				n.Insert(s.Insert("wide1", map[string]wm.Value{"k": wm.Int(int64(k)), "v": wm.Int(int64(c))}))
 			}
-			s := wm.NewStore()
-			for k := 0; k < keys; k++ {
-				n.Insert(s.Insert("task", map[string]wm.Value{"k": wm.Int(int64(k)), "done": wm.Bool(false)}))
-				for c := 0; c < width; c++ {
-					n.Insert(s.Insert("wide0", map[string]wm.Value{"k": wm.Int(int64(k)), "v": wm.Int(int64(c))}))
-					n.Insert(s.Insert("wide1", map[string]wm.Value{"k": wm.Int(int64(k)), "v": wm.Int(int64(c))}))
-				}
-				if k%16 == 0 {
-					n.Insert(s.Insert("sel", map[string]wm.Value{"k": wm.Int(int64(k)), "hot": wm.Bool(true)}))
-				}
+			if k%16 == 0 {
+				n.Insert(s.Insert("sel", map[string]wm.Value{"k": wm.Int(int64(k)), "hot": wm.Bool(true)}))
 			}
-			// Every hot key (one in 16) matches width×width times.
-			base := n.ConflictSet().Len()
-			if want := (keys + 15) / 16 * width * width; base != want {
-				b.Fatalf("conflict set = %d, want %d", base, want)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				w := s.Insert("wide0", map[string]wm.Value{"k": wm.Int(int64(i%keys | 1)), "v": wm.Int(-1)})
-				n.Insert(w)
-				n.Remove(w)
-			}
-			b.StopTimer()
-			if n.ConflictSet().Len() != base {
-				b.Fatal("churn leaked instantiations")
-			}
-		})
-	}
+		}
+		// Every hot key (one in 16) matches width×width times.
+		base := n.ConflictSet().Len()
+		if want := (keys + 15) / 16 * width * width; base != want {
+			b.Fatalf("conflict set = %d, want %d", base, want)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			w := s.Insert("wide0", map[string]wm.Value{"k": wm.Int(int64(i%keys | 1)), "v": wm.Int(-1)})
+			n.Insert(w)
+			n.Remove(w)
+		}
+		b.StopTimer()
+		if n.ConflictSet().Len() != base {
+			b.Fatal("churn leaked instantiations")
+		}
+	})
 }
 
 // BenchmarkAddRuleSeeding measures late rule addition against a
@@ -217,10 +206,9 @@ func BenchmarkAddRuleSeeding(b *testing.B) {
 // fanoutRules is the ManyRulesFanout rule shape at matcher level:
 // nRules single-CE rules over one event class with overlapping
 // constant tests (a category shared by nRules/16 rules, a priority
-// band, and a live flag shared by all). The linear alpha network
-// evaluates every rule's predicate closure per assert; the
-// discrimination network answers with one hash probe plus the shared
-// residual tests.
+// band, and a live flag shared by all). The discrimination network
+// answers each assert with one hash probe plus the shared residual
+// tests.
 func fanoutRules(nRules int) []*match.Rule {
 	cats := 16
 	if nRules < cats {
@@ -246,56 +234,47 @@ func fanoutRules(nRules int) []*match.Rule {
 
 // BenchmarkAlphaFanout measures the alpha assert path as rule count
 // grows (E22): insert/remove churn of events through R single-CE
-// rules, mostly cold events matching no rule (the common case — a
-// linear alpha network still walks all R memories) with every fourth
-// event hot (owned by exactly one rule). "disc" routes through the
-// shared discrimination network; "linear" is the per-class list walk.
+// rules, mostly cold events matching no rule (the common case) with
+// every fourth event hot (owned by exactly one rule), routed through
+// the shared discrimination network.
 func BenchmarkAlphaFanout(b *testing.B) {
 	for _, rules := range []int{16, 64, 256} {
-		for _, v := range []struct {
-			name string
-			mk   func() *Network
-		}{
-			{"disc", New},
-			{"linear", NewLinear},
-		} {
-			b.Run(fmt.Sprintf("%s/R%d", v.name, rules), func(b *testing.B) {
-				m := v.mk()
-				for _, r := range fanoutRules(rules) {
-					if err := m.AddRule(r); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("disc/R%d", rules), func(b *testing.B) {
+			m := New()
+			for _, r := range fanoutRules(rules) {
+				if err := m.AddRule(r); err != nil {
+					b.Fatal(err)
 				}
-				// Pre-build the event pool so the loop times the assert
-				// path, not WME construction.
-				s := wm.NewStore()
-				events := make([]*wm.WME, 64)
-				for i := range events {
-					if i%4 == 0 {
-						r := i % rules
-						events[i] = s.Insert("event", map[string]wm.Value{
-							"cat": wm.Int(int64(r % 16)), "pri": wm.Int(int64(r / 16)), "live": wm.Bool(true)})
-						continue
-					}
+			}
+			// Pre-build the event pool so the loop times the assert
+			// path, not WME construction.
+			s := wm.NewStore()
+			events := make([]*wm.WME, 64)
+			for i := range events {
+				if i%4 == 0 {
+					r := i % rules
 					events[i] = s.Insert("event", map[string]wm.Value{
-						"cat": wm.Int(int64(i % 16)), "pri": wm.Int(int64(rules)), "live": wm.Bool(true)})
+						"cat": wm.Int(int64(r % 16)), "pri": wm.Int(int64(r / 16)), "live": wm.Bool(true)})
+					continue
 				}
-				m.Insert(events[0])
-				if m.ConflictSet().Len() != 1 {
-					b.Fatal("hot event did not match its rule")
-				}
-				m.Remove(events[0])
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					w := events[i%len(events)]
-					m.Insert(w)
-					m.Remove(w)
-				}
-				b.StopTimer()
-				if m.ConflictSet().Len() != 0 {
-					b.Fatal("churn leaked instantiations")
-				}
-			})
-		}
+				events[i] = s.Insert("event", map[string]wm.Value{
+					"cat": wm.Int(int64(i % 16)), "pri": wm.Int(int64(rules)), "live": wm.Bool(true)})
+			}
+			m.Insert(events[0])
+			if m.ConflictSet().Len() != 1 {
+				b.Fatal("hot event did not match its rule")
+			}
+			m.Remove(events[0])
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w := events[i%len(events)]
+				m.Insert(w)
+				m.Remove(w)
+			}
+			b.StopTimer()
+			if m.ConflictSet().Len() != 0 {
+				b.Fatal("churn leaked instantiations")
+			}
+		})
 	}
 }

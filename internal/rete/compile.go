@@ -70,9 +70,9 @@ func classifyCE(c match.Condition, i int, bound map[string]bindingPos) compiledC
 
 // AddRule validates and compiles a rule into the network. Rules may be
 // added after WMEs; the new nodes are seeded with existing matches.
-// With planning enabled the condition elements are reordered by the
-// static cost model (cost.go) before compilation; the emitted
-// instantiations are independent of the chosen order.
+// The condition elements are reordered by the static cost model
+// (cost.go) before compilation; the emitted instantiations are
+// independent of the chosen order.
 func (n *Network) AddRule(r *match.Rule) error {
 	if err := r.Validate(); err != nil {
 		return err
@@ -80,7 +80,7 @@ func (n *Network) AddRule(r *match.Rule) error {
 	if _, dup := n.rules[r.Name]; dup {
 		return errorf("duplicate rule %s", r.Name)
 	}
-	order, cost := n.planRule(r)
+	order, cost := planOrder(r)
 	n.chains[r.Name] = n.compileChain(r, order, cost)
 	n.rules[r.Name] = r
 	n.updatePlanGauges()
@@ -88,9 +88,9 @@ func (n *Network) AddRule(r *match.Rule) error {
 }
 
 // compileChain builds the rule's node chain in the given condition
-// order (order[level] = original CE index). Beta-prefix sharing: when
-// the network allows it, a level whose structural prefix (alpha
-// pattern, negation and join tests of every level up to it) equals an
+// order (order[level] = original CE index). Beta-prefix sharing: a
+// level whose structural prefix (alpha pattern, negation and join
+// tests of every level up to it) equals an
 // existing rule's prefix reuses that rule's join/memory nodes instead
 // of building and seeding new ones. The final positive join is always
 // exclusive — it feeds this rule's production directly.
@@ -147,9 +147,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 					neg.onToken(t)
 				}
 				bl = &betaLevel{key: prefix, parent: source, neg: neg}
-				if n.sharing {
-					n.betaLevels[prefix] = bl
-				}
+				n.betaLevels[prefix] = bl
 			}
 			bl.refs++
 			rc.levels = append(rc.levels, bl)
@@ -186,9 +184,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 				join.onToken(t)
 			}
 			bl = &betaLevel{key: prefix, parent: source, join: join, mem: mem}
-			if n.sharing {
-				n.betaLevels[prefix] = bl
-			}
+			n.betaLevels[prefix] = bl
 		}
 		bl.refs++
 		rc.levels = append(rc.levels, bl)
@@ -252,10 +248,7 @@ func (n *Network) alphaMemFor(class string, consts []match.AttrTest, intras []in
 		},
 	}
 	n.alphaByKey[key] = am
-	n.alphaByClass[class] = append(n.alphaByClass[class], am)
-	if n.alphaIndexing {
-		n.discAttach(am, cs, is, ps)
-	}
+	n.discAttach(am, cs, is, ps)
 	for w := range n.wmes {
 		if w.Class == class && am.pred(w) {
 			am.items[w] = true

@@ -157,31 +157,3 @@ func planOrder(r *match.Rule) ([]int, float64) {
 	}
 	return order, total
 }
-
-// planCostFor evaluates a fixed order with the same formulas the
-// planner uses.
-func planCostFor(r *match.Rule, order []int) float64 {
-	bound := make(map[string]bindingPos)
-	tokens, total := 1.0, 0.0
-	for lvl, idx := range order {
-		out, cost := placeCost(r.Conditions[idx], lvl, bound, tokens)
-		classifyCE(r.Conditions[idx], lvl, bound)
-		tokens = out
-		total += cost
-	}
-	return total
-}
-
-// planRule chooses the compile-time order: source order when planning
-// is off (its cost is still estimated, for the plan gauge), otherwise
-// the static greedy plan.
-func (n *Network) planRule(r *match.Rule) ([]int, float64) {
-	if !n.planning {
-		order := make([]int, len(r.Conditions))
-		for i := range order {
-			order[i] = i
-		}
-		return order, planCostFor(r, order)
-	}
-	return planOrder(r)
-}

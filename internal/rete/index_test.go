@@ -24,12 +24,13 @@ func chainRule(name string, depth int) *match.Rule {
 }
 
 // TestIndexedJoinChain cross-checks a three-deep equality chain between
-// the indexed and linear networks under insert/remove churn, including
-// cross-kind numeric keys (Int vs Float).
+// the indexed network and the naive reference matcher under
+// insert/remove churn, including cross-kind numeric keys (Int vs
+// Float).
 func TestIndexedJoinChain(t *testing.T) {
-	idx, lin := New(), NewLinear()
-	for _, n := range []*Network{idx, lin} {
-		if err := n.AddRule(chainRule("chain", 3)); err != nil {
+	idx, ref := New(), match.NewNaive()
+	for _, m := range []match.Matcher{idx, ref} {
+		if err := m.AddRule(chainRule("chain", 3)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -45,9 +46,9 @@ func TestIndexedJoinChain(t *testing.T) {
 		w := s.Insert(fmt.Sprintf("c%d", i%3), map[string]wm.Value{"k": k})
 		ws = append(ws, w)
 		idx.Insert(w)
-		lin.Insert(w)
-		if a, b := idx.ConflictSet().Len(), lin.ConflictSet().Len(); a != b {
-			t.Fatalf("insert %d: indexed=%d linear=%d", i, a, b)
+		ref.Insert(w)
+		if a, b := idx.ConflictSet().Len(), ref.ConflictSet().Len(); a != b {
+			t.Fatalf("insert %d: indexed=%d naive=%d", i, a, b)
 		}
 	}
 	if idx.ConflictSet().Len() == 0 {
@@ -55,9 +56,9 @@ func TestIndexedJoinChain(t *testing.T) {
 	}
 	for i, w := range ws {
 		idx.Remove(w)
-		lin.Remove(w)
-		if a, b := idx.ConflictSet().Len(), lin.ConflictSet().Len(); a != b {
-			t.Fatalf("remove %d: indexed=%d linear=%d", i, a, b)
+		ref.Remove(w)
+		if a, b := idx.ConflictSet().Len(), ref.ConflictSet().Len(); a != b {
+			t.Fatalf("remove %d: indexed=%d naive=%d", i, a, b)
 		}
 	}
 	if n := idx.ConflictSet().Len(); n != 0 {

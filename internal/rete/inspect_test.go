@@ -53,19 +53,6 @@ func TestTopologyAndSharing(t *testing.T) {
 		t.Fatalf("shared betas = %d, want 2", top.SharedBeta)
 	}
 
-	// Source-order compilation without sharing keeps the PR 4 shape:
-	// two joins and two beta mems per rule, nothing shared below alpha.
-	src := NewSourceOrder()
-	if err := src.AddRule(mk("r1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := src.AddRule(mk("r2")); err != nil {
-		t.Fatal(err)
-	}
-	stop := src.Topology()
-	if stop.JoinNodes != 4 || stop.NegNodes != 2 || stop.MemNodes != 5 || stop.SharedBeta != 0 {
-		t.Fatalf("source-order topology = %+v", stop)
-	}
 }
 
 func TestDotOutput(t *testing.T) {

@@ -120,23 +120,17 @@ func sameConflictSets(t *testing.T, seed int64, a, b *match.ConflictSet) {
 }
 
 // constructors are the network variants every oracle test must agree
-// on: hashed planned memories (the default), source-order compilation,
-// the unindexed linear fallback, and the planned network behind the
-// multi-shard wrapper.
+// on: the hashed planned network. The naive matcher joins in source
+// order, so agreement also proves planned instantiation keys equal
+// source-order ones.
 var constructors = []struct {
 	name  string
 	build func() match.Matcher
 }{
 	{"planned", func() match.Matcher { return New() }},
-	{"source-order", func() match.Matcher { return NewSourceOrder() }},
-	{"linear", func() match.Matcher { return NewLinear() }},
-	{"sharded-planned", func() match.Matcher {
-		return match.NewSharded(3, func() match.Matcher { return New() })
-	}},
 }
 
-// TestReteMatchesNaiveOracle drives each Rete variant (indexed,
-// linear, and indexed behind a multi-shard wrapper) and the naive
+// TestReteMatchesNaiveOracle drives each Rete variant and the naive
 // matcher with identical random rule sets and random insert/remove
 // streams and requires identical conflict sets after every step.
 func TestReteMatchesNaiveOracle(t *testing.T) {

@@ -109,9 +109,7 @@ func (n *Network) removeChain(rc *ruleChain) {
 			bl.neg.amem.removeSuccessor(bl.neg)
 			n.maybeGCAlpha(bl.neg.amem)
 		}
-		if n.sharing {
-			delete(n.betaLevels, bl.key)
-		}
+		delete(n.betaLevels, bl.key)
 	}
 	if rc.lastJoin != nil {
 		rc.lastParent.removeChildSink(rc.lastJoin)

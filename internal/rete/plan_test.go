@@ -96,14 +96,6 @@ func TestStaticPlanOrdering(t *testing.T) {
 		t.Fatalf("plan rendering = %q", s)
 	}
 
-	// Source-order compilation must report identity orders.
-	src := NewSourceOrder()
-	if err := src.AddRule(misordered); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := src.Plans()[0].Order, []int{0, 1}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("source-order plan = %v, want %v", got, want)
-	}
 }
 
 // TestSharedPrefixSeeding checks that a rule added late shares the

@@ -5,8 +5,7 @@
 // elements, and token-tree deletion so removals are as incremental as
 // insertions. Structure follows Doorenbos's "Production Matching for
 // Large Learning Systems" basic algorithm with hashed alpha and beta
-// memories (see index.go), without unlinking. NewLinear builds the
-// unindexed basic algorithm for comparison.
+// memories (see index.go), without unlinking.
 package rete
 
 import (
@@ -103,7 +102,7 @@ func runTests(tests []joinTest, parent *token, w *wm.WME) bool {
 // alphaMem holds the WMEs passing one constant-test pattern. Alpha
 // memories are shared between rules with identical patterns. disc is
 // the pattern's location in the class's discrimination network
-// (alpha.go), nil on linear networks.
+// (alpha.go).
 type alphaMem struct {
 	key        string
 	class      string
@@ -199,10 +198,7 @@ type joinNode struct {
 // side starts empty: the compiler left-activates it with every
 // existing upstream token, which fills the index through onToken.
 func newJoinNode(net *Network, parent betaSource, amem *alphaMem, tests []joinTest, out pairSink) *joinNode {
-	j := &joinNode{net: net, parent: parent, amem: amem, tests: tests, out: out}
-	if net.indexing {
-		j.eq = eqSubset(tests)
-	}
+	j := &joinNode{net: net, parent: parent, amem: amem, tests: tests, out: out, eq: eqSubset(tests)}
 	if len(j.eq) > 0 {
 		j.left = make(map[string][]*token)
 		j.right = seedRightIndex(j.eq, amem)
@@ -307,10 +303,7 @@ type negNode struct {
 // newNegNode builds a negative node over the already-populated alpha
 // memory, seeding the WME-side index when indexable.
 func newNegNode(net *Network, amem *alphaMem, tests []joinTest) *negNode {
-	n := &negNode{net: net, amem: amem, tests: tests}
-	if net.indexing {
-		n.eq = eqSubset(tests)
-	}
+	n := &negNode{net: net, amem: amem, tests: tests, eq: eqSubset(tests)}
 	if len(n.eq) > 0 {
 		n.left = make(map[string][]*token)
 		n.right = seedRightIndex(n.eq, amem)
@@ -504,15 +497,14 @@ func (p *prodNode) activateToken(t *token, bookkeepingLevel bool) {
 
 // Network is the Rete matcher. It implements match.Matcher.
 type Network struct {
-	alphaByClass map[string][]*alphaMem
-	alphaByKey   map[string]*alphaMem
-	top          *memNode
-	dummy        *token
-	rules        map[string]*match.Rule
-	cs           *match.ConflictSet
-	wmes         map[*wm.WME]bool
-	tokensByWME  map[*wm.WME][]*token
-	jrOwners     map[*wm.WME][]*token // tokens whose joinResults include the WME
+	alphaByKey  map[string]*alphaMem
+	top         *memNode
+	dummy       *token
+	rules       map[string]*match.Rule
+	cs          *match.ConflictSet
+	wmes        map[*wm.WME]bool
+	tokensByWME map[*wm.WME][]*token
+	jrOwners    map[*wm.WME][]*token // tokens whose joinResults include the WME
 
 	// disc holds each class's constant-test discrimination network
 	// (alpha.go); amemScratch and akbuf are pooled assert-path scratch
@@ -522,19 +514,6 @@ type Network struct {
 	amemScratch []*alphaMem
 	akbuf       []byte
 
-	// indexing selects hashed memories for joins with equality tests;
-	// it must be set before AddRule (join nodes capture it at compile).
-	indexing bool
-	// alphaIndexing routes asserts/retracts through the discrimination
-	// network instead of the linear per-class alpha list. Must be set
-	// before AddRule (patterns attach at compile).
-	alphaIndexing bool
-	// planning reorders condition elements by the static cost model
-	// (cost.go); sharing caches structurally-equal beta prefixes across
-	// rules (compile.go). Both must be set before AddRule.
-	planning bool
-	sharing  bool
-
 	betaLevels map[string]*betaLevel // shared beta prefixes by structural key
 	chains     map[string]*ruleChain // compiled chain per rule
 
@@ -542,45 +521,18 @@ type Network struct {
 }
 
 // New returns an empty network with hashed memories, cost-based
-// condition ordering and beta-prefix sharing enabled.
+// condition ordering and beta-prefix sharing.
 func New() *Network {
-	n := newNetwork()
-	n.indexing = true
-	n.alphaIndexing = true
-	n.planning = true
-	n.sharing = true
-	return n
-}
-
-// NewSourceOrder returns an indexed network that compiles joins in
-// rule-source order without beta sharing — the PR 4 network. It is the
-// before-side of the join-planning experiments (E21) and the
-// "rete-src" engine matcher.
-func NewSourceOrder() *Network {
-	n := newNetwork()
-	n.indexing = true
-	n.alphaIndexing = true
-	return n
-}
-
-// NewLinear returns an empty network using the unindexed basic
-// algorithm — every activation scans the opposite memory. It exists as
-// the before-side of the indexing experiments and as an oracle cross-
-// check; production configurations should use New.
-func NewLinear() *Network { return newNetwork() }
-
-func newNetwork() *Network {
 	n := &Network{
-		alphaByClass: make(map[string][]*alphaMem),
-		alphaByKey:   make(map[string]*alphaMem),
-		rules:        make(map[string]*match.Rule),
-		cs:           match.NewConflictSet(),
-		wmes:         make(map[*wm.WME]bool),
-		tokensByWME:  make(map[*wm.WME][]*token),
-		jrOwners:     make(map[*wm.WME][]*token),
-		betaLevels:   make(map[string]*betaLevel),
-		chains:       make(map[string]*ruleChain),
-		disc:         make(map[string]*classDisc),
+		alphaByKey:  make(map[string]*alphaMem),
+		rules:       make(map[string]*match.Rule),
+		cs:          match.NewConflictSet(),
+		wmes:        make(map[*wm.WME]bool),
+		tokensByWME: make(map[*wm.WME][]*token),
+		jrOwners:    make(map[*wm.WME][]*token),
+		betaLevels:  make(map[string]*betaLevel),
+		chains:      make(map[string]*ruleChain),
+		disc:        make(map[string]*classDisc),
 	}
 	n.top = &memNode{net: n}
 	n.dummy = &token{node: n.top}
@@ -606,38 +558,25 @@ func (n *Network) ConflictSet() *match.ConflictSet { return n.cs }
 func (n *Network) TrackChanges(on bool) { n.cs.TrackChanges(on) }
 
 // Insert adds a WME version to the network and propagates matches.
-// With alpha indexing the WME is routed through the discrimination
-// network (alpha.go) into pooled scratch; membership lands in every
-// matched memory before any successor activates, so a cascading
-// activation that reads another alpha memory of the same class sees a
-// consistent view. The linear fallback walks every memory of the
-// class and re-evaluates its predicate — the NewLinear baseline.
+// The WME is routed through the discrimination network (alpha.go)
+// into pooled scratch; membership lands in every matched memory before
+// any successor activates, so a cascading activation that reads
+// another alpha memory of the same class sees a consistent view.
 func (n *Network) Insert(w *wm.WME) {
 	if n.wmes[w] {
 		return
 	}
 	n.wmes[w] = true
-	if n.alphaIndexing {
-		mems := n.routeWME(w, n.amemScratch[:0])
-		for _, am := range mems {
-			am.items[w] = true
-		}
-		for _, am := range mems {
-			for _, s := range am.successors {
-				s.rightActivate(w)
-			}
-		}
-		n.amemScratch = mems[:0]
-		return
+	mems := n.routeWME(w, n.amemScratch[:0])
+	for _, am := range mems {
+		am.items[w] = true
 	}
-	for _, am := range n.alphaByClass[w.Class] {
-		if am.pred(w) {
-			am.items[w] = true
-			for _, s := range am.successors {
-				s.rightActivate(w)
-			}
+	for _, am := range mems {
+		for _, s := range am.successors {
+			s.rightActivate(w)
 		}
 	}
+	n.amemScratch = mems[:0]
 }
 
 // Remove retracts a WME version: tokens built on it are deleted, and
@@ -647,29 +586,18 @@ func (n *Network) Remove(w *wm.WME) {
 		return
 	}
 	delete(n.wmes, w)
-	if n.alphaIndexing {
-		// WME versions are immutable, so re-routing reproduces exactly
-		// the memories the insert matched (or the back-fill populated).
-		mems := n.routeWME(w, n.amemScratch[:0])
-		for _, am := range mems {
-			delete(am.items, w)
-		}
-		for _, am := range mems {
-			for _, s := range am.successors {
-				s.rightRetract(w)
-			}
-		}
-		n.amemScratch = mems[:0]
-	} else {
-		for _, am := range n.alphaByClass[w.Class] {
-			if am.items[w] {
-				delete(am.items, w)
-				for _, s := range am.successors {
-					s.rightRetract(w)
-				}
-			}
+	// WME versions are immutable, so re-routing reproduces exactly the
+	// memories the insert matched (or the back-fill populated).
+	mems := n.routeWME(w, n.amemScratch[:0])
+	for _, am := range mems {
+		delete(am.items, w)
+	}
+	for _, am := range mems {
+		for _, s := range am.successors {
+			s.rightRetract(w)
 		}
 	}
+	n.amemScratch = mems[:0]
 	// Delete the token trees rooted at tokens that matched w.
 	for _, t := range append([]*token(nil), n.tokensByWME[w]...) {
 		n.deleteToken(t)

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"runtime"
@@ -285,5 +286,39 @@ func TestStorageRestart(t *testing.T) {
 	}
 	if rec.Store.Len() != 0 {
 		t.Fatalf("final recovered store has %d WMEs, want 0", rec.Store.Len())
+	}
+}
+
+// TestRefusedCreateLeavesStorageUnseeded creates a durable session with
+// an unknown matcher: the create must be refused before its storage
+// directory is opened, so a later create on the same directory starts
+// fresh instead of recovering the refused session's initial WME.
+func TestRefusedCreateLeavesStorageUnseeded(t *testing.T) {
+	srv := startServer(t, Config{StorageRoot: t.TempDir()})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	program := tenantProgram("r") + "\n(wme event ^tenant r ^seq 0)"
+
+	_, _, _, err = c.Create(program, SessionOptions{Matcher: "bogus", StorageDir: "tenant-r"})
+	var se *ServerError
+	if !errors.As(err, &se) || se.Code != CodeBadRequest {
+		t.Fatalf("bad matcher create: err = %v, want %s", err, CodeBadRequest)
+	}
+	if want := `engine: unknown matcher "bogus"`; se.Msg != want {
+		t.Fatalf("bad matcher create: message %q, want %q", se.Msg, want)
+	}
+
+	id, recovered, lsn, err := c.Create(program, SessionOptions{StorageDir: "tenant-r"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recovered != 0 || lsn != 0 {
+		t.Fatalf("create after a refused create recovered %d records (LSN %d); want 0, 0", recovered, lsn)
+	}
+	if err := c.CloseSession(id); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -312,6 +312,11 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 	if err != nil {
 		return errResp(q.ID, CodeBadRequest, err.Error())
 	}
+	// Refuse a bad matcher before opening storage: OpenDurable seeds
+	// the directory, which a refused create must leave untouched.
+	if err := engine.CheckMatcher(q.Options.Matcher); err != nil {
+		return errResp(q.ID, CodeBadRequest, err.Error())
+	}
 	opts := engine.Options{
 		Matcher:    q.Options.Matcher,
 		Strategy:   st,
@@ -353,7 +358,7 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 			sess.backend.Close()
 			s.releaseDir(sess.dir, id)
 		}
-		return errResp(q.ID, CodeBadRequest, fmt.Sprintf("engine: %v", err))
+		return errResp(q.ID, CodeBadRequest, err.Error())
 	}
 	sess.eng = eng
 

@@ -190,8 +190,8 @@ const (
 // create request. The zero value selects Rete matching, LEX conflict
 // resolution and the default firing bound.
 type SessionOptions struct {
-	// Matcher selects the match algorithm: "rete" (default), "treat",
-	// "naive" or "rete-linear".
+	// Matcher selects the match algorithm: "rete" (default), "treat"
+	// or "naive".
 	Matcher string `json:"matcher,omitempty"`
 	// Strategy selects conflict resolution: "lex" (default), "mea",
 	// "fifo" or "priority".

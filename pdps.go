@@ -471,17 +471,11 @@ type RetePlan = rete.RulePlan
 // Matcher is the incremental match interface every engine drives.
 type Matcher = match.Matcher
 
-// Matcher construction (for join-plan inspection; engines normally
-// select a matcher by name via Options.Matcher).
-var (
-	// NewReteNetwork returns an empty hashed-memory Rete network with
-	// cost-ordered joins and beta-prefix sharing.
-	NewReteNetwork = rete.New
-	// NewSourceOrderReteNetwork returns the indexed network compiling
-	// joins in rule-source order (the before-side of the E21 planning
-	// experiment).
-	NewSourceOrderReteNetwork = rete.NewSourceOrder
-)
+// NewReteNetwork returns an empty hashed-memory Rete network with
+// cost-ordered joins and beta-prefix sharing, for join-plan
+// inspection; engines normally select a matcher by name via
+// Options.Matcher.
+var NewReteNetwork = rete.New
 
 // CompileRete compiles the program's rules into a Rete network and
 // seeds it with the initial working memory.
