@@ -150,6 +150,9 @@ func (sh *shell) exec(out *os.File, line string) error {
 		} else {
 			fmt.Fprintf(out, "fired %s\n", fired)
 		}
+		if sh.session.Halted() {
+			fmt.Fprintln(out, "halted")
+		}
 	case "run":
 		n := 1000
 		if rest != "" {
@@ -164,6 +167,9 @@ func (sh *shell) exec(out *os.File, line string) error {
 			return err
 		}
 		fmt.Fprintf(out, "fired %d productions\n", fired)
+		if sh.session.Halted() {
+			fmt.Fprintln(out, "halted")
+		}
 	case "metrics":
 		snap := sh.session.Metrics().Snapshot()
 		if rest == "json" {

@@ -74,7 +74,8 @@ type Options struct {
 	// Strategy is the conflict-resolution strategy; nil means LEX.
 	Strategy cr.Strategy
 	// MaxFirings bounds the number of commits; 0 means 10000. When the
-	// bound is hit the run stops with Result.LimitHit set.
+	// bound is hit the run stops with Result.LimitHit set. A Session
+	// ignores it: each Session.Run call carries its own bound.
 	MaxFirings int
 	// Np is the worker (processor) count for parallel engines; 0 means 4.
 	Np int

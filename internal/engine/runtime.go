@@ -80,6 +80,42 @@ func (rt *runtime) candidates() []*match.Instantiation {
 	return out
 }
 
+// next returns the strategy's pick among the unfired candidates, or
+// nil when there is none.
+func (rt *runtime) next() *match.Instantiation {
+	cands := rt.candidates()
+	if len(cands) == 0 {
+		return nil
+	}
+	return rt.opts.Strategy.Select(cands)
+}
+
+// fire executes one selected instantiation serially — the act half of
+// the Section 3.1 recognize–act cycle that Single and Session share:
+// the optional Verify pre-check, the simulated rule cost, the actions,
+// the commit, and its own fsync group. It returns the first error,
+// including a storage failure latched in rt.err.
+func (rt *runtime) fire(in *match.Instantiation) error {
+	rt.fired[in.Key()] = true
+	if rt.opts.Verify && !verifyActive(rt.store, in) {
+		return fmt.Errorf("%w: %s selected while inactive", ErrInconsistent, in.Key())
+	}
+	if d := rt.opts.RuleDelay[in.Rule.Name]; d > 0 {
+		rt.opts.Clock.Sleep(d)
+	}
+	tx := rt.store.Begin()
+	halt, err := match.ExecuteActions(in, tx)
+	if err != nil {
+		tx.Abort()
+		return err
+	}
+	if err := rt.commit(in, tx, 0, halt); err != nil {
+		return err
+	}
+	rt.syncStorage()
+	return rt.err
+}
+
 // fail records the first run error.
 func (rt *runtime) fail(err error) {
 	if rt.err == nil {

@@ -36,9 +36,7 @@ func (s *Session) Store() *wm.Store { return s.rt.store }
 func (s *Session) Metrics() *obs.Registry { return s.rt.opts.Metrics }
 
 // ConflictSet returns the current unfired instantiations.
-func (s *Session) ConflictSet() []*match.Instantiation {
-	return s.rt.candidates()
-}
+func (s *Session) ConflictSet() []*match.Instantiation { return s.rt.candidates() }
 
 // AssertWME adds a tuple to working memory and updates the match state.
 func (s *Session) AssertWME(class string, attrs map[string]wm.Value) *wm.WME {
@@ -58,38 +56,36 @@ func (s *Session) Retract(id int64) error {
 }
 
 // Step fires one production (selected by the session's strategy) and
-// returns its rule name, or "" if the system is quiescent.
+// returns its rule name, or "" if the system is quiescent. Once a
+// storage failure has been recorded the session is fail-stopped: Step
+// fires nothing and returns that error, so memory never runs ahead of
+// the disk.
 func (s *Session) Step() (string, error) {
-	cands := s.rt.candidates()
-	if len(cands) == 0 {
+	s.rt.halted = false
+	if s.rt.err != nil {
+		return "", s.rt.err
+	}
+	in := s.rt.next()
+	if in == nil {
 		return "", nil
 	}
-	in := s.rt.opts.Strategy.Select(cands)
-	tx := s.rt.store.Begin()
-	halt, err := match.ExecuteActions(in, tx)
-	if err != nil {
-		tx.Abort()
-		return "", err
-	}
-	if err := s.rt.commit(in, tx, 0, halt); err != nil {
-		return "", err
-	}
-	s.rt.syncStorage()
-	return in.Rule.Name, s.rt.err
+	return in.Rule.Name, s.rt.fire(in)
 }
 
-// Run fires up to max productions and returns how many fired.
-func (s *Session) Run(max int) (int, error) {
-	n := 0
-	for n < max {
+// Halted reports whether the last Step executed a halt action.
+func (s *Session) Halted() bool { return s.rt.halted }
+
+// Run fires up to max productions, stopping early at quiescence or a
+// halt, and returns how many fired.
+func (s *Session) Run(max int) (n int, err error) {
+	for ; n < max; n++ {
 		name, err := s.Step()
-		if err != nil {
+		if err != nil || name == "" {
 			return n, err
 		}
-		if name == "" {
-			return n, nil
+		if s.Halted() {
+			return n + 1, nil
 		}
-		n++
 	}
 	return n, nil
 }

@@ -1,9 +1,6 @@
 package engine
 
 import (
-	"fmt"
-
-	"pdps/internal/match"
 	"pdps/internal/obs"
 	"pdps/internal/trace"
 	"pdps/internal/wm"
@@ -41,35 +38,14 @@ func (e *Single) Run() (Result, error) {
 			rt.limit = true
 			return rt.result(), nil
 		}
-		cands := rt.candidates()
-		if len(cands) == 0 {
+		in := rt.next()
+		if in == nil {
 			return rt.result(), nil
 		}
 		rt.met.cycleInc()
-		in := rt.opts.Strategy.Select(cands)
-		key := in.Key()
-		rt.fired[key] = true
-		rt.opts.Log.Append(trace.Event{Kind: trace.KindFire, Rule: in.Rule.Name, Inst: key})
-
-		if rt.opts.Verify && !verifyActive(rt.store, in) {
-			return rt.result(), fmt.Errorf("%w: %s selected while inactive", ErrInconsistent, key)
-		}
-		if d := rt.opts.RuleDelay[in.Rule.Name]; d > 0 {
-			rt.opts.Clock.Sleep(d)
-		}
-		tx := rt.store.Begin()
-		halt, err := match.ExecuteActions(in, tx)
-		if err != nil {
-			tx.Abort()
+		rt.opts.Log.Append(trace.Event{Kind: trace.KindFire, Rule: in.Rule.Name, Inst: in.Key()})
+		if err := rt.fire(in); err != nil || rt.halted {
 			return rt.result(), err
-		}
-		if err := rt.commit(in, tx, 0, halt); err != nil {
-			return rt.result(), err
-		}
-		// Serial recognize-act: every commit is its own fsync group.
-		rt.syncStorage()
-		if rt.halted || rt.err != nil {
-			return rt.result(), rt.err
 		}
 	}
 }

@@ -17,8 +17,8 @@ import (
 // batch is equivalent to firing its members in any serial order.
 type Static struct {
 	rt *runtime
-	// im is the pairwise rule-interference relation, shared with the
-	// hybrid elision path of the Parallel engine.
+	// im is the pairwise rule-interference relation — the paper's
+	// pre-execution analysis that partitions each batch.
 	im *match.InterferenceMatrix
 }
 

@@ -222,7 +222,7 @@ func (c *Client) Retract(session string, id int64) error {
 	return err
 }
 
-// Run fires up to max productions (0 means the session bound),
+// Run fires up to max productions (0 means the server's default),
 // collecting the streamed trace batches until the run summary.
 func (c *Client) Run(session string, max int) (RunResult, error) {
 	ch, cancel, err := c.call(&Request{Type: ReqRun, Session: session, Max: max})

@@ -318,10 +318,9 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 		return errResp(q.ID, CodeBadRequest, err.Error())
 	}
 	opts := engine.Options{
-		Matcher:    q.Options.Matcher,
-		Strategy:   st,
-		MaxFirings: q.Options.MaxFirings,
-		Clock:      s.cfg.Clock,
+		Matcher:  q.Options.Matcher,
+		Strategy: st,
+		Clock:    s.cfg.Clock,
 	}
 
 	id := fmt.Sprintf("s%06d", s.nextSess.Add(1))

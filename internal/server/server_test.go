@@ -2,6 +2,7 @@ package server
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -342,6 +343,70 @@ func TestHaltStreams(t *testing.T) {
 	}
 	if !sawHalt {
 		t.Fatal("halt event not streamed")
+	}
+	// A halt ends one run, not the session: the next run fires the
+	// second event (and halts on it).
+	res, err = c.Run(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Fired != 1 || !res.Halted {
+		t.Fatalf("second run = %+v, want 1 firing then halt", res)
+	}
+}
+
+// TestSessionAllocFlat: the bytes allocated per firing stay flat over a
+// session's length. A server path that copied the whole trace log per
+// step would make late cycles cost proportionally to the log. The
+// workload is the svc-* shape: one session, 250 assert+run cycles of 8
+// tuples, 16 firings each.
+func TestSessionAllocFlat(t *testing.T) {
+	const cycles, tuples, window = 250, 8, 10
+	srv := startServer(t, Config{})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id, _, _, err := c.Create(tenantProgram("a"), SessionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.TotalAlloc
+	}
+	var start, early, lateStart uint64
+	seq := 0
+	for cyc := 0; cyc < cycles; cyc++ {
+		switch cyc {
+		case 0:
+			start = alloc()
+		case window:
+			early = alloc() - start
+		case cycles - window:
+			lateStart = alloc()
+		}
+		batch := make([]string, tuples)
+		for i := range batch {
+			seq++
+			batch[i] = eventTuple("a", seq)
+		}
+		if _, err := c.Assert(id, batch...); err != nil {
+			t.Fatal(err)
+		}
+		res, err := c.Run(id, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Fired != 2*tuples || !res.Quiescent {
+			t.Fatalf("cycle %d: run = %+v, want %d firings to quiescence", cyc, res, 2*tuples)
+		}
+	}
+	if late := alloc() - lateStart; late > 2*early {
+		t.Fatalf("last %d cycles allocated %d B, first %d allocated %d B: per-firing cost grows with session length",
+			window, late, window, early)
 	}
 }
 

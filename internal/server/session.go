@@ -15,6 +15,9 @@ import (
 // streaming a trace push frame to the client.
 const runFlushEvery = 32
 
+// runMaxDefault bounds a run command that names no Max.
+const runMaxDefault = 10000
+
 // task is one queued command plus the connection its replies go to.
 // fn, when non-nil, is a direct actor callback — the seam the
 // backpressure tests use to occupy the actor deterministically.
@@ -232,18 +235,18 @@ func (s *session) logDurable(d *wm.Delta) error {
 }
 
 // handleRun steps the recognize-act cycle up to Max firings (0 means
-// the session's MaxFirings bound), streaming trace batches to the
-// requesting connection every runFlushEvery commits and finishing with
-// the run summary. A teardown mid-run aborts between steps; the
-// firings already committed stay committed (and, durably, synced).
+// runMaxDefault), streaming trace batches to the requesting connection
+// every runFlushEvery commits and finishing with the run summary. A
+// halt ends the run; the next run command fires again. A teardown
+// mid-run aborts between steps; the firings already committed stay
+// committed (and, durably, synced).
 func (s *session) handleRun(t task) {
 	max := t.req.Max
 	if max <= 0 {
-		max = 10000
+		max = runMaxDefault
 	}
-	fired := 0
-	quiescent, halted := false, false
-	for fired < max {
+	res := &Response{Type: RespRun, ID: t.req.ID, Session: s.id}
+	for res.Fired < max {
 		if s.stopped() {
 			s.flushTrace(t, true, false)
 			t.c.sendErr(t.req, CodeClosed, "session "+s.id+" closed mid-run")
@@ -256,47 +259,34 @@ func (s *session) handleRun(t task) {
 			return
 		}
 		if name == "" {
-			quiescent = true
+			res.Quiescent = true
 			break
 		}
-		fired++
-		if s.sawHalt() {
-			halted = true
+		res.Fired++
+		if res.Halted = s.eng.Halted(); res.Halted {
 			break
 		}
-		if fired%runFlushEvery == 0 {
+		if res.Fired%runFlushEvery == 0 {
 			s.flushTrace(t, true, false)
 		}
 	}
 	s.flushTrace(t, true, false)
-	t.c.send(&Response{Type: RespRun, ID: t.req.ID, Session: s.id,
-		Fired: fired, Halted: halted, Quiescent: quiescent})
-}
-
-// sawHalt reports whether an un-streamed halt event is in the log.
-func (s *session) sawHalt() bool {
-	for _, e := range s.eng.Log().Events()[s.traceSeq:] {
-		if e.Kind == trace.KindHalt {
-			return true
-		}
-	}
-	return false
+	t.c.send(res)
 }
 
 // flushTrace streams the log events appended since the last flush.
 // Mid-run pushes set More and skip empty batches; a terminal flush
 // (explicit trace request) always answers, even with zero events.
 func (s *session) flushTrace(t task, more, always bool) {
-	events := s.eng.Log().Events()
-	fresh := events[s.traceSeq:]
-	s.traceSeq = len(events)
-	if len(fresh) == 0 && !always {
+	var out []TraceEvent
+	s.eng.Log().Range(s.traceSeq, func(e trace.Event) bool {
+		out = append(out, TraceEvent{Seq: e.Seq, Kind: e.Kind.String(), Rule: e.Rule,
+			Inst: e.Inst, Detail: e.Detail, WMEs: e.WMEs})
+		return true
+	})
+	s.traceSeq += len(out)
+	if len(out) == 0 && !always {
 		return
-	}
-	out := make([]TraceEvent, len(fresh))
-	for i, e := range fresh {
-		out[i] = TraceEvent{Seq: e.Seq, Kind: e.Kind.String(), Rule: e.Rule,
-			Inst: e.Inst, Detail: e.Detail, WMEs: e.WMEs}
 	}
 	s.srv.met.commitsStreamed.Add(int64(len(out)))
 	t.c.send(&Response{Type: RespTrace, ID: t.req.ID, Session: s.id, More: more, Events: out})

@@ -187,8 +187,8 @@ const (
 )
 
 // SessionOptions is the per-tenant engine configuration carried by a
-// create request. The zero value selects Rete matching, LEX conflict
-// resolution and the default firing bound.
+// create request. The zero value selects Rete matching and LEX
+// conflict resolution; each run command carries its own firing bound.
 type SessionOptions struct {
 	// Matcher selects the match algorithm: "rete" (default), "treat"
 	// or "naive".
@@ -196,8 +196,6 @@ type SessionOptions struct {
 	// Strategy selects conflict resolution: "lex" (default), "mea",
 	// "fifo" or "priority".
 	Strategy string `json:"strategy,omitempty"`
-	// MaxFirings bounds a single run command; 0 means 10000.
-	MaxFirings int `json:"max_firings,omitempty"`
 	// StorageDir, when non-empty, opens a durable file backend under
 	// the server's storage root: ingested events and committed firings
 	// are logged and fsynced, and re-creating a session on the same

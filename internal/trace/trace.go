@@ -8,7 +8,6 @@ package trace
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Kind discriminates event types.
@@ -64,9 +63,6 @@ type Event struct {
 	// WMEs holds content fingerprints of the matched WMEs at commit
 	// time, used by the post-hoc consistency checker.
 	WMEs []string
-	// At is the wall-clock time the event was logged, for latency
-	// analysis (e.g. writer commit latency under the two schemes).
-	At time.Time
 }
 
 // String renders the event compactly.
@@ -87,13 +83,11 @@ type Log struct {
 // New returns an empty log.
 func New() *Log { return &Log{} }
 
-// Append adds an event, assigning its sequence number and timestamp,
-// and returns it.
+// Append adds an event, assigning its sequence number, and returns it.
 func (l *Log) Append(e Event) Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	e.Seq = len(l.events)
-	e.At = time.Now()
 	l.events = append(l.events, e)
 	return e
 }
@@ -118,31 +112,15 @@ func (l *Log) Commits() []Event {
 	return out
 }
 
-// CommitRules returns the rule names of the commit sequence.
-func (l *Log) CommitRules() []string {
-	var out []string
-	for _, e := range l.Commits() {
-		out = append(out, e.Rule)
-	}
-	return out
-}
-
-// Count returns how many events of the kind were logged.
-func (l *Log) Count(k Kind) int {
+// Range calls fn on each event from sequence number from onward, in
+// order, until fn returns false — a cursor read that copies nothing.
+// fn runs under the log's lock, so it must not call back into the log.
+func (l *Log) Range(from int, fn func(Event) bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := 0
-	for _, e := range l.events {
-		if e.Kind == k {
-			n++
+	for i := from; i < len(l.events); i++ {
+		if !fn(l.events[i]) {
+			return
 		}
 	}
-	return n
-}
-
-// Len returns the number of events.
-func (l *Log) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
 }

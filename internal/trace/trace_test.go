@@ -15,25 +15,50 @@ func TestLogAppendAndQueries(t *testing.T) {
 	l.Append(Event{Kind: KindSkip, Rule: "c"})
 	l.Append(Event{Kind: KindHalt, Rule: "b"})
 
-	if l.Len() != 6 {
-		t.Fatalf("Len = %d", l.Len())
-	}
 	commits := l.Commits()
 	if len(commits) != 2 || commits[0].Rule != "a" || commits[1].Rule != "b" {
 		t.Fatalf("Commits = %v", commits)
 	}
-	if got := l.CommitRules(); len(got) != 2 || got[0] != "a" {
-		t.Fatalf("CommitRules = %v", got)
-	}
-	if l.Count(KindAbort) != 1 || l.Count(KindCommit) != 2 {
-		t.Fatal("Count wrong")
-	}
 	// Sequence numbers are assigned in order.
 	evs := l.Events()
+	if len(evs) != 6 {
+		t.Fatalf("Events = %d, want 6", len(evs))
+	}
 	for i, e := range evs {
 		if e.Seq != i {
 			t.Fatalf("event %d has Seq %d", i, e.Seq)
 		}
+	}
+}
+
+func TestLogRange(t *testing.T) {
+	l := New()
+	for _, k := range []Kind{KindFire, KindCommit, KindAbort, KindCommit, KindHalt} {
+		l.Append(Event{Kind: k, Rule: "r"})
+	}
+	var seqs []int
+	l.Range(2, func(e Event) bool {
+		seqs = append(seqs, e.Seq)
+		return true
+	})
+	if len(seqs) != 3 || seqs[0] != 2 || seqs[2] != 4 {
+		t.Fatalf("Range(2) visited %v, want [2 3 4]", seqs)
+	}
+	// fn returning false stops the walk at the first commit.
+	var stopped []Kind
+	l.Range(0, func(e Event) bool {
+		stopped = append(stopped, e.Kind)
+		return e.Kind != KindCommit
+	})
+	if len(stopped) != 2 || stopped[1] != KindCommit {
+		t.Fatalf("early stop visited %v, want [fire commit]", stopped)
+	}
+	// A cursor at or past the end visits nothing.
+	for _, from := range []int{5, 9} {
+		l.Range(from, func(Event) bool {
+			t.Fatalf("Range(%d) visited an event", from)
+			return false
+		})
 	}
 }
 
@@ -63,11 +88,12 @@ func TestLogConcurrentAppend(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if l.Len() != 800 {
-		t.Fatalf("Len = %d", l.Len())
+	evs := l.Events()
+	if len(evs) != 800 {
+		t.Fatalf("Events = %d, want 800", len(evs))
 	}
 	seen := make(map[int]bool)
-	for _, e := range l.Events() {
+	for _, e := range evs {
 		if seen[e.Seq] {
 			t.Fatalf("duplicate Seq %d", e.Seq)
 		}
