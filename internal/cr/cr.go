@@ -51,15 +51,7 @@ type FIFO struct{}
 func (FIFO) Name() string { return "fifo" }
 
 // Select returns the oldest instantiation.
-func (FIFO) Select(ins []*match.Instantiation) *match.Instantiation {
-	best := ins[0]
-	for _, in := range ins[1:] {
-		if c := compareTags(in.TimeTags(), best.TimeTags()); c < 0 || (c == 0 && in.Key() < best.Key()) {
-			best = in
-		}
-	}
-	return best
-}
+func (FIFO) Select(ins []*match.Instantiation) *match.Instantiation { return pick(ins, byFIFO) }
 
 // LEX is OPS5's LEX strategy: order instantiations by their time tags
 // sorted in descending order, compared lexicographically (most recent
@@ -71,27 +63,7 @@ type LEX struct{}
 func (LEX) Name() string { return "lex" }
 
 // Select returns the dominant instantiation under LEX.
-func (LEX) Select(ins []*match.Instantiation) *match.Instantiation {
-	best := ins[0]
-	for _, in := range ins[1:] {
-		if lexLess(best, in) {
-			best = in
-		}
-	}
-	return best
-}
-
-// lexLess reports whether b dominates a under LEX.
-func lexLess(a, b *match.Instantiation) bool {
-	if c := compareTags(a.TimeTags(), b.TimeTags()); c != 0 {
-		return c < 0
-	}
-	sa, sb := specificity(a.Rule), specificity(b.Rule)
-	if sa != sb {
-		return sa < sb
-	}
-	return a.Key() > b.Key()
-}
+func (LEX) Select(ins []*match.Instantiation) *match.Instantiation { return pick(ins, byLEX) }
 
 // MEA is OPS5's MEA strategy: compare the recency of the WME matching
 // the first condition element (means-ends analysis), then fall back to
@@ -102,30 +74,7 @@ type MEA struct{}
 func (MEA) Name() string { return "mea" }
 
 // Select returns the dominant instantiation under MEA.
-func (MEA) Select(ins []*match.Instantiation) *match.Instantiation {
-	best := ins[0]
-	for _, in := range ins[1:] {
-		if meaLess(best, in) {
-			best = in
-		}
-	}
-	return best
-}
-
-func meaLess(a, b *match.Instantiation) bool {
-	ta, tb := firstTag(a), firstTag(b)
-	if ta != tb {
-		return ta < tb
-	}
-	return lexLess(a, b)
-}
-
-func firstTag(in *match.Instantiation) uint64 {
-	if len(in.WMEs) == 0 {
-		return 0
-	}
-	return in.WMEs[0].TimeTag
-}
+func (MEA) Select(ins []*match.Instantiation) *match.Instantiation { return pick(ins, byMEA) }
 
 // Priority picks the instantiation of the rule with the highest static
 // priority, ties broken by LEX.
@@ -136,14 +85,7 @@ func (Priority) Name() string { return "priority" }
 
 // Select returns the highest-priority instantiation.
 func (Priority) Select(ins []*match.Instantiation) *match.Instantiation {
-	best := ins[0]
-	for _, in := range ins[1:] {
-		if in.Rule.Priority > best.Rule.Priority ||
-			(in.Rule.Priority == best.Rule.Priority && lexLess(best, in)) {
-			best = in
-		}
-	}
-	return best
+	return pick(ins, byPriority)
 }
 
 // Specificity prefers the instantiation of the rule with the most
@@ -157,14 +99,78 @@ func (Specificity) Name() string { return "specificity" }
 
 // Select returns the most specific instantiation.
 func (Specificity) Select(ins []*match.Instantiation) *match.Instantiation {
+	return pick(ins, bySpecificity)
+}
+
+// order names the dominance relation of one recency-based strategy.
+type order int
+
+const (
+	byFIFO order = iota
+	byLEX
+	byMEA
+	byPriority
+	bySpecificity
+)
+
+// pick returns the instantiation that dominates ins under o, scanning
+// once. Each instantiation's recency vector is built once, into one of
+// two stack buffers that the best and the current candidate swap, so
+// with at most eight matched WMEs per instantiation a pick allocates
+// nothing.
+func pick(ins []*match.Instantiation, o order) *match.Instantiation {
+	var bestBuf, candBuf [8]uint64
 	best := ins[0]
+	bt, ct := best.AppendTimeTags(bestBuf[:0]), candBuf[:0]
 	for _, in := range ins[1:] {
-		sb, si := specificity(best.Rule), specificity(in.Rule)
-		if si > sb || (si == sb && lexLess(best, in)) {
-			best = in
+		ct = in.AppendTimeTags(ct[:0])
+		if dominates(o, in, ct, best, bt) {
+			best, bt, ct = in, ct, bt
 		}
 	}
 	return best
+}
+
+// dominates reports whether b, with recency vector tb, dominates a,
+// with recency vector ta, under o.
+func dominates(o order, b *match.Instantiation, tb []uint64, a *match.Instantiation, ta []uint64) bool {
+	switch o {
+	case byFIFO:
+		c := compareTags(tb, ta)
+		return c < 0 || (c == 0 && b.Key() < a.Key())
+	case byMEA:
+		if fa, fb := firstTag(a), firstTag(b); fa != fb {
+			return fa < fb
+		}
+	case byPriority:
+		if pa, pb := a.Rule.Priority, b.Rule.Priority; pa != pb {
+			return pb > pa
+		}
+	case bySpecificity:
+		if sa, sb := specificity(a.Rule), specificity(b.Rule); sa != sb {
+			return sb > sa
+		}
+	}
+	return lexLess(a, ta, b, tb)
+}
+
+// lexLess reports whether b dominates a under LEX.
+func lexLess(a *match.Instantiation, ta []uint64, b *match.Instantiation, tb []uint64) bool {
+	if c := compareTags(ta, tb); c != 0 {
+		return c < 0
+	}
+	sa, sb := specificity(a.Rule), specificity(b.Rule)
+	if sa != sb {
+		return sa < sb
+	}
+	return a.Key() > b.Key()
+}
+
+func firstTag(in *match.Instantiation) uint64 {
+	if len(in.WMEs) == 0 {
+		return 0
+	}
+	return in.WMEs[0].TimeTag
 }
 
 // Random selects uniformly at random with a seeded source, so runs are

@@ -310,7 +310,7 @@ func (e *Parallel) nextDispatch() *match.Instantiation {
 	for len(e.pending) > 0 {
 		in := e.pending[0]
 		k := in.Key()
-		if e.activeHas(k) && !e.rt.fired[k] {
+		if e.activeHas(k) && e.rt.fired[k] == nil {
 			return in
 		}
 		delete(e.dispatched, k)
@@ -340,7 +340,7 @@ func (e *Parallel) handleEvent(ev pevent) (dInflight, dTimers int) {
 	case evRequeue:
 		dTimers = -1
 		k := ev.in.Key()
-		if !rt.stopping() && e.activeHas(k) && !rt.fired[k] {
+		if !rt.stopping() && e.activeHas(k) && rt.fired[k] == nil {
 			e.pending = append(e.pending, ev.in)
 		} else {
 			delete(e.dispatched, k)
@@ -407,7 +407,7 @@ func (e *Parallel) refresh(cs *match.ConflictSet) {
 		// Snapshot reconcile: added holds the complete membership.
 		act := make(map[string]bool, len(added))
 		for _, in := range added {
-			if k := in.Key(); !rt.fired[k] {
+			if k := in.Key(); rt.fired[k] == nil {
 				act[k] = true
 			}
 		}
@@ -429,7 +429,7 @@ func (e *Parallel) refresh(cs *match.ConflictSet) {
 			}
 		}
 		for _, in := range added {
-			if k := in.Key(); cs.Contains(k) && !rt.fired[k] {
+			if k := in.Key(); cs.Contains(k) && rt.fired[k] == nil {
 				e.active[k] = true
 			}
 		}
@@ -443,7 +443,7 @@ func (e *Parallel) refresh(cs *match.ConflictSet) {
 	queued := 0
 	for _, in := range added {
 		k := in.Key()
-		if !rt.fired[k] && !e.dispatched[k] && e.activeHas(k) {
+		if rt.fired[k] == nil && !e.dispatched[k] && e.activeHas(k) {
 			e.dispatched[k] = true
 			e.pending = append(e.pending, in)
 			queued++
@@ -479,7 +479,7 @@ func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 		delete(e.dispatched, key)
 	default:
 		cs := rt.matcher.ConflictSet()
-		if !cs.Contains(key) || rt.fired[key] {
+		if !cs.Contains(key) || rt.fired[key] != nil {
 			ev.wtx.Abort()
 			e.logResolution(trace.KindAbort, ev, "invalidated before commit")
 			rt.met.abortInc()
@@ -515,7 +515,7 @@ func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 		for _, victim := range e.lm.RcVictims(ev.txn) {
 			if rt.opts.AbortPolicy == AbortReevaluate {
 				if vk, ok := e.txnInst.Load(victim); ok {
-					if k := vk.(string); cs.Contains(k) && !rt.fired[k] {
+					if k := vk.(string); cs.Contains(k) && rt.fired[k] == nil {
 						continue
 					}
 				}
@@ -542,7 +542,7 @@ func (e *Parallel) noteAbort(in *match.Instantiation) int {
 	rt.met.rule(in.Rule.Name).aborts.Inc()
 	k := in.Key()
 	e.retries[k]++
-	if rt.stopping() || rt.fired[k] || !e.activeHas(k) {
+	if rt.stopping() || rt.fired[k] != nil || !e.activeHas(k) {
 		delete(e.dispatched, k)
 		return 0
 	}

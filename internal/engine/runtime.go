@@ -23,7 +23,11 @@ type runtime struct {
 	opts    Options
 	store   *wm.Store
 	matcher match.Matcher
-	fired   map[string]bool // refraction: instantiation keys already fired
+	// fired is the refraction memory: fired instantiations by key,
+	// pruned by refract. liveAtSweep is its size after the last sweep,
+	// which sets when the next one runs.
+	fired       map[string]*match.Instantiation
+	liveAtSweep int
 
 	// met holds the engine-layer metric handles; the run counters
 	// (commits/aborts/skips/cycles) are its atomic series, so a
@@ -48,7 +52,7 @@ func newRuntime(p Program, opts Options) (*runtime, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := &runtime{opts: o, store: store, matcher: m, fired: make(map[string]bool),
+	rt := &runtime{opts: o, store: store, matcher: m, fired: make(map[string]*match.Instantiation),
 		met: newEngineMetrics(o.Metrics)}
 	if o.Storage != nil {
 		rt.smet = newStorageMetrics(o.Metrics)
@@ -71,9 +75,10 @@ func (rt *runtime) stopping() bool {
 // candidates returns the unfired instantiations of the conflict set in
 // deterministic order.
 func (rt *runtime) candidates() []*match.Instantiation {
-	var out []*match.Instantiation
-	for _, in := range rt.matcher.ConflictSet().All() {
-		if !rt.fired[in.Key()] {
+	cs := rt.matcher.ConflictSet()
+	out := make([]*match.Instantiation, 0, cs.Len())
+	for _, in := range cs.All() {
+		if rt.fired[in.Key()] == nil {
 			out = append(out, in)
 		}
 	}
@@ -96,7 +101,7 @@ func (rt *runtime) next() *match.Instantiation {
 // the commit, and its own fsync group. It returns the first error,
 // including a storage failure latched in rt.err.
 func (rt *runtime) fire(in *match.Instantiation) error {
-	rt.fired[in.Key()] = true
+	rt.fired[in.Key()] = in
 	if rt.opts.Verify && !verifyActive(rt.store, in) {
 		return fmt.Errorf("%w: %s selected while inactive", ErrInconsistent, in.Key())
 	}
@@ -159,7 +164,7 @@ func (rt *runtime) commit(in *match.Instantiation, tx *wm.Txn, txn int64, halt b
 	for _, w := range delta.Adds {
 		rt.matcher.Insert(w)
 	}
-	rt.fired[key] = true
+	rt.refract(in, delta)
 	rt.met.commitInc()
 	rt.met.rule(in.Rule.Name).commits.Inc()
 	rt.met.applyNS.ObserveDuration(rt.opts.Clock.Now().Sub(applyStart))
@@ -170,6 +175,46 @@ func (rt *runtime) commit(in *match.Instantiation, tx *wm.Txn, txn int64, halt b
 		rt.opts.Log.Append(trace.Event{Kind: trace.KindHalt, Rule: in.Rule.Name, Inst: key, Txn: txn})
 	}
 	return nil
+}
+
+// refract records that in fired. Its key names WME versions
+// (rule|id@tag…) and a time tag is never issued twice, so the key can
+// match again only while every version it names is live; once one is
+// gone the entry can never block a firing and is dropped. When the
+// firing's own delta removed one of its versions that happens at once.
+// Otherwise a sweep drops the dead entries whenever the map reaches
+// 2·liveAtSweep+64 entries, so the map never holds more than twice the
+// live entries the last sweep kept plus 64, and the liveAtSweep+64
+// insertions between sweeps pay for the next sweep's scan.
+func (rt *runtime) refract(in *match.Instantiation, delta *wm.Delta) {
+	key := in.Key()
+	for _, w := range delta.Removes {
+		if in.Uses(w) {
+			delete(rt.fired, key)
+			return
+		}
+	}
+	rt.fired[key] = in
+	if len(rt.fired) < 2*rt.liveAtSweep+64 {
+		return
+	}
+	for k, f := range rt.fired {
+		if rt.dead(f) {
+			delete(rt.fired, k)
+		}
+	}
+	rt.liveAtSweep = len(rt.fired)
+}
+
+// dead reports whether one of the WME versions in matched has left
+// working memory, so its key can never match again.
+func (rt *runtime) dead(in *match.Instantiation) bool {
+	for _, w := range in.WMEs {
+		if !rt.store.Live(w.ID, w.TimeTag) {
+			return true
+		}
+	}
+	return false
 }
 
 // syncStorage makes every staged record durable (one fsync covering

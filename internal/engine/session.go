@@ -107,6 +107,7 @@ func (s *Session) LoadSnapshot(r io.Reader) error {
 	}
 	s.rt.store = store
 	s.rt.matcher = m
-	s.rt.fired = make(map[string]bool)
+	s.rt.fired = make(map[string]*match.Instantiation)
+	s.rt.liveAtSweep = 0
 	return nil
 }

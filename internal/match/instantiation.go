@@ -2,6 +2,7 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -43,15 +44,18 @@ func (in *Instantiation) Key() string {
 	return in.key
 }
 
-// TimeTags returns the matched WMEs' time tags sorted in descending
-// order, the comparison key used by the LEX strategy.
-func (in *Instantiation) TimeTags() []uint64 {
-	tags := make([]uint64, len(in.WMEs))
-	for i, w := range in.WMEs {
-		tags[i] = w.TimeTag
+// AppendTimeTags appends the matched WMEs' time tags to dst, sorted in
+// descending order — the recency vector the LEX family compares — and
+// returns the extended slice. Given a dst with room, for instance a
+// stack buffer, it does not allocate.
+func (in *Instantiation) AppendTimeTags(dst []uint64) []uint64 {
+	n := len(dst)
+	for _, w := range in.WMEs {
+		dst = append(dst, w.TimeTag)
 	}
-	sort.Slice(tags, func(i, j int) bool { return tags[i] > tags[j] })
-	return tags
+	slices.Sort(dst[n:])
+	slices.Reverse(dst[n:])
+	return dst
 }
 
 // Uses reports whether the instantiation matched the given WME version.

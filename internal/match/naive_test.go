@@ -179,9 +179,9 @@ func TestInstantiationKeyAndTimeTags(t *testing.T) {
 	p := s.Insert("part", attrs("id", 1, "status", "ready"))
 	m := s.Insert("machine", attrs("accepts", 1, "free", true))
 	in := &Instantiation{Rule: ruleAB(), WMEs: []*wm.WME{p, m}}
-	tags := in.TimeTags()
-	if len(tags) != 2 || tags[0] < tags[1] {
-		t.Fatalf("TimeTags = %v, want descending", tags)
+	tags := in.AppendTimeTags([]uint64{7})
+	if len(tags) != 3 || tags[0] != 7 || tags[1] != m.TimeTag || tags[2] != p.TimeTag {
+		t.Fatalf("AppendTimeTags = %v, want [7 %d %d]: dst kept, tail descending", tags, m.TimeTag, p.TimeTag)
 	}
 	if !in.Uses(p) || !in.Uses(m) {
 		t.Fatal("Uses failed")

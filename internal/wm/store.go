@@ -120,6 +120,14 @@ func (s *Store) Get(id int64) (*WME, bool) {
 	return w, true
 }
 
+// Live reports whether tag is the time tag of the current version of
+// the WME with the given ID. Unlike Get it counts no read: it serves
+// engine bookkeeping, not a rule.
+func (s *Store) Live(id int64, tag uint64) bool {
+	v, ok := s.byID.Load(id)
+	return ok && v.(*WME).TimeTag == tag
+}
+
 // Remove deletes the WME with the given ID and returns the removed
 // version, or false if it is not present.
 func (s *Store) Remove(id int64) (*WME, bool) {
