@@ -72,42 +72,36 @@ func main() {
 
 	// Greedy partition into non-interfering groups — the static
 	// approach's pre-execution output.
-	var groups [][]string
-	assigned := make(map[string]bool)
+	var groups [][]*pdps.Rule
+	assigned := make(map[*pdps.Rule]bool)
 	for _, a := range prog.Rules {
-		if assigned[a.Name] {
+		if assigned[a] {
 			continue
 		}
-		group := []string{a.Name}
-		assigned[a.Name] = true
+		group := []*pdps.Rule{a}
+		assigned[a] = true
+	next:
 		for _, b := range prog.Rules {
-			if assigned[b.Name] {
+			if assigned[b] {
 				continue
 			}
-			ok := true
 			for _, member := range group {
-				var mr *pdps.Rule
-				for _, r := range prog.Rules {
-					if r.Name == member {
-						mr = r
-						break
-					}
-				}
-				if pdps.Interferes(mr, b) || pdps.Interferes(b, mr) {
-					ok = false
-					break
+				if pdps.Interferes(member, b) {
+					continue next
 				}
 			}
-			if ok {
-				group = append(group, b.Name)
-				assigned[b.Name] = true
-			}
+			group = append(group, b)
+			assigned[b] = true
 		}
 		groups = append(groups, group)
 	}
 	fmt.Println("\nnon-interfering groups (greedy):")
 	for i, g := range groups {
-		fmt.Printf("  group %d: %v\n", i+1, g)
+		names := make([]string, len(g))
+		for j, r := range g {
+			names[j] = r.Name
+		}
+		fmt.Printf("  group %d: %v\n", i+1, names)
 	}
 
 	net, err := pdps.CompileRete(prog)

@@ -1,5 +1,10 @@
 package engine
 
+import (
+	"pdps/internal/lock"
+	"pdps/internal/match"
+)
+
 // Refraction reports the size of the session's refraction memory and
 // how many of its entries name only live WME versions, i.e. could still
 // block a firing.
@@ -10,4 +15,31 @@ func (s *Session) Refraction() (size, live int) {
 		}
 	}
 	return len(s.rt.fired), live
+}
+
+// Interferes reports the Static engine's rule-interference relation
+// between two rules.
+func (e *Static) Interferes(a, b string) bool { return e.im.Interferes(a, b) }
+
+// Admits reports whether Static's batch guard lets a and b fire in one
+// batch.
+func (e *Static) Admits(a, b *match.Instantiation) bool { return e.admits(a, b) }
+
+// PlannedLock is one entry of a Parallel firing's lock plans.
+type PlannedLock struct {
+	Res  lock.Resource
+	Mode lock.Mode
+}
+
+// LockPlan returns the instantiation's Rc plan followed by its Ra/Wa
+// plan, as a Parallel worker acquires them.
+func LockPlan(in *match.Instantiation) []PlannedLock {
+	var out []PlannedLock
+	for _, r := range rcResources(in) {
+		out = append(out, PlannedLock{r, lock.Rc})
+	}
+	for _, l := range rhsLocks(in) {
+		out = append(out, PlannedLock{l.res, l.mode})
+	}
+	return out
 }

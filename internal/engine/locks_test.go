@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"fmt"
 	"testing"
 
 	"pdps/internal/lock"
+	"pdps/internal/match"
+	"pdps/internal/wm"
 )
 
 // TestDedupeResourcesInPlace pins the allocation-free contract: the
@@ -26,5 +29,70 @@ func TestDedupeResourcesInPlace(t *testing.T) {
 	}
 	if &out[0] != &rs[0] {
 		t.Fatal("dedupeResources must compact in place, not allocate")
+	}
+}
+
+// planInstantiation matches a rule with two positive CEs, one negated
+// CE, a remove and a make: every kind of entry the lock plans hold.
+func planInstantiation(t *testing.T) *match.Instantiation {
+	t.Helper()
+	r := &match.Rule{
+		Name: "plan",
+		Conditions: []match.Condition{
+			{Class: "b", Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "k"}}},
+			{Class: "a", Tests: []match.AttrTest{
+				{Attr: "k", Op: match.OpEq, Var: "k"},
+				{Attr: "n", Op: match.OpGt, Const: wm.Int(0)},
+			}},
+			{Class: "c", Negated: true, Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "k"}}},
+		},
+		Actions: []match.Action{
+			{Kind: match.ActRemove, CE: 1},
+			{Kind: match.ActMake, Class: "d", Assigns: []match.AttrAssign{{Attr: "k", Expr: match.VarExpr{Name: "k"}}}},
+		},
+	}
+	s := wm.NewStore()
+	s.Insert("a", attrs("k", 1, "n", 1))
+	s.Insert("b", attrs("k", 1))
+	ins := match.MatchRule(s, r)
+	if len(ins) != 1 {
+		t.Fatalf("instantiations = %d, want 1", len(ins))
+	}
+	return ins[0]
+}
+
+// TestLockPlans pins both plans' resources, modes and acquisition
+// order: tuples and relations sorted by class then ID, one entry per
+// resource.
+func TestLockPlans(t *testing.T) {
+	in := planInstantiation(t)
+	rc := fmt.Sprint(rcResources(in))
+	if want := "[a[1] b[2] c[*]]"; rc != want {
+		t.Errorf("Rc plan = %s, want %s", rc, want)
+	}
+	var rhs []string
+	for _, l := range rhsLocks(in) {
+		rhs = append(rhs, l.mode.String()+" "+l.res.String())
+	}
+	if got, want := fmt.Sprint(rhs), "[Wa a[1] Wa d[*]]"; got != want {
+		t.Errorf("Ra/Wa plan = %s, want %s", got, want)
+	}
+}
+
+// TestLockPlanAllocs holds the two lock plans of one instantiation to
+// one allocation each: the plans are built in stack buffers from the
+// footprint and copied out once. The sort.Slice and mode-map plans
+// they replace took 10 (6 and 4).
+func TestLockPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("AllocsPerRun is not meaningful under -race")
+	}
+	in := planInstantiation(t)
+	n := testing.AllocsPerRun(100, func() {
+		rcResources(in)
+		rhsLocks(in)
+	})
+	if n > 2 {
+		t.Fatalf("lock plans allocate %v times, want at most 2", n)
 	}
 }

@@ -43,10 +43,6 @@ type Parallel struct {
 	// free-running.
 	det *detState
 
-	// tracked reports that the matcher journals conflict-set changes;
-	// without it the committer falls back to full rescans.
-	tracked bool
-
 	// stopping is the workers' fast-path view of rt.stopping().
 	stopping atomic.Bool
 
@@ -166,13 +162,7 @@ func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error)
 		e.ctl = rt.opts.Sched
 		e.lm.SetController(e.ctl)
 	}
-	// Probe ChangeTracker on the unwrapped matcher: the journal-drain
-	// protocol in refresh depends on what the real implementation does,
-	// not on an instrumentation wrapper's forwarding.
-	if t, ok := match.UnwrapMatcher(rt.matcher).(match.ChangeTracker); ok {
-		t.TrackChanges(true)
-		e.tracked = true
-	}
+	rt.matcher.TrackChanges(true)
 	return e, nil
 }
 
@@ -381,28 +371,23 @@ func (e *Parallel) activeHas(key string) bool {
 
 // refresh reconciles the active mirror with the conflict set after a
 // commit (or at startup) and enqueues newly activated instantiations.
-// Tracked incremental matchers supply a change journal; matchers that
-// rebuild the set journal the full membership, which is detected (no
-// removals, additions equal to the set) and reconciled wholesale. Keys
-// appearing as both added and removed are resolved by Contains.
+// Incremental matchers supply a change journal; a matcher that
+// rebuilds the set (naive) journals the full membership, which is
+// detected (no removals, additions equal to the set) and reconciled
+// wholesale. Keys appearing as both added and removed are resolved by
+// Contains.
 func (e *Parallel) refresh(cs *match.ConflictSet) {
 	rt := e.rt
-	var added []*match.Instantiation
-	var removed []string
-	if e.tracked {
-		added, removed = cs.TakeChanges()
-		// Batch size of this journal drain — the O(|delta|) dispatch
-		// cost a commit pays instead of a conflict-set rescan.
-		rt.met.journalBatch.Observe(int64(len(added) + len(removed)))
-	} else {
-		added = cs.All()
-	}
+	added, removed := cs.TakeChanges()
+	// Batch size of this journal drain — the O(|delta|) dispatch cost a
+	// commit pays instead of a conflict-set rescan.
+	rt.met.journalBatch.Observe(int64(len(added) + len(removed)))
 	// One matcher update can journal several activations, and their
 	// relative order leaks matcher-internal map iteration; sort by key
 	// so dispatch order — and with it every deterministic schedule — is
 	// a function of the program alone.
 	sort.Slice(added, func(i, j int) bool { return added[i].Key() < added[j].Key() })
-	if !e.tracked || (len(removed) == 0 && len(added) == cs.Len()) {
+	if len(removed) == 0 && len(added) == cs.Len() {
 		rt.met.refreshSnapshot.Inc()
 		// Snapshot reconcile: added holds the complete membership.
 		act := make(map[string]bool, len(added))

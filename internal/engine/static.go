@@ -12,9 +12,10 @@ import (
 // Static is the multiple-thread static approach (Section 4.1): before
 // each execute phase, the candidate instantiations are partitioned by
 // the pre-computed rule-interference relation, and one group of
-// pairwise non-interfering productions fires in parallel. Theorem 1:
-// because members update non-overlapping parts of working memory, the
-// batch is equivalent to firing its members in any serial order.
+// pairwise non-interfering productions, none writing a tuple another
+// touches, fires in parallel. Theorem 1: because members update
+// non-overlapping parts of working memory, the batch is equivalent to
+// firing its members in any serial order.
 type Static struct {
 	rt *runtime
 	// im is the pairwise rule-interference relation — the paper's
@@ -40,10 +41,6 @@ func (e *Static) Store() *wm.Store { return e.rt.store }
 
 // Metrics returns the engine's metrics registry.
 func (e *Static) Metrics() *obs.Registry { return e.rt.opts.Metrics }
-
-// Interferes reports the cached interference relation between two
-// rules (exposed for tests).
-func (e *Static) Interferes(a, b string) bool { return e.im.Interferes(a, b) }
 
 // Run executes batched cycles until no unfired instantiation remains,
 // a halt fires, or MaxFirings is hit.
@@ -115,55 +112,33 @@ func (e *Static) Run() (Result, error) {
 	}
 }
 
-// batch greedily builds a set of candidates whose rules are pairwise
-// non-interfering, seeded by the strategy's selection. As a runtime
-// guard against the granularity problem the paper discusses (two
-// attribute-disjoint modifies hitting the same tuple), members must
-// also target disjoint WMEs.
+// batch greedily builds a batch of candidates, seeded by the
+// strategy's selection, that admit each other pairwise.
 func (e *Static) batch(cands []*match.Instantiation) []*match.Instantiation {
 	seed := e.rt.opts.Strategy.Select(cands)
 	batch := []*match.Instantiation{seed}
-	writes := writeTargets(seed)
+next:
 	for _, in := range cands {
 		if in == seed {
 			continue
 		}
-		ok := true
 		for _, member := range batch {
-			if e.im.Interferes(in.Rule.Name, member.Rule.Name) {
-				ok = false
-				break
+			if !e.admits(member, in) {
+				continue next
 			}
-		}
-		if !ok {
-			continue
-		}
-		tw := writeTargets(in)
-		for id := range tw {
-			if writes[id] {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
 		}
 		batch = append(batch, in)
-		for id := range tw {
-			writes[id] = true
-		}
 	}
 	return batch
 }
 
-// writeTargets returns the IDs of the WMEs an instantiation will
-// modify or remove.
-func writeTargets(in *match.Instantiation) map[int64]bool {
-	out := make(map[int64]bool)
-	for _, a := range in.Rule.Actions {
-		if a.Kind == match.ActModify || a.Kind == match.ActRemove {
-			out[in.WMEs[a.CE].ID] = true
-		}
-	}
-	return out
+// admits reports whether two instantiations may fire in one batch:
+// their rules do not interfere (Section 4.1), and no tuple one writes
+// is read or written by the other. The second test is the granularity
+// problem the paper discusses: the matrix compares attributes, but a
+// modify re-tags the whole tuple, retiring every instantiation that
+// matched it. Together they make firing either first leave the other
+// active (Theorem 1).
+func (e *Static) admits(a, b *match.Instantiation) bool {
+	return !e.im.Interferes(a.Rule.Name, b.Rule.Name) && !a.Clashes(b)
 }

@@ -34,23 +34,6 @@ func Instrument(m Matcher, reg *obs.Registry, clock sched.Clock) *Instrumented {
 	}
 }
 
-// Unwrap returns the wrapped matcher.
-func (im *Instrumented) Unwrap() Matcher { return im.inner }
-
-// UnwrapMatcher strips any Instrumented (or future) wrappers and
-// returns the underlying matcher. Engines use it to probe optional
-// interfaces like ChangeTracker on the real implementation rather than
-// trusting a wrapper's forwarding.
-func UnwrapMatcher(m Matcher) Matcher {
-	for {
-		w, ok := m.(interface{ Unwrap() Matcher })
-		if !ok {
-			return m
-		}
-		m = w.Unwrap()
-	}
-}
-
 // AddRule forwards to the wrapped matcher.
 func (im *Instrumented) AddRule(r *Rule) error { return im.inner.AddRule(r) }
 
@@ -80,12 +63,5 @@ func (im *Instrumented) ConflictSet() *ConflictSet {
 	return cs
 }
 
-// TrackChanges forwards to the wrapped matcher when it journals
-// conflict-set changes. Engines must probe ChangeTracker on
-// UnwrapMatcher's result, not on the wrapper, so this forwarding never
-// misrepresents a non-journaling matcher.
-func (im *Instrumented) TrackChanges(on bool) {
-	if t, ok := im.inner.(ChangeTracker); ok {
-		t.TrackChanges(on)
-	}
-}
+// TrackChanges forwards to the wrapped matcher.
+func (im *Instrumented) TrackChanges(on bool) { im.inner.TrackChanges(on) }

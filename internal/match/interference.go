@@ -14,7 +14,6 @@ import "sync"
 // Once and never mutated afterwards, so readers on different goroutines
 // share them without locks.
 type InterferenceMatrix struct {
-	rules []*Rule
 	index map[string]int
 	rw    []RWSet
 	once  []sync.Once
@@ -25,7 +24,6 @@ type InterferenceMatrix struct {
 // names are assumed unique (programs are validated upstream).
 func NewInterferenceMatrix(rules []*Rule) *InterferenceMatrix {
 	m := &InterferenceMatrix{
-		rules: rules,
 		index: make(map[string]int, len(rules)),
 		rw:    make([]RWSet, len(rules)),
 		once:  make([]sync.Once, len(rules)),
@@ -42,9 +40,9 @@ func NewInterferenceMatrix(rules []*Rule) *InterferenceMatrix {
 // The returned slice is shared and must not be mutated.
 func (m *InterferenceMatrix) Row(i int) []bool {
 	m.once[i].Do(func() {
-		row := make([]bool, len(m.rules))
-		for j := range m.rules {
-			row[j] = interferesRW(m.rw[i], m.rw[j])
+		row := make([]bool, len(m.rw))
+		for j := range m.rw {
+			row[j] = m.rw[i].Interferes(m.rw[j])
 		}
 		m.rows[i] = row
 	})
@@ -63,11 +61,4 @@ func (m *InterferenceMatrix) Interferes(a, b string) bool {
 		return true
 	}
 	return m.Row(i)[j]
-}
-
-// interferesRW is Interferes over precomputed read/write sets.
-func interferesRW(sa, sb RWSet) bool {
-	return writesOverlap(sa.Writes, sb.Reads) ||
-		writesOverlap(sa.Writes, sb.Writes) ||
-		writesOverlap(sb.Writes, sa.Reads)
 }

@@ -27,15 +27,12 @@ type Matcher interface {
 	// ConflictSet returns the current conflict set. The returned set is
 	// owned by the matcher; callers must not retain it across updates.
 	ConflictSet() *ConflictSet
-}
-
-// ChangeTracker is implemented by matchers whose conflict sets journal
-// membership changes (ConflictSet.TrackChanges) between ConflictSet
-// calls. Engines that dispatch incrementally enable tracking and drain
-// the journal with TakeChanges after each commit; matchers that
-// rebuild the set from scratch journal the full membership, which the
-// drain protocol detects and reconciles.
-type ChangeTracker interface {
+	// TrackChanges makes the conflict set journal membership changes
+	// (ConflictSet.TrackChanges) between ConflictSet calls. Engines that
+	// dispatch incrementally enable it and drain the journal with
+	// TakeChanges after each commit; a matcher that rebuilds the set
+	// from scratch journals the full membership, which the drain
+	// protocol detects and reconciles.
 	TrackChanges(on bool)
 }
 

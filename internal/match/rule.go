@@ -227,17 +227,6 @@ type Rule struct {
 	ActionReads []int
 }
 
-// PositiveConditions returns the indices of the non-negated CEs, in order.
-func (r *Rule) PositiveConditions() []int {
-	var out []int
-	for i, c := range r.Conditions {
-		if !c.Negated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // Validate checks structural well-formedness: at least one positive CE,
 // variables bound before non-binding use, action CE indices in range,
 // and action expressions referring only to bound variables.
@@ -248,8 +237,13 @@ func (r *Rule) Validate() error {
 	if len(r.Conditions) == 0 {
 		return fmt.Errorf("match: rule %s: no condition elements", r.Name)
 	}
-	pos := r.PositiveConditions()
-	if len(pos) == 0 {
+	npos := 0
+	for _, c := range r.Conditions {
+		if !c.Negated {
+			npos++
+		}
+	}
+	if npos == 0 {
 		return fmt.Errorf("match: rule %s: no positive condition elements", r.Name)
 	}
 	bound := make(map[string]bool)
@@ -277,9 +271,9 @@ func (r *Rule) Validate() error {
 				return fmt.Errorf("match: rule %s: action %d: make without class", r.Name, i+1)
 			}
 		case ActModify, ActRemove:
-			if a.CE < 0 || a.CE >= len(pos) {
+			if a.CE < 0 || a.CE >= npos {
 				return fmt.Errorf("match: rule %s: action %d: CE index %d out of range (rule has %d positive CEs)",
-					r.Name, i+1, a.CE+1, len(pos))
+					r.Name, i+1, a.CE+1, npos)
 			}
 			if a.Kind == ActRemove && len(a.Assigns) > 0 {
 				return fmt.Errorf("match: rule %s: action %d: remove takes no assignments", r.Name, i+1)
@@ -300,7 +294,7 @@ func (r *Rule) Validate() error {
 		}
 	}
 	for _, ce := range r.ActionReads {
-		if ce < 0 || ce >= len(pos) {
+		if ce < 0 || ce >= npos {
 			return fmt.Errorf("match: rule %s: action-read CE index %d out of range", r.Name, ce+1)
 		}
 	}

@@ -98,6 +98,23 @@ func TestInterferes(t *testing.T) {
 	if !Interferes(w, w2) {
 		t.Error("write-write interference missed")
 	}
+	// A CE with no attribute tests reads its tuple's existence, so a
+	// remove of that class interferes with it:
+	// (p e (c) --> (make log ^v 1)) against (p r (c ^y 0) --> (remove 1)).
+	exists := &Rule{
+		Name:       "e",
+		Conditions: []Condition{{Class: "c"}},
+		Actions: []Action{{Kind: ActMake, Class: "log",
+			Assigns: []AttrAssign{{Attr: "v", Expr: ConstExpr{wm.Int(1)}}}}},
+	}
+	remover := &Rule{
+		Name:       "r",
+		Conditions: []Condition{{Class: "c", Tests: []AttrTest{{Attr: "y", Op: OpEq, Const: wm.Int(0)}}}},
+		Actions:    []Action{{Kind: ActRemove, CE: 0}},
+	}
+	if !Interferes(exists, remover) || !Interferes(remover, exists) {
+		t.Errorf("existence read missed: %v against %v", RuleRWSet(exists), RuleRWSet(remover))
+	}
 }
 
 func TestInterferesModifyAttributeDisjoint(t *testing.T) {
