@@ -47,9 +47,13 @@ func main() {
 
 	fmt.Printf("program: %d rules, %d initial tuples\n\n", len(prog.Rules), len(prog.WMEs))
 
+	// Each rule's read/write set is derived once; the matrix and the
+	// greedy partition below read their interference from these.
+	rw := make([]pdps.RWSet, len(prog.Rules))
 	fmt.Println("read/write sets:")
-	for _, r := range prog.Rules {
-		fmt.Printf("  %-16s %s\n", r.Name, pdps.RuleRWSet(r))
+	for i, r := range prog.Rules {
+		rw[i] = pdps.RuleRWSet(r)
+		fmt.Printf("  %-16s %s\n", r.Name, rw[i])
 	}
 
 	fmt.Println("\ninterference matrix (X = interferes):")
@@ -58,11 +62,11 @@ func main() {
 		fmt.Printf(" %-4.4s", r.Name)
 	}
 	fmt.Println()
-	for _, a := range prog.Rules {
+	for i, a := range prog.Rules {
 		fmt.Printf("  %-16s", a.Name)
-		for _, b := range prog.Rules {
+		for j := range prog.Rules {
 			mark := "."
-			if pdps.Interferes(a, b) {
+			if rw[i].Interferes(rw[j]) {
 				mark = "X"
 			}
 			fmt.Printf(" %-4s", mark)
@@ -72,21 +76,21 @@ func main() {
 
 	// Greedy partition into non-interfering groups — the static
 	// approach's pre-execution output.
-	var groups [][]*pdps.Rule
-	assigned := make(map[*pdps.Rule]bool)
-	for _, a := range prog.Rules {
+	var groups [][]int
+	assigned := make([]bool, len(prog.Rules))
+	for a := range prog.Rules {
 		if assigned[a] {
 			continue
 		}
-		group := []*pdps.Rule{a}
+		group := []int{a}
 		assigned[a] = true
 	next:
-		for _, b := range prog.Rules {
+		for b := range prog.Rules {
 			if assigned[b] {
 				continue
 			}
 			for _, member := range group {
-				if pdps.Interferes(member, b) {
+				if rw[member].Interferes(rw[b]) {
 					continue next
 				}
 			}
@@ -99,7 +103,7 @@ func main() {
 	for i, g := range groups {
 		names := make([]string, len(g))
 		for j, r := range g {
-			names[j] = r.Name
+			names[j] = prog.Rules[r].Name
 		}
 		fmt.Printf("  group %d: %v\n", i+1, names)
 	}

@@ -43,6 +43,25 @@ func New(name string) (Strategy, error) {
 	return nil, fmt.Errorf("cr: unknown strategy %q", name)
 }
 
+// Ordered is a strategy whose dominance relation is a total order
+// over Ranks (instantiations with equal keys aside, which matched the
+// same data): Select returns the order's maximum. An engine can keep
+// its candidates ordered by Dominates — in a heap, say — and pick the
+// top instead of scanning the whole conflict set each cycle.
+type Ordered interface {
+	Strategy
+	// Dominates reports whether b dominates a.
+	Dominates(b, a *Rank) bool
+}
+
+var (
+	_ Ordered = FIFO{}
+	_ Ordered = LEX{}
+	_ Ordered = MEA{}
+	_ Ordered = Priority{}
+	_ Ordered = Specificity{}
+)
+
 // FIFO picks the instantiation whose matched WMEs are oldest (smallest
 // recency, ties broken by key), giving queue-like behaviour.
 type FIFO struct{}
@@ -52,6 +71,9 @@ func (FIFO) Name() string { return "fifo" }
 
 // Select returns the oldest instantiation.
 func (FIFO) Select(ins []*match.Instantiation) *match.Instantiation { return pick(ins, byFIFO) }
+
+// Dominates reports whether b is older than a.
+func (FIFO) Dominates(b, a *Rank) bool { return dominates(byFIFO, b, a) }
 
 // LEX is OPS5's LEX strategy: order instantiations by their time tags
 // sorted in descending order, compared lexicographically (most recent
@@ -65,6 +87,9 @@ func (LEX) Name() string { return "lex" }
 // Select returns the dominant instantiation under LEX.
 func (LEX) Select(ins []*match.Instantiation) *match.Instantiation { return pick(ins, byLEX) }
 
+// Dominates reports whether b dominates a under LEX.
+func (LEX) Dominates(b, a *Rank) bool { return dominates(byLEX, b, a) }
+
 // MEA is OPS5's MEA strategy: compare the recency of the WME matching
 // the first condition element (means-ends analysis), then fall back to
 // LEX ordering.
@@ -75,6 +100,9 @@ func (MEA) Name() string { return "mea" }
 
 // Select returns the dominant instantiation under MEA.
 func (MEA) Select(ins []*match.Instantiation) *match.Instantiation { return pick(ins, byMEA) }
+
+// Dominates reports whether b dominates a under MEA.
+func (MEA) Dominates(b, a *Rank) bool { return dominates(byMEA, b, a) }
 
 // Priority picks the instantiation of the rule with the highest static
 // priority, ties broken by LEX.
@@ -87,6 +115,9 @@ func (Priority) Name() string { return "priority" }
 func (Priority) Select(ins []*match.Instantiation) *match.Instantiation {
 	return pick(ins, byPriority)
 }
+
+// Dominates reports whether b dominates a under Priority.
+func (Priority) Dominates(b, a *Rank) bool { return dominates(byPriority, b, a) }
 
 // Specificity prefers the instantiation of the rule with the most
 // condition-element tests (the most specific knowledge), falling back
@@ -102,6 +133,9 @@ func (Specificity) Select(ins []*match.Instantiation) *match.Instantiation {
 	return pick(ins, bySpecificity)
 }
 
+// Dominates reports whether b dominates a under Specificity.
+func (Specificity) Dominates(b, a *Rank) bool { return dominates(bySpecificity, b, a) }
+
 // order names the dominance relation of one recency-based strategy.
 type order int
 
@@ -113,55 +147,95 @@ const (
 	bySpecificity
 )
 
-// pick returns the instantiation that dominates ins under o, scanning
-// once. Each instantiation's recency vector is built once, into one of
-// two stack buffers that the best and the current candidate swap, so
-// with at most eight matched WMEs per instantiation a pick allocates
-// nothing.
-func pick(ins []*match.Instantiation, o order) *match.Instantiation {
-	var bestBuf, candBuf [8]uint64
-	best := ins[0]
-	bt, ct := best.AppendTimeTags(bestBuf[:0]), candBuf[:0]
-	for _, in := range ins[1:] {
-		ct = in.AppendTimeTags(ct[:0])
-		if dominates(o, in, ct, best, bt) {
-			best, bt, ct = in, ct, bt
-		}
-	}
-	return best
+// Rank is an instantiation's order key: everything the Ordered
+// strategies compare, derived once by Set — the descending recency
+// vector, the first CE's time tag, the rule's priority and specificity,
+// and (through In) the key. The recency vector lives in the Rank itself
+// when the instantiation matched at most eight WMEs, so a Rank on the
+// stack costs no allocation and one in an agenda entry is a single
+// 128-byte object.
+type Rank struct {
+	// In is the ranked instantiation.
+	In *match.Instantiation
+
+	first       uint64 // time tag of the WME matching the first CE
+	priority    int
+	long        []uint64  // descending recency vector, when tags is too short
+	tags        [8]uint64 // descending recency vector, when it fits
+	n           int32     // length of the recency vector in tags
+	specificity int32
 }
 
-// dominates reports whether b, with recency vector tb, dominates a,
-// with recency vector ta, under o.
-func dominates(o order, b *match.Instantiation, tb []uint64, a *match.Instantiation, ta []uint64) bool {
-	switch o {
-	case byFIFO:
-		c := compareTags(tb, ta)
-		return c < 0 || (c == 0 && b.Key() < a.Key())
-	case byMEA:
-		if fa, fb := firstTag(a), firstTag(b); fa != fb {
-			return fa < fb
-		}
-	case byPriority:
-		if pa, pb := a.Rule.Priority, b.Rule.Priority; pa != pb {
-			return pb > pa
-		}
-	case bySpecificity:
-		if sa, sb := specificity(a.Rule), specificity(b.Rule); sa != sb {
-			return sb > sa
+// Set ranks in, overwriting r.
+func (r *Rank) Set(in *match.Instantiation) {
+	*r = Rank{In: in, first: firstTag(in), priority: in.Rule.Priority,
+		specificity: int32(specificity(in.Rule))}
+	if len(in.WMEs) <= len(r.tags) {
+		r.n = int32(len(in.AppendTimeTags(r.tags[:0])))
+	} else {
+		r.long = in.AppendTimeTags(nil)
+	}
+}
+
+// Key returns the ranked instantiation's key.
+func (r *Rank) Key() string { return r.In.Key() }
+
+// recency returns the descending recency vector.
+func (r *Rank) recency() []uint64 {
+	if r.long != nil {
+		return r.long
+	}
+	return r.tags[:r.n]
+}
+
+// pick returns the instantiation that dominates ins under o, scanning
+// once; of instantiations with equal keys it keeps the first. The best
+// and the current candidate are ranked into two stack Ranks that swap
+// roles, so with at most eight matched WMEs per instantiation a pick
+// allocates nothing. It compares exactly as Dominates does, so an
+// engine ordering by Dominates picks what Select picks.
+func pick(ins []*match.Instantiation, o order) *match.Instantiation {
+	var r1, r2 Rank
+	best, cand := &r1, &r2
+	best.Set(ins[0])
+	for _, in := range ins[1:] {
+		cand.Set(in)
+		if dominates(o, cand, best) {
+			best, cand = cand, best
 		}
 	}
-	return lexLess(a, ta, b, tb)
+	return best.In
+}
+
+// dominates reports whether b dominates a under o.
+func dominates(o order, b, a *Rank) bool {
+	switch o {
+	case byFIFO:
+		c := compareTags(b.recency(), a.recency())
+		return c < 0 || (c == 0 && b.Key() < a.Key())
+	case byMEA:
+		if a.first != b.first {
+			return a.first < b.first
+		}
+	case byPriority:
+		if a.priority != b.priority {
+			return b.priority > a.priority
+		}
+	case bySpecificity:
+		if a.specificity != b.specificity {
+			return b.specificity > a.specificity
+		}
+	}
+	return lexLess(a, b)
 }
 
 // lexLess reports whether b dominates a under LEX.
-func lexLess(a *match.Instantiation, ta []uint64, b *match.Instantiation, tb []uint64) bool {
-	if c := compareTags(ta, tb); c != 0 {
+func lexLess(a, b *Rank) bool {
+	if c := compareTags(a.recency(), b.recency()); c != 0 {
 		return c < 0
 	}
-	sa, sb := specificity(a.Rule), specificity(b.Rule)
-	if sa != sb {
-		return sa < sb
+	if a.specificity != b.specificity {
+		return a.specificity < b.specificity
 	}
 	return a.Key() > b.Key()
 }

@@ -43,3 +43,7 @@ func LockPlan(in *match.Instantiation) []PlannedLock {
 	}
 	return out
 }
+
+// Next returns the instantiation the next Step would fire, without
+// firing it.
+func (s *Session) Next() *match.Instantiation { return s.rt.next() }

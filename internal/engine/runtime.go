@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 
+	"pdps/internal/cr"
 	"pdps/internal/match"
 	"pdps/internal/storage"
 	"pdps/internal/trace"
@@ -28,6 +29,9 @@ type runtime struct {
 	// which sets when the next one runs.
 	fired       map[string]*match.Instantiation
 	liveAtSweep int
+	// agenda orders the unfired conflict set for next under an Ordered
+	// strategy; nil until the first next, and after LoadSnapshot.
+	agenda *agenda
 
 	// met holds the engine-layer metric handles; the run counters
 	// (commits/aborts/skips/cycles) are its atomic series, so a
@@ -73,7 +77,8 @@ func (rt *runtime) stopping() bool {
 }
 
 // candidates returns the unfired instantiations of the conflict set in
-// deterministic order.
+// key order — the list Static batches from, Session.ConflictSet shows,
+// and a strategy without a total order (Random) selects from.
 func (rt *runtime) candidates() []*match.Instantiation {
 	cs := rt.matcher.ConflictSet()
 	out := make([]*match.Instantiation, 0, cs.Len())
@@ -86,8 +91,18 @@ func (rt *runtime) candidates() []*match.Instantiation {
 }
 
 // next returns the strategy's pick among the unfired candidates, or
-// nil when there is none.
+// nil when there is none. Under an Ordered strategy the pick comes from
+// the agenda, which the first call builds by switching the matcher's
+// change journal on; any other strategy selects from the listed
+// candidates.
 func (rt *runtime) next() *match.Instantiation {
+	if o, ok := rt.opts.Strategy.(cr.Ordered); ok {
+		if rt.agenda == nil {
+			rt.agenda = newAgenda(o)
+			rt.matcher.TrackChanges(true)
+		}
+		return rt.agenda.next(rt.matcher.ConflictSet(), rt.fired)
+	}
 	cands := rt.candidates()
 	if len(cands) == 0 {
 		return nil

@@ -94,7 +94,8 @@ func (s *Session) Run(max int) (n int, err error) {
 func (s *Session) Log() *trace.Log { return s.rt.opts.Log }
 
 // LoadSnapshot replaces the session's working memory with a snapshot
-// and rebuilds the match state; refraction history is reset.
+// and rebuilds the match state; refraction history and the agenda are
+// reset.
 func (s *Session) LoadSnapshot(r io.Reader) error {
 	o := s.rt.opts
 	var err error
@@ -109,5 +110,6 @@ func (s *Session) LoadSnapshot(r io.Reader) error {
 	s.rt.matcher = m
 	s.rt.fired = make(map[string]*match.Instantiation)
 	s.rt.liveAtSweep = 0
+	s.rt.agenda = nil
 	return nil
 }

@@ -81,10 +81,12 @@ func (in *Instantiation) String() string {
 // It is not safe for concurrent use; engines serialise access to it.
 //
 // With change tracking enabled the set additionally journals every
-// membership change, so an engine can dispatch newly activated
-// instantiations incrementally instead of rescanning the whole set
-// after each commit. Tracking is off by default — serial engines never
-// drain the journal and must not accumulate one.
+// membership change, so an engine can follow the set incrementally
+// instead of rescanning it: the dynamic engine dispatches newly
+// activated instantiations after each commit, and the serial engines
+// keep their ordered agenda from it. Tracking is off by default, and
+// an engine that enables it must drain the journal with TakeChanges
+// so it does not accumulate.
 type ConflictSet struct {
 	byKey map[string]*Instantiation
 
@@ -149,20 +151,17 @@ func (cs *ConflictSet) Remove(key string) bool {
 	return true
 }
 
-// RemoveUsing deletes every instantiation that matched the given WME
-// version and returns the removed instantiations.
-func (cs *ConflictSet) RemoveUsing(w *wm.WME) []*Instantiation {
-	var removed []*Instantiation
+// RemoveIf deletes every instantiation for which drop reports true, in
+// one unordered pass.
+func (cs *ConflictSet) RemoveIf(drop func(*Instantiation) bool) {
 	for k, in := range cs.byKey {
-		if in.Uses(w) {
-			removed = append(removed, in)
+		if drop(in) {
 			delete(cs.byKey, k)
 			if cs.track {
 				cs.removed = append(cs.removed, k)
 			}
 		}
 	}
-	return removed
 }
 
 // Len reports the number of instantiations.
@@ -172,12 +171,6 @@ func (cs *ConflictSet) Len() int { return len(cs.byKey) }
 func (cs *ConflictSet) Contains(key string) bool {
 	_, ok := cs.byKey[key]
 	return ok
-}
-
-// Get returns the instantiation with the given key.
-func (cs *ConflictSet) Get(key string) (*Instantiation, bool) {
-	in, ok := cs.byKey[key]
-	return in, ok
 }
 
 // All returns the instantiations ordered deterministically by key.
@@ -192,19 +185,4 @@ func (cs *ConflictSet) All() []*Instantiation {
 		out[i] = cs.byKey[k]
 	}
 	return out
-}
-
-// RuleNames returns the distinct names of rules with at least one
-// instantiation, sorted.
-func (cs *ConflictSet) RuleNames() []string {
-	seen := make(map[string]bool)
-	for _, in := range cs.byKey {
-		seen[in.Rule.Name] = true
-	}
-	names := make([]string, 0, len(seen))
-	for n := range seen {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -156,21 +156,14 @@ func TestConflictSetOperations(t *testing.T) {
 	if !cs.Contains(in.Key()) {
 		t.Fatal("Contains failed")
 	}
-	if got, ok := cs.Get(in.Key()); !ok || got != in {
-		t.Fatal("Get failed")
-	}
 	if cs.Add(in) {
 		t.Fatal("re-adding same instantiation must report false")
 	}
-	removed := cs.RemoveUsing(p)
-	if len(removed) != 1 || cs.Len() != 0 {
-		t.Fatal("RemoveUsing failed")
+	if cs.RemoveIf(func(in *Instantiation) bool { return in.Uses(p) }); cs.Len() != 0 {
+		t.Fatal("RemoveIf failed")
 	}
 	if cs.Remove(in.Key()) {
 		t.Fatal("Remove of absent key must report false")
-	}
-	if names := cs.RuleNames(); len(names) != 0 {
-		t.Fatal("RuleNames on empty set")
 	}
 }
 

@@ -235,7 +235,7 @@ func (t *teeBackend) Append(r *storage.Record) (storage.LSN, error) {
 	return lsn, err
 }
 
-func (t *teeBackend) Sync() error                     { return t.inner.Sync() }
-func (t *teeBackend) Checkpoint(s *wm.Store) error    { return t.inner.Checkpoint(s) }
+func (t *teeBackend) Sync() error                         { return t.inner.Sync() }
+func (t *teeBackend) Checkpoint(s *wm.Store) error        { return t.inner.Checkpoint(s) }
 func (t *teeBackend) Recover() (*storage.Recovery, error) { return t.inner.Recover() }
-func (t *teeBackend) Close() error                    { return t.inner.Close() }
+func (t *teeBackend) Close() error                        { return t.inner.Close() }

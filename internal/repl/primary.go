@@ -44,13 +44,13 @@ type PrimaryOptions struct {
 // Followers may connect at any point before Close, including after the
 // run finished — the full log is retained in memory.
 type Primary struct {
-	opts PrimaryOptions
-	prog engine.Program
-	dcfg detsched.Config
+	opts    PrimaryOptions
+	prog    engine.Program
+	dcfg    detsched.Config
 	cfgJSON []byte
-	met  *primaryMetrics
-	reg  *obs.Registry
-	log  *replLog
+	met     *primaryMetrics
+	reg     *obs.Registry
+	log     *replLog
 
 	ln net.Listener
 	wg sync.WaitGroup
@@ -350,10 +350,10 @@ func (p *Primary) handleHello(fc *followerConn, q *server.Request) bool {
 		mode = server.ReplModeReplay
 	}
 	resp := &server.Response{
-		Type:     server.RespReplHello,
-		ID:       q.ID,
-		ReplMode: mode,
-		Program:  p.opts.Program,
+		Type:       server.RespReplHello,
+		ID:         q.ID,
+		ReplMode:   mode,
+		Program:    p.opts.Program,
 		ReplConfig: p.cfgJSON,
 	}
 	startChoice := q.FromChoice

@@ -121,7 +121,7 @@ func (m *Matcher) Remove(w *wm.WME) {
 				// now hold. Recompute the rule's matches; Add dedups.
 				m.addSeeded(cr, -1, nil)
 			} else {
-				m.cs.RemoveUsing(w)
+				m.cs.RemoveIf(func(in *match.Instantiation) bool { return in.Uses(w) })
 			}
 		}
 	}
@@ -131,14 +131,13 @@ func (m *Matcher) Remove(w *wm.WME) {
 // blocks through negated CE index ci.
 func (m *Matcher) retractBlocked(cr *compiledRule, ci int, w *wm.WME) {
 	cond := cr.alphas[ci].cond
-	for _, in := range m.cs.All() {
+	m.cs.RemoveIf(func(in *match.Instantiation) bool {
 		if in.Rule != cr.rule {
-			continue
+			return false
 		}
-		if _, blocked := match.TestCE(cond, w, in.Bindings); blocked {
-			m.cs.Remove(in.Key())
-		}
-	}
+		_, blocked := match.TestCE(cond, w, in.Bindings)
+		return blocked
+	})
 }
 
 // addSeeded enumerates instantiations of cr. When pin >= 0, only
