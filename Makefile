@@ -18,12 +18,13 @@ vet:
 
 # metrics-check pins the observability layer: the golden snapshot of
 # the quickstart program under a replayed schedule (byte-identical
-# across runs), the detsched determinism proof, and the -race hammer
-# on live snapshots. Regenerate the golden file after an intentional
+# across runs), the facade guards (every pdps.go export documented and
+# used by a caller, every pdps.X in the docs an export), the detsched
+# determinism proof, and the -race hammer on live snapshots. Regenerate the golden file after an intentional
 # metrics change with:
 #   go test -run TestGoldenMetrics -update .
 metrics-check:
-	$(GO) test -run 'TestGoldenMetrics|TestExportedAPIDocumented|TestMetricCatalogCovers' .
+	$(GO) test -run 'TestGoldenMetrics|TestExportedAPIDocumented|TestExportedAPIReferenced|TestDocsNameFacadeExports|TestMetricCatalogCovers' .
 	$(GO) test -run 'TestMetricsDeterministic|TestMetricsConflictCounters' ./internal/detsched
 	$(GO) test -race -run 'TestSnapshotDuringParallelRun|TestSerialEngineMetrics' ./internal/engine
 	$(GO) test -race ./internal/obs

@@ -100,9 +100,12 @@ func TestParallelHighNpLowConflict(t *testing.T) {
 			if err := CheckTrace(prog, res.Log.Commits()); err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			ps := e.PipelineStats()
-			if ps.DispatchDepth != 0 || ps.SubmitDepth != 0 {
-				t.Fatalf("%s: pipeline queues not drained: %+v", label, ps)
+			snap := e.Metrics().Snapshot()
+			dispatch, _ := snap.Gauge("engine_dispatch_depth")
+			submit, _ := snap.Gauge("engine_submit_depth")
+			if dispatch != 0 || submit != 0 {
+				t.Fatalf("%s: pipeline queues not drained: engine_dispatch_depth=%d engine_submit_depth=%d",
+					label, dispatch, submit)
 			}
 		}
 	}

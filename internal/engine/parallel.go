@@ -115,31 +115,6 @@ type pevent struct {
 	reply chan struct{}
 }
 
-// PipelineStats reports the commit pipeline's queue depths: the
-// dispatch queue (instantiations awaiting a worker) and the submit
-// queue (worker results awaiting the committer), with high-water marks.
-// It is a convenience view over the engine_dispatch_depth and
-// engine_submit_depth gauges of the engine's metrics registry.
-type PipelineStats struct {
-	DispatchDepth int64
-	DispatchPeak  int64
-	SubmitDepth   int64
-	SubmitPeak    int64
-}
-
-// PipelineStats returns the current pipeline queue gauges. The
-// underlying series are atomic, so calling it while the run is in
-// flight is safe.
-func (e *Parallel) PipelineStats() PipelineStats {
-	met := e.rt.met
-	return PipelineStats{
-		DispatchDepth: met.dispatchQ.Value(),
-		DispatchPeak:  met.dispatchQ.Peak(),
-		SubmitDepth:   met.submitQ.Value(),
-		SubmitPeak:    met.submitQ.Peak(),
-	}
-}
-
 // NewParallel builds a dynamic parallel engine using the given locking
 // scheme (lock.Scheme2PL or lock.SchemeRcRaWa).
 func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error) {
@@ -172,9 +147,6 @@ func (e *Parallel) Metrics() *obs.Registry { return e.rt.opts.Metrics }
 
 // Store exposes the engine's working memory.
 func (e *Parallel) Store() *wm.Store { return e.rt.store }
-
-// LockStats returns the lock manager's counters.
-func (e *Parallel) LockStats() lock.Stats { return e.lm.Stats() }
 
 // Run drives the pipeline until quiescence (no dispatchable
 // instantiation, no in-flight firing, no armed backoff timer), a halt

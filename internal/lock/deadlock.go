@@ -53,7 +53,6 @@ func (m *Manager) resolveBlockedLocked(id TxnID, blockers map[TxnID]Mode) (abort
 		for b := range blockers {
 			if b > id && !settling(b) {
 				m.abortLocked(b, ErrDeadlock)
-				m.reg.deadlocks++
 				m.met.deadlock()
 			}
 		}
@@ -62,7 +61,6 @@ func (m *Manager) resolveBlockedLocked(id TxnID, blockers map[TxnID]Mode) (abort
 		// Die if any blocker is older.
 		for b := range blockers {
 			if b < id && !settling(b) {
-				m.reg.deadlocks++
 				m.met.deadlock()
 				return true
 			}
@@ -71,7 +69,6 @@ func (m *Manager) resolveBlockedLocked(id TxnID, blockers map[TxnID]Mode) (abort
 	default: // DeadlockDetect
 		if victim := m.findDeadlockVictimLocked(id); victim != 0 {
 			m.abortLocked(victim, ErrDeadlock)
-			m.reg.deadlocks++
 			m.met.deadlock()
 			if victim == id {
 				return true

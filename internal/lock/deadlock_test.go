@@ -43,10 +43,7 @@ func crossAcquire(t *testing.T, m *Manager) (err1, err2 error, t1, t2 TxnID) {
 }
 
 func TestWoundWaitOlderWoundsYounger(t *testing.T) {
-	m := NewManagerPolicy(SchemeRcRaWa, DeadlockWoundWait)
-	if m.Policy() != DeadlockWoundWait {
-		t.Fatal("policy accessor wrong")
-	}
+	m := withMetrics(NewManagerPolicy(SchemeRcRaWa, DeadlockWoundWait))
 	err1, err2, t1, t2 := crossAcquire(t, m)
 	// t1 is older: it wounds t2 and must eventually acquire; t2 dies.
 	if err1 != nil {
@@ -54,6 +51,9 @@ func TestWoundWaitOlderWoundsYounger(t *testing.T) {
 	}
 	if !errors.Is(err2, ErrDeadlock) && !errors.Is(err2, ErrAborted) {
 		t.Fatalf("younger transaction got %v, want wound", err2)
+	}
+	if got := m.met.deadlocks.Value(); got < 1 {
+		t.Fatalf("lock_deadlocks_total = %d, want >= 1 (the wound)", got)
 	}
 	m.End(t1)
 	_ = t2
@@ -75,7 +75,7 @@ func TestWaitDieYoungerDies(t *testing.T) {
 
 func TestWaitDieOlderWaits(t *testing.T) {
 	// Older requester blocked by younger holder must wait, not die.
-	m := NewManagerPolicy(SchemeRcRaWa, DeadlockWaitDie)
+	m := withMetrics(NewManagerPolicy(SchemeRcRaWa, DeadlockWaitDie))
 	q := Resource{Class: "q", ID: 1}
 	t1, t2 := m.Begin(), m.Begin()
 	if err := m.Acquire(t2, q, Wa); err != nil {
@@ -98,7 +98,7 @@ func TestWaitDieOlderWaits(t *testing.T) {
 
 func TestWoundWaitYoungerWaits(t *testing.T) {
 	// Younger requester blocked by older holder waits under wound-wait.
-	m := NewManagerPolicy(SchemeRcRaWa, DeadlockWoundWait)
+	m := withMetrics(NewManagerPolicy(SchemeRcRaWa, DeadlockWoundWait))
 	q := Resource{Class: "q", ID: 1}
 	t1, t2 := m.Begin(), m.Begin()
 	if err := m.Acquire(t1, q, Wa); err != nil {

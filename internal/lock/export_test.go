@@ -1,0 +1,78 @@
+package lock
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"pdps/internal/obs"
+)
+
+// withMetrics attaches a fresh registry to m, so waitForWaiters can
+// read its lock_waits_total series.
+func withMetrics(m *Manager) *Manager {
+	m.SetMetrics(obs.NewRegistry())
+	return m
+}
+
+// waitForWaiters blocks until the manager has registered at least n
+// blocked acquisitions. lock_waits_total is incremented after the
+// waits-for edge is published and under the same shard mutex the
+// waiter then registers its wakeup channel with, so once it reads n
+// the blocked requests are visible to the deadlock machinery and a
+// release that takes the shard mutex will wake them; the deadline
+// bounds liveness only, not correctness. m must carry metrics
+// (withMetrics).
+func waitForWaiters(t *testing.T, m *Manager, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for m.met.waits.Value() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("lock_waits_total=%d after 5s, want >= %d", m.met.waits.Value(), n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TryAcquire is a non-blocking Acquire: it reports whether the lock was
+// granted immediately.
+func (m *Manager) TryAcquire(id TxnID, res Resource, mode Mode) (bool, error) {
+	tx := m.txn(id)
+	if tx == nil {
+		return false, fmt.Errorf("lock: unknown transaction %d", id)
+	}
+	s := m.shardFor(res.Class)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	m.reg.Lock()
+	if tx.aborted {
+		err := tx.abortErr
+		m.reg.Unlock()
+		return false, err
+	}
+	if cur, held := tx.held[res]; held && cur >= mode {
+		m.reg.Unlock()
+		return true, nil
+	}
+	m.reg.Unlock()
+	if len(m.blockersLocked(s, id, res, mode)) > 0 {
+		return false, nil
+	}
+	m.grantLocked(s, tx, res, mode)
+	return true, nil
+}
+
+// Held returns the modes the transaction currently holds.
+func (m *Manager) Held(id TxnID) map[Resource]Mode {
+	m.reg.Lock()
+	defer m.reg.Unlock()
+	tx := m.reg.txns[id]
+	if tx == nil {
+		return nil
+	}
+	out := make(map[Resource]Mode, len(tx.held))
+	for r, md := range tx.held {
+		out[r] = md
+	}
+	return out
+}

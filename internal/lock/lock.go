@@ -208,9 +208,6 @@ type shard struct {
 	// (rather than a sync.Cond) let a deterministic controller park on
 	// the same primitive the free-running path blocks on.
 	waiters []chan struct{}
-
-	acquired int64 // grants in this shard; guarded by mu
-	waits    int64 // blocked acquisitions in this shard; guarded by mu
 }
 
 // broadcastLocked wakes every waiter registered with the shard. Caller
@@ -246,27 +243,9 @@ type Manager struct {
 
 	reg struct {
 		sync.Mutex
-		txns      map[TxnID]*txnState
-		nextID    TxnID
-		deadlocks int64
-		aborts    int64
+		txns   map[TxnID]*txnState
+		nextID TxnID
 	}
-}
-
-// ShardStats counts one lock-table shard's events since creation.
-type ShardStats struct {
-	Acquired int64
-	Waits    int64
-}
-
-// Stats counts lock-manager events since creation. Acquired and Waits
-// aggregate the per-shard counters in Shards.
-type Stats struct {
-	Acquired  int64
-	Waits     int64
-	Deadlocks int64
-	Aborts    int64
-	Shards    []ShardStats
 }
 
 // NewManager returns a lock manager using the given scheme and the
@@ -291,15 +270,6 @@ func NewManagerPolicy(s Scheme, p DeadlockPolicy) *Manager {
 // it before any Acquire; a nil controller (the default) leaves the
 // manager free-running.
 func (m *Manager) SetController(c sched.Controller) { m.ctl = c }
-
-// Scheme returns the manager's compatibility scheme.
-func (m *Manager) Scheme() Scheme { return m.scheme }
-
-// Policy returns the manager's deadlock policy.
-func (m *Manager) Policy() DeadlockPolicy { return m.policy }
-
-// NumShards returns the lock-table shard count.
-func (m *Manager) NumShards() int { return len(m.shards) }
 
 // shardFor maps a class to its lock-table shard.
 func (m *Manager) shardFor(class string) *shard {
@@ -413,7 +383,6 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 			// its owner finishes End, so wait for the release broadcast
 			// like any other waiter — but skip the wait-counter so
 			// retried checks are not double-counted.
-			s.waits++
 			waited = true
 			m.met.wait()
 			if m.clock != nil {
@@ -432,34 +401,6 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 		}
 		s.mu.Lock()
 	}
-}
-
-// TryAcquire is a non-blocking Acquire: it reports whether the lock was
-// granted immediately.
-func (m *Manager) TryAcquire(id TxnID, res Resource, mode Mode) (bool, error) {
-	tx := m.txn(id)
-	if tx == nil {
-		return false, fmt.Errorf("lock: unknown transaction %d", id)
-	}
-	s := m.shardFor(res.Class)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m.reg.Lock()
-	if tx.aborted {
-		err := tx.abortErr
-		m.reg.Unlock()
-		return false, err
-	}
-	if cur, held := tx.held[res]; held && cur >= mode {
-		m.reg.Unlock()
-		return true, nil
-	}
-	m.reg.Unlock()
-	if len(m.blockersLocked(s, id, res, mode)) > 0 {
-		return false, nil
-	}
-	m.grantLocked(s, tx, res, mode)
-	return true, nil
 }
 
 // grantLocked records the lock; caller holds s.mu. A tuple-level grant
@@ -492,7 +433,6 @@ func (m *Manager) grantLocked(s *shard, tx *txnState, res Resource, mode Mode) {
 	}
 	tx.waitsOn = nil
 	m.reg.Unlock()
-	s.acquired++
 	m.met.grant(mode)
 }
 
@@ -635,7 +575,6 @@ func (m *Manager) abortLocked(id TxnID, err error) {
 	tx.aborted = true
 	tx.abortErr = err
 	tx.waitsOn = nil
-	m.reg.aborts++
 	m.met.txnAbort()
 	if tx.waitCh != nil {
 		signal(tx.waitCh)
@@ -778,38 +717,4 @@ func (m *Manager) End(id TxnID) {
 	m.reg.Lock()
 	delete(m.reg.txns, id)
 	m.reg.Unlock()
-}
-
-// Held returns the modes the transaction currently holds, for tests
-// and diagnostics.
-func (m *Manager) Held(id TxnID) map[Resource]Mode {
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	tx := m.reg.txns[id]
-	if tx == nil {
-		return nil
-	}
-	out := make(map[Resource]Mode, len(tx.held))
-	for r, md := range tx.held {
-		out[r] = md
-	}
-	return out
-}
-
-// Stats returns a snapshot of the manager's counters, including the
-// per-shard acquire/wait counts.
-func (m *Manager) Stats() Stats {
-	st := Stats{Shards: make([]ShardStats, len(m.shards))}
-	for i, s := range m.shards {
-		s.mu.Lock()
-		st.Shards[i] = ShardStats{Acquired: s.acquired, Waits: s.waits}
-		s.mu.Unlock()
-		st.Acquired += st.Shards[i].Acquired
-		st.Waits += st.Shards[i].Waits
-	}
-	m.reg.Lock()
-	st.Deadlocks = m.reg.deadlocks
-	st.Aborts = m.reg.aborts
-	m.reg.Unlock()
-	return st
 }

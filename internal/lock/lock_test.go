@@ -3,24 +3,9 @@ package lock
 import (
 	"errors"
 	"testing"
-	"time"
-)
 
-// waitForWaiters blocks until the manager has registered at least n
-// blocked acquisitions. The Waits counter is incremented after the
-// waits-for edge is published, so once it reads n the blocked
-// requests are fully visible to the deadlock machinery; the deadline
-// bounds liveness only, not correctness.
-func waitForWaiters(t *testing.T, m *Manager, n int64) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for m.Stats().Waits < n {
-		if time.Now().After(deadline) {
-			t.Fatalf("waits=%d after 5s, want >= %d", m.Stats().Waits, n)
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-}
+	"pdps/internal/obs"
+)
 
 func TestCompatibilityTable41(t *testing.T) {
 	// Table 4.1 (held row, requested column) for the improved scheme:
@@ -78,7 +63,7 @@ func TestAcquireSharedAndUpgrade(t *testing.T) {
 }
 
 func TestWaBlocksUntilRelease(t *testing.T) {
-	m := NewManager(SchemeRcRaWa)
+	m := withMetrics(NewManager(SchemeRcRaWa))
 	q := Resource{Class: "q", ID: 1}
 	t1, t2 := m.Begin(), m.Begin()
 	if err := m.Acquire(t1, q, Wa); err != nil {
@@ -122,7 +107,7 @@ func TestRaBlocksWa(t *testing.T) {
 }
 
 func TestDeadlockDetectionAbortsYoungest(t *testing.T) {
-	m := NewManager(SchemeRcRaWa)
+	m := withMetrics(NewManager(SchemeRcRaWa))
 	q := Resource{Class: "q", ID: 1}
 	r := Resource{Class: "r", ID: 1}
 	t1, t2 := m.Begin(), m.Begin()
@@ -163,7 +148,7 @@ func TestDeadlockDetectionAbortsYoungest(t *testing.T) {
 }
 
 func TestAbortWakesWaiter(t *testing.T) {
-	m := NewManager(SchemeRcRaWa)
+	m := withMetrics(NewManager(SchemeRcRaWa))
 	q := Resource{Class: "q", ID: 1}
 	t1, t2 := m.Begin(), m.Begin()
 	if err := m.Acquire(t1, q, Wa); err != nil {
@@ -282,8 +267,13 @@ func TestAcquireIdempotentAndUnknownTxn(t *testing.T) {
 	m.End(999) // no-op
 }
 
+// TestStatsCounters pins the lock_* series as the manager's one count
+// per event: one blocked request is one wait, each grant one acquire,
+// and an abort one lock_txn_aborts_total increment.
 func TestStatsCounters(t *testing.T) {
+	reg := obs.NewRegistry()
 	m := NewManager(SchemeRcRaWa)
+	m.SetMetrics(reg)
 	q := Resource{Class: "q", ID: 1}
 	t1, t2 := m.Begin(), m.Begin()
 	if err := m.Acquire(t1, q, Wa); err != nil {
@@ -296,9 +286,23 @@ func TestStatsCounters(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatal(err)
 	}
-	s := m.Stats()
-	if s.Acquired < 2 || s.Waits < 1 {
-		t.Fatalf("stats = %+v", s)
-	}
+	m.Abort(t2)
 	m.End(t2)
+	s := reg.Snapshot()
+	for _, c := range []struct {
+		name   string
+		labels []obs.Label
+		want   int64
+	}{
+		{"lock_txns_total", nil, 2},
+		{"lock_acquires_total", []obs.Label{obs.L("mode", "Wa")}, 2},
+		{"lock_waits_total", nil, 1},
+		{"lock_conflicts_total", []obs.Label{obs.L("modes", "Wa/Wa")}, 1},
+		{"lock_txn_aborts_total", nil, 1},
+		{"lock_deadlocks_total", nil, 0},
+	} {
+		if got := s.Counter(c.name, c.labels...); got != c.want {
+			t.Errorf("%s%v = %d, want %d", c.name, c.labels, got, c.want)
+		}
+	}
 }

@@ -87,7 +87,7 @@ func TestStressInvariants(t *testing.T) {
 									ok = false
 								}
 							}
-							if ok && m.Scheme() == SchemeRcRaWa {
+							if ok && scheme == SchemeRcRaWa {
 								// Every Rc holder overlapping one of our Wa
 								// resources must be listed as a victim.
 								victims := make(map[TxnID]bool)

@@ -27,6 +27,12 @@ import (
 // rename, directory fsync), and covered segments and stale snapshots
 // are pruned.
 //
+// A failed flush, fsync, seal or background checkpoint poisons the
+// backend: every later Append, Sync, BeginCheckpoint and Close returns
+// that first error. A second fsync of the same file proves nothing —
+// Linux may report a lost write only once, and the retry can succeed
+// for data that never reached disk — so the backend never retries one.
+//
 // Recovery (performed once, at open) loads the newest snapshot,
 // replays every surviving segment in order, truncates a torn tail on
 // the final segment (mid-log corruption is an error), and starts a
@@ -48,7 +54,7 @@ type File struct {
 	frame    []byte // framed record scratch
 	rec      *Recovery
 	cpBusy   bool
-	cpErr    error // sticky background-checkpoint failure
+	err      error // sticky: the first failed flush, fsync, seal or checkpoint
 	cpWG     sync.WaitGroup
 	closed   bool
 }
@@ -256,6 +262,9 @@ func segName(seq uint64) string { return fmt.Sprintf(segNameFmt, seq) }
 func (s *File) Append(r *Record) (LSN, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.err != nil {
+		return 0, s.err
+	}
 	if s.closed {
 		return 0, errors.New("storage: append on closed backend")
 	}
@@ -263,7 +272,7 @@ func (s *File) Append(r *Record) (LSN, error) {
 	s.buf = body[:0]
 	s.frame = appendFrame(s.frame[:0], body)
 	if _, err := s.bw.Write(s.frame); err != nil {
-		return 0, fmt.Errorf("storage: append: %w", err)
+		return 0, s.fail(fmt.Errorf("storage: append: %w", err))
 	}
 	n := int64(len(s.frame))
 	s.segBytes += n
@@ -282,10 +291,22 @@ func (s *File) Append(r *Record) (LSN, error) {
 // the next one.
 func (s *File) rotateLocked() error {
 	if err := s.sealLocked(); err != nil {
-		return err
+		return s.fail(err)
 	}
 	s.seg++
-	return s.newSegLocked()
+	if err := s.newSegLocked(); err != nil {
+		return s.fail(err)
+	}
+	return nil
+}
+
+// fail records err as the backend's sticky error, unless an earlier
+// failure already is, and returns err. Caller holds s.mu.
+func (s *File) fail(err error) error {
+	if s.err == nil {
+		s.err = err
+	}
+	return err
 }
 
 // sealLocked flushes and fsyncs the live segment and closes it.
@@ -304,22 +325,22 @@ func (s *File) sealLocked() error {
 }
 
 // Sync flushes buffered records and fsyncs the live segment — the
-// durability point. It also surfaces any background
-// checkpoint failure.
+// durability point. It returns the sticky error of any earlier
+// failure, a background checkpoint's included.
 func (s *File) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.cpErr != nil {
-		return s.cpErr
+	if s.err != nil {
+		return s.err
 	}
 	if s.closed {
 		return errors.New("storage: sync on closed backend")
 	}
 	if err := s.bw.Flush(); err != nil {
-		return fmt.Errorf("storage: sync: %w", err)
+		return s.fail(fmt.Errorf("storage: sync: %w", err))
 	}
 	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("storage: sync: %w", err)
+		return s.fail(fmt.Errorf("storage: sync: %w", err))
 	}
 	return nil
 }
@@ -343,6 +364,9 @@ func (s *File) CheckpointDue() bool {
 func (s *File) BeginCheckpoint() (func(*wm.Store) error, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.err != nil {
+		return nil, s.err
+	}
 	if s.closed {
 		return nil, errors.New("storage: checkpoint on closed backend")
 	}
@@ -364,8 +388,7 @@ func (s *File) BeginCheckpoint() (func(*wm.Store) error, error) {
 		defer s.mu.Unlock()
 		s.cpBusy = false
 		if err != nil {
-			s.cpErr = err
-			return err
+			return s.fail(err)
 		}
 		s.logBytes -= logBytesAt
 		return nil
@@ -450,24 +473,27 @@ func (s *File) LSN() LSN {
 }
 
 // Close seals the live segment, waits for any background checkpoint,
-// and surfaces sticky errors.
+// and returns the sticky error, if any. A poisoned backend closes its
+// live segment without sealing it: that fsync could not be trusted.
 func (s *File) Close() error {
 	s.mu.Lock()
-	var sealErr error
 	if !s.closed {
 		s.closed = true
-		if s.f != nil {
-			sealErr = s.sealLocked()
+		switch {
+		case s.f == nil:
+		case s.err != nil:
+			s.f.Close()
+		default:
+			if err := s.sealLocked(); err != nil {
+				s.fail(err)
+			}
 		}
 	}
 	s.mu.Unlock()
 	s.cpWG.Wait()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if sealErr != nil {
-		return sealErr
-	}
-	return s.cpErr
+	return s.err
 }
 
 // --- segment record codec ---

@@ -338,6 +338,46 @@ func TestFileBackendClosedRefusesAppend(t *testing.T) {
 	}
 }
 
+// TestFileBackendFailedSyncIsSticky pins fail-stop after a failed
+// fsync: the live segment is swapped for a closed file for one Sync,
+// then restored. A retried fsync on the restored file would succeed,
+// but Linux may report a lost write only once, so success would claim
+// durability for records that never reached disk. Every later Sync,
+// Append and Close must keep failing.
+func TestFileBackendFailedSyncIsSticky(t *testing.T) {
+	f, err := OpenFile(t.TempDir(), FileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := wm.NewStore()
+	if _, err := f.Append(mkRecord(t, live, "r", "a", 1)); err != nil {
+		t.Fatal(err)
+	}
+	closed, err := os.CreateTemp(t.TempDir(), "closed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	orig := f.f
+	f.f = closed
+	if err := f.Sync(); err == nil {
+		t.Fatal("Sync on a closed segment file must fail")
+	}
+	f.f = orig
+	if err := f.Sync(); err == nil {
+		t.Fatal("Sync after a failed Sync must keep failing")
+	}
+	if _, err := f.Append(mkRecord(t, live, "r", "a", 2)); err == nil {
+		t.Fatal("Append after a failed Sync must fail")
+	}
+	if _, err := f.BeginCheckpoint(); err == nil {
+		t.Fatal("BeginCheckpoint after a failed Sync must fail")
+	}
+	if err := f.Close(); err == nil {
+		t.Fatal("Close after a failed Sync must report it")
+	}
+}
+
 // TestFileBackendTornHeaderTruncated covers a crash at rotation: the
 // final segment exists but its magic header is partial (or absent).
 // Recovery must treat it like a torn tail — drop it and keep every

@@ -2,7 +2,7 @@
 // reproduction of "Parallelism in Database Production Systems"
 // (Srivastava, Hwang, Tan — ICDE 1990). It provides:
 //
-//   - an OPS5-style rule language (Parse) and programmatic rule IR;
+//   - an OPS5-style rule language (Parse, Format);
 //   - incremental matchers (Rete, TREAT) over a transactional working
 //     memory;
 //   - three interpreters: the single execution thread mechanism, the
@@ -16,6 +16,10 @@
 //     checkers implementing Definition 3.2;
 //   - the Section 5 multiprocessor simulator that reproduces the
 //     paper's speed-up figures.
+//
+// Every exported name here is used by an example, one of the facade
+// commands (psanalyze, psgen, psrun, psshell) or a test of this
+// package; TestExportedAPIReferenced keeps it that way.
 //
 // Quick start:
 //
@@ -60,46 +64,37 @@ import (
 type (
 	// Value is a typed working-memory scalar.
 	Value = wm.Value
-	// WME is a working memory element (tuple).
-	WME = wm.WME
 	// Store is the shared, transactional working memory.
 	Store = wm.Store
-	// Delta is an atomic set of working-memory changes.
-	Delta = wm.Delta
 )
 
-// ReadSnapshot reconstructs a store from a snapshot stream.
-var ReadSnapshot = wm.ReadSnapshot
+// Value constructors.
+var (
+	// Int makes an integer value.
+	Int = wm.Int
+	// Sym makes a symbol value.
+	Sym = wm.Sym
+	// Bool makes a boolean value.
+	Bool = wm.Bool
+)
 
-// Pluggable storage layer (Options.Storage): engines append one record
-// per committed firing and fsync it before acknowledging it; a backend
-// recovers the working memory and the commit history after a crash.
+// Durable runs (Options.Storage): engines append one record per
+// committed firing and fsync it before acknowledging it; the file
+// backend recovers the working memory and the commit history after a
+// crash.
 type (
-	// StorageBackend is the pluggable durability interface engines
-	// drive (set it as Options.Storage).
-	StorageBackend = storage.Backend
-	// StorageRecord is one durable unit: the committed delta plus the
-	// firing that produced it (empty rule name for non-firing deltas
-	// such as the initial working memory).
-	StorageRecord = storage.Record
-	// StorageRecovery is the result of StorageBackend.Recover: the
-	// reconstructed store, the durable LSN, and the commit records.
-	StorageRecovery = storage.Recovery
-	// LSN is a backend's log sequence number (1-based, dense).
-	LSN = storage.LSN
-	// MemBackend is the in-memory no-op-durability backend.
-	MemBackend = storage.Mem
 	// FileBackend is the segmented log-structured file backend with
 	// snapshot checkpoints and log truncation.
 	FileBackend = storage.File
 	// FileBackendOptions tunes segment size and the auto-checkpoint
 	// threshold of a FileBackend.
 	FileBackendOptions = storage.FileOptions
+	// StorageRecovery is what a backend recovered: the reconstructed
+	// store, the durable LSN, and the commit records.
+	StorageRecovery = storage.Recovery
 )
 
 var (
-	// NewMemBackend returns an empty in-memory storage backend.
-	NewMemBackend = storage.NewMem
 	// OpenFileBackend opens or initialises a file-backend directory,
 	// recovering from its newest snapshot plus the surviving log.
 	OpenFileBackend = storage.OpenFile
@@ -112,71 +107,6 @@ var (
 	OpenDurable = engine.OpenDurable
 )
 
-// Value constructors.
-var (
-	// Int makes an integer value.
-	Int = wm.Int
-	// Float makes a floating-point value.
-	Float = wm.Float
-	// Str makes a string value.
-	Str = wm.Str
-	// Sym makes a symbol value.
-	Sym = wm.Sym
-	// Bool makes a boolean value.
-	Bool = wm.Bool
-)
-
-// Rule IR (for building programs programmatically instead of Parse).
-type (
-	// Rule is a compiled production.
-	Rule = match.Rule
-	// Condition is one condition element of a rule's LHS.
-	Condition = match.Condition
-	// AttrTest constrains one attribute within a condition element.
-	AttrTest = match.AttrTest
-	// Action is one RHS operation.
-	Action = match.Action
-	// AttrAssign sets an attribute in a make/modify action.
-	AttrAssign = match.AttrAssign
-	// Expr is an RHS expression.
-	Expr = match.Expr
-	// ConstExpr is a literal expression.
-	ConstExpr = match.ConstExpr
-	// VarExpr references an LHS variable.
-	VarExpr = match.VarExpr
-	// BinExpr applies arithmetic to two subexpressions.
-	BinExpr = match.BinExpr
-	// Instantiation is a rule plus the WMEs satisfying its LHS.
-	Instantiation = match.Instantiation
-)
-
-// Comparison operators for AttrTest.
-const (
-	OpEq = match.OpEq
-	OpNe = match.OpNe
-	OpLt = match.OpLt
-	OpLe = match.OpLe
-	OpGt = match.OpGt
-	OpGe = match.OpGe
-)
-
-// Action kinds.
-const (
-	ActMake   = match.ActMake
-	ActModify = match.ActModify
-	ActRemove = match.ActRemove
-	ActHalt   = match.ActHalt
-)
-
-// Arithmetic operators for BinExpr.
-const (
-	ArithAdd = match.ArithAdd
-	ArithSub = match.ArithSub
-	ArithMul = match.ArithMul
-	ArithDiv = match.ArithDiv
-	ArithMod = match.ArithMod
-)
-
 // Programs and engines.
 type (
 	// Program is a rule set plus initial working memory.
@@ -187,33 +117,16 @@ type (
 	Options = engine.Options
 	// Result summarises a run.
 	Result = engine.Result
-	// AbortPolicy selects Rc-victim handling in the dynamic engine.
-	AbortPolicy = engine.AbortPolicy
-	// Strategy is a conflict-resolution strategy.
-	Strategy = cr.Strategy
 	// Scheme selects the lock compatibility matrix.
 	Scheme = lock.Scheme
 	// TraceLog is the event log of a run.
 	TraceLog = trace.Log
 	// TraceEvent is one logged event.
 	TraceEvent = trace.Event
-	// TraceKind discriminates trace event types.
-	TraceKind = trace.Kind
 )
 
-// Trace event kinds.
-const (
-	// TraceFire records the start of a production's execution.
-	TraceFire = trace.KindFire
-	// TraceCommit records a successful commit.
-	TraceCommit = trace.KindCommit
-	// TraceAbort records an aborted firing.
-	TraceAbort = trace.KindAbort
-	// TraceSkip records an instantiation invalidated before execution.
-	TraceSkip = trace.KindSkip
-	// TraceHalt records a halt action.
-	TraceHalt = trace.KindHalt
-)
+// TraceCommit is the trace kind of a successful commit.
+const TraceCommit = trace.KindCommit
 
 // Locking schemes of the dynamic engine.
 const (
@@ -240,117 +153,23 @@ const (
 // (Table 4.1 for SchemeRcRaWa).
 var LockCompatible = lock.Compatible
 
-// LockStats carries the lock manager's legacy counters, including the
-// per-shard acquire/wait counts (shard assignment is seeded per
-// manager, so these are diagnostics, not replay-stable metrics); the
-// dynamic engine exposes them through its LockStats method. The
-// deterministic equivalents live in the metrics registry as the
-// lock_* series.
-type LockStats = lock.Stats
+// Metrics is an engine's metric registry: atomic counters,
+// peak-tracking gauges, and lock-free log-scale histograms, recorded
+// into by the lock manager, the committer, the matcher and working
+// memory. Obtain it with Engine.Metrics; snapshot it at any time,
+// including mid-run. Under a deterministic scheduler two replays of
+// the same schedule marshal to byte-identical snapshots.
+type Metrics = obs.Registry
 
-// PipelineStats carries the dynamic engine's commit-pipeline queue
-// depths (dispatch and submit, with peaks). It is a convenience view
-// over the engine_dispatch_depth and engine_submit_depth gauges of
-// Engine.Metrics, which supersedes it: a MetricsSnapshot carries the
-// same depths plus every other series. The underlying gauges are
-// atomic, so reading them while workers run is race-free.
-type PipelineStats = engine.PipelineStats
+// DetConfig selects the engine variant a deterministic run tests
+// (Options.Sched).
+type DetConfig = detsched.Config
 
-// Observability (the engine metrics layer).
-type (
-	// Metrics is an engine's metric registry: atomic counters,
-	// peak-tracking gauges, and lock-free log-scale histograms,
-	// recorded into by the lock manager, the committer, the matcher
-	// and working memory. Obtain it with Engine.Metrics; snapshot it
-	// at any time, including mid-run.
-	Metrics = obs.Registry
-	// MetricsSnapshot is a structured, JSON-marshalable view of every
-	// metric series at one moment. Series are sorted, all values are
-	// integral, and all durations flow through Options.Clock, so under
-	// a deterministic scheduler two replays of the same schedule
-	// marshal to byte-identical snapshots.
-	MetricsSnapshot = obs.Snapshot
-	// MetricLabel is one key=value dimension of a metric series (e.g.
-	// rule=advance, modes=Rc/Wa, class=part).
-	MetricLabel = obs.Label
-	// MetricPoint types of a snapshot.
-
-	// CounterPoint is a counter's snapshot value.
-	CounterPoint = obs.CounterPoint
-	// GaugePoint is a gauge's snapshot value and peak.
-	GaugePoint = obs.GaugePoint
-	// HistogramPoint is a histogram's snapshot: count, sum, extrema
-	// and the non-empty log-scale buckets.
-	HistogramPoint = obs.HistogramPoint
-)
-
-// NewMetricLabel constructs a MetricLabel for snapshot lookups, e.g.
-// snap.Counter("lock_conflicts_total", pdps.NewMetricLabel("modes", "Rc/Wa")).
-var NewMetricLabel = obs.L
-
-// NewMetrics returns an empty metrics registry. Pass it as
-// Options.Metrics to aggregate several engines into one snapshot; by
-// default each engine creates its own.
-var NewMetrics = obs.NewRegistry
-
-// DeadlockPolicy selects the dynamic engine's deadlock handling.
-type DeadlockPolicy = lock.DeadlockPolicy
-
-// Deadlock policies.
-const (
-	// DeadlockDetect aborts the youngest transaction of a waits-for cycle.
-	DeadlockDetect = lock.DeadlockDetect
-	// DeadlockWoundWait is the preemptive prevention scheme.
-	DeadlockWoundWait = lock.DeadlockWoundWait
-	// DeadlockWaitDie is the non-preemptive prevention scheme.
-	DeadlockWaitDie = lock.DeadlockWaitDie
-)
-
-// Abort policies (Section 4.3 rule (ii) and its noted alternative).
-const (
-	AbortAlways     = engine.AbortAlways
-	AbortReevaluate = engine.AbortReevaluate
-)
-
-// ErrInconsistent reports a semantic-consistency violation.
-var ErrInconsistent = engine.ErrInconsistent
-
-// Deterministic scheduling and testing (Options.Clock / Options.Sched).
-type (
-	// Clock supplies time to an engine: backoff timers and simulated
-	// rule costs go through it (Options.Clock).
-	Clock = sched.Clock
-	// Scheduler is the deterministic cooperative scheduler: set it as
-	// Options.Sched and call Engine.Run inside Scheduler.Run to make a
-	// whole concurrent run a pure function of a SchedPolicy.
-	Scheduler = sched.Det
-	// SchedPolicy decides which runnable task runs at each scheduling
-	// decision point.
-	SchedPolicy = sched.Policy
-	// SchedChoice records one scheduling decision for replay.
-	SchedChoice = sched.Choice
-	// DetConfig selects the engine variant a deterministic run tests.
-	DetConfig = detsched.Config
-	// DetOutcome is one deterministic run's result.
-	DetOutcome = detsched.RunOutcome
-	// ExploreReport summarises an exhaustive schedule exploration.
-	ExploreReport = detsched.ExploreReport
-)
-
+// Deterministic scheduling and testing.
 var (
-	// RealClock is the wall clock (the default).
-	RealClock = sched.Real{}
-	// ImmediateClock collapses every delay: sleeps return at once and
-	// timers fire immediately — fast deterministic-ish tests without a
-	// full scheduler.
-	ImmediateClock = sched.Immediate{}
-	// NewScheduler builds a deterministic scheduler around a policy.
-	NewScheduler = sched.NewDet
 	// NewRandomSchedPolicy is a seeded uniform-random schedule sampler;
 	// the same seed replays the same schedule bit-for-bit.
 	NewRandomSchedPolicy = sched.NewRandom
-	// NewPCTSchedPolicy is a PCT-style priority schedule sampler.
-	NewPCTSchedPolicy = sched.NewPCT
 	// NewReplaySchedPolicy replays a recorded decision script.
 	NewReplaySchedPolicy = sched.NewReplay
 	// DetRun executes a program once on the dynamic engine under a
@@ -428,9 +247,6 @@ func (s *Session) Assert(src string) error {
 // "mea", "fifo", "priority" or "random".
 var NewStrategy = cr.New
 
-// NewRandomStrategy returns a seeded random strategy (reproducible).
-var NewRandomStrategy = cr.NewRandom
-
 // Parse reads a program in the rule language.
 var Parse = lang.Parse
 
@@ -463,13 +279,6 @@ var RuleRWSet = match.RuleRWSet
 // ReteNetwork is a compiled Rete match network (topology, Dot
 // rendering and join plans are exposed for analysis tooling).
 type ReteNetwork = rete.Network
-
-// RetePlan is one rule's compiled join order with its sharing and
-// cost diagnostics (ReteNetwork.Plans).
-type RetePlan = rete.RulePlan
-
-// Matcher is the incremental match interface every engine drives.
-type Matcher = match.Matcher
 
 // NewReteNetwork returns an empty hashed-memory Rete network with
 // cost-ordered joins and beta-prefix sharing, for join-plan
@@ -526,8 +335,6 @@ var (
 	Guarded = workload.Guarded
 	// RandomProgram generates random terminating concrete programs.
 	RandomProgram = workload.RandomProgram
-	// RandomAbstract generates random terminating abstract systems.
-	RandomAbstract = workload.RandomAbstract
 	// ConflictChain generates abstract systems with tunable conflict.
 	ConflictChain = workload.ConflictChain
 )
