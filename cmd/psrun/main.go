@@ -35,7 +35,7 @@ func main() {
 	var (
 		engineName = flag.String("engine", "single", "engine: single, parallel, static")
 		scheme     = flag.String("scheme", "rcrawa", "lock scheme for parallel engine: 2pl, rcrawa")
-		strategy   = flag.String("strategy", "lex", "conflict resolution: lex, mea, fifo, priority, specificity, random")
+		strategy   = flag.String("strategy", "lex", "conflict resolution: lex, mea, fifo, priority, specificity, random; also orders parallel dispatch (random dispatches as fifo)")
 		matcher    = flag.String("matcher", "rete", "matcher: rete, treat, naive")
 		np         = flag.Int("np", 4, "processors (workers) for parallel engines")
 		maxFirings = flag.Int("max-firings", 10000, "firing safety bound")

@@ -5,43 +5,72 @@ import (
 	"pdps/internal/match"
 )
 
-// agenda is the serial engines' ordered view of the conflict set: the
-// unfired members ranked by an Ordered strategy in a binary heap whose
-// top is the dominant instantiation, so a recognize–act cycle picks in
-// O(log n) instead of listing and sorting the whole set. It follows the
-// set through its change journal (ConflictSet.TakeChanges) and removes
-// an entry as soon as its key leaves the set, so it never holds more
-// entries than the set has members.
+// agenda is every engine's ordered view of the conflict set: the
+// members no one has taken yet, ranked by an Ordered strategy in a
+// binary heap whose top is the dominant instantiation. The serial step
+// picks from it in O(log n) instead of listing and sorting the whole
+// set, and Parallel's committer dispatches from it in the same order.
+// It follows the set through its change journal
+// (ConflictSet.TakeChanges) and removes an entry as soon as its key
+// leaves the set, so it never holds more entries than the set has
+// members. Removed entries are recycled, so in steady state a member
+// entering the agenda costs no allocation.
 type agenda struct {
 	order cr.Ordered
+	// held reports keys kept out of the heap: fired keys, and under
+	// Parallel also the keys it has dispatched.
+	held  func(key string) bool
+	met   *engineMetrics
 	heap  []*agendaEntry
 	byKey map[string]*agendaEntry
+	free  []*agendaEntry
 }
 
-// agendaEntry is one ranked member and its position in the heap.
+// agendaEntry is one ranked member, its position in the heap, and the
+// state Parallel keeps on it while it is dispatched.
 type agendaEntry struct {
 	cr.Rank
 	pos int
+	flight
 }
 
-func newAgenda(o cr.Ordered) *agenda {
-	return &agenda{order: o, byKey: make(map[string]*agendaEntry)}
+func newAgenda(o cr.Ordered, held func(key string) bool, met *engineMetrics) *agenda {
+	return &agenda{order: o, held: held, met: met, byKey: make(map[string]*agendaEntry)}
 }
 
-// next applies the journal of cs and returns the dominant unfired
-// member, or nil when there is none. A journal without removals whose
-// additions number the whole set is a full membership — what a matcher
-// that rebuilds the set (naive) journals — and replaces the agenda; a
-// delta journal holds only members that were added (so the agenda was
-// empty before), which makes the same reconcile exact. Keys journaled
-// as both removed and added are resolved by Contains, and a member that
-// re-entered the set under a known key replaces the stale instantiation.
-func (a *agenda) next(cs *match.ConflictSet, fired map[string]*match.Instantiation) *match.Instantiation {
+// next applies the journal of cs and returns the dominant member that
+// is not held, or nil when there is none.
+func (a *agenda) next(cs *match.ConflictSet) *match.Instantiation {
+	a.drain(cs)
+	if e := a.top(); e != nil {
+		return e.In
+	}
+	return nil
+}
+
+// drain applies the journal of cs and returns how many entries it
+// pushed. A journal without removals whose additions number the whole
+// set is a full membership — what a matcher that rebuilds the set
+// (naive) journals — and replaces the agenda; a delta journal holds
+// only members that were added (so the agenda was empty before), which
+// makes the same reconcile exact. Keys journaled as both removed and
+// added are resolved by Contains, and a member that re-entered the set
+// under a known key replaces the stale instantiation. A drain that
+// finds changes is one engine_journal_batch_size observation and
+// counts as a snapshot or a delta refresh.
+func (a *agenda) drain(cs *match.ConflictSet) (pushed int) {
 	added, removed := cs.TakeChanges()
-	if len(removed) == 0 && len(added) == cs.Len() {
-		clear(a.byKey)
-		clear(a.heap)
-		a.heap = a.heap[:0]
+	full := len(removed) == 0 && len(added) == cs.Len()
+	if n := len(added) + len(removed); n > 0 {
+		a.met.journalBatch.Observe(int64(n))
+		if full {
+			a.met.refreshSnapshot.Inc()
+		} else {
+			a.met.refreshDelta.Inc()
+		}
+	}
+	for full && len(a.heap) > 0 {
+		a.remove(a.heap[len(a.heap)-1])
 	}
 	for _, k := range removed {
 		if e := a.byKey[k]; e != nil && !cs.Contains(k) {
@@ -50,7 +79,7 @@ func (a *agenda) next(cs *match.ConflictSet, fired map[string]*match.Instantiati
 	}
 	for _, in := range added {
 		k := in.Key()
-		if !cs.Contains(k) || fired[k] != nil {
+		if !cs.Contains(k) || a.held(k) {
 			continue
 		}
 		if e := a.byKey[k]; e != nil {
@@ -58,27 +87,48 @@ func (a *agenda) next(cs *match.ConflictSet, fired map[string]*match.Instantiati
 			continue
 		}
 		a.push(in)
+		pushed++
 	}
+	return pushed
+}
+
+// top returns the dominant entry that is not held, first dropping held
+// entries from the top, or nil when there is none.
+func (a *agenda) top() *agendaEntry {
 	for len(a.heap) > 0 {
-		top := a.heap[0]
-		if fired[top.Key()] == nil {
-			return top.In
+		e := a.heap[0]
+		if !a.held(e.Key()) {
+			return e
 		}
-		a.remove(top)
+		a.remove(e)
 	}
 	return nil
 }
 
+// push ranks in into a recycled or new entry and adds it.
 func (a *agenda) push(in *match.Instantiation) {
-	e := &agendaEntry{pos: len(a.heap)}
+	var e *agendaEntry
+	if n := len(a.free); n > 0 {
+		e, a.free = a.free[n-1], a.free[:n-1]
+	} else {
+		e = new(agendaEntry)
+	}
 	e.Set(in)
+	e.retries = 0
+	a.link(e)
+}
+
+// link adds a ranked entry to the heap and the key index.
+func (a *agenda) link(e *agendaEntry) {
+	e.pos = len(a.heap)
 	a.byKey[e.Key()] = e
 	a.heap = append(a.heap, e)
 	a.up(e.pos)
 }
 
-// remove deletes e from the heap and the key index.
-func (a *agenda) remove(e *agendaEntry) {
+// unlink takes e out of the heap and the key index without recycling
+// it; Parallel holds an unlinked entry while it is in flight.
+func (a *agenda) unlink(e *agendaEntry) {
 	delete(a.byKey, e.Key())
 	last := len(a.heap) - 1
 	i := e.pos
@@ -89,6 +139,18 @@ func (a *agenda) remove(e *agendaEntry) {
 		a.down(i)
 		a.up(i)
 	}
+}
+
+// remove deletes e from the agenda and recycles it.
+func (a *agenda) remove(e *agendaEntry) {
+	a.unlink(e)
+	a.release(e)
+}
+
+// release puts an entry that is in no heap on the free list.
+func (a *agenda) release(e *agendaEntry) {
+	e.Rank = cr.Rank{}
+	a.free = append(a.free, e)
 }
 
 // before reports whether entry i dominates entry j.

@@ -64,9 +64,9 @@ func TestAgendaBounded(t *testing.T) {
 	}
 }
 
-// TestAgendaAllocs: in steady state a pick allocates one agenda entry
-// per instantiation that enters the agenda and nothing else. Each
-// firing of the pipeline replaces one instantiation by one new one.
+// TestAgendaAllocs: in steady state a pick allocates nothing. Each
+// firing of the pipeline replaces one instantiation by one new one,
+// and the new one's agenda entry is the recycled entry of the old.
 func TestAgendaAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates; allocation ceilings run without -race")
@@ -94,8 +94,8 @@ func TestAgendaAllocs(t *testing.T) {
 		allocs += after.Mallocs - before.Mallocs
 		step()
 	}
-	if allocs > steps {
-		t.Errorf("%d allocations over %d picks, want at most one agenda entry per pick", allocs, steps)
+	if allocs > steps/50 {
+		t.Errorf("%d allocations over %d picks, want at most %d: agenda entries are recycled", allocs, steps, steps/50)
 	}
 	if n := testing.AllocsPerRun(20, func() { s.rt.next() }); n != 0 {
 		t.Errorf("%.1f allocations per pick with nothing journaled, want 0", n)

@@ -71,7 +71,11 @@ type Options struct {
 	// (the paper's comparison), or "naive" (the generate-and-test
 	// reference the oracle suites and Verify compare against).
 	Matcher string
-	// Strategy is the conflict-resolution strategy; nil means LEX.
+	// Strategy is the conflict-resolution strategy; nil means LEX. It
+	// orders every engine: the serial step picks by it, Static seeds
+	// each batch with its pick, and Parallel dispatches in its order
+	// when workers are fewer than ready instantiations. Random has no
+	// total order, so under it Parallel dispatches in FIFO's.
 	Strategy cr.Strategy
 	// MaxFirings bounds the number of commits; 0 means 10000. When the
 	// bound is hit the run stops with Result.LimitHit set. A Session

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"errors"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"pdps/internal/cr"
 	"pdps/internal/lock"
 	"pdps/internal/match"
 	"pdps/internal/obs"
@@ -23,10 +23,11 @@ import (
 // single committer — the run loop — which owns the matcher and the
 // conflict set outright: it validates each submission, applies the
 // delta atomically, re-matches incrementally, aborts conflicting Rc
-// holders (rule (ii)), and feeds newly activated instantiations back
-// to the workers. Activation is event-driven via the conflict set's
-// change journal, so a commit costs O(|delta|) dispatch work rather
-// than a rescan of the whole conflict set.
+// holders (rule (ii)), and dispatches from the same agenda the serial
+// step picks from, so when workers are fewer than ready
+// instantiations, Options.Strategy decides which go first. The agenda
+// follows the conflict set's change journal, so a commit costs
+// O(|delta|) dispatch work rather than a rescan of the whole set.
 type Parallel struct {
 	rt     *runtime
 	scheme lock.Scheme
@@ -46,27 +47,35 @@ type Parallel struct {
 	// stopping is the workers' fast-path view of rt.stopping().
 	stopping atomic.Bool
 
-	// active mirrors the unfired conflict-set keys for worker-side
-	// staleness checks. Written only by the committer.
-	activeMu sync.RWMutex
-	active   map[string]bool
-
 	// txnInst maps live transactions to their instantiation keys, for
 	// the AbortReevaluate victim check.
 	txnInst sync.Map // lock.TxnID → string
 
-	// Committer-owned dispatch state: instantiations awaiting a worker,
-	// keys with an outstanding dispatch lifecycle, and per-key abort
-	// counts driving the re-dispatch backoff. Retry counts are cleared
-	// when the key commits or leaves the conflict set, so neither map
-	// outgrows the live working set.
-	pending    []*match.Instantiation
-	dispatched map[string]bool
-	retries    map[string]int
+	// Committer-owned dispatch state. The agenda holds the live
+	// conflict-set members that are neither fired nor in flight, in
+	// the strategy's order. inflight holds every dispatched key from
+	// dispatch until it commits, is dropped, or re-enters the agenda
+	// after an abort's backoff, so its size is the running firings plus
+	// the armed backoff timers.
+	agenda   *agenda
+	inflight map[string]*agendaEntry
 
-	work   chan *match.Instantiation
+	work   chan *agendaEntry
 	events chan pevent
 	wg     sync.WaitGroup
+}
+
+// flight is what Parallel keeps on an agenda entry it dispatches. The
+// entry leaves the heap while it flies, so the unlinked entry is the
+// flight record, and it carries the key's abort count across a
+// re-queue.
+type flight struct {
+	// retries counts the key's aborts; it sets the re-dispatch backoff.
+	retries int
+	// stale is Figure 4.2's re-evaluation as the worker reads it under
+	// its Rc locks: after every commit the committer sets it to whether
+	// the key has stopped being a live, unfired conflict-set member.
+	stale atomic.Bool
 }
 
 // detState is the controlled pipeline's committer queue: a plain slice
@@ -106,7 +115,7 @@ const (
 // pevent is one message on the committer's event queue.
 type pevent struct {
 	kind  pevKind
-	in    *match.Instantiation
+	f     *agendaEntry
 	txn   lock.TxnID
 	wtx   *wm.Txn
 	halt  bool
@@ -116,21 +125,26 @@ type pevent struct {
 }
 
 // NewParallel builds a dynamic parallel engine using the given locking
-// scheme (lock.Scheme2PL or lock.SchemeRcRaWa).
+// scheme (lock.Scheme2PL or lock.SchemeRcRaWa). It dispatches in the
+// order of Options.Strategy, or FIFO's when the strategy has no total
+// order (Random).
 func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error) {
 	rt, err := newRuntime(p, opts)
 	if err != nil {
 		return nil, err
 	}
 	e := &Parallel{
-		rt:         rt,
-		scheme:     scheme,
-		lm:         lock.NewManagerPolicy(scheme, rt.opts.Deadlock),
-		clock:      rt.opts.Clock,
-		active:     make(map[string]bool),
-		dispatched: make(map[string]bool),
-		retries:    make(map[string]int),
+		rt:       rt,
+		scheme:   scheme,
+		lm:       lock.NewManagerPolicy(scheme, rt.opts.Deadlock),
+		clock:    rt.opts.Clock,
+		inflight: make(map[string]*agendaEntry),
 	}
+	order, ok := rt.opts.Strategy.(cr.Ordered)
+	if !ok {
+		order = cr.FIFO{}
+	}
+	e.agenda = newAgenda(order, func(k string) bool { return rt.fired[k] != nil || e.inflight[k] != nil }, rt.met)
 	e.lm.SetMetrics(rt.opts.Metrics)
 	e.lm.SetClock(rt.opts.Clock)
 	if rt.opts.Sched != nil {
@@ -156,50 +170,41 @@ func (e *Parallel) Run() (Result, error) {
 		return e.runDet()
 	}
 	rt := e.rt
-	e.work = make(chan *match.Instantiation)
+	e.work = make(chan *agendaEntry)
 	e.events = make(chan pevent, rt.opts.Np*2+4)
 	for i := 0; i < rt.opts.Np; i++ {
 		e.wg.Add(1)
 		go e.workerLoop()
 	}
 
-	// Seed: enabling change tracking journalled the initial membership,
-	// so the first refresh activates and enqueues the loaded conflict
-	// set; everything after arrives incrementally from commits.
-	e.refresh(rt.matcher.ConflictSet())
-
-	inflight, timers := 0, 0
+	// Enabling change tracking journalled the initial membership, so
+	// the first drain fills the agenda; everything after arrives from
+	// commits.
 	for {
 		if rt.stopping() {
 			e.stopping.Store(true)
 		}
-		stop := e.stopping.Load()
-
-		// Pick the next dispatchable instantiation, lazily pruning
-		// entries whose keys fired or left the conflict set.
-		var sendCh chan *match.Instantiation
-		var next *match.Instantiation
-		if !stop {
-			next = e.nextDispatch()
+		var sendCh chan *agendaEntry
+		var top *agendaEntry
+		if !e.stopping.Load() {
+			e.drain()
+			top = e.agenda.top()
 		}
-		if next != nil {
+		if top != nil {
 			sendCh = e.work
 		}
-		rt.met.dispatchQ.Set(int64(len(e.pending)))
+		rt.met.dispatchQ.Set(int64(len(e.agenda.heap)))
 
-		if sendCh == nil && inflight == 0 && timers == 0 && (stop || len(e.pending) == 0) {
+		if top == nil && len(e.inflight) == 0 {
 			break
 		}
 
 		select {
 		case ev := <-e.events:
 			rt.met.submitQ.Add(-1)
-			di, dt := e.handleEvent(ev)
-			inflight += di
-			timers += dt
-		case sendCh <- next:
-			e.pending = e.pending[1:]
-			inflight++
+			e.handleEvent(ev)
+		case sendCh <- top:
+			e.dispatch(top)
 		}
 	}
 
@@ -218,41 +223,36 @@ func (e *Parallel) Run() (Result, error) {
 func (e *Parallel) runDet() (Result, error) {
 	rt := e.rt
 	e.det = &detState{}
-	e.refresh(rt.matcher.ConflictSet())
 
-	inflight, timers := 0, 0
+	timers := 0
 	for {
 		if rt.stopping() {
 			e.stopping.Store(true)
 		}
-		stop := e.stopping.Load()
 
-		// Dispatch up to Np tasks.
-		if !stop {
-			for inflight < rt.opts.Np {
-				next := e.nextDispatch()
-				if next == nil {
+		// Dispatch until Np firings run.
+		if !e.stopping.Load() {
+			e.drain()
+			for len(e.inflight)-timers < rt.opts.Np {
+				top := e.agenda.top()
+				if top == nil {
 					break
 				}
-				e.pending = e.pending[1:]
-				inflight++
-				in := next
-				e.ctl.Go("fire:"+in.Rule.Name, func() { e.fire(in) })
+				e.dispatch(top)
+				e.ctl.Go("fire:"+top.In.Rule.Name, func() { e.fire(top) })
 			}
 		}
-		rt.met.dispatchQ.Set(int64(len(e.pending)))
+		rt.met.dispatchQ.Set(int64(len(e.agenda.heap)))
 
 		if len(e.det.events) > 0 {
 			ev := e.det.events[0]
 			e.det.events = e.det.events[1:]
 			rt.met.submitQ.Add(-1)
-			di, dt := e.handleEvent(ev)
-			inflight += di
-			timers += dt
+			timers += e.handleEvent(ev)
 			continue
 		}
 
-		if inflight == 0 && timers == 0 && (stop || len(e.pending) == 0) {
+		if len(e.inflight) == 0 {
 			break
 		}
 
@@ -265,50 +265,61 @@ func (e *Parallel) runDet() (Result, error) {
 	return rt.result(), rt.err
 }
 
-// nextDispatch returns the head of the dispatch queue, first pruning
-// entries whose keys fired or left the conflict set. The entry stays
-// queued — the caller pops it once the hand-off commits.
-func (e *Parallel) nextDispatch() *match.Instantiation {
-	for len(e.pending) > 0 {
-		in := e.pending[0]
-		k := in.Key()
-		if e.activeHas(k) && e.rt.fired[k] == nil {
-			return in
-		}
-		delete(e.dispatched, k)
-		e.pending = e.pending[1:]
+// drain applies the conflict set's change journal to the agenda; a
+// drain that queued something counts as a cycle.
+func (e *Parallel) drain() {
+	if e.agenda.drain(e.rt.matcher.ConflictSet()) > 0 {
+		e.rt.met.cycleInc()
 	}
-	return nil
+}
+
+// dispatch moves f out of the agenda and into flight.
+func (e *Parallel) dispatch(f *agendaEntry) {
+	e.agenda.unlink(f)
+	e.inflight[f.Key()] = f
+}
+
+// live reports whether key is a conflict-set member that has not fired.
+func (e *Parallel) live(cs *match.ConflictSet, key string) bool {
+	return cs.Contains(key) && e.rt.fired[key] == nil
+}
+
+// land ends f's flight. The entry goes back on the agenda if the run
+// goes on and its key is still live — after an abort's backoff, or
+// because the key left the set and re-entered while in flight — and is
+// recycled otherwise. Only a flight has its stale flag set, so an entry
+// on the agenda or the free list always has it clear.
+func (e *Parallel) land(f *agendaEntry) {
+	k := f.Key()
+	delete(e.inflight, k)
+	f.stale.Store(false)
+	if !e.rt.stopping() && e.live(e.rt.matcher.ConflictSet(), k) {
+		e.agenda.link(f)
+		return
+	}
+	e.agenda.release(f)
 }
 
 // handleEvent applies one worker→committer event and returns the
-// deltas to the in-flight firing and armed backoff-timer counts.
-func (e *Parallel) handleEvent(ev pevent) (dInflight, dTimers int) {
+// change in armed backoff timers.
+func (e *Parallel) handleEvent(ev pevent) (dTimers int) {
 	rt := e.rt
 	switch ev.kind {
 	case evCommit:
-		dInflight = -1
-		dTimers = e.resolveCommit(ev)
+		return e.resolveCommit(ev)
 	case evAborted:
-		dInflight = -1
 		if ev.err != nil {
 			rt.fail(ev.err)
 		}
-		dTimers = e.noteAbort(ev.in)
+		return e.noteAbort(ev.f)
 	case evSkipped:
-		dInflight = -1
 		rt.met.skipInc()
-		delete(e.dispatched, ev.in.Key())
+		e.land(ev.f)
 	case evRequeue:
-		dTimers = -1
-		k := ev.in.Key()
-		if !rt.stopping() && e.activeHas(k) && rt.fired[k] == nil {
-			e.pending = append(e.pending, ev.in)
-		} else {
-			delete(e.dispatched, k)
-		}
+		e.land(ev.f)
+		return -1
 	}
-	return
+	return 0
 }
 
 // submit hands a worker-side event to the committer.
@@ -333,155 +344,72 @@ func (e *Parallel) await(reply chan struct{}) {
 	<-reply
 }
 
-// activeHas reports whether the key is an unfired conflict-set member.
-func (e *Parallel) activeHas(key string) bool {
-	e.activeMu.RLock()
-	ok := e.active[key]
-	e.activeMu.RUnlock()
-	return ok
-}
-
-// refresh reconciles the active mirror with the conflict set after a
-// commit (or at startup) and enqueues newly activated instantiations.
-// Incremental matchers supply a change journal; a matcher that
-// rebuilds the set (naive) journals the full membership, which is
-// detected (no removals, additions equal to the set) and reconciled
-// wholesale. Keys appearing as both added and removed are resolved by
-// Contains.
-func (e *Parallel) refresh(cs *match.ConflictSet) {
-	rt := e.rt
-	added, removed := cs.TakeChanges()
-	// Batch size of this journal drain — the O(|delta|) dispatch cost a
-	// commit pays instead of a conflict-set rescan.
-	rt.met.journalBatch.Observe(int64(len(added) + len(removed)))
-	// One matcher update can journal several activations, and their
-	// relative order leaks matcher-internal map iteration; sort by key
-	// so dispatch order — and with it every deterministic schedule — is
-	// a function of the program alone.
-	sort.Slice(added, func(i, j int) bool { return added[i].Key() < added[j].Key() })
-	if len(removed) == 0 && len(added) == cs.Len() {
-		rt.met.refreshSnapshot.Inc()
-		// Snapshot reconcile: added holds the complete membership.
-		act := make(map[string]bool, len(added))
-		for _, in := range added {
-			if k := in.Key(); rt.fired[k] == nil {
-				act[k] = true
-			}
-		}
-		e.activeMu.Lock()
-		old := e.active
-		e.active = act
-		e.activeMu.Unlock()
-		for k := range old {
-			if !act[k] {
-				delete(e.retries, k)
-			}
-		}
-	} else {
-		rt.met.refreshDelta.Inc()
-		e.activeMu.Lock()
-		for _, k := range removed {
-			if !cs.Contains(k) {
-				delete(e.active, k)
-			}
-		}
-		for _, in := range added {
-			if k := in.Key(); cs.Contains(k) && rt.fired[k] == nil {
-				e.active[k] = true
-			}
-		}
-		e.activeMu.Unlock()
-		for _, k := range removed {
-			if !cs.Contains(k) {
-				delete(e.retries, k)
-			}
-		}
-	}
-	queued := 0
-	for _, in := range added {
-		k := in.Key()
-		if rt.fired[k] == nil && !e.dispatched[k] && e.activeHas(k) {
-			e.dispatched[k] = true
-			e.pending = append(e.pending, in)
-			queued++
-		}
-	}
-	if queued > 0 {
-		rt.met.cycleInc()
-	}
-}
-
 // resolveCommit is the committer's half of a firing: validate the
 // submission against the current conflict set and lock state, commit
-// through the shared runtime, kill Rc victims, fsync the commit, and
-// activate the instantiations the delta enabled. Returns the number of
-// backoff timers armed.
+// through the shared runtime, kill Rc victims, mark the flights the
+// commit invalidated, fsync the commit, and reply. Returns the number
+// of backoff timers armed.
 //
 // Every outcome closes the firing's reply channel. A successful commit
 // closes it only after the fsync, so a firing never observes success
-// before its commit is durable, and the conflict-set refresh follows
-// before the committer takes its next event.
+// before its commit is durable, and only after the stale flags are
+// set, so a worker that takes Rc locks this commit held sees them.
 func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 	rt := e.rt
-	key := ev.in.Key()
+	in := ev.f.In
 	switch {
 	case e.lm.Aborted(ev.txn):
 		ev.wtx.Abort()
-		e.logResolution(trace.KindAbort, ev, "rc-wa victim")
-		timers = e.noteAbort(ev.in)
+		e.logResolution(trace.KindAbort, in, ev.txn, "rc-wa victim")
+		timers = e.noteAbort(ev.f)
 	case rt.stopping():
 		ev.wtx.Abort()
-		e.logResolution(trace.KindSkip, ev, "engine stopping")
+		e.logResolution(trace.KindSkip, in, ev.txn, "engine stopping")
 		rt.met.skipInc()
-		delete(e.dispatched, key)
+		e.land(ev.f)
 	default:
-		cs := rt.matcher.ConflictSet()
-		if !cs.Contains(key) || rt.fired[key] != nil {
+		if !e.live(rt.matcher.ConflictSet(), in.Key()) {
 			ev.wtx.Abort()
-			e.logResolution(trace.KindAbort, ev, "invalidated before commit")
+			e.logResolution(trace.KindAbort, in, ev.txn, "invalidated before commit")
 			rt.met.abortInc()
-			rt.met.rule(ev.in.Rule.Name).aborts.Inc()
-			e.deactivate(key)
-			delete(e.dispatched, key)
-			delete(e.retries, key)
+			rt.met.rule(in.Rule.Name).aborts.Inc()
+			e.land(ev.f)
 			break
 		}
-		if err := rt.commit(ev.in, ev.wtx, int64(ev.txn), ev.halt); err != nil {
+		if err := rt.commit(in, ev.wtx, int64(ev.txn), ev.halt); err != nil {
 			rt.fail(err)
 			if errors.Is(err, ErrInconsistent) {
 				ev.wtx.Abort()
-				e.logResolution(trace.KindAbort, ev, "verify failed")
+				e.logResolution(trace.KindAbort, in, ev.txn, "verify failed")
 			} else {
-				e.logResolution(trace.KindAbort, ev, "commit error")
+				e.logResolution(trace.KindAbort, in, ev.txn, "commit error")
 			}
 			rt.met.abortInc()
-			rt.met.rule(ev.in.Rule.Name).aborts.Inc()
-			delete(e.dispatched, key)
+			rt.met.rule(in.Rule.Name).aborts.Inc()
+			e.land(ev.f)
 			break
 		}
 		lat := e.clock.Now().Sub(ev.start)
 		rt.met.commitNS.ObserveDuration(lat)
-		rt.met.rule(ev.in.Rule.Name).commitNS.ObserveDuration(lat)
-		e.deactivate(key)
-		delete(e.dispatched, key)
-		delete(e.retries, key)
-		cs = rt.matcher.ConflictSet() // post-commit state
+		rt.met.rule(in.Rule.Name).commitNS.ObserveDuration(lat)
+		e.land(ev.f)
+		cs := rt.matcher.ConflictSet() // post-commit state
 		// Rule (ii): abort conflicting Rc holders — unless the
 		// reevaluate policy finds their instantiation untouched by this
 		// commit.
 		for _, victim := range e.lm.RcVictims(ev.txn) {
 			if rt.opts.AbortPolicy == AbortReevaluate {
-				if vk, ok := e.txnInst.Load(victim); ok {
-					if k := vk.(string); cs.Contains(k) && rt.fired[k] == nil {
-						continue
-					}
+				if vk, ok := e.txnInst.Load(victim); ok && e.live(cs, vk.(string)) {
+					continue
 				}
 			}
 			e.lm.Abort(victim)
 		}
+		for k, f := range e.inflight {
+			f.stale.Store(!e.live(cs, k))
+		}
 		rt.syncStorage()
 		close(ev.reply)
-		e.refresh(rt.matcher.ConflictSet())
 		return timers
 	}
 	close(ev.reply)
@@ -489,57 +417,55 @@ func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 }
 
 // noteAbort counts an abort and, if the instantiation is still live,
-// arms a backoff timer that re-enqueues it — proportional to its abort
+// arms a backoff timer that re-queues it — proportional to its abort
 // count so productions that repeatedly deadlock against each other
-// break lockstep, and without occupying a worker while it waits.
-// Returns 1 if a timer was armed.
-func (e *Parallel) noteAbort(in *match.Instantiation) int {
+// break lockstep, and without occupying a worker while it waits. The
+// key stays in flight until the timer fires. Returns 1 if a timer was
+// armed.
+func (e *Parallel) noteAbort(f *agendaEntry) int {
 	rt := e.rt
+	in := f.In
 	rt.met.abortInc()
 	rt.met.rule(in.Rule.Name).aborts.Inc()
-	k := in.Key()
-	e.retries[k]++
-	if rt.stopping() || rt.fired[k] != nil || !e.activeHas(k) {
-		delete(e.dispatched, k)
+	if rt.stopping() || !e.live(rt.matcher.ConflictSet(), in.Key()) {
+		e.land(f)
 		return 0
 	}
+	f.retries++
 	rt.met.retries.Inc()
-	d := time.Duration(e.retries[k]) * 500 * time.Microsecond
+	d := time.Duration(f.retries) * 500 * time.Microsecond
 	if max := 50 * time.Millisecond; d > max {
 		d = max
 	}
 	e.clock.AfterFunc(d, func() {
-		e.submit(pevent{kind: evRequeue, in: in})
+		e.submit(pevent{kind: evRequeue, f: f})
 	})
 	return 1
 }
 
-// deactivate removes a key from the workers' active mirror.
-func (e *Parallel) deactivate(key string) {
-	e.activeMu.Lock()
-	delete(e.active, key)
-	e.activeMu.Unlock()
-}
-
 // logResolution records the committer's verdict on a submission.
-func (e *Parallel) logResolution(kind trace.Kind, ev pevent, detail string) {
-	e.rt.opts.Log.Append(trace.Event{Kind: kind, Rule: ev.in.Rule.Name,
-		Inst: ev.in.Key(), Txn: int64(ev.txn), Detail: detail})
+func (e *Parallel) logResolution(kind trace.Kind, in *match.Instantiation, txn lock.TxnID, detail string) {
+	e.rt.opts.Log.Append(trace.Event{Kind: kind, Rule: in.Rule.Name,
+		Inst: in.Key(), Txn: int64(txn), Detail: detail})
 }
 
 // workerLoop fires instantiations from the work channel until it
 // closes.
 func (e *Parallel) workerLoop() {
 	defer e.wg.Done()
-	for in := range e.work {
-		e.fire(in)
+	for f := range e.work {
+		e.fire(f)
 	}
 }
 
-// fire executes one instantiation as a transaction and submits the
-// outcome to the committer.
-func (e *Parallel) fire(in *match.Instantiation) {
+// fire executes one dispatched instantiation as a transaction and
+// submits the outcome to the committer. It reads the entry's
+// instantiation once, at the start, and its stale flag under the Rc
+// locks; once the outcome is submitted the committer may recycle the
+// entry.
+func (e *Parallel) fire(f *agendaEntry) {
 	rt := e.rt
+	in := f.In
 	key := in.Key()
 	txn := e.lm.Begin()
 	e.txnInst.Store(txn, key)
@@ -551,13 +477,13 @@ func (e *Parallel) fire(in *match.Instantiation) {
 		rt.opts.Log.Append(trace.Event{Kind: trace.KindAbort, Rule: in.Rule.Name,
 			Inst: key, Txn: int64(txn), Detail: reason})
 		end()
-		e.submit(pevent{kind: evAborted, in: in, err: err})
+		e.submit(pevent{kind: evAborted, f: f, err: err})
 	}
 	skip := func(reason string) {
 		rt.opts.Log.Append(trace.Event{Kind: trace.KindSkip, Rule: in.Rule.Name,
 			Inst: key, Txn: int64(txn), Detail: reason})
 		end()
-		e.submit(pevent{kind: evSkipped, in: in})
+		e.submit(pevent{kind: evSkipped, f: f})
 	}
 
 	// Phase 1: Rc locks for condition evaluation (Figure 4.2).
@@ -570,7 +496,7 @@ func (e *Parallel) fire(in *match.Instantiation) {
 
 	// Condition re-evaluation under Rc locks: the instantiation may
 	// have been invalidated by a commit since dispatch.
-	if e.stopping.Load() || !e.activeHas(key) {
+	if e.stopping.Load() || f.stale.Load() {
 		skip("stale before execution")
 		return
 	}
@@ -607,7 +533,7 @@ func (e *Parallel) fire(in *match.Instantiation) {
 	// Submit to the committer; hold the lock transaction open until it
 	// answers so a commit's RcVictims scan still sees our locks.
 	reply := make(chan struct{})
-	e.submit(pevent{kind: evCommit, in: in, txn: txn, wtx: wtx, halt: halt, start: start, reply: reply})
+	e.submit(pevent{kind: evCommit, f: f, txn: txn, wtx: wtx, halt: halt, start: start, reply: reply})
 	e.await(reply)
 	end()
 }

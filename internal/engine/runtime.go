@@ -98,10 +98,10 @@ func (rt *runtime) candidates() []*match.Instantiation {
 func (rt *runtime) next() *match.Instantiation {
 	if o, ok := rt.opts.Strategy.(cr.Ordered); ok {
 		if rt.agenda == nil {
-			rt.agenda = newAgenda(o)
+			rt.agenda = newAgenda(o, func(k string) bool { return rt.fired[k] != nil }, rt.met)
 			rt.matcher.TrackChanges(true)
 		}
-		return rt.agenda.next(rt.matcher.ConflictSet(), rt.fired)
+		return rt.agenda.next(rt.matcher.ConflictSet())
 	}
 	cands := rt.candidates()
 	if len(cands) == 0 {

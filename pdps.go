@@ -113,7 +113,10 @@ type (
 	Program = engine.Program
 	// InitialWME declares one initial tuple.
 	InitialWME = engine.InitialWME
-	// Options configures an engine.
+	// Options configures an engine. AbortPolicy and Deadlock are
+	// in-module settings: the facade names no non-default value for
+	// them, which only detsched.Fuzz's policy sweep, psrepl's -abort
+	// and -deadlock flags and engine tests set.
 	Options = engine.Options
 	// Result summarises a run.
 	Result = engine.Result
