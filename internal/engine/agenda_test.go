@@ -171,3 +171,25 @@ func BenchmarkJoinHeavy(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCheckTrace times the Definition 3.2 checker on the commit
+// trace of a JoinHeavy(100,4) Single run; every replay step renders
+// each candidate instantiation's WMEs to compare fingerprints.
+func BenchmarkCheckTrace(b *testing.B) {
+	p := workload.JoinHeavy(100, 4)
+	e, err := engine.NewSingle(p, engine.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	commits := res.Log.Commits()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := engine.CheckTrace(p, commits); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -250,11 +250,24 @@ func load(p Program, o Options) (*wm.Store, match.Matcher, error) {
 	return store, m, nil
 }
 
-// fingerprints renders the matched WMEs' contents for the trace log.
+// fingerprints renders the matched WMEs' contents for the trace event
+// and the storage record. All of them go into one buffer that a single
+// conversion copies out, and each fingerprint is a substring of that
+// string, so a commit costs two allocations: the string and the slice.
 func fingerprints(in *match.Instantiation) []string {
-	out := make([]string, len(in.WMEs))
-	for i, w := range in.WMEs {
-		out[i] = w.String()
+	var stack [1024]byte // a longer rendering grows onto the heap
+	var endStack [8]int
+	b, ends := stack[:0], endStack[:0]
+	for _, w := range in.WMEs {
+		b = w.AppendTo(b)
+		ends = append(ends, len(b))
+	}
+	all := string(b)
+	out := make([]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		out[i] = all[start:end]
+		start = end
 	}
 	return out
 }

@@ -59,6 +59,11 @@ type Parallel struct {
 	// the armed backoff timers.
 	agenda   *agenda
 	inflight map[string]*agendaEntry
+	// cs is the conflict set as of the last commit, or nil until the
+	// committer next needs it. Working memory changes only at a commit,
+	// so a matcher that rebuilds the set on every call (naive) is asked
+	// once per commit, not once per loop turn and live check.
+	cs *match.ConflictSet
 
 	work   chan *agendaEntry
 	events chan pevent
@@ -268,7 +273,7 @@ func (e *Parallel) runDet() (Result, error) {
 // drain applies the conflict set's change journal to the agenda; a
 // drain that queued something counts as a cycle.
 func (e *Parallel) drain() {
-	if e.agenda.drain(e.rt.matcher.ConflictSet()) > 0 {
+	if e.agenda.drain(e.conflictSet()) > 0 {
 		e.rt.met.cycleInc()
 	}
 }
@@ -279,9 +284,18 @@ func (e *Parallel) dispatch(f *agendaEntry) {
 	e.inflight[f.Key()] = f
 }
 
+// conflictSet returns the matcher's conflict set, asking the matcher
+// only on the first call after a commit.
+func (e *Parallel) conflictSet() *match.ConflictSet {
+	if e.cs == nil {
+		e.cs = e.rt.matcher.ConflictSet()
+	}
+	return e.cs
+}
+
 // live reports whether key is a conflict-set member that has not fired.
-func (e *Parallel) live(cs *match.ConflictSet, key string) bool {
-	return cs.Contains(key) && e.rt.fired[key] == nil
+func (e *Parallel) live(key string) bool {
+	return e.conflictSet().Contains(key) && e.rt.fired[key] == nil
 }
 
 // land ends f's flight. The entry goes back on the agenda if the run
@@ -293,7 +307,7 @@ func (e *Parallel) land(f *agendaEntry) {
 	k := f.Key()
 	delete(e.inflight, k)
 	f.stale.Store(false)
-	if !e.rt.stopping() && e.live(e.rt.matcher.ConflictSet(), k) {
+	if !e.rt.stopping() && e.live(k) {
 		e.agenda.link(f)
 		return
 	}
@@ -368,7 +382,7 @@ func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 		rt.met.skipInc()
 		e.land(ev.f)
 	default:
-		if !e.live(rt.matcher.ConflictSet(), in.Key()) {
+		if !e.live(in.Key()) {
 			ev.wtx.Abort()
 			e.logResolution(trace.KindAbort, in, ev.txn, "invalidated before commit")
 			rt.met.abortInc()
@@ -389,24 +403,24 @@ func (e *Parallel) resolveCommit(ev pevent) (timers int) {
 			e.land(ev.f)
 			break
 		}
+		e.cs = nil // the commit changed working memory
 		lat := e.clock.Now().Sub(ev.start)
 		rt.met.commitNS.ObserveDuration(lat)
 		rt.met.rule(in.Rule.Name).commitNS.ObserveDuration(lat)
 		e.land(ev.f)
-		cs := rt.matcher.ConflictSet() // post-commit state
 		// Rule (ii): abort conflicting Rc holders — unless the
 		// reevaluate policy finds their instantiation untouched by this
 		// commit.
 		for _, victim := range e.lm.RcVictims(ev.txn) {
 			if rt.opts.AbortPolicy == AbortReevaluate {
-				if vk, ok := e.txnInst.Load(victim); ok && e.live(cs, vk.(string)) {
+				if vk, ok := e.txnInst.Load(victim); ok && e.live(vk.(string)) {
 					continue
 				}
 			}
 			e.lm.Abort(victim)
 		}
 		for k, f := range e.inflight {
-			f.stale.Store(!e.live(cs, k))
+			f.stale.Store(!e.live(k))
 		}
 		rt.syncStorage()
 		close(ev.reply)
@@ -427,7 +441,7 @@ func (e *Parallel) noteAbort(f *agendaEntry) int {
 	in := f.In
 	rt.met.abortInc()
 	rt.met.rule(in.Rule.Name).aborts.Inc()
-	if rt.stopping() || !e.live(rt.matcher.ConflictSet(), in.Key()) {
+	if rt.stopping() || !e.live(in.Key()) {
 		e.land(f)
 		return 0
 	}

@@ -48,3 +48,29 @@ func TestRefreshTakesDeltaPath(t *testing.T) {
 		}
 	}
 }
+
+// TestNaiveRefreshOncePerCommit pins the committer to one conflict-set
+// rebuild per commit under the naive matcher, which rebuilds the whole
+// set on every call: the initial drain plus one per commit, however
+// often the committer loops or checks a key's liveness in between.
+func TestNaiveRefreshOncePerCommit(t *testing.T) {
+	for _, scheme := range []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa} {
+		reg := obs.NewRegistry()
+		e, err := NewParallel(pipelineProgram(8, 4), scheme, Options{
+			Np: 4, Matcher: "naive", Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Firings != 32 {
+			t.Fatalf("%v: firings = %d, want 32", scheme, res.Firings)
+		}
+		if snap := reg.Counter("engine_refresh_snapshot_total").Value(); snap > 33 {
+			t.Errorf("%v: %d snapshot refreshes for 32 commits, want at most 33", scheme, snap)
+		}
+	}
+}

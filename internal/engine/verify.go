@@ -93,12 +93,18 @@ func replay(store *wm.Store, rules map[string]*match.Rule, commits []trace.Event
 	return false, nil
 }
 
+// sameFingerprints reports whether in matched WMEs whose renderings
+// are want. Each WME renders into one reused buffer, and the
+// comparison of a converted buffer with a string does not allocate.
 func sameFingerprints(in *match.Instantiation, want []string) bool {
 	if len(in.WMEs) != len(want) {
 		return false
 	}
+	var stack [256]byte
+	b := stack[:0]
 	for i, w := range in.WMEs {
-		if w.String() != want[i] {
+		b = w.AppendTo(b[:0])
+		if string(b) != want[i] {
 			return false
 		}
 	}

@@ -196,7 +196,9 @@ func (s *Store) Modify(id int64, updates map[string]Value) (old, new_ *WME, err 
 // time tags filled in. Removing an absent WME is an error and nothing
 // is applied. A remove+add pair sharing an ID (a modify) replaces the
 // ID entry in place, so concurrent readers of other classes see the
-// tuple present throughout.
+// tuple present throughout. Each added version adopts the attribute
+// map of the WME it was given rather than copying it; attribute maps
+// are never written once their WME is built (see WME).
 func (s *Store) Apply(d *Delta) (*Delta, error) {
 	removes := make([]*WME, len(d.Removes))
 	for i, r := range d.Removes {
@@ -208,7 +210,7 @@ func (s *Store) Apply(d *Delta) (*Delta, error) {
 	}
 	adds := make([]*WME, len(d.Adds))
 	for i, a := range d.Adds {
-		w := &WME{ID: a.ID, Class: a.Class, attrs: copyAttrs(a.attrs)}
+		w := &WME{ID: a.ID, Class: a.Class, attrs: a.attrs}
 		if w.ID == 0 {
 			w.ID = s.nextID.Add(1)
 		}

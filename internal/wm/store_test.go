@@ -205,3 +205,31 @@ func TestWMEEqualContent(t *testing.T) {
 		t.Error("content inequality not detected")
 	}
 }
+
+// TestApplyAllocs: applying a one-modify delta adopts the attribute
+// map of the added version instead of copying it. The ceiling is what
+// Apply itself builds (the result slices and delta, the new version,
+// the per-shard grouping and the re-add set); a copy of the
+// five-attribute map costs two more.
+func TestApplyAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates; allocation ceilings run without -race")
+	}
+	s := NewStore()
+	cur := s.Insert("part", attrs("id", 1, "stage", 0, "w", 2.5, "name", "axle", "ok", true))
+	d := &Delta{Removes: []*WME{cur}, Adds: []*WME{cur.WithAttrs(attrs("stage", 1))}}
+	var applied *Delta
+	n := testing.AllocsPerRun(100, func() {
+		var err error
+		if applied, err = s.Apply(d); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := applied.Adds[0]; got.String() != "(part ^id 1 ^name axle ^ok true ^stage 1 ^w 2.5)" {
+		t.Fatalf("applied %s", got)
+	}
+	const ceiling = 10
+	if n > ceiling {
+		t.Errorf("Apply of one modify: %v allocations, want at most %d (the added version adopts its attribute map)", n, ceiling)
+	}
+}

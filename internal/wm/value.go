@@ -169,23 +169,24 @@ func (v Value) Compare(o Value) int {
 
 // String renders the value in rule-language syntax: strings are
 // quoted, symbols bare, booleans as true/false.
-func (v Value) String() string {
+func (v Value) String() string { return string(v.AppendTo(nil)) }
+
+// AppendTo appends the String rendering of the value to b and returns
+// the extended buffer.
+func (v Value) AppendTo(b []byte) []byte {
 	switch v.kind {
 	case KindNil:
-		return "nil"
+		return append(b, "nil"...)
 	case KindInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.AppendInt(b, v.i, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.f, 'g', -1, 64)
 	case KindString:
-		return strconv.Quote(v.s)
+		return strconv.AppendQuote(b, v.s)
 	case KindSymbol:
-		return v.s
+		return append(b, v.s...)
 	case KindBool:
-		if v.i != 0 {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(b, v.i != 0)
 	}
-	return "?"
+	return append(b, '?')
 }

@@ -1,15 +1,20 @@
 package wm
 
 import (
-	"fmt"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // WME is a working memory element: a tuple of a class (relation) name
 // and attribute/value pairs. WMEs are immutable once created; a modify
 // operation produces a new WME carrying the same ID but a fresh time
 // tag, so matchers can treat modify as remove-then-add.
+//
+// The attribute map is written only while its WME is being built —
+// by copyAttrs, WithAttrs and the snapshot decoder — and never after
+// the WME is handed out. Versions may therefore share one map: the
+// version Store.Apply installs adopts the map of the WME it was given
+// instead of copying it.
 type WME struct {
 	// ID is the stable identity of the element across modifications.
 	ID int64
@@ -92,12 +97,29 @@ func (w *WME) EqualContent(o *WME) bool {
 
 // String renders the WME in rule-language syntax, e.g.
 // (part ^id 3 ^status ready) with attributes in sorted order.
-func (w *WME) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "(%s", w.Class)
-	for _, k := range w.AttrNames() {
-		fmt.Fprintf(&b, " ^%s %s", k, w.attrs[k])
+func (w *WME) String() string { return string(w.AppendTo(nil)) }
+
+// sortedNamesOnStack is how many attribute names AppendTo sorts
+// without allocating; wider tuples sort a heap slice.
+const sortedNamesOnStack = 16
+
+// AppendTo appends the String rendering of the WME to b and returns
+// the extended buffer. It is the one renderer of WME text: commit
+// fingerprints, the trace checker and String all go through it.
+func (w *WME) AppendTo(b []byte) []byte {
+	var stack [sortedNamesOnStack]string
+	names := stack[:0]
+	for k := range w.attrs {
+		names = append(names, k)
 	}
-	b.WriteByte(')')
-	return b.String()
+	slices.Sort(names)
+	b = append(b, '(')
+	b = append(b, w.Class...)
+	for _, k := range names {
+		b = append(b, " ^"...)
+		b = append(b, k...)
+		b = append(b, ' ')
+		b = w.attrs[k].AppendTo(b)
+	}
+	return append(b, ')')
 }
