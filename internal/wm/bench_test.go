@@ -2,6 +2,9 @@ package wm
 
 import (
 	"bytes"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -25,6 +28,42 @@ func BenchmarkModify(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAttr looks up every attribute of a tuple, and one absent
+// name, by tuple width: "scan" is WME.Attr, "binary" the
+// slices.BinarySearchFunc lookup over the same sorted slice, kept as the
+// reference the scan has to beat. Names share one length, the scan's
+// worst case.
+func BenchmarkAttr(b *testing.B) {
+	for _, width := range []int{2, 4, 8, 16, 32} {
+		m := make(map[string]Value, width)
+		names := []string{"zzz"}
+		for i := 0; i < width; i++ {
+			n := fmt.Sprintf("a%02d", i)
+			m[n] = Int(int64(i))
+			names = append(names, n)
+		}
+		w := NewWME("part", m)
+		b.Run(fmt.Sprintf("scan/%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, n := range names {
+					benchValue = w.Attr(n)
+				}
+			}
+		})
+		b.Run(fmt.Sprintf("binary/%d", width), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, n := range names {
+					if j, ok := slices.BinarySearchFunc(w.attrs, n, func(a attr, n string) int { return strings.Compare(a.name, n) }); ok {
+						benchValue = w.attrs[j].val
+					}
+				}
+			}
+		})
+	}
+}
+
+var benchValue Value
 
 func BenchmarkTxnCommit(b *testing.B) {
 	s := NewStore()

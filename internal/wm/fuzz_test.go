@@ -46,6 +46,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(valid)
 	f.Add([]byte{})
 	f.Add(valid[:len(valid)/2])
+	f.Add(repeatedAttrSnapshot())
 	for _, i := range []int{8, 12, 20} {
 		if i < len(valid) {
 			flipped := append([]byte(nil), valid...)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // Persistence gives working memory the "knowledge persistence" the
@@ -189,11 +190,10 @@ func appendWME(b []byte, w *WME) []byte {
 	b = appendU64(b, uint64(w.ID))
 	b = appendU64(b, w.TimeTag)
 	b = appendString(b, w.Class)
-	names := w.AttrNames()
-	b = appendU64(b, uint64(len(names)))
-	for _, n := range names {
-		b = appendString(b, n)
-		b = appendValue(b, w.attrs[n])
+	b = appendU64(b, uint64(len(w.attrs)))
+	for _, a := range w.attrs {
+		b = appendString(b, a.name)
+		b = appendValue(b, a.val)
 	}
 	return b
 }
@@ -276,7 +276,7 @@ func (r *byteReader) wme() (*WME, error) {
 	if n > 1<<24 || !r.remaining(n*9) {
 		return nil, io.ErrUnexpectedEOF
 	}
-	attrs := make(map[string]Value, n)
+	attrs := make([]attr, 0, n)
 	for i := uint64(0); i < n; i++ {
 		name, err := r.str()
 		if err != nil {
@@ -286,7 +286,21 @@ func (r *byteReader) wme() (*WME, error) {
 		if err != nil {
 			return nil, err
 		}
-		attrs[name] = v
+		attrs = append(attrs, attr{name, v})
 	}
-	return &WME{ID: int64(id), TimeTag: tag, Class: class, attrs: attrs}, nil
+	return &WME{ID: int64(id), TimeTag: tag, Class: class, attrs: lastWins(attrs)}, nil
+}
+
+// lastWins sorts decoded attributes by name and keeps the last of any
+// repeated name, as a map filled in record order would.
+func lastWins(a []attr) []attr {
+	slices.SortStableFunc(a, byName)
+	out := a[:0]
+	for i, x := range a {
+		if i+1 < len(a) && a[i+1].name == x.name {
+			continue
+		}
+		out = append(out, x)
+	}
+	return out
 }

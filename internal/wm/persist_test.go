@@ -255,3 +255,67 @@ func TestDecodeDeltaCraftedLength(t *testing.T) {
 		DecodeDelta(crafted) //nolint:errcheck // must not panic
 	}
 }
+
+// repeatedAttrWME encodes one WME record whose attribute list names
+// ^z and ^a twice each, out of order, as no encoder writes it but a
+// hand-made or foreign record might.
+func repeatedAttrWME(b []byte) []byte {
+	b = appendU64(b, 7) // ID
+	b = appendU64(b, 9) // time tag
+	b = appendString(b, "c")
+	names := []string{"z", "a", "z", "m", "a"}
+	vals := []Value{Int(1), Int(2), Int(3), Int(4), Str("x")}
+	b = appendU64(b, uint64(len(names)))
+	for i, n := range names {
+		b = appendString(b, n)
+		b = appendValue(b, vals[i])
+	}
+	return b
+}
+
+// repeatedAttrSnapshot is a snapshot holding only repeatedAttrWME.
+func repeatedAttrSnapshot() []byte {
+	b := append([]byte(nil), snapshotMagic...)
+	b = appendU64(b, 7) // next ID
+	b = appendU64(b, 9) // clock
+	b = appendU64(b, 1) // WME count
+	return repeatedAttrWME(b)
+}
+
+// TestDecodeRepeatedAttrLastWins: a snapshot or delta record naming an
+// attribute twice decodes to the value it names last, as a map filled
+// in record order did, and re-encodes each name once, so write → read
+// → write stays a fixed point.
+func TestDecodeRepeatedAttrLastWins(t *testing.T) {
+	const want = `(c ^a "x" ^m 4 ^z 3)`
+	body := repeatedAttrWME(appendU64(appendU64(nil, 0), 1)) // no removes, one add
+	d, err := DecodeDelta(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Adds[0].String(); got != want {
+		t.Errorf("delta add = %s, want %s", got, want)
+	}
+	s, err := ReadSnapshot(bytes.NewReader(repeatedAttrSnapshot()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, ok := s.Get(7)
+	if !ok || w.String() != want || !w.Attr("z").Equal(Int(3)) || w.TimeTag != 9 {
+		t.Fatalf("snapshot WME = %v (found %v), want %s", w, ok, want)
+	}
+	var first, second bytes.Buffer
+	if err := s.WriteSnapshot(&first); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := ReadSnapshot(bytes.NewReader(first.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.WriteSnapshot(&second); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(first.Bytes(), second.Bytes()) || len(first.Bytes()) >= len(repeatedAttrSnapshot()) {
+		t.Fatalf("re-encoding is not a fixed point with each name once: %d, %d bytes from %d", first.Len(), second.Len(), len(repeatedAttrSnapshot()))
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -33,13 +34,19 @@ func oracleValue(v Value) string {
 }
 
 // oracleWME is the reference rendering of a WME: fmt over the sorted
-// attribute names, the form every trace, storage record and golden
-// file was written in before AppendTo.
+// attribute names of its Attrs map, the form every trace, storage
+// record and golden file was written in before AppendTo.
 func oracleWME(w *WME) string {
+	m := w.Attrs()
+	names := make([]string, 0, len(m))
+	for k := range m {
+		names = append(names, k)
+	}
+	sort.Strings(names)
 	var b strings.Builder
 	fmt.Fprintf(&b, "(%s", w.Class)
-	for _, k := range w.AttrNames() {
-		fmt.Fprintf(&b, " ^%s %s", k, oracleValue(w.attrs[k]))
+	for _, k := range names {
+		fmt.Fprintf(&b, " ^%s %s", k, oracleValue(m[k]))
 	}
 	b.WriteByte(')')
 	return b.String()
@@ -87,11 +94,12 @@ func randomWME(r *rand.Rand, maxAttrs int) *WME {
 	for len(a) < n {
 		a[fmt.Sprintf("a%d", r.Intn(4*maxAttrs+1))] = randomValue(r)
 	}
-	return &WME{Class: fmt.Sprintf("c%d", r.Intn(10)), attrs: a}
+	return NewWME(fmt.Sprintf("c%d", r.Intn(10)), a)
 }
 
 // checkRender compares String, AppendTo onto a non-empty prefix, and
-// every Value rendering with the oracle.
+// every Value rendering with the oracle, and checks that Attr and
+// HasAttr find every attribute and no absent one.
 func checkRender(t *testing.T, w *WME) {
 	t.Helper()
 	want := oracleWME(w)
@@ -101,25 +109,31 @@ func checkRender(t *testing.T, w *WME) {
 	if got := string(w.AppendTo([]byte("prefix"))); got != "prefix"+want {
 		t.Fatalf("AppendTo(prefix) = %q, oracle %q", got, "prefix"+want)
 	}
-	for _, v := range w.attrs {
+	for k, v := range w.Attrs() {
 		if got := v.String(); got != oracleValue(v) {
 			t.Fatalf("Value.String() = %q, oracle %q", got, oracleValue(v))
+		}
+		if got := w.Attr(k); !w.HasAttr(k) || got.Kind() != v.Kind() || got.String() != v.String() {
+			t.Fatalf("Attr(%q) = %v, want %v", k, got, v)
+		}
+		if w.HasAttr(k+"\x00") || w.HasAttr("\x00"+k) {
+			t.Fatalf("HasAttr found an absent name near %q", k)
 		}
 	}
 }
 
 // TestAppendToMatchesOracle pins AppendTo and String byte for byte to
 // the reference renderer over seeded random WMEs, covering every value
-// kind and tuples wider than the names AppendTo sorts on the stack.
+// kind and tuples up to 32 attributes wide.
 func TestAppendToMatchesOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	for i := 0; i < 20000; i++ {
-		checkRender(t, randomWME(r, 2*sortedNamesOnStack))
+		checkRender(t, randomWME(r, 32))
 	}
 }
 
 // TestAppendToEdgeCases renders each hard float and string on its own,
-// the empty tuple, and a tuple wider than the stack buffer.
+// the empty tuple, and a wide tuple.
 func TestAppendToEdgeCases(t *testing.T) {
 	checkRender(t, NewWME("empty", nil))
 	for _, f := range renderFloats {
@@ -129,8 +143,8 @@ func TestAppendToEdgeCases(t *testing.T) {
 		checkRender(t, NewWME("s", map[string]Value{"v": Str(s), "y": Sym(s)}))
 	}
 	wide := make(map[string]Value)
-	for i := 0; i < 3*sortedNamesOnStack; i++ {
-		wide[fmt.Sprintf("w%03d", 3*sortedNamesOnStack-i)] = Int(int64(i))
+	for i := 0; i < 48; i++ {
+		wide[fmt.Sprintf("w%03d", 48-i)] = Int(int64(i))
 	}
 	checkRender(t, NewWME("wide", wide))
 	cases := map[string]*WME{
@@ -144,6 +158,34 @@ func TestAppendToEdgeCases(t *testing.T) {
 		if got := w.String(); got != want {
 			t.Errorf("String() = %s, want %s", got, want)
 		}
+	}
+}
+
+// TestWithAttrsMatchesMap applies seeded random updates, to present
+// and absent names, nil ones included, and compares the result with
+// the same updates applied to the Attrs map; checkRender then holds
+// the merged slice to sorted, unique names.
+func TestWithAttrsMatchesMap(t *testing.T) {
+	r := rand.New(rand.NewSource(38))
+	for i := 0; i < 5000; i++ {
+		w := randomWME(r, 16)
+		want := w.Attrs()
+		ups := make(map[string]Value)
+		for j, n := 0, r.Intn(16); j < n; j++ {
+			ups[fmt.Sprintf("a%d", r.Intn(65))] = randomValue(r)
+		}
+		for k, v := range ups {
+			if v.IsNil() {
+				delete(want, k)
+			} else {
+				want[k] = v
+			}
+		}
+		n := w.WithAttrs(ups)
+		if n.String() != NewWME(w.Class, want).String() {
+			t.Fatalf("%v.WithAttrs(%v) = %v, want %v", w, ups, n, NewWME(w.Class, want))
+		}
+		checkRender(t, n)
 	}
 }
 

@@ -1,8 +1,10 @@
 package wm
 
 import (
+	"cmp"
 	"fmt"
 	"hash/maphash"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,23 +22,30 @@ type classShard struct {
 	byClass map[string]map[int64]*WME
 }
 
+// idShard holds the current versions of the IDs that hash to it.
+type idShard struct {
+	mu sync.RWMutex
+	m  map[int64]*WME
+}
+
 // Store is the shared working memory: an indexed, concurrency-safe
 // tuple store. All mutation goes through Deltas (directly via Apply,
 // or staged in a Txn), so the match phase can be driven incrementally
 // from the exact set of changes each production commit makes.
 //
 // The store is sharded by WME class: each shard has its own RWMutex
-// over its classes' tuple maps, the ID→WME map is a lock-free
-// sync.Map, and the ID/recency counters are atomics. A mutation is
-// atomic per class; modifies additionally replace the ID entry in
-// place, so a concurrent Get never observes the tuple absent
-// mid-modify.
+// over its classes' tuple maps. The ID→WME index is sharded by ID, each
+// shard a map under its own RWMutex, taken only inside a class-shard
+// lock (lock order: class shard → ID shard); the ID/recency counters
+// are atomics. A mutation is atomic per class; modifies additionally
+// replace the ID entry in place, so a concurrent Get never observes
+// the tuple absent mid-modify.
 type Store struct {
 	nextID atomic.Int64
 	clock  atomic.Uint64
 	count  atomic.Int64
 
-	byID   sync.Map // int64 → *WME, current versions
+	byID   [numShards]idShard // current versions
 	shards [numShards]classShard
 	seed   maphash.Seed
 
@@ -56,9 +65,47 @@ func NewStore() *Store {
 	return s
 }
 
+// shardIndex maps a class to the index of its shard.
+func (s *Store) shardIndex(class string) uint8 {
+	return uint8(maphash.String(s.seed, class) % numShards)
+}
+
 // shardFor maps a class to its shard.
 func (s *Store) shardFor(class string) *classShard {
-	return &s.shards[maphash.String(s.seed, class)%numShards]
+	return &s.shards[s.shardIndex(class)]
+}
+
+// lookup returns the current version of the WME with the given ID.
+func (s *Store) lookup(id int64) (*WME, bool) {
+	sh := &s.byID[uint64(id)%numShards]
+	sh.mu.RLock()
+	w, ok := sh.m[id]
+	sh.mu.RUnlock()
+	return w, ok
+}
+
+// setID makes w the current version of its ID. The caller holds w's
+// class-shard lock.
+func (s *Store) setID(w *WME) {
+	sh := &s.byID[uint64(w.ID)%numShards]
+	sh.mu.Lock()
+	if sh.m == nil {
+		sh.m = make(map[int64]*WME)
+	}
+	sh.m[w.ID] = w
+	sh.mu.Unlock()
+}
+
+// dropID deletes the ID entry of w if it still holds w; an entry a
+// modify has already replaced stays. The caller holds w's class-shard
+// lock.
+func (s *Store) dropID(w *WME) {
+	sh := &s.byID[uint64(w.ID)%numShards]
+	sh.mu.Lock()
+	if sh.m[w.ID] == w {
+		delete(sh.m, w.ID)
+	}
+	sh.mu.Unlock()
 }
 
 // Delta is an atomic set of working-memory changes: the removed WMEs
@@ -94,7 +141,7 @@ func (s *Store) add(w *WME) {
 		sh.byClass[w.Class] = cls
 	}
 	cls[w.ID] = w
-	s.byID.Store(w.ID, w)
+	s.setID(w)
 	s.notifyIndexesAdd(w)
 	sh.mu.Unlock()
 	s.count.Add(1)
@@ -104,40 +151,38 @@ func (s *Store) add(w *WME) {
 // Insert creates a WME with the given class and attributes, assigns it
 // a fresh ID and time tag, and adds it to the store.
 func (s *Store) Insert(class string, attrs map[string]Value) *WME {
-	w := &WME{ID: s.nextID.Add(1), TimeTag: s.clock.Add(1), Class: class, attrs: copyAttrs(attrs)}
+	w := &WME{ID: s.nextID.Add(1), TimeTag: s.clock.Add(1), Class: class, attrs: attrsFromMap(attrs)}
 	s.add(w)
 	return w
 }
 
 // Get returns the current version of the WME with the given ID.
 func (s *Store) Get(id int64) (*WME, bool) {
-	v, ok := s.byID.Load(id)
-	if !ok {
-		return nil, false
+	w, ok := s.lookup(id)
+	if ok {
+		s.met.read(w.Class)
 	}
-	w := v.(*WME)
-	s.met.read(w.Class)
-	return w, true
+	return w, ok
 }
 
 // Live reports whether tag is the time tag of the current version of
 // the WME with the given ID. Unlike Get it counts no read: it serves
 // engine bookkeeping, not a rule.
 func (s *Store) Live(id int64, tag uint64) bool {
-	v, ok := s.byID.Load(id)
-	return ok && v.(*WME).TimeTag == tag
+	w, ok := s.lookup(id)
+	return ok && w.TimeTag == tag
 }
 
 // Remove deletes the WME with the given ID and returns the removed
 // version, or false if it is not present.
 func (s *Store) Remove(id int64) (*WME, bool) {
-	v, ok := s.byID.Load(id)
+	w, ok := s.lookup(id)
 	if !ok {
 		return nil, false
 	}
-	sh := s.shardFor(v.(*WME).Class)
+	sh := s.shardFor(w.Class)
 	sh.mu.Lock()
-	cur, ok := sh.byClass[v.(*WME).Class][id] // re-check under the shard lock
+	cur, ok := sh.byClass[w.Class][id] // re-check under the shard lock
 	if !ok {
 		sh.mu.Unlock()
 		return nil, false
@@ -158,7 +203,7 @@ func (s *Store) removeShardLocked(sh *classShard, w *WME) {
 			delete(sh.byClass, w.Class)
 		}
 	}
-	s.byID.Delete(w.ID)
+	s.dropID(w)
 	s.notifyIndexesRemove(w)
 }
 
@@ -166,11 +211,11 @@ func (s *Store) removeShardLocked(sh *classShard, w *WME) {
 // returning the old and new versions. The new version keeps the ID but
 // receives a fresh time tag. Updates with nil values delete attributes.
 func (s *Store) Modify(id int64, updates map[string]Value) (old, new_ *WME, err error) {
-	v, ok := s.byID.Load(id)
+	w, ok := s.lookup(id)
 	if !ok {
 		return nil, nil, fmt.Errorf("wm: modify: no WME with id %d", id)
 	}
-	class := v.(*WME).Class
+	class := w.Class
 	sh := s.shardFor(class)
 	sh.mu.Lock()
 	cur, ok := sh.byClass[class][id]
@@ -181,7 +226,7 @@ func (s *Store) Modify(id int64, updates map[string]Value) (old, new_ *WME, err 
 	n := cur.WithAttrs(updates)
 	n.TimeTag = s.clock.Add(1)
 	sh.byClass[class][id] = n
-	s.byID.Store(id, n) // in-place replace: Get never sees the ID absent
+	s.setID(n) // in-place replace: Get never sees the ID absent
 	s.notifyIndexesRemove(cur)
 	s.notifyIndexesAdd(n)
 	sh.mu.Unlock()
@@ -194,21 +239,26 @@ func (s *Store) Modify(id int64, updates map[string]Value) (old, new_ *WME, err 
 // receive fresh time tags, stamped in delta order so sequential runs
 // stay deterministic. It returns the applied delta with final IDs and
 // time tags filled in. Removing an absent WME is an error and nothing
-// is applied. A remove+add pair sharing an ID (a modify) replaces the
-// ID entry in place, so concurrent readers of other classes see the
-// tuple present throughout. Each added version adopts the attribute
-// map of the WME it was given rather than copying it; attribute maps
-// are never written once their WME is built (see WME).
+// is applied. A remove+add pair sharing an ID (a modify, which keeps
+// its class and so its shard) replaces the ID entry in place, so
+// concurrent readers see the tuple present throughout. A remove takes
+// effect only if its version is still current under the shard lock, so
+// a concurrent Modify or Remove of the same ID, or a WME listed twice,
+// leaves the class map, the ID index and Len in step. Each added
+// version adopts the attribute slice of the WME it was given rather
+// than copying it; attribute slices are never written once their WME
+// is built (see WME).
 func (s *Store) Apply(d *Delta) (*Delta, error) {
-	removes := make([]*WME, len(d.Removes))
+	// One backing array holds both result slices.
+	ws := make([]*WME, len(d.Removes)+len(d.Adds))
+	removes, adds := ws[:len(d.Removes):len(d.Removes)], ws[len(d.Removes):]
 	for i, r := range d.Removes {
-		v, ok := s.byID.Load(r.ID)
+		w, ok := s.lookup(r.ID)
 		if !ok {
 			return nil, fmt.Errorf("wm: apply: remove of absent WME %d", r.ID)
 		}
-		removes[i] = v.(*WME)
+		removes[i] = w
 	}
-	adds := make([]*WME, len(d.Adds))
 	for i, a := range d.Adds {
 		w := &WME{ID: a.ID, Class: a.Class, attrs: a.attrs}
 		if w.ID == 0 {
@@ -217,57 +267,68 @@ func (s *Store) Apply(d *Delta) (*Delta, error) {
 		w.TimeTag = s.clock.Add(1)
 		adds[i] = w
 	}
-	readded := make(map[int64]bool, len(adds))
-	for _, w := range adds {
-		readded[w.ID] = true
-	}
 
-	type ops struct{ rem, add []*WME }
-	byShard := make(map[*classShard]*ops)
-	group := func(w *WME) *ops {
-		sh := s.shardFor(w.Class)
-		o := byShard[sh]
-		if o == nil {
-			o = &ops{}
-			byShard[sh] = o
-		}
-		return o
-	}
+	// Hash each class once; visit only the shards the delta touches.
+	var buf [16]uint8
+	shard := buf[:0] // the shard index of each remove, then of each add
+	var touched [numShards]bool
 	for _, w := range removes {
-		o := group(w)
-		o.rem = append(o.rem, w)
+		i := s.shardIndex(w.Class)
+		shard = append(shard, i)
+		touched[i] = true
 	}
 	for _, w := range adds {
-		o := group(w)
-		o.add = append(o.add, w)
+		i := s.shardIndex(w.Class)
+		shard = append(shard, i)
+		touched[i] = true
 	}
-	for sh, o := range byShard {
-		sh.mu.Lock()
-		for _, w := range o.rem {
-			if cls := sh.byClass[w.Class]; cls != nil {
-				delete(cls, w.ID)
-				if len(cls) == 0 {
-					delete(sh.byClass, w.Class)
-				}
-			}
-			if !readded[w.ID] {
-				s.byID.Delete(w.ID)
-			}
-			s.notifyIndexesRemove(w)
+	remShard, addShard := shard[:len(removes)], shard[len(removes):]
+	removed := 0
+	for i := range s.shards {
+		if !touched[i] {
+			continue
 		}
-		for _, w := range o.add {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for j, w := range removes {
+			if remShard[j] != uint8(i) {
+				continue
+			}
+			// Re-check under the shard lock, as Remove does: a version
+			// another writer has replaced or removed since the lookup stays.
+			if cls := sh.byClass[w.Class]; cls[w.ID] == w {
+				delete(cls, w.ID)
+				s.notifyIndexesRemove(w)
+				removed++
+			}
+		}
+		for j, w := range adds {
+			if addShard[j] != uint8(i) {
+				continue
+			}
 			cls := sh.byClass[w.Class]
 			if cls == nil {
 				cls = make(map[int64]*WME)
 				sh.byClass[w.Class] = cls
 			}
 			cls[w.ID] = w
-			s.byID.Store(w.ID, w)
+			s.setID(w)
 			s.notifyIndexesAdd(w)
+		}
+		// After the adds, so a modify replaces its ID entry and keeps its
+		// class map even when it is the class's only tuple.
+		for j, w := range removes {
+			if remShard[j] != uint8(i) {
+				continue
+			}
+			s.dropID(w)
+			if len(sh.byClass[w.Class]) == 0 {
+				delete(sh.byClass, w.Class)
+			}
 		}
 		sh.mu.Unlock()
 	}
-	s.count.Add(int64(len(adds)) - int64(len(removes)))
+	s.count.Add(int64(len(adds) - removed))
 	if s.met != nil {
 		for _, w := range removes {
 			s.met.write(w.Class)
@@ -342,7 +403,7 @@ func (s *Store) Clone() *Store {
 			sh.byClass[w.Class] = cls
 		}
 		cls[w.ID] = w
-		c.byID.Store(w.ID, w)
+		c.setID(w)
 		c.count.Add(1)
 	}
 	return c
@@ -352,5 +413,5 @@ func (s *Store) Clone() *Store {
 func (s *Store) Clock() uint64 { return s.clock.Load() }
 
 func sortWMEs(ws []*WME) {
-	sort.Slice(ws, func(i, j int) bool { return ws[i].ID < ws[j].ID })
+	slices.SortFunc(ws, func(a, b *WME) int { return cmp.Compare(a.ID, b.ID) })
 }

@@ -1,7 +1,9 @@
 package wm
 
 import (
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -207,10 +209,11 @@ func TestWMEEqualContent(t *testing.T) {
 }
 
 // TestApplyAllocs: applying a one-modify delta adopts the attribute
-// map of the added version instead of copying it. The ceiling is what
-// Apply itself builds (the result slices and delta, the new version,
-// the per-shard grouping and the re-add set); a copy of the
-// five-attribute map costs two more.
+// slice of the added version instead of copying it, and groups by
+// shard without building a map. The ceiling is what Apply returns: the
+// array behind both result slices, the new version and the delta. The
+// modified tuple is its class's only one, so emptying and recreating
+// the class map would cost more.
 func TestApplyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates; allocation ceilings run without -race")
@@ -228,8 +231,140 @@ func TestApplyAllocs(t *testing.T) {
 	if got := applied.Adds[0]; got.String() != "(part ^id 1 ^name axle ^ok true ^stage 1 ^w 2.5)" {
 		t.Fatalf("applied %s", got)
 	}
-	const ceiling = 10
+	const ceiling = 3
 	if n > ceiling {
-		t.Errorf("Apply of one modify: %v allocations, want at most %d (the added version adopts its attribute map)", n, ceiling)
+		t.Errorf("Apply of one modify: %v allocations, want at most %d (the added version adopts its attribute slice)", n, ceiling)
+	}
+}
+
+// TestApplyDuplicateRemove: a delta that lists one WME twice removes
+// it once, so Len, All and Get agree afterwards.
+func TestApplyDuplicateRemove(t *testing.T) {
+	s := NewStore()
+	w := s.Insert("part", attrs("id", 1))
+	s.Insert("part", attrs("id", 2))
+	if _, err := s.Apply(&Delta{Removes: []*WME{w, w}}); err != nil {
+		t.Fatal(err)
+	}
+	if n, all := s.Len(), len(s.All()); n != 1 || all != 1 {
+		t.Fatalf("after removing one of two tuples twice: Len %d, All %d, want 1 and 1", n, all)
+	}
+	if _, ok := s.Get(w.ID); ok {
+		t.Fatalf("Get(%d) still finds the removed tuple", w.ID)
+	}
+}
+
+// TestTxnCommitAllocs: a one-attribute modify through a transaction
+// stages into two slices backed by the Txn itself and commits without
+// building a map. The ceiling counts the Txn, the staged version and
+// its attribute slice, and the three of Apply (see TestApplyAllocs).
+func TestTxnCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates; allocation ceilings run without -race")
+	}
+	s := NewStore()
+	cur := s.Insert("part", attrs("id", 1, "stage", 0))
+	up := attrs("stage", 1)
+	n := testing.AllocsPerRun(100, func() {
+		tx := s.Begin()
+		if _, err := tx.Modify(cur.ID, up); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got, _ := s.Get(cur.ID); got.String() != "(part ^id 1 ^stage 1)" {
+		t.Fatalf("committed %s", got)
+	}
+	const ceiling = 6
+	if n > ceiling {
+		t.Errorf("Begin/Modify/Commit of one attribute: %v allocations, want at most %d", n, ceiling)
+	}
+}
+
+// TestStoreInsertAllocs: an insert allocates the WME and its attribute
+// slice; the ID index adds no per-insert node.
+func TestStoreInsertAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates; allocation ceilings run without -race")
+	}
+	s := NewStore()
+	a := attrs("id", 1, "stage", 0)
+	n := testing.AllocsPerRun(1000, func() { s.Insert("part", a) })
+	const ceiling = 2
+	if n > ceiling {
+		t.Errorf("Insert of two attributes: %v allocations, want at most %d", n, ceiling)
+	}
+}
+
+// TestStoreGetDuringApply: readers call Get and Live on every tuple
+// while a writer commits modify deltas that span classes whose tuples
+// share ID shards. A modify replaces the ID entry in place, so no
+// reader may ever see a tuple absent, and a version Live reports dead
+// must already have a newer one.
+func TestStoreGetDuringApply(t *testing.T) {
+	s := NewStore()
+	var ids []int64
+	for i := 0; i < 4*numShards; i++ {
+		ids = append(ids, s.Insert(fmt.Sprintf("c%d", i%5), attrs("n", 0)).ID)
+	}
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !done.Load() {
+				for _, id := range ids {
+					w, ok := s.Get(id)
+					if !ok {
+						errs <- fmt.Errorf("Get(%d) found no tuple", id)
+						return
+					}
+					if !s.Live(id, w.TimeTag) {
+						if n, ok := s.Get(id); !ok || n.TimeTag <= w.TimeTag {
+							errs <- fmt.Errorf("Live(%d, %d) false without a newer version", id, w.TimeTag)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	for round := 0; round < 2000; round++ {
+		// Every fourth tuple from a rotating start: five classes, and
+		// IDs spread over the ID shards.
+		d := &Delta{}
+		for i := round % 4; i < len(ids); i += 4 {
+			cur, _ := s.Get(ids[i])
+			d.Removes = append(d.Removes, cur)
+			d.Adds = append(d.Adds, cur.WithAttrs(attrs("n", round)))
+		}
+		if round%2 == 0 {
+			if _, err := s.Apply(d); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		tx := s.Begin()
+		for _, w := range d.Removes {
+			if _, err := tx.Modify(w.ID, attrs("n", round)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := tx.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done.Store(true)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if s.Len() != len(ids) {
+		t.Fatalf("Len = %d, want %d", s.Len(), len(ids))
 	}
 }

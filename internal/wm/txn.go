@@ -1,6 +1,9 @@
 package wm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Txn stages the RHS effects of one production firing. Reads see the
 // transaction's own staged changes layered over the underlying store
@@ -9,32 +12,49 @@ import "fmt"
 // requirement that "the WM content is atomically updated only when a
 // production reaches its commit point" (Section 4.2).
 //
+// A firing stages a handful of changes, so both stages are plain
+// slices searched by ID.
+//
 // A Txn is used by a single goroutine; the store it commits into is
 // safe for concurrent use.
 type Txn struct {
-	store    *Store
-	staged   map[int64]*WME // staged inserts and modified versions
-	removed  map[int64]*WME // prior versions shadowed by remove/modify
-	order    []int64        // insertion order of staged adds, for stable deltas
-	done     bool
-	readOnly bool
+	store *Store
+	// adds holds staged inserts and modified versions, one per ID, in
+	// first-staged order, which is the order the delta adds them.
+	adds []*WME
+	// removes holds the store versions shadowed by Remove or Modify,
+	// one per ID.
+	removes []*WME
+	// buf backs the first two adds and the first two removes, as many
+	// as most firings stage.
+	buf  [4]*WME
+	done bool
 }
 
 // Begin starts a transaction over the store.
 func (s *Store) Begin() *Txn {
-	return &Txn{
-		store:   s,
-		staged:  make(map[int64]*WME),
-		removed: make(map[int64]*WME),
+	t := &Txn{store: s}
+	t.adds, t.removes = t.buf[:0:2], t.buf[2:2:4]
+	return t
+}
+
+// indexOf returns the position of the WME with the given ID in ws, or
+// -1.
+func indexOf(ws []*WME, id int64) int {
+	for i, w := range ws {
+		if w.ID == id {
+			return i
+		}
 	}
+	return -1
 }
 
 // Get returns the WME with the given ID as seen by this transaction.
 func (t *Txn) Get(id int64) (*WME, bool) {
-	if w, ok := t.staged[id]; ok {
-		return w, true
+	if i := indexOf(t.adds, id); i >= 0 {
+		return t.adds[i], true
 	}
-	if _, gone := t.removed[id]; gone {
+	if indexOf(t.removes, id) >= 0 {
 		return nil, false
 	}
 	return t.store.Get(id)
@@ -43,25 +63,16 @@ func (t *Txn) Get(id int64) (*WME, bool) {
 // ByClass returns the WMEs of a class as seen by this transaction,
 // ordered by ID.
 func (t *Txn) ByClass(class string) []*WME {
-	seen := make(map[int64]bool)
 	var out []*WME
-	for _, w := range t.staged {
+	for _, w := range t.adds {
 		if w.Class == class {
 			out = append(out, w)
-			seen[w.ID] = true
 		}
 	}
 	for _, w := range t.store.ByClass(class) {
-		if seen[w.ID] {
-			continue
+		if indexOf(t.adds, w.ID) < 0 && indexOf(t.removes, w.ID) < 0 {
+			out = append(out, w)
 		}
-		if _, gone := t.removed[w.ID]; gone {
-			continue
-		}
-		if _, shadowed := t.staged[w.ID]; shadowed {
-			continue
-		}
-		out = append(out, w)
 	}
 	sortWMEs(out)
 	return out
@@ -70,68 +81,56 @@ func (t *Txn) ByClass(class string) []*WME {
 // Insert stages a new WME. The returned WME has a real (reserved) ID
 // but is not visible outside the transaction until commit.
 func (t *Txn) Insert(class string, attrs map[string]Value) *WME {
-	id := t.store.allocID()
-	w := &WME{ID: id, Class: class, attrs: copyAttrs(attrs)}
-	t.staged[id] = w
-	t.order = append(t.order, id)
+	w := &WME{ID: t.store.allocID(), Class: class, attrs: attrsFromMap(attrs)}
+	t.adds = append(t.adds, w)
 	return w
 }
 
-// Remove stages deletion of the WME with the given ID.
+// Remove stages deletion of the WME with the given ID. Removing a
+// staged insert unstages it; removing a modified store WME keeps the
+// shadowed version, so the delta still deletes it.
 func (t *Txn) Remove(id int64) error {
-	if w, ok := t.staged[id]; ok {
-		delete(t.staged, id)
-		// If this staged entry shadowed a store version, keep that
-		// version in removed so the delta still deletes it.
-		_ = w
-		if _, wasStoreWME := t.removed[id]; wasStoreWME {
-			return nil
-		}
-		// A pure staged insert: drop it from the add order too.
-		for i, oid := range t.order {
-			if oid == id {
-				t.order = append(t.order[:i], t.order[i+1:]...)
-				break
-			}
-		}
+	if i := indexOf(t.adds, id); i >= 0 {
+		t.adds = append(t.adds[:i], t.adds[i+1:]...)
 		return nil
 	}
 	w, ok := t.store.Get(id)
 	if !ok {
 		return fmt.Errorf("wm: txn remove: no WME with id %d", id)
 	}
-	t.removed[id] = w
+	if i := indexOf(t.removes, id); i >= 0 {
+		t.removes[i] = w // a second Remove of the same store WME
+		return nil
+	}
+	t.removes = append(t.removes, w)
 	return nil
 }
 
 // Modify stages an attribute update of the WME with the given ID and
 // returns the staged new version. Nil values delete attributes.
 func (t *Txn) Modify(id int64, updates map[string]Value) (*WME, error) {
-	cur, ok := t.Get(id)
+	if i := indexOf(t.adds, id); i >= 0 {
+		n := t.adds[i].WithAttrs(updates)
+		t.adds[i] = n
+		return n, nil
+	}
+	if indexOf(t.removes, id) >= 0 {
+		return nil, fmt.Errorf("wm: txn modify: no WME with id %d", id)
+	}
+	cur, ok := t.store.Get(id)
 	if !ok {
 		return nil, fmt.Errorf("wm: txn modify: no WME with id %d", id)
 	}
 	n := cur.WithAttrs(updates)
-	if _, isStaged := t.staged[id]; !isStaged {
-		t.removed[id] = cur
-		t.order = append(t.order, id)
-	}
-	t.staged[id] = n
+	t.removes = append(t.removes, cur)
+	t.adds = append(t.adds, n)
 	return n, nil
 }
 
 // Delta returns the pending changes as a Delta without committing.
 func (t *Txn) Delta() *Delta {
-	d := &Delta{}
-	for _, w := range t.removed {
-		d.Removes = append(d.Removes, w)
-	}
+	d := &Delta{Removes: slices.Clone(t.removes), Adds: slices.Clone(t.adds)}
 	sortWMEs(d.Removes)
-	for _, id := range t.order {
-		if w, ok := t.staged[id]; ok {
-			d.Adds = append(d.Adds, w)
-		}
-	}
 	return d
 }
 
@@ -143,11 +142,12 @@ func (t *Txn) Commit() (*Delta, error) {
 		return nil, fmt.Errorf("wm: commit of finished transaction")
 	}
 	t.done = true
-	return t.store.Apply(t.Delta())
+	sortWMEs(t.removes)
+	return t.store.Apply(&Delta{Removes: t.removes, Adds: t.adds})
 }
 
 // Abort discards the staged changes. It is safe to call multiple times.
 func (t *Txn) Abort() { t.done = true }
 
 // Pending reports the number of staged operations.
-func (t *Txn) Pending() int { return len(t.staged) + len(t.removed) }
+func (t *Txn) Pending() int { return len(t.adds) + len(t.removes) }

@@ -2,7 +2,7 @@ package wm
 
 import (
 	"slices"
-	"sort"
+	"strings"
 )
 
 // WME is a working memory element: a tuple of a class (relation) name
@@ -10,10 +10,12 @@ import (
 // operation produces a new WME carrying the same ID but a fresh time
 // tag, so matchers can treat modify as remove-then-add.
 //
-// The attribute map is written only while its WME is being built —
-// by copyAttrs, WithAttrs and the snapshot decoder — and never after
-// the WME is handed out. Versions may therefore share one map: the
-// version Store.Apply installs adopts the map of the WME it was given
+// The attributes are one slice of (name, value) pairs sorted by name,
+// each name once — the order every rendering and codec writes them in.
+// The slice is written only while its WME is being built — by
+// attrsFromMap, WithAttrs and the snapshot and delta decoder — and
+// never after the WME is handed out. Versions may therefore share one slice: the
+// version Store.Apply installs adopts the slice of the WME it was given
 // instead of copying it.
 type WME struct {
 	// ID is the stable identity of the element across modifications.
@@ -25,59 +27,103 @@ type WME struct {
 	// Class is the relation the element belongs to.
 	Class string
 
-	attrs map[string]Value
+	attrs []attr
+}
+
+// attr is one attribute of a WME.
+type attr struct {
+	name string
+	val  Value
 }
 
 // NewWME builds a detached WME (not yet in any store) with the given
-// class and attributes. The attribute map is copied.
+// class and attributes. The attributes are copied.
 func NewWME(class string, attrs map[string]Value) *WME {
-	return &WME{Class: class, attrs: copyAttrs(attrs)}
+	return &WME{Class: class, attrs: attrsFromMap(attrs)}
 }
 
-func copyAttrs(attrs map[string]Value) map[string]Value {
-	c := make(map[string]Value, len(attrs))
-	for k, v := range attrs {
-		c[k] = v
+// attrsFromMap returns the map's attributes as a sorted slice.
+func attrsFromMap(m map[string]Value) []attr {
+	a := make([]attr, 0, len(m))
+	for k, v := range m {
+		a = append(a, attr{k, v})
 	}
-	return c
+	slices.SortFunc(a, byName)
+	return a
+}
+
+func byName(x, y attr) int { return strings.Compare(x.name, y.name) }
+
+// find returns the index of the named attribute and whether it is
+// present. It scans: comparing names for equality costs less than a
+// binary search, which must order them, on tuples of up to about 16
+// attributes (BenchmarkAttr), and working-memory tuples are narrower.
+func (w *WME) find(name string) (int, bool) {
+	for i := range w.attrs {
+		if w.attrs[i].name == name {
+			return i, true
+		}
+	}
+	return 0, false
 }
 
 // Attr returns the value of the named attribute, or the nil value if
 // the attribute is absent.
-func (w *WME) Attr(name string) Value { return w.attrs[name] }
+func (w *WME) Attr(name string) Value {
+	if i, ok := w.find(name); ok {
+		return w.attrs[i].val
+	}
+	return Value{}
+}
 
 // HasAttr reports whether the attribute is present.
 func (w *WME) HasAttr(name string) bool {
-	_, ok := w.attrs[name]
+	_, ok := w.find(name)
 	return ok
 }
 
-// AttrNames returns the attribute names in sorted order.
-func (w *WME) AttrNames() []string {
-	names := make([]string, 0, len(w.attrs))
-	for k := range w.attrs {
-		names = append(names, k)
+// Attrs returns a copy of the attributes as a map.
+func (w *WME) Attrs() map[string]Value {
+	m := make(map[string]Value, len(w.attrs))
+	for _, a := range w.attrs {
+		m[a.name] = a.val
 	}
-	sort.Strings(names)
-	return names
+	return m
 }
-
-// Attrs returns a copy of the attribute map.
-func (w *WME) Attrs() map[string]Value { return copyAttrs(w.attrs) }
 
 // WithAttrs returns a new WME that carries this WME's identity and
 // class but with the given attribute updates applied on top of the
 // existing attributes. Setting an attribute to the nil value deletes it.
 func (w *WME) WithAttrs(updates map[string]Value) *WME {
-	n := &WME{ID: w.ID, Class: w.Class, attrs: copyAttrs(w.attrs)}
+	var buf [8]attr
+	ups := buf[:0]
+	size := len(w.attrs)
 	for k, v := range updates {
-		if v.IsNil() {
-			delete(n.attrs, k)
-			continue
+		ups = append(ups, attr{k, v})
+		switch _, ok := w.find(k); {
+		case ok && v.IsNil():
+			size--
+		case !ok && !v.IsNil():
+			size++
 		}
-		n.attrs[k] = v
 	}
-	return n
+	slices.SortFunc(ups, byName)
+	out := make([]attr, 0, size)
+	old := w.attrs
+	for _, u := range ups {
+		for len(old) > 0 && old[0].name < u.name {
+			out = append(out, old[0])
+			old = old[1:]
+		}
+		if len(old) > 0 && old[0].name == u.name {
+			old = old[1:]
+		}
+		if !u.val.IsNil() {
+			out = append(out, u)
+		}
+	}
+	out = append(out, old...)
+	return &WME{ID: w.ID, Class: w.Class, attrs: out}
 }
 
 // EqualContent reports whether two WMEs have the same class and
@@ -86,9 +132,8 @@ func (w *WME) EqualContent(o *WME) bool {
 	if w.Class != o.Class || len(w.attrs) != len(o.attrs) {
 		return false
 	}
-	for k, v := range w.attrs {
-		ov, ok := o.attrs[k]
-		if !ok || !v.Equal(ov) {
+	for i, a := range w.attrs {
+		if b := o.attrs[i]; a.name != b.name || !a.val.Equal(b.val) {
 			return false
 		}
 	}
@@ -99,27 +144,17 @@ func (w *WME) EqualContent(o *WME) bool {
 // (part ^id 3 ^status ready) with attributes in sorted order.
 func (w *WME) String() string { return string(w.AppendTo(nil)) }
 
-// sortedNamesOnStack is how many attribute names AppendTo sorts
-// without allocating; wider tuples sort a heap slice.
-const sortedNamesOnStack = 16
-
 // AppendTo appends the String rendering of the WME to b and returns
 // the extended buffer. It is the one renderer of WME text: commit
 // fingerprints, the trace checker and String all go through it.
 func (w *WME) AppendTo(b []byte) []byte {
-	var stack [sortedNamesOnStack]string
-	names := stack[:0]
-	for k := range w.attrs {
-		names = append(names, k)
-	}
-	slices.Sort(names)
 	b = append(b, '(')
 	b = append(b, w.Class...)
-	for _, k := range names {
+	for _, a := range w.attrs {
 		b = append(b, " ^"...)
-		b = append(b, k...)
+		b = append(b, a.name...)
 		b = append(b, ' ')
-		b = w.attrs[k].AppendTo(b)
+		b = a.val.AppendTo(b)
 	}
 	return append(b, ')')
 }
