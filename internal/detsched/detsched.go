@@ -1,11 +1,14 @@
 // Package detsched is the deterministic schedule-exploration harness
 // for the dynamic engines: it runs the Parallel engine under the
-// internal/sched controller so a whole concurrent run — worker
+// internal/sched controller so a whole concurrent run — firing
 // interleavings, lock waits, abort-backoff timers — is a pure function
 // of a scheduling policy, then checks every commit trace against the
 // single-thread execution semantics with engine.CheckTrace
 // (Definition 3.2: the trace must be a root-originating path of the
-// single-thread execution graph, ES_M ⊆ ES_single).
+// single-thread execution graph, ES_M ⊆ ES_single). The controller
+// replaces only the pool of goroutines a free-running Parallel fires
+// on: the committer loop and the firing code are the ones every
+// free-running run executes, so what is explored here is what ships.
 //
 // Three drivers sit on top of one another:
 //

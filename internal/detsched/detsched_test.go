@@ -205,19 +205,27 @@ func TestPCTPolicyRuns(t *testing.T) {
 // under both 2PL and the improved scheme, EVERY schedule the engine
 // can produce yields a commit trace admitted by the single-thread
 // execution graph (engine.CheckTrace inside Explore).
+//
+// The schedule and serialization counts are pinned exactly: each
+// scheduling point of the controlled pipeline (task start, lock
+// request, park, sleep, timer) multiplies the space, so a change that
+// adds, drops or moves one fails here rather than silently exploring a
+// different pipeline.
 func TestExhaustiveConsistency(t *testing.T) {
 	cases := []struct {
 		name    string
 		prog    engine.Program
 		firings int
+		// schedules is the exact count per scheme: 2PL, then Rc/Ra/Wa.
+		schedules [2]int
 	}{
-		{"fig44", fig44Program(), 1},
-		{"rcwa", rcWaProgram(), 2},
-		{"counter", counterProgram(), 2},
+		{"fig44", fig44Program(), 1, [2]int{182, 362}},
+		{"rcwa", rcWaProgram(), 2, [2]int{102, 448}},
+		{"counter", counterProgram(), 2, [2]int{1346, 2834}},
 	}
 	const cap = 6000
 	for _, tc := range cases {
-		for _, scheme := range []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa} {
+		for i, scheme := range []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa} {
 			t.Run(tc.name+"/"+scheme.String(), func(t *testing.T) {
 				rep, err := Explore(tc.prog, Config{Scheme: scheme, Np: 2}, cap)
 				if err != nil {
@@ -226,8 +234,11 @@ func TestExhaustiveConsistency(t *testing.T) {
 				if rep.Truncated {
 					t.Fatalf("state space over %d schedules; shrink the program", cap)
 				}
-				if rep.Schedules < 2 {
-					t.Fatalf("only %d schedule explored; branching not reached", rep.Schedules)
+				if rep.Schedules != tc.schedules[i] {
+					t.Fatalf("explored %d schedules, want %d", rep.Schedules, tc.schedules[i])
+				}
+				if len(rep.Serializations) != 2 {
+					t.Fatalf("found %d serializations, want 2", len(rep.Serializations))
 				}
 				for seq := range rep.Serializations {
 					if got := strings.Count(seq, "["); got != tc.firings && seq != "" {

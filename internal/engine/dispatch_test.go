@@ -1,6 +1,8 @@
 package engine_test
 
 import (
+	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -8,6 +10,7 @@ import (
 	"pdps/internal/engine"
 	"pdps/internal/lock"
 	"pdps/internal/sched"
+	"pdps/internal/workload"
 )
 
 // TestParallelNp1EqualsSingle: with one worker nothing runs beside a
@@ -62,4 +65,35 @@ func insts(res engine.Result) []string {
 		out = append(out, e.Inst)
 	}
 	return out
+}
+
+// TestParallelFiringAllocs holds a free-running Parallel firing on
+// workload.Independent — no lock conflict, so every firing takes the
+// plain dispatch, fire, commit path — to an allocation ceiling. Run's
+// allocations are divided by its firings; the best of three runs is
+// taken, so a stray allocation elsewhere in the process does not count.
+func TestParallelFiringAllocs(t *testing.T) {
+	if engine.RaceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	const ceiling = 43
+	best := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		e, err := engine.NewParallel(workload.Independent(32, 16), lock.SchemeRcRaWa, engine.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := e.Run()
+		runtime.ReadMemStats(&after)
+		if err != nil || res.Firings != 32*16 {
+			t.Fatalf("fired %d, err %v; want %d", res.Firings, err, 32*16)
+		}
+		best = min(best, float64(after.Mallocs-before.Mallocs)/float64(res.Firings))
+	}
+	t.Logf("%.2f allocations per firing", best)
+	if best > ceiling {
+		t.Fatalf("a firing allocates %.2f times, want at most %d", best, ceiling)
+	}
 }

@@ -81,7 +81,8 @@ type Options struct {
 	// bound is hit the run stops with Result.LimitHit set. A Session
 	// ignores it: each Session.Run call carries its own bound.
 	MaxFirings int
-	// Np is the worker (processor) count for parallel engines; 0 means 4.
+	// Np is the worker (processor) count for parallel engines; 0 means 4,
+	// and every engine refuses a negative value.
 	Np int
 	// AbortPolicy selects victim handling in the dynamic engine.
 	AbortPolicy AbortPolicy

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"pdps/internal/cr"
 	"pdps/internal/lock"
@@ -612,5 +613,50 @@ func TestEngineOptionErrors(t *testing.T) {
 	}
 	if _, err := NewStatic(bad, Options{}); err == nil {
 		t.Fatal("invalid rule must error (static)")
+	}
+}
+
+// TestNegativeNpRejected: every engine refuses a negative Np when it is
+// built. Each case runs under a time bound and recovers a panic,
+// because an unchecked negative Np panics Static's Run (a negative
+// semaphore size) and leaves Parallel's committer dispatching nothing
+// until it is killed.
+func TestNegativeNpRejected(t *testing.T) {
+	prog, opts := counterProgram(2), Options{Np: -1}
+	builds := map[string]func() (run func(), err error){
+		"single": func() (func(), error) { e, err := NewSingle(prog, opts); return func() { e.Run() }, err },
+		"static": func() (func(), error) { e, err := NewStatic(prog, opts); return func() { e.Run() }, err },
+		"parallel": func() (func(), error) {
+			e, err := NewParallel(prog, lock.SchemeRcRaWa, opts)
+			return func() { e.Run() }, err
+		},
+		"session": func() (func(), error) { s, err := NewSession(prog, opts); return func() { s.Run(100) }, err },
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			done := make(chan string, 1)
+			go func() {
+				defer func() {
+					if r := recover(); r != nil {
+						done <- fmt.Sprintf("run panicked: %v", r)
+					}
+				}()
+				run, err := build()
+				if err != nil {
+					done <- ""
+					return
+				}
+				run()
+				done <- "built and ran"
+			}()
+			select {
+			case msg := <-done:
+				if msg != "" {
+					t.Fatalf("Np -1 not rejected: %s", msg)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Np -1 not rejected: run did not return")
+			}
+		})
 	}
 }

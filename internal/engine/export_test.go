@@ -17,6 +17,9 @@ func (s *Session) Refraction() (size, live int) {
 	return len(s.rt.fired), live
 }
 
+// RaceEnabled reports whether the race detector built this test binary.
+const RaceEnabled = raceEnabled
+
 // Interferes reports the Static engine's rule-interference relation
 // between two rules.
 func (e *Static) Interferes(a, b string) bool { return e.im.Interferes(a, b) }
@@ -32,7 +35,7 @@ type PlannedLock struct {
 }
 
 // LockPlan returns the instantiation's Rc plan followed by its Ra/Wa
-// plan, as a Parallel worker acquires them.
+// plan, as a Parallel firing acquires them.
 func LockPlan(in *match.Instantiation) []PlannedLock {
 	var out []PlannedLock
 	for _, r := range rcResources(in) {

@@ -17,57 +17,51 @@ import (
 
 // Parallel is the multiple execution thread mechanism with the dynamic
 // (locking) approach of Sections 4.2–4.3, organised as a commit
-// pipeline. A pool of Np workers fires instantiations as transactions:
-// Rc locks for the condition, Ra/Wa locks at RHS start, effects staged
-// into a private transaction. Executed firings are then submitted to a
-// single committer — the run loop — which owns the matcher and the
-// conflict set outright: it validates each submission, applies the
-// delta atomically, re-matches incrementally, aborts conflicting Rc
-// holders (rule (ii)), and dispatches from the same agenda the serial
-// step picks from, so when workers are fewer than ready
-// instantiations, Options.Strategy decides which go first. The agenda
-// follows the conflict set's change journal, so a commit costs
-// O(|delta|) dispatch work rather than a rescan of the whole set.
+// pipeline. Each dispatched instantiation fires as a transaction, in a
+// task of its own: Rc locks for the condition, Ra/Wa locks at RHS
+// start, effects staged into a private transaction. Executed firings
+// are then submitted to a single committer — the run loop — which owns
+// the matcher and the conflict set outright: it validates each
+// submission, applies the delta atomically, re-matches incrementally,
+// aborts conflicting Rc holders (rule (ii)), and dispatches from the
+// same agenda the serial step picks from, so when fewer than Np firings
+// may run than instantiations are ready, Options.Strategy decides which
+// go first. The agenda follows the conflict set's change journal, so a
+// commit costs O(|delta|) dispatch work rather than a rescan of the
+// whole set.
+//
+// The loop is the same with and without Options.Sched: only the
+// controller that runs the firings and parks the waits differs — the
+// deterministic controller, or a pool of Np goroutines — so schedule
+// exploration covers the code every free-running run executes.
 type Parallel struct {
-	rt     *runtime
-	scheme lock.Scheme
-	lm     *lock.Manager
+	rt *runtime
+	lm *lock.Manager
 
-	// clock supplies backoff timers, simulated costs and latency
-	// timestamps (Options.Clock; the controller itself under Sched).
-	clock sched.Clock
-	// ctl, when non-nil, is the deterministic scheduling controller:
-	// Run switches to the controlled pipeline (runDet) and every
-	// concurrent activity becomes a controlled task.
-	ctl sched.Controller
-	// det holds the controlled pipeline's event queue; nil when
-	// free-running.
-	det *detState
+	// ctl runs every firing as a task and parks the committer and the
+	// firings awaiting its verdict.
+	ctl controller
 
-	// stopping is the workers' fast-path view of rt.stopping().
+	// stopping is the firings' fast-path view of rt.stopping().
 	stopping atomic.Bool
-
-	// txnInst maps live transactions to their instantiation keys, for
-	// the AbortReevaluate victim check.
-	txnInst sync.Map // lock.TxnID → string
 
 	// Committer-owned dispatch state. The agenda holds the live
 	// conflict-set members that are neither fired nor in flight, in
 	// the strategy's order. inflight holds every dispatched key from
 	// dispatch until it commits, is dropped, or re-enters the agenda
 	// after an abort's backoff, so its size is the running firings plus
-	// the armed backoff timers.
+	// the armed backoff timers, which timers counts.
 	agenda   *agenda
 	inflight map[string]*agendaEntry
+	timers   int
 	// cs is the conflict set as of the last commit, or nil until the
 	// committer next needs it. Working memory changes only at a commit,
 	// so a matcher that rebuilds the set on every call (naive) is asked
 	// once per commit, not once per loop turn and live check.
 	cs *match.ConflictSet
 
-	work   chan *agendaEntry
-	events chan pevent
-	wg     sync.WaitGroup
+	// q carries the firings' and timers' events to the committer.
+	q queue
 }
 
 // flight is what Parallel keeps on an agenda entry it dispatches. The
@@ -77,37 +71,136 @@ type Parallel struct {
 type flight struct {
 	// retries counts the key's aborts; it sets the re-dispatch backoff.
 	retries int
-	// stale is Figure 4.2's re-evaluation as the worker reads it under
+	// stale is Figure 4.2's re-evaluation as the firing reads it under
 	// its Rc locks: after every commit the committer sets it to whether
 	// the key has stopped being a live, unfired conflict-set member.
 	stale atomic.Bool
+	// txn is the firing's lock transaction, or 0 until it begins; the
+	// AbortReevaluate policy finds an Rc victim's key by it.
+	txn atomic.Int64
 }
 
-// detState is the controlled pipeline's committer queue: a plain slice
-// plus a wake channel, safe because the controller runs exactly one
-// task at a time (token passing provides the happens-before edges).
-type detState struct {
-	events []pevent
-	wake   chan struct{} // non-nil while the committer is parked idle
+// controller runs the committer's firings as tasks. Under Options.Sched
+// it is controlled, which makes each firing a task of the deterministic
+// controller; free-running it is a pool.
+type controller interface {
+	// fire runs the firing of f as a task.
+	fire(f *agendaEntry)
+	// Park blocks the calling task until ch is signalled (a buffered
+	// send or close).
+	Park(label string, ch chan struct{})
+	// wait returns once every task fire started has returned.
+	wait()
 }
 
-// signalCh delivers a non-blocking wakeup on a one-slot channel.
-func signalCh(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
+// controlled starts each firing as a task of a deterministic
+// controller, whose Run waits for its tasks.
+type controlled struct {
+	sched.Controller
+	e *Parallel
+}
+
+func (c controlled) fire(f *agendaEntry) {
+	c.Go("fire:"+f.In.Rule.Name, func() { c.e.fire(f) })
+}
+
+func (controlled) wait() {}
+
+// pool is the free-running controller: Np long-lived goroutines, started
+// by a run's first firing and stopped by wait, fire the entries handed
+// to them, and Park is a plain receive. Handing over the entry itself
+// rather than a closure keeps a firing's start free of allocation.
+type pool struct {
+	e    *Parallel
+	work chan *agendaEntry
+	wg   sync.WaitGroup
+}
+
+func (p *pool) fire(f *agendaEntry) {
+	if p.work == nil {
+		p.work = make(chan *agendaEntry)
+		p.wg.Add(p.e.rt.opts.Np)
+		for range p.e.rt.opts.Np {
+			go func() {
+				defer p.wg.Done()
+				for f := range p.work {
+					p.e.fire(f)
+				}
+			}()
+		}
+	}
+	p.work <- f
+}
+
+func (*pool) Park(_ string, ch chan struct{}) { <-ch }
+
+func (p *pool) wait() {
+	if p.work != nil {
+		close(p.work)
+		p.wg.Wait()
+		p.work = nil
 	}
 }
 
-// pevKind discriminates worker→committer messages.
+// queue is the committer's event queue: firings and backoff timers push,
+// the committer pops one event at a time. When pop finds it empty the
+// committer parks on wake, and the next push signals it — exactly once,
+// so the committer never parks on a stale signal, which under a
+// deterministic controller would add a scheduling point.
+type queue struct {
+	mu     sync.Mutex
+	events []pevent
+	head   int
+	idle   bool // pop found the queue empty; the next push signals wake
+	wake   chan struct{}
+}
+
+// push appends ev, compacting the popped prefix away when the slice is
+// full, and wakes an idle committer.
+func (q *queue) push(ev pevent) {
+	q.mu.Lock()
+	if q.head > 0 && len(q.events) == cap(q.events) {
+		n := copy(q.events, q.events[q.head:])
+		clear(q.events[n:])
+		q.events, q.head = q.events[:n], 0
+	}
+	q.events = append(q.events, ev)
+	idle := q.idle
+	q.idle = false
+	q.mu.Unlock()
+	if idle {
+		select {
+		case q.wake <- struct{}{}:
+		default:
+		}
+	}
+}
+
+// pop returns the oldest event, or reports that there is none and marks
+// the committer idle.
+func (q *queue) pop() (pevent, bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.head == len(q.events) {
+		q.events, q.head = q.events[:0], 0
+		q.idle = true
+		return pevent{}, false
+	}
+	ev := q.events[q.head]
+	q.events[q.head] = pevent{}
+	q.head++
+	return ev, true
+}
+
+// pevKind discriminates firing→committer messages.
 type pevKind uint8
 
 const (
-	// evCommit carries an executed firing's staged effects; the worker
+	// evCommit carries an executed firing's staged effects; the firing
 	// blocks on reply until the committer has resolved it (the lock
 	// transaction must outlive the commit so RcVictims sees its locks).
 	evCommit pevKind = iota
-	// evAborted reports a worker-side abort (lock denial, victim kill
+	// evAborted reports a firing-side abort (lock denial, victim kill
 	// or action error); the transaction is already ended.
 	evAborted
 	// evSkipped reports a stale instantiation dropped before execution.
@@ -140,10 +233,9 @@ func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error)
 	}
 	e := &Parallel{
 		rt:       rt,
-		scheme:   scheme,
 		lm:       lock.NewManagerPolicy(scheme, rt.opts.Deadlock),
-		clock:    rt.opts.Clock,
 		inflight: make(map[string]*agendaEntry),
+		q:        queue{wake: make(chan struct{}, 1)},
 	}
 	order, ok := rt.opts.Strategy.(cr.Ordered)
 	if !ok {
@@ -153,8 +245,10 @@ func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error)
 	e.lm.SetMetrics(rt.opts.Metrics)
 	e.lm.SetClock(rt.opts.Clock)
 	if rt.opts.Sched != nil {
-		e.ctl = rt.opts.Sched
-		e.lm.SetController(e.ctl)
+		e.ctl = controlled{rt.opts.Sched, e}
+		e.lm.SetController(rt.opts.Sched)
+	} else {
+		e.ctl = &pool{e: e}
 	}
 	rt.matcher.TrackChanges(true)
 	return e, nil
@@ -169,119 +263,52 @@ func (e *Parallel) Store() *wm.Store { return e.rt.store }
 
 // Run drives the pipeline until quiescence (no dispatchable
 // instantiation, no in-flight firing, no armed backoff timer), a halt
-// action, an error, or the firing limit.
+// action, an error, or the firing limit. Between two events it
+// dispatches until Np firings run; with no event pending it parks until
+// a firing or timer reports back. Under Options.Sched every blocking
+// point goes through the controller, so the whole run is a pure
+// function of its scheduling policy.
 func (e *Parallel) Run() (Result, error) {
-	if e.ctl != nil {
-		return e.runDet()
-	}
 	rt := e.rt
-	e.work = make(chan *agendaEntry)
-	e.events = make(chan pevent, rt.opts.Np*2+4)
-	for i := 0; i < rt.opts.Np; i++ {
-		e.wg.Add(1)
-		go e.workerLoop()
-	}
-
 	// Enabling change tracking journalled the initial membership, so
 	// the first drain fills the agenda; everything after arrives from
 	// commits.
 	for {
+		// rt.stopping latches, and so does e.stopping.
 		if rt.stopping() {
 			e.stopping.Store(true)
-		}
-		var sendCh chan *agendaEntry
-		var top *agendaEntry
-		if !e.stopping.Load() {
-			e.drain()
-			top = e.agenda.top()
-		}
-		if top != nil {
-			sendCh = e.work
-		}
-		rt.met.dispatchQ.Set(int64(len(e.agenda.heap)))
-
-		if top == nil && len(e.inflight) == 0 {
-			break
-		}
-
-		select {
-		case ev := <-e.events:
-			rt.met.submitQ.Add(-1)
-			e.handleEvent(ev)
-		case sendCh <- top:
-			e.dispatch(top)
-		}
-	}
-
-	close(e.work)
-	e.wg.Wait()
-	return rt.result(), rt.err
-}
-
-// runDet is Run under a deterministic controller: the same commit
-// pipeline, but each firing runs as its own controlled task instead of
-// on a worker pool, and the committer drains an event slice instead of
-// a channel — the controller serialises every access, and all blocking
-// (committer idle, worker awaiting a commit verdict, lock waits,
-// backoff timers) goes through the controller so the whole run is a
-// pure function of the scheduling policy.
-func (e *Parallel) runDet() (Result, error) {
-	rt := e.rt
-	e.det = &detState{}
-
-	timers := 0
-	for {
-		if rt.stopping() {
-			e.stopping.Store(true)
-		}
-
-		// Dispatch until Np firings run.
-		if !e.stopping.Load() {
-			e.drain()
-			for len(e.inflight)-timers < rt.opts.Np {
-				top := e.agenda.top()
-				if top == nil {
+		} else {
+			// A drain that queued something counts as a cycle.
+			if e.agenda.drain(e.conflictSet()) > 0 {
+				rt.met.cycleInc()
+			}
+			// Keys waiting out an abort's backoff are in flight but do
+			// not count against Np.
+			for len(e.inflight)-e.timers < rt.opts.Np {
+				f := e.agenda.top()
+				if f == nil {
 					break
 				}
-				e.dispatch(top)
-				e.ctl.Go("fire:"+top.In.Rule.Name, func() { e.fire(top) })
+				e.agenda.unlink(f)
+				e.inflight[f.Key()] = f
+				f.txn.Store(0)
+				e.ctl.fire(f)
 			}
 		}
 		rt.met.dispatchQ.Set(int64(len(e.agenda.heap)))
 
-		if len(e.det.events) > 0 {
-			ev := e.det.events[0]
-			e.det.events = e.det.events[1:]
+		if ev, ok := e.q.pop(); ok {
 			rt.met.submitQ.Add(-1)
-			timers += e.handleEvent(ev)
+			e.handleEvent(ev)
 			continue
 		}
-
 		if len(e.inflight) == 0 {
 			break
 		}
-
-		// Nothing to do until a task or timer reports back.
-		ch := make(chan struct{}, 1)
-		e.det.wake = ch
-		e.ctl.Park("committer idle", ch)
-		e.det.wake = nil
+		e.ctl.Park("committer idle", e.q.wake)
 	}
+	e.ctl.wait()
 	return rt.result(), rt.err
-}
-
-// drain applies the conflict set's change journal to the agenda; a
-// drain that queued something counts as a cycle.
-func (e *Parallel) drain() {
-	if e.agenda.drain(e.conflictSet()) > 0 {
-		e.rt.met.cycleInc()
-	}
-}
-
-// dispatch moves f out of the agenda and into flight.
-func (e *Parallel) dispatch(f *agendaEntry) {
-	e.agenda.unlink(f)
-	e.inflight[f.Key()] = f
 }
 
 // conflictSet returns the matcher's conflict set, asking the matcher
@@ -314,162 +341,137 @@ func (e *Parallel) land(f *agendaEntry) {
 	e.agenda.release(f)
 }
 
-// handleEvent applies one worker→committer event and returns the
-// change in armed backoff timers.
-func (e *Parallel) handleEvent(ev pevent) (dTimers int) {
-	rt := e.rt
+// handleEvent applies one firing→committer event.
+func (e *Parallel) handleEvent(ev pevent) {
 	switch ev.kind {
 	case evCommit:
-		return e.resolveCommit(ev)
+		e.resolveCommit(ev)
 	case evAborted:
 		if ev.err != nil {
-			rt.fail(ev.err)
+			e.rt.fail(ev.err)
 		}
-		return e.noteAbort(ev.f)
+		e.noteAbort(ev.f)
 	case evSkipped:
-		rt.met.skipInc()
+		e.rt.met.skipInc()
 		e.land(ev.f)
 	case evRequeue:
+		e.timers--
 		e.land(ev.f)
-		return -1
 	}
-	return 0
 }
 
-// submit hands a worker-side event to the committer.
+// submit hands a firing's or timer's event to the committer.
 func (e *Parallel) submit(ev pevent) {
 	e.rt.met.submitQ.Add(1)
-	if e.det != nil {
-		e.det.events = append(e.det.events, ev)
-		if e.det.wake != nil {
-			signalCh(e.det.wake)
-		}
-		return
-	}
-	e.events <- ev
-}
-
-// await blocks until the committer closes the reply channel.
-func (e *Parallel) await(reply chan struct{}) {
-	if e.ctl != nil {
-		e.ctl.Park("await commit verdict", reply)
-		return
-	}
-	<-reply
+	e.q.push(ev)
 }
 
 // resolveCommit is the committer's half of a firing: validate the
 // submission against the current conflict set and lock state, commit
 // through the shared runtime, kill Rc victims, mark the flights the
-// commit invalidated, fsync the commit, and reply. Returns the number
-// of backoff timers armed.
+// commit invalidated, fsync the commit, and reply.
 //
 // Every outcome closes the firing's reply channel. A successful commit
 // closes it only after the fsync, so a firing never observes success
 // before its commit is durable, and only after the stale flags are
-// set, so a worker that takes Rc locks this commit held sees them.
-func (e *Parallel) resolveCommit(ev pevent) (timers int) {
+// set, so a firing that takes Rc locks this commit held sees them.
+func (e *Parallel) resolveCommit(ev pevent) {
 	rt := e.rt
 	in := ev.f.In
+	defer close(ev.reply)
 	switch {
 	case e.lm.Aborted(ev.txn):
 		ev.wtx.Abort()
 		e.logResolution(trace.KindAbort, in, ev.txn, "rc-wa victim")
-		timers = e.noteAbort(ev.f)
+		e.noteAbort(ev.f)
+		return
 	case rt.stopping():
 		ev.wtx.Abort()
 		e.logResolution(trace.KindSkip, in, ev.txn, "engine stopping")
 		rt.met.skipInc()
 		e.land(ev.f)
-	default:
-		if !e.live(in.Key()) {
-			ev.wtx.Abort()
-			e.logResolution(trace.KindAbort, in, ev.txn, "invalidated before commit")
-			rt.met.abortInc()
-			rt.met.rule(in.Rule.Name).aborts.Inc()
-			e.land(ev.f)
-			break
-		}
-		if err := rt.commit(in, ev.wtx, int64(ev.txn), ev.halt); err != nil {
-			rt.fail(err)
-			if errors.Is(err, ErrInconsistent) {
-				ev.wtx.Abort()
-				e.logResolution(trace.KindAbort, in, ev.txn, "verify failed")
-			} else {
-				e.logResolution(trace.KindAbort, in, ev.txn, "commit error")
-			}
-			rt.met.abortInc()
-			rt.met.rule(in.Rule.Name).aborts.Inc()
-			e.land(ev.f)
-			break
-		}
-		e.cs = nil // the commit changed working memory
-		lat := e.clock.Now().Sub(ev.start)
-		rt.met.commitNS.ObserveDuration(lat)
-		rt.met.rule(in.Rule.Name).commitNS.ObserveDuration(lat)
-		e.land(ev.f)
-		// Rule (ii): abort conflicting Rc holders — unless the
-		// reevaluate policy finds their instantiation untouched by this
-		// commit.
-		for _, victim := range e.lm.RcVictims(ev.txn) {
-			if rt.opts.AbortPolicy == AbortReevaluate {
-				if vk, ok := e.txnInst.Load(victim); ok && e.live(vk.(string)) {
-					continue
-				}
-			}
-			e.lm.Abort(victim)
-		}
-		for k, f := range e.inflight {
-			f.stale.Store(!e.live(k))
-		}
-		rt.syncStorage()
-		close(ev.reply)
-		return timers
+		return
+	case !e.live(in.Key()):
+		ev.wtx.Abort()
+		e.logResolution(trace.KindAbort, in, ev.txn, "invalidated before commit")
+		e.dropAborted(ev.f)
+		return
 	}
-	close(ev.reply)
-	return timers
+	if err := rt.commit(in, ev.wtx, int64(ev.txn), ev.halt); err != nil {
+		rt.fail(err)
+		if errors.Is(err, ErrInconsistent) {
+			ev.wtx.Abort()
+			e.logResolution(trace.KindAbort, in, ev.txn, "verify failed")
+		} else {
+			e.logResolution(trace.KindAbort, in, ev.txn, "commit error")
+		}
+		e.dropAborted(ev.f)
+		return
+	}
+	e.cs = nil // the commit changed working memory
+	lat := rt.opts.Clock.Now().Sub(ev.start)
+	rt.met.commitNS.ObserveDuration(lat)
+	rt.met.rule(in.Rule.Name).commitNS.ObserveDuration(lat)
+	e.land(ev.f)
+	// Rule (ii): abort conflicting Rc holders — unless the reevaluate
+	// policy finds their instantiation untouched by this commit.
+	for _, victim := range e.lm.RcVictims(ev.txn) {
+		if rt.opts.AbortPolicy == AbortReevaluate && e.spared(victim) {
+			continue
+		}
+		e.lm.Abort(victim)
+	}
+	for k, f := range e.inflight {
+		f.stale.Store(!e.live(k))
+	}
+	rt.syncStorage()
+}
+
+// spared reports whether the Rc victim's instantiation is still live,
+// so AbortReevaluate lets it run on. A victim holds Rc locks, so its
+// firing is in flight.
+func (e *Parallel) spared(victim lock.TxnID) bool {
+	for k, f := range e.inflight {
+		if f.txn.Load() == int64(victim) {
+			return e.live(k)
+		}
+	}
+	return false
 }
 
 // noteAbort counts an abort and, if the instantiation is still live,
 // arms a backoff timer that re-queues it — proportional to its abort
 // count so productions that repeatedly deadlock against each other
-// break lockstep, and without occupying a worker while it waits. The
-// key stays in flight until the timer fires. Returns 1 if a timer was
-// armed.
-func (e *Parallel) noteAbort(f *agendaEntry) int {
+// break lockstep, and without occupying a task while it waits. The
+// key stays in flight until the timer fires.
+func (e *Parallel) noteAbort(f *agendaEntry) {
 	rt := e.rt
-	in := f.In
-	rt.met.abortInc()
-	rt.met.rule(in.Rule.Name).aborts.Inc()
-	if rt.stopping() || !e.live(in.Key()) {
-		e.land(f)
-		return 0
+	if rt.stopping() || !e.live(f.Key()) {
+		e.dropAborted(f)
+		return
 	}
+	rt.met.abortInc()
+	rt.met.rule(f.In.Rule.Name).aborts.Inc()
 	f.retries++
 	rt.met.retries.Inc()
-	d := time.Duration(f.retries) * 500 * time.Microsecond
-	if max := 50 * time.Millisecond; d > max {
-		d = max
-	}
-	e.clock.AfterFunc(d, func() {
+	e.timers++
+	d := min(time.Duration(f.retries)*500*time.Microsecond, 50*time.Millisecond)
+	rt.opts.Clock.AfterFunc(d, func() {
 		e.submit(pevent{kind: evRequeue, f: f})
 	})
-	return 1
+}
+
+// dropAborted counts an abort and lands the flight without a retry.
+func (e *Parallel) dropAborted(f *agendaEntry) {
+	e.rt.met.abortInc()
+	e.rt.met.rule(f.In.Rule.Name).aborts.Inc()
+	e.land(f)
 }
 
 // logResolution records the committer's verdict on a submission.
 func (e *Parallel) logResolution(kind trace.Kind, in *match.Instantiation, txn lock.TxnID, detail string) {
 	e.rt.opts.Log.Append(trace.Event{Kind: kind, Rule: in.Rule.Name,
 		Inst: in.Key(), Txn: int64(txn), Detail: detail})
-}
-
-// workerLoop fires instantiations from the work channel until it
-// closes.
-func (e *Parallel) workerLoop() {
-	defer e.wg.Done()
-	for f := range e.work {
-		e.fire(f)
-	}
 }
 
 // fire executes one dispatched instantiation as a transaction and
@@ -482,28 +484,19 @@ func (e *Parallel) fire(f *agendaEntry) {
 	in := f.In
 	key := in.Key()
 	txn := e.lm.Begin()
-	e.txnInst.Store(txn, key)
-	end := func() {
+	f.txn.Store(int64(txn))
+	// quit ends the firing before it reaches the committer.
+	quit := func(kind trace.Kind, reason string, ev pevent) {
+		rt.opts.Log.Append(trace.Event{Kind: kind, Rule: in.Rule.Name,
+			Inst: key, Txn: int64(txn), Detail: reason})
 		e.lm.End(txn)
-		e.txnInst.Delete(txn)
-	}
-	abort := func(reason string, err error) {
-		rt.opts.Log.Append(trace.Event{Kind: trace.KindAbort, Rule: in.Rule.Name,
-			Inst: key, Txn: int64(txn), Detail: reason})
-		end()
-		e.submit(pevent{kind: evAborted, f: f, err: err})
-	}
-	skip := func(reason string) {
-		rt.opts.Log.Append(trace.Event{Kind: trace.KindSkip, Rule: in.Rule.Name,
-			Inst: key, Txn: int64(txn), Detail: reason})
-		end()
-		e.submit(pevent{kind: evSkipped, f: f})
+		e.submit(ev)
 	}
 
 	// Phase 1: Rc locks for condition evaluation (Figure 4.2).
 	for _, res := range rcResources(in) {
 		if err := e.lm.Acquire(txn, res, lock.Rc); err != nil {
-			abort("rc: "+err.Error(), nil)
+			quit(trace.KindAbort, "rc: "+err.Error(), pevent{kind: evAborted, f: f})
 			return
 		}
 	}
@@ -511,36 +504,36 @@ func (e *Parallel) fire(f *agendaEntry) {
 	// Condition re-evaluation under Rc locks: the instantiation may
 	// have been invalidated by a commit since dispatch.
 	if e.stopping.Load() || f.stale.Load() {
-		skip("stale before execution")
+		quit(trace.KindSkip, "stale before execution", pevent{kind: evSkipped, f: f})
 		return
 	}
 
 	rt.opts.Log.Append(trace.Event{Kind: trace.KindFire, Rule: in.Rule.Name, Inst: key, Txn: int64(txn)})
-	start := e.clock.Now()
+	start := rt.opts.Clock.Now()
 
 	// Simulated condition-evaluation cost: Rc locks held, RHS locks
 	// not yet requested — the Figure 4.3/4.4 window.
 	if d := rt.opts.CondDelay[in.Rule.Name]; d > 0 {
-		e.clock.Sleep(d)
+		rt.opts.Clock.Sleep(d)
 	}
 
 	// Phase 2: all Ra and Wa locks at RHS start (Section 4.3).
 	for _, l := range rhsLocks(in) {
 		if err := e.lm.Acquire(txn, l.res, l.mode); err != nil {
-			abort(l.mode.String()+": "+err.Error(), nil)
+			quit(trace.KindAbort, l.mode.String()+": "+err.Error(), pevent{kind: evAborted, f: f})
 			return
 		}
 	}
 
 	// Action execution (simulated cost, then staged effects).
 	if d := rt.opts.RuleDelay[in.Rule.Name]; d > 0 {
-		e.clock.Sleep(d)
+		rt.opts.Clock.Sleep(d)
 	}
 	wtx := rt.store.Begin()
 	halt, err := match.ExecuteActions(in, wtx)
 	if err != nil {
 		wtx.Abort()
-		abort("action error", err)
+		quit(trace.KindAbort, "action error", pevent{kind: evAborted, f: f, err: err})
 		return
 	}
 
@@ -548,6 +541,6 @@ func (e *Parallel) fire(f *agendaEntry) {
 	// answers so a commit's RcVictims scan still sees our locks.
 	reply := make(chan struct{})
 	e.submit(pevent{kind: evCommit, f: f, txn: txn, wtx: wtx, halt: halt, start: start, reply: reply})
-	e.await(reply)
-	end()
+	e.ctl.Park("await commit verdict", reply)
+	e.lm.End(txn)
 }

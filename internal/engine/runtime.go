@@ -50,7 +50,12 @@ type runtime struct {
 }
 
 // newRuntime loads the program and returns the shared engine state.
+// It refuses a negative Np for every engine, serial ones included, so a
+// configuration is valid or not whichever engine it reaches.
 func newRuntime(p Program, opts Options) (*runtime, error) {
+	if opts.Np < 0 {
+		return nil, fmt.Errorf("engine: Np %d is negative", opts.Np)
+	}
 	o := opts.withDefaults()
 	store, m, err := load(p, o)
 	if err != nil {

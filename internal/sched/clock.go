@@ -2,11 +2,12 @@
 // Clock abstraction over timing (retry backoff, simulated rule costs,
 // latency measurement) and a cooperative Controller that can run an
 // engine's goroutines one at a time under a scheduling policy, making
-// a whole parallel run deterministic and replayable. The engines and
-// the lock manager call the seam at every scheduling point; in normal
-// operation the seam is absent (nil controller, real clock) and costs
-// nothing, while the detsched test harness installs a Det controller
-// to explore interleavings.
+// a whole parallel run deterministic and replayable. The Parallel
+// engine runs its firings and parks its waits through the seam in
+// every run: free-running, an in-engine pool of goroutines and the
+// real clock stand behind it, and the detsched harness installs a Det
+// controller instead to explore interleavings of the same code. The
+// lock manager consults a controller only when one is installed.
 package sched
 
 import "time"
