@@ -349,25 +349,3 @@ func BenchmarkSpeedupFactorSweeps(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkMatchRETEvsTREAT times the match phase via full runs of the
-// same program under each matcher (E14).
-func BenchmarkMatchRETEvsTREAT(b *testing.B) {
-	for _, matcher := range []string{"rete", "treat", "naive"} {
-		b.Run(matcher, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				eng, err := pdps.NewSingleEngine(pdps.Pipeline(60, 5), pdps.Options{Matcher: matcher})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := eng.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Firings != 300 {
-					b.Fatalf("firings = %d", res.Firings)
-				}
-			}
-		})
-	}
-}

@@ -44,7 +44,6 @@ func main() {
 
 		scheme      = flag.String("scheme", "rcrawa", "locking scheme: 2pl or rcrawa")
 		np          = flag.Int("np", 4, "worker count")
-		matcher     = flag.String("matcher", "", "match algorithm (default rete)")
 		deadlock    = flag.String("deadlock", "detect", "deadlock policy: detect, wound-wait or wait-die")
 		abortPolicy = flag.String("abort", "always", "Rc-victim policy: always or reevaluate")
 		maxFirings  = flag.Int("max-firings", 0, "commit bound (0 = engine default)")
@@ -68,7 +67,6 @@ func main() {
 		runPrimary(*listen, *program, repl.RunConfig{
 			Scheme:     *scheme,
 			Np:         *np,
-			Matcher:    *matcher,
 			Deadlock:   *deadlock,
 			Abort:      *abortPolicy,
 			MaxFirings: *maxFirings,

@@ -7,7 +7,7 @@
 //
 // Flags select the engine ("single", "parallel", "static"), the lock
 // scheme for the parallel engine ("2pl", "rcrawa"), the conflict
-// resolution strategy, worker count, matcher and verbosity.
+// resolution strategy, worker count and verbosity.
 //
 // Observability flags: -metrics prints a text dump of every metric
 // series after the run; -metrics-json prints the structured snapshot
@@ -36,7 +36,6 @@ func main() {
 		engineName = flag.String("engine", "single", "engine: single, parallel, static")
 		scheme     = flag.String("scheme", "rcrawa", "lock scheme for parallel engine: 2pl, rcrawa")
 		strategy   = flag.String("strategy", "lex", "conflict resolution: lex, mea, fifo, priority, specificity, random; also orders parallel dispatch (random dispatches as fifo)")
-		matcher    = flag.String("matcher", "rete", "matcher: rete, treat, naive")
 		np         = flag.Int("np", 4, "processors (workers) for parallel engines")
 		maxFirings = flag.Int("max-firings", 10000, "firing safety bound")
 		verify     = flag.Bool("verify", false, "verify semantic consistency at every commit")
@@ -70,7 +69,6 @@ func main() {
 		log.Fatal(err)
 	}
 	opts := pdps.Options{
-		Matcher:    *matcher,
 		Strategy:   st,
 		Np:         *np,
 		MaxFirings: *maxFirings,

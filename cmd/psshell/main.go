@@ -121,8 +121,8 @@ func (sh *shell) exec(out *os.File, line string) error {
 			fmt.Fprintf(out, "  %s (%d CEs, %d actions)\n", r.Name, len(r.Conditions), len(r.Actions))
 		}
 	case "plan":
-		// Compile the program's rules into a fresh network so the plans
-		// reflect current compilation, whatever matcher the session runs.
+		// Compile the program's rules into a fresh network and print
+		// its join plans.
 		pln := pdps.NewReteNetwork()
 		for _, r := range sh.prog.Rules {
 			if err := pln.AddRule(r); err != nil {

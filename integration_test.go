@@ -105,8 +105,8 @@ func loadTestdata(t *testing.T, name string) pdps.Program {
 }
 
 // TestIntegrationPrograms runs each testdata program under every
-// engine and matcher combination, checking firings, final working
-// memory, and trace consistency.
+// engine, Parallel under both lock schemes, checking firings, final
+// working memory, and trace consistency.
 func TestIntegrationPrograms(t *testing.T) {
 	for _, c := range integrationCases() {
 		c := c
@@ -115,42 +115,26 @@ func TestIntegrationPrograms(t *testing.T) {
 			if strategyName == "" {
 				strategyName = "lex"
 			}
-			mkOpts := func(matcher string) pdps.Options {
+			mkOpts := func() pdps.Options {
 				st, err := pdps.NewStrategy(strategyName)
 				if err != nil {
 					t.Fatal(err)
 				}
-				return pdps.Options{Matcher: matcher, Strategy: st, Np: 4, Verify: true}
+				return pdps.Options{Strategy: st, Np: 4, Verify: true}
 			}
 			type build func() (string, pdps.Engine, pdps.Program)
 			builders := []build{
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewSingleEngine(p, mkOpts("rete"))
+					e, err := pdps.NewSingleEngine(p, mkOpts())
 					if err != nil {
 						t.Fatal(err)
 					}
-					return "single/rete", e, p
+					return "single", e, p
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewSingleEngine(p, mkOpts("treat"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return "single/treat", e, p
-				},
-				func() (string, pdps.Engine, pdps.Program) {
-					p := loadTestdata(t, c.file)
-					e, err := pdps.NewSingleEngine(p, mkOpts("naive"))
-					if err != nil {
-						t.Fatal(err)
-					}
-					return "single/naive", e, p
-				},
-				func() (string, pdps.Engine, pdps.Program) {
-					p := loadTestdata(t, c.file)
-					e, err := pdps.NewParallelEngine(p, pdps.Scheme2PL, mkOpts("rete"))
+					e, err := pdps.NewParallelEngine(p, pdps.Scheme2PL, mkOpts())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -158,7 +142,7 @@ func TestIntegrationPrograms(t *testing.T) {
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewParallelEngine(p, pdps.SchemeRcRaWa, mkOpts("rete"))
+					e, err := pdps.NewParallelEngine(p, pdps.SchemeRcRaWa, mkOpts())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -166,7 +150,7 @@ func TestIntegrationPrograms(t *testing.T) {
 				},
 				func() (string, pdps.Engine, pdps.Program) {
 					p := loadTestdata(t, c.file)
-					e, err := pdps.NewStaticEngine(p, mkOpts("rete"))
+					e, err := pdps.NewStaticEngine(p, mkOpts())
 					if err != nil {
 						t.Fatal(err)
 					}

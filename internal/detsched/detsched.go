@@ -44,8 +44,6 @@ type Config struct {
 	Scheme lock.Scheme
 	// Np is the worker count; 0 means 2 (exploration-friendly).
 	Np int
-	// Matcher is the match algorithm; "" means rete.
-	Matcher string
 	// Deadlock is the lock manager's deadlock policy.
 	Deadlock lock.DeadlockPolicy
 	// Abort is the Rc-victim policy.
@@ -85,12 +83,8 @@ func (c Config) maxDecisions() int {
 
 // String renders the configuration compactly for failure reports.
 func (c Config) String() string {
-	m := c.Matcher
-	if m == "" {
-		m = "rete"
-	}
-	return fmt.Sprintf("scheme=%s np=%d matcher=%s deadlock=%s abort=%s",
-		c.Scheme, c.np(), m, c.Deadlock, c.Abort)
+	return fmt.Sprintf("scheme=%s np=%d deadlock=%s abort=%s",
+		c.Scheme, c.np(), c.Deadlock, c.Abort)
 }
 
 // RunOutcome is one deterministic run's result.
@@ -140,7 +134,6 @@ func RunUnder(p engine.Program, cfg Config, ctl *sched.Det) RunOutcome {
 		ctl.MaxSteps = cfg.maxDecisions()
 	}
 	opts := engine.Options{
-		Matcher:     cfg.Matcher,
 		Np:          cfg.np(),
 		Deadlock:    cfg.Deadlock,
 		AbortPolicy: cfg.Abort,

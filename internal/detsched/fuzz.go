@@ -31,13 +31,14 @@ type FuzzConfig struct {
 	Seed int64
 	// Np is the worker count; 0 means 2.
 	Np int
-	// Matchers to cycle through; nil means {"rete", "treat", "naive"}.
-	Matchers []string
-	// Schemes to cycle through; nil means {2PL, RcRaWa}.
+	// Schemes, Deadlocks and Aborts are the configuration axes, walked
+	// so that any run of consecutive programs as long as the product of
+	// their lengths covers every combination. Schemes nil means
+	// {2PL, RcRaWa}.
 	Schemes []lock.Scheme
-	// Aborts to cycle through; nil means {AbortAlways, AbortReevaluate}.
+	// Aborts nil means {AbortAlways, AbortReevaluate}.
 	Aborts []engine.AbortPolicy
-	// Deadlocks to cycle through; nil means {detect, wound-wait}.
+	// Deadlocks nil means {detect, wound-wait}.
 	Deadlocks []lock.DeadlockPolicy
 	// MaxDecisions bounds each run's scheduling decisions; 0 uses the
 	// Config default.
@@ -67,13 +68,6 @@ func (c FuzzConfig) seedsPer() int {
 	return c.SeedsPerProgram
 }
 
-func (c FuzzConfig) matchers() []string {
-	if c.Matchers == nil {
-		return []string{"rete", "treat", "naive"}
-	}
-	return c.Matchers
-}
-
 func (c FuzzConfig) schemes() []lock.Scheme {
 	if c.Schemes == nil {
 		return []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa}
@@ -93,6 +87,26 @@ func (c FuzzConfig) deadlocks() []lock.DeadlockPolicy {
 		return []lock.DeadlockPolicy{lock.DeadlockDetect, lock.DeadlockWoundWait}
 	}
 	return c.Deadlocks
+}
+
+// programConfig is the engine configuration program pi runs under:
+// pi's mixed-radix digits index scheme, deadlock policy and abort
+// policy, scheme fastest. The campaign walks the cross product of the
+// axes across programs rather than exhausting it per program, so each
+// program stays cheap.
+func (c FuzzConfig) programConfig(pi int) Config {
+	schemes, deadlocks, aborts := c.schemes(), c.deadlocks(), c.aborts()
+	scheme := schemes[pi%len(schemes)]
+	pi /= len(schemes)
+	deadlock := deadlocks[pi%len(deadlocks)]
+	pi /= len(deadlocks)
+	return Config{
+		Scheme:       scheme,
+		Np:           c.Np,
+		Deadlock:     deadlock,
+		Abort:        aborts[pi%len(aborts)],
+		MaxDecisions: c.MaxDecisions,
+	}
 }
 
 func (c FuzzConfig) logf(format string, args ...interface{}) {
@@ -166,24 +180,13 @@ func evaluate(p engine.Program, cfg Config, seed int64, wantFirings int, corrupt
 func Fuzz(cfg FuzzConfig) (*Violation, FuzzStats) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	var st FuzzStats
-	matchers, schemes, aborts, deadlocks := cfg.matchers(), cfg.schemes(), cfg.aborts(), cfg.deadlocks()
 	for pi := 0; pi < cfg.programs(); pi++ {
 		genSeed := rng.Int63()
 		layers := 1 + rng.Intn(3)
 		width := 1 + rng.Intn(3)
 		prog, want := workload.RandomContended(genSeed, layers, width, 0.5, 0.3)
 		st.Programs++
-		// Cycle the configuration axes rather than exhausting the cross
-		// product per program: every axis value is exercised across the
-		// campaign while each program stays cheap.
-		c := Config{
-			Scheme:       schemes[pi%len(schemes)],
-			Np:           cfg.Np,
-			Matcher:      matchers[pi%len(matchers)],
-			Deadlock:     deadlocks[pi%len(deadlocks)],
-			Abort:        aborts[pi%len(aborts)],
-			MaxDecisions: cfg.MaxDecisions,
-		}
+		c := cfg.programConfig(pi)
 		for si := 0; si < cfg.seedsPer(); si++ {
 			seed := rng.Int63()
 			st.Runs++

@@ -27,6 +27,30 @@ func TestFuzzCampaignClean(t *testing.T) {
 	}
 }
 
+// TestFuzzCoversEveryConfiguration pins the campaign's walk over the
+// configuration axes: under the default FuzzConfig the first 8
+// programs run under all 2×2×2 combinations of scheme, deadlock policy
+// and abort policy — the shipping default (Rc/Ra/Wa, detect, always)
+// among them — and program 8 starts the walk again.
+func TestFuzzCoversEveryConfiguration(t *testing.T) {
+	var cfg FuzzConfig
+	seen := map[string]int{}
+	for pi := 0; pi < 8; pi++ {
+		c := cfg.programConfig(pi)
+		if prev, dup := seen[c.String()]; dup {
+			t.Fatalf("programs %d and %d both run under %s", prev, pi, c)
+		}
+		seen[c.String()] = pi
+	}
+	def := Config{Scheme: lock.SchemeRcRaWa, Deadlock: lock.DeadlockDetect, Abort: engine.AbortAlways}
+	if _, ok := seen[def.String()]; !ok {
+		t.Fatalf("shipping default %s never fuzzed; configurations: %v", def, seen)
+	}
+	if got, want := cfg.programConfig(8).String(), cfg.programConfig(0).String(); got != want {
+		t.Fatalf("program 8 runs under %s, want program 0's %s", got, want)
+	}
+}
+
 // TestFuzzCorruptInjection validates the whole failure pipeline: with
 // fault injection on, the campaign must detect the bogus fingerprint,
 // shrink the program to a minimal reproducer (a single rule and a

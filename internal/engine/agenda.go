@@ -50,12 +50,12 @@ func (a *agenda) next(cs *match.ConflictSet) *match.Instantiation {
 
 // drain applies the journal of cs and returns how many entries it
 // pushed. A journal without removals whose additions number the whole
-// set is a full membership — what a matcher that rebuilds the set
-// (naive) journals — and replaces the agenda; a delta journal holds
-// only members that were added (so the agenda was empty before), which
-// makes the same reconcile exact. Keys journaled as both removed and
-// added are resolved by Contains, and a member that re-entered the set
-// under a known key replaces the stale instantiation. A drain that
+// set is a full membership — the initial one that switching tracking
+// on journals, or any delta after which every member is new — and the
+// agenda is already empty before it, since an entry leaves the agenda
+// as soon as its key leaves the set. Keys journaled as both removed
+// and added are resolved by Contains, and a member that re-entered the
+// set under a known key replaces the stale instantiation. A drain that
 // finds changes is one engine_journal_batch_size observation and
 // counts as a snapshot or a delta refresh.
 func (a *agenda) drain(cs *match.ConflictSet) (pushed int) {
@@ -68,9 +68,6 @@ func (a *agenda) drain(cs *match.ConflictSet) (pushed int) {
 		} else {
 			a.met.refreshDelta.Inc()
 		}
-	}
-	for full && len(a.heap) > 0 {
-		a.remove(a.heap[len(a.heap)-1])
 	}
 	for _, k := range removed {
 		if e := a.byKey[k]; e != nil && !cs.Contains(k) {

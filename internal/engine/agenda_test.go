@@ -29,10 +29,9 @@ const blockProgram = `
 (wme a ^x 3)`
 
 // checkPick fails unless the session's next pick is the strategy's
-// Select over the listed candidates. Naive rebuilds its conflict set on
-// every call, so its picks agree by key; the incremental matchers keep
-// one set, so the agenda must hand out that set's very instantiation.
-func checkPick(t *testing.T, where string, s *engine.Session, st cr.Strategy, naive bool) {
+// Select over the listed candidates. The matcher keeps one conflict
+// set, so the agenda must hand out that set's very instantiation.
+func checkPick(t *testing.T, where string, s *engine.Session, st cr.Strategy) {
 	t.Helper()
 	got := s.Next()
 	var want *match.Instantiation
@@ -46,12 +45,12 @@ func checkPick(t *testing.T, where string, s *engine.Session, st cr.Strategy, na
 		}
 	case got.Key() != want.Key():
 		t.Fatalf("%s: agenda picked %s, Select %s", where, got.Key(), want.Key())
-	case !naive && got != want:
+	case got != want:
 		t.Fatalf("%s: agenda holds a stale instantiation of %s", where, got.Key())
 	}
 }
 
-// TestAgendaMatchesSelect: for every ordered strategy and matcher, over
+// TestAgendaMatchesSelect: for every ordered strategy, over
 // every footprint program, a Session's agenda picks what the strategy
 // selects from the listed candidates at every step, while tuples are
 // asserted and retracted between steps and working memory is replaced
@@ -65,37 +64,35 @@ func TestAgendaMatchesSelect(t *testing.T) {
 	}
 	sort.Strings(names)
 	for _, st := range orderedStrategies {
-		for _, m := range []string{"rete", "treat", "naive"} {
-			for pi, name := range names {
-				s, err := engine.NewSession(progs[name], engine.Options{Strategy: st, Matcher: m})
-				if err != nil {
-					t.Fatal(err)
+		for pi, name := range names {
+			s, err := engine.NewSession(progs[name], engine.Options{Strategy: st})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(pi)))
+			for step := 0; step < 80; step++ {
+				where := fmt.Sprintf("%s/%s step %d", st.Name(), name, step)
+				live := s.Store().All()
+				switch r := rng.Intn(16); {
+				case r < 3 && len(live) > 0:
+					w := live[rng.Intn(len(live))]
+					s.AssertWME(w.Class, w.Attrs())
+				case r < 5 && len(live) > 0:
+					if err := s.Retract(live[rng.Intn(len(live))].ID); err != nil {
+						t.Fatal(err)
+					}
+				case r == 5:
+					var b bytes.Buffer
+					if err := s.Store().WriteSnapshot(&b); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.LoadSnapshot(&b); err != nil {
+						t.Fatal(err)
+					}
 				}
-				rng := rand.New(rand.NewSource(int64(pi)))
-				for step := 0; step < 80; step++ {
-					where := fmt.Sprintf("%s/%s/%s step %d", st.Name(), m, name, step)
-					live := s.Store().All()
-					switch r := rng.Intn(16); {
-					case r < 3 && len(live) > 0:
-						w := live[rng.Intn(len(live))]
-						s.AssertWME(w.Class, w.Attrs())
-					case r < 5 && len(live) > 0:
-						if err := s.Retract(live[rng.Intn(len(live))].ID); err != nil {
-							t.Fatal(err)
-						}
-					case r == 5:
-						var b bytes.Buffer
-						if err := s.Store().WriteSnapshot(&b); err != nil {
-							t.Fatal(err)
-						}
-						if err := s.LoadSnapshot(&b); err != nil {
-							t.Fatal(err)
-						}
-					}
-					checkPick(t, where, s, st, m == "naive")
-					if _, err := s.Step(); err != nil {
-						t.Fatalf("%s: %v", where, err)
-					}
+				checkPick(t, where, s, st)
+				if _, err := s.Step(); err != nil {
+					t.Fatalf("%s: %v", where, err)
 				}
 			}
 		}
@@ -107,33 +104,31 @@ func TestAgendaMatchesSelect(t *testing.T) {
 // and within one journal drain — checking the pick at each point.
 func TestAgendaFollowsNegation(t *testing.T) {
 	for _, st := range orderedStrategies {
-		for _, m := range []string{"rete", "treat", "naive"} {
-			where := st.Name() + "/" + m
-			s, err := engine.NewSession(parse(t, blockProgram), engine.Options{Strategy: st, Matcher: m})
-			if err != nil {
+		where := st.Name()
+		s, err := engine.NewSession(parse(t, blockProgram), engine.Options{Strategy: st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPick(t, where+" start", s, st)
+		x := s.Next().Bindings["x"]
+		b := s.AssertWME("b", map[string]wm.Value{"x": x})
+		checkPick(t, where+" blocked", s, st)
+		if err := s.Retract(b.ID); err != nil {
+			t.Fatal(err)
+		}
+		checkPick(t, where+" unblocked", s, st)
+		// Blocked and unblocked between two picks: the journal holds
+		// the key as removed and as added again.
+		b = s.AssertWME("b", map[string]wm.Value{"x": x})
+		if err := s.Retract(b.ID); err != nil {
+			t.Fatal(err)
+		}
+		checkPick(t, where+" re-entered", s, st)
+		for step := 0; step < 10; step++ {
+			if _, err := s.Step(); err != nil {
 				t.Fatal(err)
 			}
-			checkPick(t, where+" start", s, st, m == "naive")
-			x := s.Next().Bindings["x"]
-			b := s.AssertWME("b", map[string]wm.Value{"x": x})
-			checkPick(t, where+" blocked", s, st, m == "naive")
-			if err := s.Retract(b.ID); err != nil {
-				t.Fatal(err)
-			}
-			checkPick(t, where+" unblocked", s, st, m == "naive")
-			// Blocked and unblocked between two picks: the journal holds
-			// the key as removed and as added again.
-			b = s.AssertWME("b", map[string]wm.Value{"x": x})
-			if err := s.Retract(b.ID); err != nil {
-				t.Fatal(err)
-			}
-			checkPick(t, where+" re-entered", s, st, m == "naive")
-			for step := 0; step < 10; step++ {
-				if _, err := s.Step(); err != nil {
-					t.Fatal(err)
-				}
-				checkPick(t, fmt.Sprintf("%s step %d", where, step), s, st, m == "naive")
-			}
+			checkPick(t, fmt.Sprintf("%s step %d", where, step), s, st)
 		}
 	}
 }

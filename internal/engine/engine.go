@@ -4,14 +4,14 @@
 // goroutine workers under a lock manager, with commit-time victim
 // aborts (Sections 4.2–4.3) — and the multiple-thread static approach
 // based on pre-execution interference analysis (Section 4.1,
-// Theorem 1). All engines record their execution in a trace log whose
-// commit subsequence can be checked against the single-thread
-// semantics (Definition 3.2).
+// Theorem 1). Every engine matches with the Rete network of
+// internal/rete, the paper's match substrate. All engines record their
+// execution in a trace log whose commit subsequence can be checked
+// against the single-thread semantics (Definition 3.2).
 package engine
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"pdps/internal/cr"
@@ -22,7 +22,6 @@ import (
 	"pdps/internal/sched"
 	"pdps/internal/storage"
 	"pdps/internal/trace"
-	"pdps/internal/treat"
 	"pdps/internal/wm"
 )
 
@@ -63,14 +62,11 @@ func (p AbortPolicy) String() string {
 	return "reevaluate"
 }
 
-// Options configures an engine. The zero value selects Rete matching,
-// the LEX strategy, and a 10000-firing safety bound.
+// Options configures an engine. Every engine matches with the Rete
+// network (hashed memories, cost-ordered joins and beta-prefix
+// sharing); the zero value selects the LEX strategy and a 10000-firing
+// safety bound.
 type Options struct {
-	// Matcher selects the match algorithm: "rete" (default: hashed
-	// memories, cost-ordered joins and beta-prefix sharing), "treat"
-	// (the paper's comparison), or "naive" (the generate-and-test
-	// reference the oracle suites and Verify compare against).
-	Matcher string
 	// Strategy is the conflict-resolution strategy; nil means LEX. It
 	// orders every engine: the serial step picks by it, Static seeds
 	// each batch with its pick, and Parallel dispatches in its order
@@ -139,9 +135,6 @@ type Options struct {
 
 func (o *Options) withDefaults() Options {
 	out := *o
-	if out.Matcher == "" {
-		out.Matcher = "rete"
-	}
 	if out.Strategy == nil {
 		out.Strategy = cr.LEX{}
 	}
@@ -191,43 +184,15 @@ type Result struct {
 	Store *wm.Store
 }
 
-// newMatcher builds the selected matcher; "" selects rete.
-func newMatcher(name string) (match.Matcher, error) {
-	switch name {
-	case "", "rete":
-		return rete.New(), nil
-	case "treat":
-		return treat.New(), nil
-	case "naive":
-		return match.NewNaive(), nil
-	}
-	return nil, fmt.Errorf("engine: unknown matcher %q", name)
-}
-
-// CheckMatcher reports whether name selects a matcher, with the error
-// engine construction would return. Callers that must refuse a
-// configuration before acting on it (a server opening storage for a
-// session) validate through it.
-func CheckMatcher(name string) error {
-	_, err := newMatcher(name)
-	return err
-}
-
-// load builds the store and matcher for a program: rules first, then
-// the initial working memory. Both are wired into the options'
-// metrics registry before the first insert, so even the initial load
-// is observable.
+// load builds the store and the Rete network for a program: rules
+// first, then the initial working memory. Both are wired into the
+// options' metrics registry before the first insert, so even the
+// initial load is observable.
 func load(p Program, o Options) (*wm.Store, match.Matcher, error) {
-	inner, err := newMatcher(o.Matcher)
-	if err != nil {
-		return nil, nil, err
-	}
-	// Matchers with internal instrumentation (Rete's index probe/scan
-	// counters) wire into the shared registry; match.Instrument below
-	// adds the generic op timings.
-	if sm, ok := inner.(interface{ SetMetrics(*obs.Registry) }); ok {
-		sm.SetMetrics(o.Metrics)
-	}
+	// The network records its index probe/scan counters itself;
+	// match.Instrument below adds the generic op timings.
+	inner := rete.New()
+	inner.SetMetrics(o.Metrics)
 	for _, r := range p.Rules {
 		if err := inner.AddRule(r); err != nil {
 			return nil, nil, err

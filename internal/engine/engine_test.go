@@ -121,25 +121,23 @@ func tallyProgram(parts, stages int) Program {
 }
 
 func TestSingleCounter(t *testing.T) {
-	for _, matcher := range []string{"rete", "treat", "naive"} {
-		e, err := NewSingle(counterProgram(5), Options{Matcher: matcher, Verify: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := e.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", matcher, err)
-		}
-		if res.Firings != 5 {
-			t.Fatalf("%s: firings = %d, want 5", matcher, res.Firings)
-		}
-		final := e.Store().ByClass("counter")
-		if len(final) != 1 || !final[0].Attr("n").Equal(wm.Int(0)) {
-			t.Fatalf("%s: final counter = %v", matcher, final)
-		}
-		if err := CheckTrace(counterProgram(5), res.Log.Commits()); err != nil {
-			t.Fatalf("%s: trace check: %v", matcher, err)
-		}
+	e, err := NewSingle(counterProgram(5), Options{Verify: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Firings != 5 {
+		t.Fatalf("firings = %d, want 5", res.Firings)
+	}
+	final := e.Store().ByClass("counter")
+	if len(final) != 1 || !final[0].Attr("n").Equal(wm.Int(0)) {
+		t.Fatalf("final counter = %v", final)
+	}
+	if err := CheckTrace(counterProgram(5), res.Log.Commits()); err != nil {
+		t.Fatalf("trace check: %v", err)
 	}
 }
 
@@ -601,9 +599,6 @@ func heldJobsProgram() Program {
 }
 
 func TestEngineOptionErrors(t *testing.T) {
-	if _, err := NewSingle(counterProgram(1), Options{Matcher: "nope"}); err == nil {
-		t.Fatal("unknown matcher must error")
-	}
 	bad := Program{Rules: []*match.Rule{{Name: "bad"}}}
 	if _, err := NewSingle(bad, Options{}); err == nil {
 		t.Fatal("invalid rule must error")

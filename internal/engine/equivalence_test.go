@@ -67,8 +67,8 @@ func twoClassProgram() Program {
 	return p
 }
 
-// TestEngineEquivalenceOnConfluentWorkloads runs every engine (and
-// every matcher for the single engine) on order-independent workloads
+// TestEngineEquivalenceOnConfluentWorkloads runs every engine on
+// order-independent workloads
 // and requires identical final working-memory contents — the
 // observable consequence of semantic consistency on these programs.
 func TestEngineEquivalenceOnConfluentWorkloads(t *testing.T) {
@@ -100,14 +100,12 @@ func TestEngineEquivalenceOnConfluentWorkloads(t *testing.T) {
 				}
 			}
 
-			for _, matcher := range []string{"rete", "treat", "naive"} {
-				prog := mk()
-				e, err := NewSingle(prog, Options{Matcher: matcher})
-				if err != nil {
-					t.Fatal(err)
-				}
-				runAndCompare("single/"+matcher, e, prog)
+			prog := mk()
+			single, err := NewSingle(prog, Options{})
+			if err != nil {
+				t.Fatal(err)
 			}
+			runAndCompare("single", single, prog)
 			for _, scheme := range []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa} {
 				for np := 1; np <= 4; np += 3 {
 					prog := mk()
@@ -118,12 +116,12 @@ func TestEngineEquivalenceOnConfluentWorkloads(t *testing.T) {
 					runAndCompare(fmt.Sprintf("parallel/%v/np%d", scheme, np), e, prog)
 				}
 			}
-			prog := mk()
-			e, err := NewStatic(prog, Options{Np: 4})
+			prog = mk()
+			static, err := NewStatic(prog, Options{Np: 4})
 			if err != nil {
 				t.Fatal(err)
 			}
-			runAndCompare("static", e, prog)
+			runAndCompare("static", static, prog)
 		})
 	}
 }

@@ -54,11 +54,6 @@ type Parallel struct {
 	agenda   *agenda
 	inflight map[string]*agendaEntry
 	timers   int
-	// cs is the conflict set as of the last commit, or nil until the
-	// committer next needs it. Working memory changes only at a commit,
-	// so a matcher that rebuilds the set on every call (naive) is asked
-	// once per commit, not once per loop turn and live check.
-	cs *match.ConflictSet
 
 	// q carries the firings' and timers' events to the committer.
 	q queue
@@ -279,7 +274,7 @@ func (e *Parallel) Run() (Result, error) {
 			e.stopping.Store(true)
 		} else {
 			// A drain that queued something counts as a cycle.
-			if e.agenda.drain(e.conflictSet()) > 0 {
+			if e.agenda.drain(rt.matcher.ConflictSet()) > 0 {
 				rt.met.cycleInc()
 			}
 			// Keys waiting out an abort's backoff are in flight but do
@@ -311,18 +306,9 @@ func (e *Parallel) Run() (Result, error) {
 	return rt.result(), rt.err
 }
 
-// conflictSet returns the matcher's conflict set, asking the matcher
-// only on the first call after a commit.
-func (e *Parallel) conflictSet() *match.ConflictSet {
-	if e.cs == nil {
-		e.cs = e.rt.matcher.ConflictSet()
-	}
-	return e.cs
-}
-
 // live reports whether key is a conflict-set member that has not fired.
 func (e *Parallel) live(key string) bool {
-	return e.conflictSet().Contains(key) && e.rt.fired[key] == nil
+	return e.rt.matcher.ConflictSet().Contains(key) && e.rt.fired[key] == nil
 }
 
 // land ends f's flight. The entry goes back on the agenda if the run
@@ -408,7 +394,6 @@ func (e *Parallel) resolveCommit(ev pevent) {
 		e.dropAborted(ev.f)
 		return
 	}
-	e.cs = nil // the commit changed working memory
 	lat := rt.opts.Clock.Now().Sub(ev.start)
 	rt.met.commitNS.ObserveDuration(lat)
 	rt.met.rule(in.Rule.Name).commitNS.ObserveDuration(lat)

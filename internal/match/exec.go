@@ -6,19 +6,12 @@ import (
 	"pdps/internal/wm"
 )
 
-// Effector receives the working-memory effects of a rule firing. Both
-// *wm.Txn (transactional firing) and direct-store adapters satisfy it.
-type Effector interface {
-	Insert(class string, attrs map[string]wm.Value) *wm.WME
-	Modify(id int64, updates map[string]wm.Value) (*wm.WME, error)
-	Remove(id int64) error
-}
-
-// ExecuteActions evaluates the instantiation's RHS against the
-// effector. It reports whether a halt action was executed. A modify or
-// remove of a WME the instantiation matched uses that WME's identity,
-// so two actions on the same CE compose (modify then remove, etc.).
-func ExecuteActions(in *Instantiation, fx Effector) (halt bool, err error) {
+// ExecuteActions evaluates the instantiation's RHS into the firing's
+// transaction. It reports whether a halt action was executed. A modify
+// or remove of a WME the instantiation matched uses that WME's
+// identity, so two actions on the same CE compose (modify then remove,
+// etc.).
+func ExecuteActions(in *Instantiation, tx *wm.Txn) (halt bool, err error) {
 	for i, a := range in.Rule.Actions {
 		switch a.Kind {
 		case ActHalt:
@@ -28,17 +21,17 @@ func ExecuteActions(in *Instantiation, fx Effector) (halt bool, err error) {
 			if err != nil {
 				return false, fmt.Errorf("%s action %d: %w", in.Rule.Name, i+1, err)
 			}
-			fx.Insert(a.Class, attrs)
+			tx.Insert(a.Class, attrs)
 		case ActModify:
 			updates, err := evalAssigns(a.Assigns, in.Bindings)
 			if err != nil {
 				return false, fmt.Errorf("%s action %d: %w", in.Rule.Name, i+1, err)
 			}
-			if _, err := fx.Modify(in.WMEs[a.CE].ID, updates); err != nil {
+			if _, err := tx.Modify(in.WMEs[a.CE].ID, updates); err != nil {
 				return false, fmt.Errorf("%s action %d: %w", in.Rule.Name, i+1, err)
 			}
 		case ActRemove:
-			if err := fx.Remove(in.WMEs[a.CE].ID); err != nil {
+			if err := tx.Remove(in.WMEs[a.CE].ID); err != nil {
 				return false, fmt.Errorf("%s action %d: %w", in.Rule.Name, i+1, err)
 			}
 		default:

@@ -13,9 +13,10 @@ type View interface {
 	ByClass(class string) []*wm.WME
 }
 
-// Matcher computes and incrementally maintains the conflict set. The
-// Rete and TREAT packages provide incremental implementations; Naive
-// recomputes from scratch and serves as the correctness oracle.
+// Matcher computes and incrementally maintains the conflict set. Rete
+// is the engines' implementation and TREAT a match-phase baseline;
+// Naive recomputes the set from scratch as the correctness oracle and
+// keeps no journal, so it has every method but TrackChanges.
 type Matcher interface {
 	// AddRule registers a production. Rules must be added before the
 	// WMEs they should match (engines add all rules first).
@@ -28,11 +29,9 @@ type Matcher interface {
 	// owned by the matcher; callers must not retain it across updates.
 	ConflictSet() *ConflictSet
 	// TrackChanges makes the conflict set journal membership changes
-	// (ConflictSet.TrackChanges) between ConflictSet calls. Engines that
-	// dispatch incrementally enable it and drain the journal with
-	// TakeChanges after each commit; a matcher that rebuilds the set
-	// from scratch journals the full membership, which the drain
-	// protocol detects and reconciles.
+	// (ConflictSet.TrackChanges) between ConflictSet calls. Engines
+	// enable it and drain the journal with TakeChanges after each
+	// commit.
 	TrackChanges(on bool)
 }
 
@@ -124,7 +123,6 @@ func testCE(c Condition, w *wm.WME, b Bindings) (Bindings, bool) {
 type Naive struct {
 	rules   []*Rule
 	byClass map[string]map[int64]*wm.WME
-	track   bool
 }
 
 // NewNaive returns an empty naive matcher.
@@ -174,15 +172,9 @@ func (n *Naive) ByClass(class string) []*wm.WME {
 	return out
 }
 
-// TrackChanges marks the conflict sets this matcher builds as
-// journaling. Each build is from scratch, so the journal holds the
-// full membership — the snapshot case of the TakeChanges protocol.
-func (n *Naive) TrackChanges(on bool) { n.track = on }
-
 // ConflictSet recomputes the full conflict set.
 func (n *Naive) ConflictSet() *ConflictSet {
 	cs := NewConflictSet()
-	cs.track = n.track
 	for _, r := range n.rules {
 		for _, in := range MatchRule(n, r) {
 			cs.Add(in)

@@ -53,8 +53,6 @@ type RunConfig struct {
 	Scheme string `json:"scheme,omitempty"`
 	// Np is the worker count; 0 means 2 (the detsched default).
 	Np int `json:"np,omitempty"`
-	// Matcher is the match algorithm; "" means rete.
-	Matcher string `json:"matcher,omitempty"`
 	// Deadlock is "detect" (default), "wound-wait" or "wait-die".
 	Deadlock string `json:"deadlock,omitempty"`
 	// Abort is "always" (default) or "reevaluate".
@@ -75,7 +73,6 @@ type RunConfig struct {
 func (c RunConfig) detConfig() (detsched.Config, error) {
 	out := detsched.Config{
 		Np:           c.Np,
-		Matcher:      c.Matcher,
 		MaxFirings:   c.MaxFirings,
 		MaxDecisions: c.MaxDecisions,
 	}

@@ -240,7 +240,7 @@ func TestBadConfigRejected(t *testing.T) {
 // setting from another build, or garbage) must fail the hello instead
 // of being silently dropped and replayed without it.
 func TestHelloConfigUnknownFieldsRefused(t *testing.T) {
-	for _, cfg := range []string{`{"elide":true}`, `{"match_shards":2}`, `{"bogus":1}`, `{"np":2} {"np":3}`} {
+	for _, cfg := range []string{`{"elide":true}`, `{"match_shards":2}`, `{"matcher":"treat"}`, `{"bogus":1}`, `{"np":2} {"np":3}`} {
 		f := NewFollower(FollowerOptions{})
 		err := f.adopt(&server.Response{Program: growProgram, ReplConfig: []byte(cfg)})
 		if err == nil || !strings.Contains(err.Error(), "repl: hello config") {

@@ -29,10 +29,11 @@ func chainRule(name string, depth int) *match.Rule {
 // Float).
 func TestIndexedJoinChain(t *testing.T) {
 	idx, ref := New(), match.NewNaive()
-	for _, m := range []match.Matcher{idx, ref} {
-		if err := m.AddRule(chainRule("chain", 3)); err != nil {
-			t.Fatal(err)
-		}
+	if err := idx.AddRule(chainRule("chain", 3)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.AddRule(chainRule("chain", 3)); err != nil {
+		t.Fatal(err)
 	}
 	s := wm.NewStore()
 	var ws []*wm.WME

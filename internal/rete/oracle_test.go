@@ -119,6 +119,50 @@ func sameConflictSets(t *testing.T, seed int64, a, b *match.ConflictSet) {
 	}
 }
 
+// journalMirror is a conflict set rebuilt only from a matcher's
+// TakeChanges journal, the way the engine's agenda follows the set.
+type journalMirror map[string]*match.Instantiation
+
+// drain applies cs's journal. Keys journaled as both removed and added
+// are resolved by Contains; a later addition under a key replaces an
+// earlier one.
+func (m journalMirror) drain(cs *match.ConflictSet) {
+	added, removed := cs.TakeChanges()
+	for _, k := range removed {
+		if !cs.Contains(k) {
+			delete(m, k)
+		}
+	}
+	for _, in := range added {
+		if cs.Contains(in.Key()) {
+			m[in.Key()] = in
+		}
+	}
+}
+
+// equal reports how the mirror differs from want: keys, and the very
+// WMEs each instantiation matched.
+func (m journalMirror) equal(want *match.ConflictSet) error {
+	if len(m) != want.Len() {
+		return fmt.Errorf("mirror has %d members, want %d", len(m), want.Len())
+	}
+	for _, in := range want.All() {
+		got := m[in.Key()]
+		if got == nil {
+			return fmt.Errorf("mirror lacks %s", in.Key())
+		}
+		if len(got.WMEs) != len(in.WMEs) {
+			return fmt.Errorf("%s: mirror holds %d WMEs, want %d", in.Key(), len(got.WMEs), len(in.WMEs))
+		}
+		for i := range in.WMEs {
+			if got.WMEs[i] != in.WMEs[i] {
+				return fmt.Errorf("%s: mirror WME %d is %v, want %v", in.Key(), i, got.WMEs[i], in.WMEs[i])
+			}
+		}
+	}
+	return nil
+}
+
 // constructors are the network variants every oracle test must agree
 // on: the hashed planned network. The naive matcher joins in source
 // order, so agreement also proves planned instantiation keys equal
@@ -132,7 +176,11 @@ var constructors = []struct {
 
 // TestReteMatchesNaiveOracle drives each Rete variant and the naive
 // matcher with identical random rule sets and random insert/remove
-// streams and requires identical conflict sets after every step.
+// streams and requires identical conflict sets after every step. It
+// also replays the network's change journal into a mirror, as the
+// engine's agenda does, and requires the mirror to equal the naive
+// set too; even seeds switch tracking on before the first insert, odd
+// ones part-way through, when the set is populated.
 func TestReteMatchesNaiveOracle(t *testing.T) {
 	for _, ctor := range constructors {
 		t.Run(ctor.name, func(t *testing.T) { reteOracle(t, ctor.build) })
@@ -155,7 +203,13 @@ func reteOracle(t *testing.T, build func() match.Matcher) {
 			}
 		}
 		var live []*wm.WME
+		var mirror journalMirror
+		trackAt := int(seed%2) * 30
 		for step := 0; step < 60; step++ {
+			if step == trackAt {
+				rete.TrackChanges(true)
+				mirror = journalMirror{}
+			}
 			if len(live) == 0 || rng.Intn(3) > 0 {
 				w := randomWME(rng, s)
 				live = append(live, w)
@@ -169,6 +223,12 @@ func reteOracle(t *testing.T, build func() match.Matcher) {
 				naive.Remove(w)
 			}
 			sameConflictSets(t, seed, rete.ConflictSet(), naive.ConflictSet())
+			if mirror != nil {
+				mirror.drain(rete.ConflictSet())
+				if err := mirror.equal(naive.ConflictSet()); err != nil {
+					t.Fatalf("seed %d step %d: journal mirror: %v", seed, step, err)
+				}
+			}
 		}
 	}
 }

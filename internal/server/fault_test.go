@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -290,7 +291,7 @@ func TestStorageRestart(t *testing.T) {
 }
 
 // TestRefusedCreateLeavesStorageUnseeded creates a durable session with
-// an unknown matcher: the create must be refused before its storage
+// an unknown strategy: the create must be refused before its storage
 // directory is opened, so a later create on the same directory starts
 // fresh instead of recovering the refused session's initial WME.
 func TestRefusedCreateLeavesStorageUnseeded(t *testing.T) {
@@ -302,13 +303,13 @@ func TestRefusedCreateLeavesStorageUnseeded(t *testing.T) {
 	defer c.Close()
 	program := tenantProgram("r") + "\n(wme event ^tenant r ^seq 0)"
 
-	_, _, _, err = c.Create(program, SessionOptions{Matcher: "bogus", StorageDir: "tenant-r"})
+	_, _, _, err = c.Create(program, SessionOptions{Strategy: "bogus", StorageDir: "tenant-r"})
 	var se *ServerError
 	if !errors.As(err, &se) || se.Code != CodeBadRequest {
-		t.Fatalf("bad matcher create: err = %v, want %s", err, CodeBadRequest)
+		t.Fatalf("bad strategy create: err = %v, want %s", err, CodeBadRequest)
 	}
-	if want := `engine: unknown matcher "bogus"`; se.Msg != want {
-		t.Fatalf("bad matcher create: message %q, want %q", se.Msg, want)
+	if want := `unknown strategy "bogus"`; !strings.Contains(se.Msg, want) {
+		t.Fatalf("bad strategy create: message %q, want it to name %q", se.Msg, want)
 	}
 
 	id, recovered, lsn, err := c.Create(program, SessionOptions{StorageDir: "tenant-r"})

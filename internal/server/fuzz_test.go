@@ -51,7 +51,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	seeds := []*Request{
 		{Type: ReqPing, ID: 1},
 		{Type: ReqCreate, ID: 2, Program: "(p a (b ^c <d>) --> (remove 1))",
-			Options: SessionOptions{Matcher: "treat", Strategy: "fifo", StorageDir: "x"}},
+			Options: SessionOptions{Strategy: "fifo", StorageDir: "x"}},
 		{Type: ReqAssert, ID: 3, Session: "s1", WMEs: []string{"(a ^b 1)", "(a ^b 2)"}},
 		{Type: ReqRetract, ID: 4, Session: "s1", WMEID: 7},
 		{Type: ReqRun, ID: 5, Session: "s1", Max: 100},

@@ -308,17 +308,13 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 	if strategy == "" {
 		strategy = "lex"
 	}
+	// Refuse a bad strategy before opening storage: OpenDurable seeds
+	// the directory, which a refused create must leave untouched.
 	st, err := newStrategy(strategy)
 	if err != nil {
 		return errResp(q.ID, CodeBadRequest, err.Error())
 	}
-	// Refuse a bad matcher before opening storage: OpenDurable seeds
-	// the directory, which a refused create must leave untouched.
-	if err := engine.CheckMatcher(q.Options.Matcher); err != nil {
-		return errResp(q.ID, CodeBadRequest, err.Error())
-	}
 	opts := engine.Options{
-		Matcher:  q.Options.Matcher,
 		Strategy: st,
 		Clock:    s.cfg.Clock,
 	}

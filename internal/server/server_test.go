@@ -199,7 +199,7 @@ func TestSessionLifecycleBasics(t *testing.T) {
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	id, recovered, lsn, err := c.Create(tenantProgram("a"), SessionOptions{Matcher: "treat", Strategy: "fifo"})
+	id, recovered, lsn, err := c.Create(tenantProgram("a"), SessionOptions{Strategy: "fifo"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,12 +187,10 @@ const (
 )
 
 // SessionOptions is the per-tenant engine configuration carried by a
-// create request. The zero value selects Rete matching and LEX
-// conflict resolution; each run command carries its own firing bound.
+// create request. The zero value selects LEX conflict resolution; every
+// session matches with the Rete network, and each run command carries
+// its own firing bound.
 type SessionOptions struct {
-	// Matcher selects the match algorithm: "rete" (default), "treat"
-	// or "naive".
-	Matcher string `json:"matcher,omitempty"`
 	// Strategy selects conflict resolution: "lex" (default), "mea",
 	// "fifo" or "priority".
 	Strategy string `json:"strategy,omitempty"`

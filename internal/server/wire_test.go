@@ -111,6 +111,20 @@ func TestRequestValidation(t *testing.T) {
 			t.Fatalf("%s: no partial request for ID echo", tc.name)
 		}
 	}
+	// A create from a client that still sends a deleted option decodes,
+	// and the field is ignored (DESIGN.md §17).
+	for _, raw := range []string{
+		`{"type":"create","id":1,"program":"(p a (b) --> (remove 1))","options":{"max_firings":5,"strategy":"fifo"}}`,
+		`{"type":"create","id":1,"program":"(p a (b) --> (remove 1))","options":{"matcher":"treat","strategy":"fifo"}}`,
+	} {
+		q, err := DecodeRequest([]byte(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", raw, err)
+		}
+		if q.Options != (SessionOptions{Strategy: "fifo"}) {
+			t.Fatalf("%s: options = %+v, want strategy fifo only", raw, q.Options)
+		}
+	}
 }
 
 func TestResponseRoundTrip(t *testing.T) {

@@ -154,8 +154,56 @@ func randomRule(rng *rand.Rand, name string) *match.Rule {
 	return r
 }
 
+// journalMirror is a conflict set rebuilt only from a matcher's
+// TakeChanges journal, the way the engine's agenda follows the set.
+type journalMirror map[string]*match.Instantiation
+
+// drain applies cs's journal. Keys journaled as both removed and added
+// are resolved by Contains; a later addition under a key replaces an
+// earlier one.
+func (m journalMirror) drain(cs *match.ConflictSet) {
+	added, removed := cs.TakeChanges()
+	for _, k := range removed {
+		if !cs.Contains(k) {
+			delete(m, k)
+		}
+	}
+	for _, in := range added {
+		if cs.Contains(in.Key()) {
+			m[in.Key()] = in
+		}
+	}
+}
+
+// equal reports how the mirror differs from want: keys, and the very
+// WMEs each instantiation matched.
+func (m journalMirror) equal(want *match.ConflictSet) error {
+	if len(m) != want.Len() {
+		return fmt.Errorf("mirror has %d members, want %d", len(m), want.Len())
+	}
+	for _, in := range want.All() {
+		got := m[in.Key()]
+		if got == nil {
+			return fmt.Errorf("mirror lacks %s", in.Key())
+		}
+		if len(got.WMEs) != len(in.WMEs) {
+			return fmt.Errorf("%s: mirror holds %d WMEs, want %d", in.Key(), len(got.WMEs), len(in.WMEs))
+		}
+		for i := range in.WMEs {
+			if got.WMEs[i] != in.WMEs[i] {
+				return fmt.Errorf("%s: mirror WME %d is %v, want %v", in.Key(), i, got.WMEs[i], in.WMEs[i])
+			}
+		}
+	}
+	return nil
+}
+
 // TestTreatMatchesNaiveOracle requires TREAT to agree with the naive
-// matcher on random rule sets under random insert/remove streams.
+// matcher on random rule sets under random insert/remove streams. It
+// also replays TREAT's change journal into a mirror and requires the
+// mirror to equal the naive set; even seeds switch tracking on before
+// the first insert, odd ones part-way through, when the set is
+// populated.
 func TestTreatMatchesNaiveOracle(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -172,7 +220,13 @@ func TestTreatMatchesNaiveOracle(t *testing.T) {
 			}
 		}
 		var live []*wm.WME
+		var mirror journalMirror
+		trackAt := int(seed%2) * 30
 		for step := 0; step < 60; step++ {
+			if step == trackAt {
+				tr.TrackChanges(true)
+				mirror = journalMirror{}
+			}
 			if len(live) == 0 || rng.Intn(3) > 0 {
 				a := map[string]wm.Value{}
 				for i := 0; i < 3; i++ {
@@ -199,6 +253,12 @@ func TestTreatMatchesNaiveOracle(t *testing.T) {
 			for _, in := range a.All() {
 				if !b.Contains(in.Key()) {
 					t.Fatalf("seed %d: treat has %v, naive does not", seed, in)
+				}
+			}
+			if mirror != nil {
+				mirror.drain(a)
+				if err := mirror.equal(b); err != nil {
+					t.Fatalf("seed %d step %d: journal mirror: %v", seed, step, err)
 				}
 			}
 		}

@@ -59,42 +59,34 @@ func TestConflictChainShape(t *testing.T) {
 
 func TestConcreteWorkloadsRunToCompletion(t *testing.T) {
 	cases := []struct {
-		name     string
-		prog     engine.Program
-		matchers []string // nil: the default matcher only
-		firings  int
-		emptyWM  bool
+		name    string
+		prog    engine.Program
+		firings int
+		emptyWM bool
 	}{
-		{"pipeline", Pipeline(5, 3), nil, 15, true},
-		{"shared-counter", SharedCounter(4, 2), nil, 8, false},
-		{"guarded", Guarded(8), nil, 10, true},
-		{"join-heavy", JoinHeavy(24, 4), []string{"rete", "treat", "naive"}, 24, false},
-		{"join-misordered", JoinHeavyMisordered(64, 4), nil, 4, false},
+		{"pipeline", Pipeline(5, 3), 15, true},
+		{"shared-counter", SharedCounter(4, 2), 8, false},
+		{"guarded", Guarded(8), 10, true},
+		{"join-heavy", JoinHeavy(24, 4), 24, false},
+		{"join-misordered", JoinHeavyMisordered(64, 4), 4, false},
 	}
 	for _, c := range cases {
-		matchers := c.matchers
-		if matchers == nil {
-			matchers = []string{""}
+		e, err := engine.NewSingle(c.prog, engine.Options{Verify: true})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
-		for _, m := range matchers {
-			label := c.name + "/" + m
-			e, err := engine.NewSingle(c.prog, engine.Options{Matcher: m, Verify: true})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if res.Firings != c.firings {
-				t.Fatalf("%s: firings = %d, want %d", label, res.Firings, c.firings)
-			}
-			if c.emptyWM && e.Store().Len() != 0 {
-				t.Fatalf("%s: %d tuples left", label, e.Store().Len())
-			}
-			if err := engine.CheckTrace(c.prog, res.Log.Commits()); err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if res.Firings != c.firings {
+			t.Fatalf("%s: firings = %d, want %d", c.name, res.Firings, c.firings)
+		}
+		if c.emptyWM && e.Store().Len() != 0 {
+			t.Fatalf("%s: %d tuples left", c.name, e.Store().Len())
+		}
+		if err := engine.CheckTrace(c.prog, res.Log.Commits()); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
 		}
 	}
 }
@@ -156,30 +148,28 @@ func TestRandomProgramDrainsWM(t *testing.T) {
 	}
 }
 
-// TestManyRulesFanoutShape checks the E22 invariant on every matcher
-// variant: each event is owned by exactly one rule, so the program
-// fires once per event and drains working memory.
+// TestManyRulesFanoutShape checks the E22 invariant: each event is
+// owned by exactly one rule, so the program fires once per event and
+// drains working memory.
 func TestManyRulesFanoutShape(t *testing.T) {
-	for _, matcher := range []string{"rete", "treat"} {
-		for _, rules := range []int{8, 48} {
-			prog := ManyRulesFanout(rules, 96)
-			e, err := engine.NewSingle(prog, engine.Options{Matcher: matcher, Verify: true})
-			if err != nil {
-				t.Fatalf("%s/R%d: %v", matcher, rules, err)
-			}
-			res, err := e.Run()
-			if err != nil {
-				t.Fatalf("%s/R%d: %v", matcher, rules, err)
-			}
-			if res.Firings != 96 {
-				t.Fatalf("%s/R%d: firings = %d, want 96", matcher, rules, res.Firings)
-			}
-			if e.Store().Len() != 0 {
-				t.Fatalf("%s/R%d: %d tuples left", matcher, rules, e.Store().Len())
-			}
-			if err := engine.CheckTrace(prog, res.Log.Commits()); err != nil {
-				t.Fatalf("%s/R%d: %v", matcher, rules, err)
-			}
+	for _, rules := range []int{8, 48} {
+		prog := ManyRulesFanout(rules, 96)
+		e, err := engine.NewSingle(prog, engine.Options{Verify: true})
+		if err != nil {
+			t.Fatalf("R%d: %v", rules, err)
+		}
+		res, err := e.Run()
+		if err != nil {
+			t.Fatalf("R%d: %v", rules, err)
+		}
+		if res.Firings != 96 {
+			t.Fatalf("R%d: firings = %d, want 96", rules, res.Firings)
+		}
+		if e.Store().Len() != 0 {
+			t.Fatalf("R%d: %d tuples left", rules, e.Store().Len())
+		}
+		if err := engine.CheckTrace(prog, res.Log.Commits()); err != nil {
+			t.Fatalf("R%d: %v", rules, err)
 		}
 	}
 }

@@ -3,7 +3,7 @@
 // (Srivastava, Hwang, Tan — ICDE 1990). It provides:
 //
 //   - an OPS5-style rule language (Parse, Format);
-//   - incremental matchers (Rete, TREAT) over a transactional working
+//   - an incremental Rete matcher over a transactional working
 //     memory;
 //   - three interpreters: the single execution thread mechanism, the
 //     dynamic multiple-thread mechanism (goroutine workers firing
@@ -285,8 +285,7 @@ type ReteNetwork = rete.Network
 
 // NewReteNetwork returns an empty hashed-memory Rete network with
 // cost-ordered joins and beta-prefix sharing, for join-plan
-// inspection; engines normally select a matcher by name via
-// Options.Matcher.
+// inspection; every engine builds its own.
 var NewReteNetwork = rete.New
 
 // CompileRete compiles the program's rules into a Rete network and
