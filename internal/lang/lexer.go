@@ -17,8 +17,10 @@ package lang
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // tokKind enumerates token types.
@@ -185,19 +187,25 @@ lex:
 				return mk(tokString, b.String()), nil
 			}
 			if ch == '\\' {
-				if l.pos >= len(l.src) {
-					return token{}, l.errf("unterminated escape")
+				// Go escape syntax, the inverse of the strconv quoting
+				// the printer renders strings with (\x85, \u00e9, \a).
+				// No escape spans a newline, so advancing over its
+				// bytes keeps line and column right.
+				rest := l.src[l.pos-1:]
+				r, multibyte, tail, err := strconv.UnquoteChar(rest, '"')
+				if err != nil {
+					if l.pos >= len(l.src) {
+						return token{}, l.errf("unterminated escape")
+					}
+					return token{}, l.errf("bad escape \\%c", l.peekByte())
 				}
-				esc := l.advance()
-				switch esc {
-				case 'n':
-					b.WriteByte('\n')
-				case 't':
-					b.WriteByte('\t')
-				case '"', '\\':
-					b.WriteByte(esc)
-				default:
-					return token{}, l.errf("unknown escape \\%c", esc)
+				for n := len(rest) - len(tail) - 1; n > 0; n-- {
+					l.advance()
+				}
+				if r < utf8.RuneSelf || !multibyte {
+					b.WriteByte(byte(r))
+				} else {
+					b.WriteRune(r)
 				}
 				continue
 			}

@@ -52,7 +52,7 @@ func TestApplyCatchupFromCheckpoint(t *testing.T) {
 
 	done := 0
 	if err := f.View(func(s *wm.Store) {
-		done = s.Count("cell", wm.AttrEq("gen", wm.Int(6)))
+		done = cellsAtGen(s, 6)
 	}); err != nil {
 		t.Fatalf("view: %v", err)
 	}

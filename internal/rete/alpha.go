@@ -31,8 +31,9 @@ import (
 // Nodes are structurally deduplicated by their position and test
 // signature — the alpha analogue of the betaLevels prefix cache — so
 // a test shared by many rules is evaluated once per WME. Every node
-// is ref-counted and torn down with the patterns that use it
-// (maybeGCAlpha), so removed rules stop taxing the assert path.
+// counts the patterns whose path runs through it; the counts feed the
+// sharing statistics (rete_alpha_shared, Topology, Plans). Rules are
+// fixed once working memory is populated, so the tree only grows.
 //
 // Determinism: each level's eqAttrs is kept sorted, residual children
 // are insertion-ordered (rule-add order), and routing never iterates
@@ -76,10 +77,8 @@ type alphaNode struct {
 
 // eqRoot is one hash-routed attribute within a level: value-keyed
 // buckets, each the subtree of the patterns whose test at this level
-// compares the attribute against the bucket's constant. refs counts
-// those patterns.
+// compares the attribute against the bucket's constant.
 type eqRoot struct {
-	refs    int
 	buckets map[string]*alphaNode
 }
 
@@ -97,23 +96,6 @@ type discLevel struct {
 // terminates directly at the root node.
 type classDisc struct {
 	root *alphaNode
-}
-
-// discStep records how one step of a pattern's path was reached, for
-// ref-counted teardown: the level branched through, the routed
-// attribute and bucket key (empty for residual steps), and the node.
-type discStep struct {
-	level  *discLevel
-	attr   string
-	bucket string
-	node   *alphaNode
-}
-
-// discPath is a pattern's full location: the class root (steps[0])
-// followed by one step per hash probe or residual test.
-type discPath struct {
-	class string
-	steps []discStep
 }
 
 // routableKind reports whether appendValueKey's encoding of the kind
@@ -160,7 +142,8 @@ func splitPattern(consts []match.AttrTest, intras []intraTest, presence []string
 
 // discAttach threads a new alpha pattern into its class's
 // discrimination tree, creating the levels, buckets and residual
-// nodes it needs and taking a reference on every node along the path.
+// nodes it needs and counting the pattern on every node along the
+// path.
 func (n *Network) discAttach(am *alphaMem, consts []match.AttrTest, intras []intraTest, presence []string) {
 	d := n.disc[am.class]
 	if d == nil {
@@ -171,7 +154,6 @@ func (n *Network) discAttach(am *alphaMem, consts []match.AttrTest, intras []int
 
 	cur := d.root
 	cur.refs++
-	path := &discPath{class: am.class, steps: []discStep{{node: cur}}}
 
 	level := func() *discLevel {
 		if cur.kids == nil {
@@ -191,7 +173,6 @@ func (n *Network) discAttach(am *alphaMem, consts []match.AttrTest, intras []int
 			lv.eqAttrs = append(lv.eqAttrs, t.Attr)
 			sort.Strings(lv.eqAttrs)
 		}
-		er.refs++
 		key := string(appendValueKey(nil, t.Const))
 		node := er.buckets[key]
 		if node == nil {
@@ -199,7 +180,6 @@ func (n *Network) discAttach(am *alphaMem, consts []match.AttrTest, intras []int
 			er.buckets[key] = node
 		}
 		node.refs++
-		path.steps = append(path.steps, discStep{level: lv, attr: t.Attr, bucket: key, node: node})
 		cur = node
 	}
 	for _, rt := range resid {
@@ -217,60 +197,9 @@ func (n *Network) discAttach(am *alphaMem, consts []match.AttrTest, intras []int
 			lv.rest = append(lv.rest, node)
 		}
 		node.refs++
-		path.steps = append(path.steps, discStep{level: lv, node: node})
 		cur = node
 	}
 	cur.mem = am
-	am.disc = path
-}
-
-// discDetach removes a garbage-collected pattern's path: every node
-// on it drops a reference, zero-ref nodes leave their bucket or
-// residual list, empty attribute roots and levels are pruned, and a
-// class whose tree empties out disappears entirely.
-func (n *Network) discDetach(am *alphaMem) {
-	path := am.disc
-	if path == nil {
-		return
-	}
-	am.disc = nil
-	steps := path.steps
-	steps[len(steps)-1].node.mem = nil
-	for i := len(steps) - 1; i >= 1; i-- {
-		st := steps[i]
-		st.node.refs--
-		if st.attr != "" {
-			er := st.level.eqRoots[st.attr]
-			if st.node.refs == 0 {
-				delete(er.buckets, st.bucket)
-			}
-			er.refs--
-			if er.refs == 0 {
-				delete(st.level.eqRoots, st.attr)
-				for j, a := range st.level.eqAttrs {
-					if a == st.attr {
-						st.level.eqAttrs = append(st.level.eqAttrs[:j], st.level.eqAttrs[j+1:]...)
-						break
-					}
-				}
-			}
-		} else if st.node.refs == 0 {
-			for j, c := range st.level.rest {
-				if c == st.node {
-					st.level.rest = append(st.level.rest[:j], st.level.rest[j+1:]...)
-					break
-				}
-			}
-		}
-		if len(st.level.eqRoots) == 0 && len(st.level.rest) == 0 {
-			steps[i-1].node.kids = nil
-		}
-	}
-	root := steps[0].node
-	root.refs--
-	if root.refs == 0 {
-		delete(n.disc, path.class)
-	}
 }
 
 // routeWME routes a WME through its class's discrimination tree,
@@ -329,24 +258,9 @@ func (n *Network) routeLevel(lv *discLevel, w *wm.WME, out []*alphaMem) []*alpha
 	return out
 }
 
-// maybeGCAlpha unregisters an alpha memory once its last successor is
-// detached (removeChain dropped the final join or negative node using
-// the pattern): the memory leaves alphaByKey — so the discrimination
-// network no longer taxes future asserts with it — and its
-// discrimination path is ref-counted away. A later
-// AddRule needing the same pattern rebuilds and back-fills it.
-func (n *Network) maybeGCAlpha(am *alphaMem) {
-	if len(am.successors) > 0 || n.alphaByKey[am.key] != am {
-		return
-	}
-	delete(n.alphaByKey, am.key)
-	n.discDetach(am)
-	am.items = nil
-}
-
 // walkDisc visits every discrimination node below (not including) a
-// class root, in unspecified order — for counting and invariant
-// sweeps only, never routing.
+// class root, in unspecified order — for counting only, never
+// routing.
 func walkDisc(lv *discLevel, fn func(node *alphaNode)) {
 	if lv == nil {
 		return

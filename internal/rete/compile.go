@@ -68,21 +68,24 @@ func classifyCE(c match.Condition, i int, bound map[string]bindingPos) compiledC
 	return cc
 }
 
-// AddRule validates and compiles a rule into the network. Rules may be
-// added after WMEs; the new nodes are seeded with existing matches.
+// AddRule validates and compiles a rule into the network. Every rule
+// is added before the first WME: once Insert has run, AddRule returns
+// an error, so new nodes never need seeding from resident matches.
 // The condition elements are reordered by the static cost model
 // (cost.go) before compilation; the emitted instantiations are
 // independent of the chosen order.
 func (n *Network) AddRule(r *match.Rule) error {
+	if n.populated {
+		return errorf("rule %s added after working memory", r.Name)
+	}
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	if _, dup := n.rules[r.Name]; dup {
+	if _, dup := n.chains[r.Name]; dup {
 		return errorf("duplicate rule %s", r.Name)
 	}
 	order, cost := planOrder(r)
 	n.chains[r.Name] = n.compileChain(r, order, cost)
-	n.rules[r.Name] = r
 	n.updatePlanGauges()
 	return nil
 }
@@ -92,12 +95,12 @@ func (n *Network) AddRule(r *match.Rule) error {
 // level whose structural prefix (alpha pattern, negation and join
 // tests of every level up to it) equals an
 // existing rule's prefix reuses that rule's join/memory nodes instead
-// of building and seeding new ones. The final positive join is always
+// of building new ones. The final positive join is always
 // exclusive — it feeds this rule's production directly.
 func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleChain {
 	m := len(order)
 	prod := &prodNode{net: n, rule: r, numLevels: m, bindings: make(map[string]bindingPos)}
-	rc := &ruleChain{r: r, order: order, cost: cost, prod: prod}
+	rc := &ruleChain{r: r, order: order, cost: cost}
 
 	// Classify tests level by level in plan order: variables bind at
 	// their first OpEq occurrence along the plan, so join tests always
@@ -146,7 +149,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 				for _, t := range source.validTokens() {
 					neg.onToken(t)
 				}
-				bl = &betaLevel{key: prefix, parent: source, neg: neg}
+				bl = &betaLevel{neg: neg}
 				n.betaLevels[prefix] = bl
 			}
 			bl.refs++
@@ -170,7 +173,6 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 				join.onToken(t)
 			}
 			rc.lastJoin = join
-			rc.lastParent = source
 			continue
 		}
 
@@ -183,7 +185,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 			for _, t := range source.validTokens() {
 				join.onToken(t)
 			}
-			bl = &betaLevel{key: prefix, parent: source, join: join, mem: mem}
+			bl = &betaLevel{join: join, mem: mem}
 			n.betaLevels[prefix] = bl
 		}
 		bl.refs++
@@ -212,48 +214,15 @@ func levelSig(negated bool, amemKey string, joins []joinTest) string {
 }
 
 // alphaMemFor returns the shared alpha memory for the pattern,
-// creating and back-filling it from current working memory if new.
+// creating it and threading it into the discrimination network if new.
 func (n *Network) alphaMemFor(class string, consts []match.AttrTest, intras []intraTest, presence []string) *alphaMem {
 	key := alphaKey(class, consts, intras, presence)
 	if am, ok := n.alphaByKey[key]; ok {
 		return am
 	}
-	cs := append([]match.AttrTest(nil), consts...)
-	is := append([]intraTest(nil), intras...)
-	ps := append([]string(nil), presence...)
-	am := &alphaMem{
-		key:   key,
-		class: class,
-		items: make(map[*wm.WME]bool),
-		pred: func(w *wm.WME) bool {
-			for _, t := range cs {
-				if !w.HasAttr(t.Attr) || !t.Matches(w.Attr(t.Attr)) {
-					return false
-				}
-			}
-			for _, it := range is {
-				if !w.HasAttr(it.attrA) || !w.HasAttr(it.attrB) {
-					return false
-				}
-				if !it.op.Eval(w.Attr(it.attrA), w.Attr(it.attrB)) {
-					return false
-				}
-			}
-			for _, a := range ps {
-				if !w.HasAttr(a) {
-					return false
-				}
-			}
-			return true
-		},
-	}
+	am := &alphaMem{key: key, class: class, items: make(map[*wm.WME]bool)}
 	n.alphaByKey[key] = am
-	n.discAttach(am, cs, is, ps)
-	for w := range n.wmes {
-		if w.Class == class && am.pred(w) {
-			am.items[w] = true
-		}
-	}
+	n.discAttach(am, consts, intras, presence)
 	return am
 }
 

@@ -1,7 +1,6 @@
 package rete
 
 import (
-	"sort"
 	"strconv"
 
 	"pdps/internal/match"
@@ -131,32 +130,4 @@ func wmeBucketRemove(idx map[string][]*wm.WME, key []byte, w *wm.WME) {
 			return
 		}
 	}
-}
-
-// seedRightIndex builds the initial WME-side index of a node compiled
-// after working memory is populated. The alpha memory stores items in
-// a map; seeding sorts them by identity so bucket order — and with it
-// every downstream activation order — is a function of the program,
-// not of map iteration.
-func seedRightIndex(eq []joinTest, am *alphaMem) map[string][]*wm.WME {
-	idx := make(map[string][]*wm.WME)
-	items := make([]*wm.WME, 0, len(am.items))
-	for w := range am.items {
-		items = append(items, w)
-	}
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].ID != items[j].ID {
-			return items[i].ID < items[j].ID
-		}
-		return items[i].TimeTag < items[j].TimeTag
-	})
-	var buf []byte
-	for _, w := range items {
-		var ok bool
-		buf, ok = wmeIndexKey(eq, w, buf[:0])
-		if ok {
-			idx[string(buf)] = append(idx[string(buf)], w)
-		}
-	}
-	return idx
 }

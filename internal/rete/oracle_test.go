@@ -232,54 +232,3 @@ func reteOracle(t *testing.T, build func() match.Matcher) {
 		}
 	}
 }
-
-// TestReteLateRuleMatchesNaive checks rule addition after working
-// memory is populated (the index-seeding path) against the oracle,
-// for every network variant.
-func TestReteLateRuleMatchesNaive(t *testing.T) {
-	for _, ctor := range constructors {
-		t.Run(ctor.name, func(t *testing.T) { reteLateRuleOracle(t, ctor.build) })
-	}
-}
-
-func reteLateRuleOracle(t *testing.T, build func() match.Matcher) {
-	for seed := int64(100); seed < 130; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		s := wm.NewStore()
-		rete := build()
-		naive := match.NewNaive()
-		var live []*wm.WME
-		for i := 0; i < 20; i++ {
-			w := randomWME(rng, s)
-			live = append(live, w)
-			rete.Insert(w)
-			naive.Insert(w)
-		}
-		for i := 0; i < 3; i++ {
-			r := randomRule(rng, fmt.Sprintf("late%d", i))
-			if err := rete.AddRule(r); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			if err := naive.AddRule(r); err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			sameConflictSets(t, seed, rete.ConflictSet(), naive.ConflictSet())
-		}
-		// And keep mutating afterwards.
-		for step := 0; step < 30; step++ {
-			if len(live) == 0 || rng.Intn(2) == 0 {
-				w := randomWME(rng, s)
-				live = append(live, w)
-				rete.Insert(w)
-				naive.Insert(w)
-			} else {
-				i := rng.Intn(len(live))
-				w := live[i]
-				live = append(live[:i], live[i+1:]...)
-				rete.Remove(w)
-				naive.Remove(w)
-			}
-			sameConflictSets(t, seed, rete.ConflictSet(), naive.ConflictSet())
-		}
-	}
-}

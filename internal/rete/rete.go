@@ -100,25 +100,13 @@ func runTests(tests []joinTest, parent *token, w *wm.WME) bool {
 }
 
 // alphaMem holds the WMEs passing one constant-test pattern. Alpha
-// memories are shared between rules with identical patterns. disc is
-// the pattern's location in the class's discrimination network
-// (alpha.go).
+// memories are shared between rules with identical patterns; the
+// class's discrimination network (alpha.go) routes WMEs into them.
 type alphaMem struct {
 	key        string
 	class      string
-	pred       func(w *wm.WME) bool
 	items      map[*wm.WME]bool
 	successors []alphaSink
-	disc       *discPath
-}
-
-func (am *alphaMem) removeSuccessor(s alphaSink) {
-	for i, x := range am.successors {
-		if x == s {
-			am.successors = append(am.successors[:i], am.successors[i+1:]...)
-			return
-		}
-	}
 }
 
 // memNode is a beta memory: it stores the tokens of one positive
@@ -155,26 +143,12 @@ func (m *memNode) removeToken(t *token) {
 
 // betaSource is the upstream of a join node: a beta memory (all tokens
 // valid) or a negative node (tokens with no join results are valid).
-// removeChildSink detaches a downstream node — chain teardown in
-// RemoveRule (plan.go) unhooks retired nodes through it.
 type betaSource interface {
 	validTokens() []*token
 	addChildSink(s tokenSink)
-	removeChildSink(s tokenSink)
 }
 
 func (m *memNode) addChildSink(s tokenSink) { m.children = append(m.children, s) }
-
-func (m *memNode) removeChildSink(s tokenSink) { m.children = removeSink(m.children, s) }
-
-func removeSink(list []tokenSink, s tokenSink) []tokenSink {
-	for i, x := range list {
-		if x == s {
-			return append(list[:i], list[i+1:]...)
-		}
-	}
-	return list
-}
 
 // joinNode joins its parent's tokens with its alpha memory's WMEs.
 // When the join has equality tests (eq non-empty) both sides are kept
@@ -193,15 +167,15 @@ type joinNode struct {
 	kbuf  []byte               // reusable key scratch; activations are single-threaded per network
 }
 
-// newJoinNode builds a join over the already-populated alpha memory,
-// seeding the WME-side index when the join is indexable. The token
-// side starts empty: the compiler left-activates it with every
-// existing upstream token, which fills the index through onToken.
+// newJoinNode builds a join with empty indexes when it is indexable.
+// Rules are compiled before the first WME arrives, so the alpha side
+// is empty; the compiler left-activates the join with every existing
+// upstream token, which fills the token index through onToken.
 func newJoinNode(net *Network, parent betaSource, amem *alphaMem, tests []joinTest, out pairSink) *joinNode {
 	j := &joinNode{net: net, parent: parent, amem: amem, tests: tests, out: out, eq: eqSubset(tests)}
 	if len(j.eq) > 0 {
 		j.left = make(map[string][]*token)
-		j.right = seedRightIndex(j.eq, amem)
+		j.right = make(map[string][]*wm.WME)
 	}
 	return j
 }
@@ -300,13 +274,13 @@ type negNode struct {
 	kbuf  []byte               // reusable key scratch; activations are single-threaded per network
 }
 
-// newNegNode builds a negative node over the already-populated alpha
-// memory, seeding the WME-side index when indexable.
+// newNegNode builds a negative node with empty indexes when it is
+// indexable; like a join, it is compiled before the first WME arrives.
 func newNegNode(net *Network, amem *alphaMem, tests []joinTest) *negNode {
 	n := &negNode{net: net, amem: amem, tests: tests, eq: eqSubset(tests)}
 	if len(n.eq) > 0 {
 		n.left = make(map[string][]*token)
-		n.right = seedRightIndex(n.eq, amem)
+		n.right = make(map[string][]*wm.WME)
 	}
 	return n
 }
@@ -322,8 +296,6 @@ func (n *negNode) validTokens() []*token {
 }
 
 func (n *negNode) addChildSink(s tokenSink) { n.children = append(n.children, s) }
-
-func (n *negNode) removeChildSink(s tokenSink) { n.children = removeSink(n.children, s) }
 
 func (n *negNode) onToken(parent *token) {
 	t := &token{parent: parent, node: n, joinResults: make(map[*wm.WME]bool)}
@@ -495,14 +467,16 @@ func (p *prodNode) activateToken(t *token, bookkeepingLevel bool) {
 	p.net.cs.Add(in)
 }
 
-// Network is the Rete matcher. It implements match.Matcher.
+// Network is the Rete matcher. It implements match.Matcher. Its rules
+// are fixed before working memory arrives: AddRule after the first
+// Insert is refused, so no node is ever compiled against resident
+// WMEs.
 type Network struct {
 	alphaByKey  map[string]*alphaMem
 	top         *memNode
 	dummy       *token
-	rules       map[string]*match.Rule
 	cs          *match.ConflictSet
-	wmes        map[*wm.WME]bool
+	populated   bool // set by the first Insert
 	tokensByWME map[*wm.WME][]*token
 	jrOwners    map[*wm.WME][]*token // tokens whose joinResults include the WME
 
@@ -525,9 +499,7 @@ type Network struct {
 func New() *Network {
 	n := &Network{
 		alphaByKey:  make(map[string]*alphaMem),
-		rules:       make(map[string]*match.Rule),
 		cs:          match.NewConflictSet(),
-		wmes:        make(map[*wm.WME]bool),
 		tokensByWME: make(map[*wm.WME][]*token),
 		jrOwners:    make(map[*wm.WME][]*token),
 		betaLevels:  make(map[string]*betaLevel),
@@ -561,12 +533,11 @@ func (n *Network) TrackChanges(on bool) { n.cs.TrackChanges(on) }
 // The WME is routed through the discrimination network (alpha.go)
 // into pooled scratch; membership lands in every matched memory before
 // any successor activates, so a cascading activation that reads
-// another alpha memory of the same class sees a consistent view.
+// another alpha memory of the same class sees a consistent view. The
+// caller inserts each version once, as the engines do: a version
+// inserted twice is matched twice.
 func (n *Network) Insert(w *wm.WME) {
-	if n.wmes[w] {
-		return
-	}
-	n.wmes[w] = true
+	n.populated = true
 	mems := n.routeWME(w, n.amemScratch[:0])
 	for _, am := range mems {
 		am.items[w] = true
@@ -579,15 +550,12 @@ func (n *Network) Insert(w *wm.WME) {
 	n.amemScratch = mems[:0]
 }
 
-// Remove retracts a WME version: tokens built on it are deleted, and
-// negative-node tokens it was blocking may become valid again.
+// Remove retracts a WME version previously inserted: tokens built on
+// it are deleted, and negative-node tokens it was blocking may become
+// valid again.
 func (n *Network) Remove(w *wm.WME) {
-	if !n.wmes[w] {
-		return
-	}
-	delete(n.wmes, w)
 	// WME versions are immutable, so re-routing reproduces exactly the
-	// memories the insert matched (or the back-fill populated).
+	// memories the insert matched.
 	mems := n.routeWME(w, n.amemScratch[:0])
 	for _, am := range mems {
 		delete(am.items, w)
@@ -670,22 +638,14 @@ func (n *Network) unregisterJoinResult(owner *token, w *wm.WME) {
 	}
 }
 
-// Stats reports network size for diagnostics and benchmarks.
+// Stats reports network size for diagnostics.
 type Stats struct {
 	AlphaMems int
-	WMEs      int
-	Rules     int
-	Insts     int
 }
 
 // Stats returns current network statistics.
 func (n *Network) Stats() Stats {
-	return Stats{
-		AlphaMems: len(n.alphaByKey),
-		WMEs:      len(n.wmes),
-		Rules:     len(n.rules),
-		Insts:     n.cs.Len(),
-	}
+	return Stats{AlphaMems: len(n.alphaByKey)}
 }
 
 var _ match.Matcher = (*Network)(nil)

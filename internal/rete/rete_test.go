@@ -135,8 +135,9 @@ func TestReteNegativeNode(t *testing.T) {
 }
 
 func TestReteNegativeLast_WMEBeforeRule(t *testing.T) {
-	// Rule added after working memory is populated: seeding must work
-	// through negative nodes too.
+	// The negated CE's WME arrives before the positive WMEs it blocks:
+	// the negative node's token for a (v 2) is born blocked, while the
+	// one for a (v 1) propagates to the production.
 	r := &match.Rule{
 		Name: "lone",
 		Conditions: []match.Condition{
@@ -147,15 +148,15 @@ func TestReteNegativeLast_WMEBeforeRule(t *testing.T) {
 	}
 	s := wm.NewStore()
 	n := New()
-	n.Insert(s.Insert("a", attrs("v", 1)))
-	n.Insert(s.Insert("a", attrs("v", 2)))
-	n.Insert(s.Insert("b", attrs("v", 2)))
 	if err := n.AddRule(r); err != nil {
 		t.Fatal(err)
 	}
+	n.Insert(s.Insert("b", attrs("v", 2)))
+	n.Insert(s.Insert("a", attrs("v", 1)))
+	n.Insert(s.Insert("a", attrs("v", 2)))
 	cs := n.ConflictSet()
 	if cs.Len() != 1 {
-		t.Fatalf("late rule: conflict set = %d, want 1", cs.Len())
+		t.Fatalf("negation last: conflict set = %d, want 1", cs.Len())
 	}
 	if !cs.All()[0].Bindings["x"].Equal(wm.Int(1)) {
 		t.Fatalf("wrong instantiation %v", cs.All()[0])
@@ -285,7 +286,10 @@ func TestReteDuplicateRuleAndInvalidRule(t *testing.T) {
 	}
 }
 
-func TestReteIdempotentInsertRemove(t *testing.T) {
+// TestAddRuleAfterInsertRefused pins the fixed-rules contract: once a
+// WME has been inserted, AddRule fails — even after that WME is
+// retracted again — and the refused rule leaves the network as it was.
+func TestAddRuleAfterInsertRefused(t *testing.T) {
 	s := wm.NewStore()
 	n := New()
 	if err := n.AddRule(joinRule()); err != nil {
@@ -293,15 +297,24 @@ func TestReteIdempotentInsertRemove(t *testing.T) {
 	}
 	p := s.Insert("part", attrs("id", 1, "status", "ready"))
 	n.Insert(p)
-	n.Insert(p) // duplicate insert is a no-op
-	m := s.Insert("machine", attrs("accepts", 1, "free", true))
-	n.Insert(m)
+	n.Insert(s.Insert("machine", attrs("accepts", 1, "free", true)))
+	before := n.Topology()
+	late := joinRule()
+	late.Name = "late"
+	if err := n.AddRule(late); err == nil {
+		t.Fatal("AddRule after Insert succeeded")
+	}
+	if got := n.Topology(); got != before {
+		t.Fatalf("refused rule changed the network: %+v, was %+v", got, before)
+	}
+	if plans := n.Plans(); len(plans) != 1 {
+		t.Fatalf("%d plans after a refused rule, want 1", len(plans))
+	}
 	if n.ConflictSet().Len() != 1 {
-		t.Fatal("duplicate insert corrupted state")
+		t.Fatalf("conflict set = %d, want 1", n.ConflictSet().Len())
 	}
 	n.Remove(p)
-	n.Remove(p) // duplicate remove is a no-op
-	if n.ConflictSet().Len() != 0 {
-		t.Fatal("remove failed")
+	if err := n.AddRule(late); err == nil {
+		t.Fatal("AddRule on a drained network succeeded")
 	}
 }

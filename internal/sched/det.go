@@ -193,13 +193,6 @@ func (d *Det) Choices() []Choice {
 	return out
 }
 
-// Steps returns the number of scheduling decisions taken so far.
-func (d *Det) Steps() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.steps
-}
-
 func (d *Det) spawnLocked(name string, body func()) *task {
 	t := &task{
 		id:    len(d.tasks),

@@ -81,16 +81,6 @@ func (r Result) Sigma() []string {
 	return out
 }
 
-// WastedWork returns the total execution time units spent on aborted
-// runs — the second term of Example 5.1 before scaling by f.
-func (r Result) WastedWork() int {
-	total := 0
-	for _, a := range r.Aborts {
-		total += a.Ran
-	}
-	return total
-}
-
 // UniprocessorMultiTime evaluates Example 5.1's multi-thread time on a
 // uniprocessor: the committed work plus the fraction f of the aborted
 // productions' full execution times that was wasted before abort.

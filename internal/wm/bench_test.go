@@ -109,31 +109,3 @@ func BenchmarkEncodeDelta(b *testing.B) {
 		buf = EncodeDelta(buf[:0], d)
 	}
 }
-
-// BenchmarkIndexLookupVsScan contrasts the secondary index against a
-// predicate scan on a 10k-tuple class.
-func BenchmarkIndexLookupVsScan(b *testing.B) {
-	s := NewStore()
-	ix, err := s.CreateIndex("part", "status")
-	if err != nil {
-		b.Fatal(err)
-	}
-	statuses := []Value{Sym("raw"), Sym("ready"), Sym("done"), Sym("scrap")}
-	for i := 0; i < 10000; i++ {
-		s.Insert("part", attrs("id", i, "status", statuses[i%len(statuses)]))
-	}
-	b.Run("index", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := ix.Lookup(Sym("ready")); len(got) != 2500 {
-				b.Fatalf("got %d", len(got))
-			}
-		}
-	})
-	b.Run("scan", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if got := s.Select("part", AttrEq("status", Sym("ready"))); len(got) != 2500 {
-				b.Fatalf("got %d", len(got))
-			}
-		}
-	})
-}

@@ -28,10 +28,12 @@ type idShard struct {
 	m  map[int64]*WME
 }
 
-// Store is the shared working memory: an indexed, concurrency-safe
-// tuple store. All mutation goes through Deltas (directly via Apply,
-// or staged in a Txn), so the match phase can be driven incrementally
-// from the exact set of changes each production commit makes.
+// Store is the shared working memory: a concurrency-safe tuple store,
+// keyed by class and by ID; the match network, not the store, answers
+// attribute-value queries. All mutation goes through Deltas (directly
+// via Apply, or staged in a Txn), so the match phase can be driven
+// incrementally from the exact set of changes each production commit
+// makes.
 //
 // The store is sharded by WME class: each shard has its own RWMutex
 // over its classes' tuple maps. The ID→WME index is sharded by ID, each
@@ -48,9 +50,6 @@ type Store struct {
 	byID   [numShards]idShard // current versions
 	shards [numShards]classShard
 	seed   maphash.Seed
-
-	ixMu    sync.RWMutex
-	indexes map[string]*Index
 
 	// met, when non-nil, counts per-class reads and writes (obs).
 	met *storeMetrics
@@ -130,8 +129,7 @@ func (d *Delta) Invert() *Delta {
 // allocID reserves a fresh WME identity.
 func (s *Store) allocID() int64 { return s.nextID.Add(1) }
 
-// add inserts a fully-stamped WME into its class shard, the ID map and
-// the indexes.
+// add inserts a fully-stamped WME into its class shard and the ID map.
 func (s *Store) add(w *WME) {
 	sh := s.shardFor(w.Class)
 	sh.mu.Lock()
@@ -142,7 +140,6 @@ func (s *Store) add(w *WME) {
 	}
 	cls[w.ID] = w
 	s.setID(w)
-	s.notifyIndexesAdd(w)
 	sh.mu.Unlock()
 	s.count.Add(1)
 	s.met.write(w.Class)
@@ -194,8 +191,8 @@ func (s *Store) Remove(id int64) (*WME, bool) {
 	return cur, true
 }
 
-// removeShardLocked deletes a current version from its class map, the
-// ID map and the indexes. Caller holds sh.mu.
+// removeShardLocked deletes a current version from its class map and
+// the ID map. Caller holds sh.mu.
 func (s *Store) removeShardLocked(sh *classShard, w *WME) {
 	if cls := sh.byClass[w.Class]; cls != nil {
 		delete(cls, w.ID)
@@ -204,7 +201,6 @@ func (s *Store) removeShardLocked(sh *classShard, w *WME) {
 		}
 	}
 	s.dropID(w)
-	s.notifyIndexesRemove(w)
 }
 
 // Modify replaces the attributes of the WME with the given ID,
@@ -227,8 +223,6 @@ func (s *Store) Modify(id int64, updates map[string]Value) (old, new_ *WME, err 
 	n.TimeTag = s.clock.Add(1)
 	sh.byClass[class][id] = n
 	s.setID(n) // in-place replace: Get never sees the ID absent
-	s.notifyIndexesRemove(cur)
-	s.notifyIndexesAdd(n)
 	sh.mu.Unlock()
 	s.met.write(class)
 	return cur, n, nil
@@ -298,7 +292,6 @@ func (s *Store) Apply(d *Delta) (*Delta, error) {
 			// another writer has replaced or removed since the lookup stays.
 			if cls := sh.byClass[w.Class]; cls[w.ID] == w {
 				delete(cls, w.ID)
-				s.notifyIndexesRemove(w)
 				removed++
 			}
 		}
@@ -313,7 +306,6 @@ func (s *Store) Apply(d *Delta) (*Delta, error) {
 			}
 			cls[w.ID] = w
 			s.setID(w)
-			s.notifyIndexesAdd(w)
 		}
 		// After the adds, so a modify replaces its ID entry and keeps its
 		// class map even when it is the class's only tuple.
@@ -390,7 +382,7 @@ func (s *Store) All() []*WME {
 }
 
 // Clone returns a deep copy of the store (WMEs themselves are shared;
-// they are immutable). Indexes are not cloned.
+// they are immutable). Metrics are not carried over.
 func (s *Store) Clone() *Store {
 	c := NewStore()
 	c.nextID.Store(s.nextID.Load())
