@@ -12,18 +12,19 @@ import (
 // identity, so two actions on the same CE compose (modify then remove,
 // etc.).
 func ExecuteActions(in *Instantiation, tx *wm.Txn) (halt bool, err error) {
+	var buf [8]wm.AttrValue
 	for i, a := range in.Rule.Actions {
 		switch a.Kind {
 		case ActHalt:
 			return true, nil
 		case ActMake:
-			attrs, err := evalAssigns(a.Assigns, in.Bindings)
+			attrs, err := evalAssigns(buf[:0], a.Assigns, in.Bindings)
 			if err != nil {
 				return false, fmt.Errorf("%s action %d: %w", in.Rule.Name, i+1, err)
 			}
 			tx.Insert(a.Class, attrs)
 		case ActModify:
-			updates, err := evalAssigns(a.Assigns, in.Bindings)
+			updates, err := evalAssigns(buf[:0], a.Assigns, in.Bindings)
 			if err != nil {
 				return false, fmt.Errorf("%s action %d: %w", in.Rule.Name, i+1, err)
 			}
@@ -41,14 +42,15 @@ func ExecuteActions(in *Instantiation, tx *wm.Txn) (halt bool, err error) {
 	return false, nil
 }
 
-func evalAssigns(assigns []AttrAssign, b Bindings) (map[string]wm.Value, error) {
-	attrs := make(map[string]wm.Value, len(assigns))
+// evalAssigns appends the evaluated assignments to dst in source order;
+// the transaction lets a later assignment of a name win.
+func evalAssigns(dst []wm.AttrValue, assigns []AttrAssign, b Bindings) ([]wm.AttrValue, error) {
 	for _, as := range assigns {
 		v, err := as.Expr.Eval(b)
 		if err != nil {
 			return nil, err
 		}
-		attrs[as.Attr] = v
+		dst = append(dst, wm.AttrValue{Name: as.Attr, Val: v})
 	}
-	return attrs, nil
+	return dst, nil
 }

@@ -28,11 +28,13 @@ type Instantiation struct {
 // instantiations with equal keys matched the same data. The key is
 // memoized — the engine asks for it on every dispatch, staleness check
 // and commit, from workers and committer concurrently, and the inputs
-// (rule and matched WME versions) are immutable once matched.
+// (rule and matched WME versions) are immutable once matched. The key
+// is rendered in a stack buffer, so a key of up to 256 bytes costs one
+// allocation, the string.
 func (in *Instantiation) Key() string {
 	in.keyOnce.Do(func() {
-		buf := make([]byte, 0, len(in.Rule.Name)+12*len(in.WMEs))
-		buf = append(buf, in.Rule.Name...)
+		var stack [256]byte
+		buf := append(stack[:0], in.Rule.Name...)
 		for _, w := range in.WMEs {
 			buf = append(buf, '|')
 			buf = strconv.AppendInt(buf, w.ID, 10)

@@ -180,7 +180,7 @@ func TestInstantiationKeyAndTimeTags(t *testing.T) {
 		t.Fatal("Uses failed")
 	}
 	// A newer version of p (same ID, new tag) is a different match.
-	_, p2, err := s.Modify(p.ID, attrs("status", "ready"))
+	_, p2, err := s.Modify(p.ID, []wm.AttrValue{{Name: "status", Val: wm.Sym("ready")}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -175,6 +175,46 @@ func TestExecuteActions(t *testing.T) {
 	}
 }
 
+// TestExecuteActionsRepeatedAttrLastWins pins the assignment rule a
+// make or modify keeps now that its assignments reach the transaction
+// as a list: when one action assigns a name twice, the last assignment
+// wins, as it did when they were collected into a map.
+func TestExecuteActionsRepeatedAttrLastWins(t *testing.T) {
+	s := wm.NewStore()
+	p := s.Insert("part", attrs("id", 1, "stage", 0))
+	twice := func(first, last int) []AttrAssign {
+		return []AttrAssign{
+			{Attr: "stage", Expr: ConstExpr{wm.Int(int64(first))}},
+			{Attr: "id", Expr: VarExpr{"x"}},
+			{Attr: "stage", Expr: ConstExpr{wm.Int(int64(last))}},
+		}
+	}
+	r := &Rule{
+		Name:       "r",
+		Conditions: []Condition{{Class: "part", Tests: []AttrTest{{Attr: "id", Op: OpEq, Var: "x"}}}},
+		Actions: []Action{
+			{Kind: ActModify, CE: 0, Assigns: twice(1, 2)},
+			{Kind: ActMake, Class: "log", Assigns: twice(3, 4)},
+		},
+	}
+	in := &Instantiation{Rule: r, WMEs: []*wm.WME{p}, Bindings: Bindings{"x": wm.Int(1)}}
+	tx := s.Begin()
+	if _, err := ExecuteActions(in, tx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := s.Get(p.ID)
+	if want := "(part ^id 1 ^stage 2)"; got.String() != want {
+		t.Errorf("modified part = %v, want %s", got, want)
+	}
+	logs := s.ByClass("log")
+	if want := "(log ^id 1 ^stage 4)"; len(logs) != 1 || logs[0].String() != want {
+		t.Errorf("made log = %v, want [%s]", logs, want)
+	}
+}
+
 func TestExecuteActionsHaltAndErrors(t *testing.T) {
 	s := wm.NewStore()
 	p := s.Insert("part", attrs("id", 1))

@@ -146,7 +146,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 				neg := newNegNode(n, amem, cc.joins)
 				source.addChildSink(neg)
 				amem.successors = append(amem.successors, neg)
-				for _, t := range source.validTokens() {
+				for t := nextValid(source.firstToken()); t != nil; t = nextValid(t.item.next) {
 					neg.onToken(t)
 				}
 				bl = &betaLevel{neg: neg}
@@ -158,7 +158,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 			if last {
 				prod.viaToken = true
 				bl.neg.addChildSink(prod)
-				for _, t := range bl.neg.validTokens() {
+				for t := nextValid(bl.neg.firstToken()); t != nil; t = nextValid(t.item.next) {
 					prod.onToken(t)
 				}
 			}
@@ -169,7 +169,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 			join := newJoinNode(n, source, amem, cc.joins, prod)
 			source.addChildSink(join)
 			amem.successors = append(amem.successors, join)
-			for _, t := range source.validTokens() {
+			for t := nextValid(source.firstToken()); t != nil; t = nextValid(t.item.next) {
 				join.onToken(t)
 			}
 			rc.lastJoin = join
@@ -182,7 +182,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 			join := newJoinNode(n, source, amem, cc.joins, mem)
 			source.addChildSink(join)
 			amem.successors = append(amem.successors, join)
-			for _, t := range source.validTokens() {
+			for t := nextValid(source.firstToken()); t != nil; t = nextValid(t.item.next) {
 				join.onToken(t)
 			}
 			bl = &betaLevel{join: join, mem: mem}

@@ -21,20 +21,16 @@ func csKeys(cs *match.ConflictSet) []string {
 }
 
 // assertDrained extends assertIndexesEmpty to the network-wide token
-// bookkeeping: after working memory is fully retracted nothing may
-// remain in the WME registries or any chain level's memory.
+// bookkeeping: after working memory is fully retracted no WME may head
+// a token or join-result list, no chain level's memory may hold a
+// WME-bearing token, and the slabs must have taken back every token
+// but the root and the WME-free negative-node tokens, and every join
+// result.
 func assertDrained(t *testing.T, n *Network) {
 	t.Helper()
 	assertIndexesEmpty(t, n)
-	for w, ts := range n.tokensByWME {
-		if len(ts) > 0 {
-			t.Errorf("tokensByWME leaks %d tokens for %v", len(ts), w)
-		}
-	}
-	for w, owners := range n.jrOwners {
-		if len(owners) > 0 {
-			t.Errorf("jrOwners leaks %d owners for %v", len(owners), w)
-		}
+	for w, refs := range n.byWME {
+		t.Errorf("byWME still lists %v (token %v, join result %v)", w, refs.tok != nil, refs.jr != nil)
 	}
 	// A token whose whole ancestry is WME-free is legitimately resident
 	// on an empty working memory: a chain led by negated CEs passes the
@@ -50,18 +46,30 @@ func assertDrained(t *testing.T, n *Network) {
 	}
 	for name, rc := range n.chains {
 		for lvl, bl := range rc.levels {
-			var items []*token
+			var src betaSource = bl.neg
 			if bl.mem != nil {
-				items = bl.mem.items
-			} else {
-				items = bl.neg.items
+				src = bl.mem
 			}
-			for _, tok := range items {
+			for tok := src.firstToken(); tok != nil; tok = tok.item.next {
 				if holdsWME(tok) {
 					t.Errorf("rule %s level %d holds a WME-bearing token after drain", name, lvl)
 				}
 			}
 		}
+	}
+	want := 1 // the root
+	for _, bl := range n.betaLevels {
+		if bl.neg != nil {
+			for tok := bl.neg.firstToken(); tok != nil; tok = tok.item.next {
+				want++
+			}
+		}
+	}
+	if got := n.tokens.live; got != want {
+		t.Errorf("token slab holds %d live tokens after drain, want %d (root plus WME-free negative tokens)", got, want)
+	}
+	if got := n.results.live; got != 0 {
+		t.Errorf("join-result slab holds %d live records after drain, want 0", got)
 	}
 }
 

@@ -5,7 +5,12 @@
 // elements, and token-tree deletion so removals are as incremental as
 // insertions. Structure follows Doorenbos's "Production Matching for
 // Large Learning Systems" basic algorithm with hashed alpha and beta
-// memories (see index.go), without unlinking.
+// memories (index.go, buckets keyed by a 64-bit hash), without
+// unlinking. Tokens and negative-node join results come from
+// per-network slabs and sit on intrusive lists — a token's children,
+// its memory's items, its WME's tokens (token.go) — so matching
+// allocates only the instantiations it emits once the slabs and
+// indexes have grown.
 package rete
 
 import (
@@ -14,41 +19,6 @@ import (
 	"pdps/internal/match"
 	"pdps/internal/wm"
 )
-
-// token is one row of partial-match state: a chain of WMEs (one per
-// condition element so far; nil at negative-CE levels).
-type token struct {
-	parent   *token
-	w        *wm.WME
-	node     interface{} // *memNode, *negNode or *prodNode owning this token
-	children []*token
-
-	// joinResults is used only for tokens owned by a negNode: the
-	// WMEs currently matching the negated CE under this token.
-	joinResults map[*wm.WME]bool
-
-	// instKey is used only for tokens owned by a prodNode.
-	instKey string
-}
-
-func (t *token) addChild(c *token) { t.children = append(t.children, c) }
-
-func (t *token) removeChild(c *token) {
-	for i, x := range t.children {
-		if x == c {
-			t.children = append(t.children[:i], t.children[i+1:]...)
-			return
-		}
-	}
-}
-
-// up walks n steps towards the root and returns that ancestor.
-func (t *token) up(n int) *token {
-	for ; n > 0; n-- {
-		t = t.parent
-	}
-	return t
-}
 
 // tokenSink consumes completed tokens of the previous level (left
 // activation): join nodes, negative nodes, and production nodes (when
@@ -113,29 +83,22 @@ type alphaMem struct {
 // condition-element level.
 type memNode struct {
 	net      *Network
-	items    []*token
+	items    *token // oldest first
 	children []tokenSink
 }
 
-func (m *memNode) validTokens() []*token { return m.items }
+func (m *memNode) firstToken() *token { return m.items }
 
 func (m *memNode) receive(parent *token, w *wm.WME) {
-	t := &token{parent: parent, w: w, node: m}
-	parent.addChild(t)
-	m.items = append(m.items, t)
-	m.net.registerToken(t)
+	t := m.net.newToken(parent, w, m)
+	pushBack(&m.items, t, (*token).items)
 	for _, c := range m.children {
 		c.onToken(t)
 	}
 }
 
 func (m *memNode) removeToken(t *token) {
-	for i, x := range m.items {
-		if x == t {
-			m.items = append(m.items[:i], m.items[i+1:]...)
-			break
-		}
-	}
+	unlink(&m.items, t, (*token).items)
 	for _, c := range m.children {
 		c.onTokenGone(t)
 	}
@@ -143,8 +106,9 @@ func (m *memNode) removeToken(t *token) {
 
 // betaSource is the upstream of a join node: a beta memory (all tokens
 // valid) or a negative node (tokens with no join results are valid).
+// Its item list is walked from firstToken with nextValid.
 type betaSource interface {
-	validTokens() []*token
+	firstToken() *token
 	addChildSink(s tokenSink)
 }
 
@@ -162,9 +126,8 @@ type joinNode struct {
 	out    pairSink
 
 	eq    []joinTest
-	left  map[string][]*token  // parent tokens by token-side key
-	right map[string][]*wm.WME // alpha WMEs by WME-side key
-	kbuf  []byte               // reusable key scratch; activations are single-threaded per network
+	left  map[uint64]bucket[*token]  // parent tokens by token-side key
+	right map[uint64]bucket[*wm.WME] // alpha WMEs by WME-side key
 }
 
 // newJoinNode builds a join with empty indexes when it is indexable.
@@ -174,8 +137,8 @@ type joinNode struct {
 func newJoinNode(net *Network, parent betaSource, amem *alphaMem, tests []joinTest, out pairSink) *joinNode {
 	j := &joinNode{net: net, parent: parent, amem: amem, tests: tests, out: out, eq: eqSubset(tests)}
 	if len(j.eq) > 0 {
-		j.left = make(map[string][]*token)
-		j.right = make(map[string][]*wm.WME)
+		j.left = make(map[uint64]bucket[*token])
+		j.right = make(map[uint64]bucket[*wm.WME])
 	}
 	return j
 }
@@ -190,18 +153,17 @@ func (j *joinNode) onToken(t *token) {
 		}
 		return
 	}
-	key, ok := tokenIndexKey(j.eq, t, j.kbuf[:0])
-	j.kbuf = key
+	h, ok := j.net.keys.token(j.eq, t)
 	if !ok {
 		// A tested attribute is missing up the chain: no WME can ever
 		// join with this token, so it is not indexed at all.
 		return
 	}
-	j.left[string(key)] = append(j.left[string(key)], t)
-	bucket := j.right[string(key)]
-	j.net.metProbe(len(bucket))
-	for _, w := range bucket {
-		if runTests(j.tests, t, w) {
+	bucketAdd(j.left, h, t)
+	b := j.right[h]
+	j.net.metProbe(b.len())
+	for i := 0; i < b.len(); i++ {
+		if w := b.at(i); runTests(j.tests, t, w) {
 			j.out.receive(t, w)
 		}
 	}
@@ -211,34 +173,32 @@ func (j *joinNode) onTokenGone(t *token) {
 	if len(j.eq) == 0 {
 		return
 	}
-	key, ok := tokenIndexKey(j.eq, t, j.kbuf[:0])
-	j.kbuf = key
-	if ok {
-		tokenBucketRemove(j.left, key, t)
+	if h, ok := j.net.keys.token(j.eq, t); ok {
+		bucketRemove(j.left, h, t)
 	}
 }
 
 func (j *joinNode) rightActivate(w *wm.WME) {
 	if len(j.eq) == 0 {
-		vts := j.parent.validTokens()
-		j.net.metScan(len(vts))
-		for _, t := range vts {
+		scanned := 0
+		for t := nextValid(j.parent.firstToken()); t != nil; t = nextValid(t.item.next) {
+			scanned++
 			if runTests(j.tests, t, w) {
 				j.out.receive(t, w)
 			}
 		}
+		j.net.metScan(scanned)
 		return
 	}
-	key, ok := wmeIndexKey(j.eq, w, j.kbuf[:0])
-	j.kbuf = key
+	h, ok := j.net.keys.wme(j.eq, w)
 	if !ok {
 		return
 	}
-	j.right[string(key)] = append(j.right[string(key)], w)
-	bucket := j.left[string(key)]
-	j.net.metProbe(len(bucket))
-	for _, t := range bucket {
-		if runTests(j.tests, t, w) {
+	bucketAdd(j.right, h, w)
+	b := j.left[h]
+	j.net.metProbe(b.len())
+	for i := 0; i < b.len(); i++ {
+		if t := b.at(i); runTests(j.tests, t, w) {
 			j.out.receive(t, w)
 		}
 	}
@@ -248,16 +208,14 @@ func (j *joinNode) rightRetract(w *wm.WME) {
 	if len(j.eq) == 0 {
 		return
 	}
-	key, ok := wmeIndexKey(j.eq, w, j.kbuf[:0])
-	j.kbuf = key
-	if ok {
-		wmeBucketRemove(j.right, key, w)
+	if h, ok := j.net.keys.wme(j.eq, w); ok {
+		bucketRemove(j.right, h, w)
 	}
 }
 
 // negNode implements a negated condition element. It owns one token
 // per upstream token; a token is valid (propagates downstream) while
-// its join-result set is empty. Like joinNode it keeps hash indexes
+// it has no join results. Like joinNode it keeps hash indexes
 // over both sides when its tests include an equality test; the token
 // side indexes every owned token (not just the valid ones), because a
 // blocked token still collects further join results.
@@ -265,13 +223,12 @@ type negNode struct {
 	net      *Network
 	amem     *alphaMem
 	tests    []joinTest
-	items    []*token
+	items    *token // oldest first
 	children []tokenSink
 
 	eq    []joinTest
-	left  map[string][]*token  // owned tokens by parent-chain key
-	right map[string][]*wm.WME // alpha WMEs by WME-side key
-	kbuf  []byte               // reusable key scratch; activations are single-threaded per network
+	left  map[uint64]bucket[*token]  // owned tokens by parent-chain key
+	right map[uint64]bucket[*wm.WME] // alpha WMEs by WME-side key
 }
 
 // newNegNode builds a negative node with empty indexes when it is
@@ -279,41 +236,29 @@ type negNode struct {
 func newNegNode(net *Network, amem *alphaMem, tests []joinTest) *negNode {
 	n := &negNode{net: net, amem: amem, tests: tests, eq: eqSubset(tests)}
 	if len(n.eq) > 0 {
-		n.left = make(map[string][]*token)
-		n.right = make(map[string][]*wm.WME)
+		n.left = make(map[uint64]bucket[*token])
+		n.right = make(map[uint64]bucket[*wm.WME])
 	}
 	return n
 }
 
-func (n *negNode) validTokens() []*token {
-	var out []*token
-	for _, t := range n.items {
-		if len(t.joinResults) == 0 {
-			out = append(out, t)
-		}
-	}
-	return out
-}
+func (n *negNode) firstToken() *token { return n.items }
 
 func (n *negNode) addChildSink(s tokenSink) { n.children = append(n.children, s) }
 
 func (n *negNode) onToken(parent *token) {
-	t := &token{parent: parent, node: n, joinResults: make(map[*wm.WME]bool)}
-	parent.addChild(t)
-	n.items = append(n.items, t)
+	t := n.net.newToken(parent, nil, n)
+	pushBack(&n.items, t, (*token).items)
 	if len(n.eq) > 0 {
 		// Negative-node tests reference the parent chain: levelsUp in
 		// compiled tests is relative to the upstream token.
-		key, ok := tokenIndexKey(n.eq, parent, n.kbuf[:0])
-		n.kbuf = key
-		if ok {
-			n.left[string(key)] = append(n.left[string(key)], t)
-			bucket := n.right[string(key)]
-			n.net.metProbe(len(bucket))
-			for _, w := range bucket {
-				if runTests(n.tests, parent, w) {
-					t.joinResults[w] = true
-					n.net.registerJoinResult(t, w)
+		if h, ok := n.net.keys.token(n.eq, parent); ok {
+			bucketAdd(n.left, h, t)
+			b := n.right[h]
+			n.net.metProbe(b.len())
+			for i := 0; i < b.len(); i++ {
+				if w := b.at(i); runTests(n.tests, parent, w) {
+					n.net.addJoinResult(t, w)
 				}
 			}
 		}
@@ -324,12 +269,11 @@ func (n *negNode) onToken(parent *token) {
 		n.net.metScan(len(n.amem.items))
 		for w := range n.amem.items {
 			if runTests(n.tests, parent, w) {
-				t.joinResults[w] = true
-				n.net.registerJoinResult(t, w)
+				n.net.addJoinResult(t, w)
 			}
 		}
 	}
-	if len(t.joinResults) == 0 {
+	if t.jr == nil {
 		for _, c := range n.children {
 			c.onToken(t)
 		}
@@ -337,34 +281,40 @@ func (n *negNode) onToken(parent *token) {
 }
 
 func (n *negNode) rightActivate(w *wm.WME) {
-	var candidates []*token
-	if len(n.eq) > 0 {
-		key, ok := wmeIndexKey(n.eq, w, n.kbuf[:0])
-		n.kbuf = key
-		if !ok {
-			return
+	if len(n.eq) == 0 {
+		scanned := 0
+		for t := n.items; t != nil; t = t.item.next {
+			scanned++
+			n.block(t, w)
 		}
-		n.right[string(key)] = append(n.right[string(key)], w)
-		candidates = n.left[string(key)]
-		n.net.metProbe(len(candidates))
-	} else {
-		candidates = n.items
-		n.net.metScan(len(candidates))
+		n.net.metScan(scanned)
+		return
 	}
-	for _, t := range candidates {
-		if !runTests(n.tests, t.parent, w) {
-			continue
-		}
-		wasEmpty := len(t.joinResults) == 0
-		t.joinResults[w] = true
-		n.net.registerJoinResult(t, w)
-		if wasEmpty {
-			// The token just became invalid: retract everything that
-			// was derived from it and unhook it from indexed children.
-			n.net.deleteDescendants(t)
-			for _, c := range n.children {
-				c.onTokenGone(t)
-			}
+	h, ok := n.net.keys.wme(n.eq, w)
+	if !ok {
+		return
+	}
+	bucketAdd(n.right, h, w)
+	b := n.left[h]
+	n.net.metProbe(b.len())
+	for i := 0; i < b.len(); i++ {
+		n.block(b.at(i), w)
+	}
+}
+
+// block records w as a join result of t if it matches the negated CE
+// under t. If t was valid it no longer is: everything derived from it
+// is retracted and indexed children unhook it.
+func (n *negNode) block(t *token, w *wm.WME) {
+	if !runTests(n.tests, t.parent, w) {
+		return
+	}
+	wasValid := t.jr == nil
+	n.net.addJoinResult(t, w)
+	if wasValid {
+		n.net.deleteDescendants(t)
+		for _, c := range n.children {
+			c.onTokenGone(t)
 		}
 	}
 }
@@ -373,10 +323,8 @@ func (n *negNode) rightRetract(w *wm.WME) {
 	if len(n.eq) == 0 {
 		return
 	}
-	key, ok := wmeIndexKey(n.eq, w, n.kbuf[:0])
-	n.kbuf = key
-	if ok {
-		wmeBucketRemove(n.right, key, w)
+	if h, ok := n.net.keys.wme(n.eq, w); ok {
+		bucketRemove(n.right, h, w)
 	}
 }
 
@@ -386,20 +334,13 @@ func (n *negNode) rightRetract(w *wm.WME) {
 func (n *negNode) onTokenGone(t *token) {}
 
 func (n *negNode) removeToken(t *token) {
-	for i, x := range n.items {
-		if x == t {
-			n.items = append(n.items[:i], n.items[i+1:]...)
-			break
+	unlink(&n.items, t, (*token).items)
+	if len(n.eq) > 0 {
+		if h, ok := n.net.keys.token(n.eq, t.parent); ok {
+			bucketRemove(n.left, h, t)
 		}
 	}
-	if len(n.eq) > 0 && t.parent != nil {
-		key, ok := tokenIndexKey(n.eq, t.parent, n.kbuf[:0])
-		n.kbuf = key
-		if ok {
-			tokenBucketRemove(n.left, key, t)
-		}
-	}
-	if len(t.joinResults) == 0 {
+	if t.jr == nil {
 		// The token was valid, so indexed children hold it.
 		for _, c := range n.children {
 			c.onTokenGone(t)
@@ -424,16 +365,11 @@ type prodNode struct {
 }
 
 func (p *prodNode) receive(parent *token, w *wm.WME) {
-	t := &token{parent: parent, w: w, node: p}
-	parent.addChild(t)
-	p.net.registerToken(t)
-	p.activateToken(t, false)
+	p.activateToken(p.net.newToken(parent, w, p), false)
 }
 
 func (p *prodNode) onToken(parent *token) {
-	t := &token{parent: parent, node: p}
-	parent.addChild(t)
-	p.activateToken(t, true)
+	p.activateToken(p.net.newToken(parent, nil, p), true)
 }
 
 // onTokenGone is a no-op: the production node keeps no index of
@@ -446,7 +382,12 @@ func (p *prodNode) activateToken(t *token, bookkeepingLevel bool) {
 	if bookkeepingLevel {
 		depth++ // the prod token itself is not a CE level
 	}
-	chain := make([]*token, p.numLevels)
+	var buf [16]*token
+	chain := buf[:0]
+	if p.numLevels > len(buf) {
+		chain = make([]*token, 0, p.numLevels)
+	}
+	chain = chain[:p.numLevels]
 	cur := t
 	for i := depth - 1; i >= 0; i-- {
 		if i < p.numLevels {
@@ -462,9 +403,8 @@ func (p *prodNode) activateToken(t *token, bookkeepingLevel bool) {
 	for v, pos := range p.bindings {
 		b[v] = chain[pos.level].w.Attr(pos.attr)
 	}
-	in := &match.Instantiation{Rule: p.rule, WMEs: wmes, Bindings: b}
-	t.instKey = in.Key()
-	p.net.cs.Add(in)
+	t.inst = &match.Instantiation{Rule: p.rule, WMEs: wmes, Bindings: b}
+	p.net.cs.Add(t.inst)
 }
 
 // Network is the Rete matcher. It implements match.Matcher. Its rules
@@ -472,13 +412,18 @@ func (p *prodNode) activateToken(t *token, bookkeepingLevel bool) {
 // Insert is refused, so no node is ever compiled against resident
 // WMEs.
 type Network struct {
-	alphaByKey  map[string]*alphaMem
-	top         *memNode
-	dummy       *token
-	cs          *match.ConflictSet
-	populated   bool // set by the first Insert
-	tokensByWME map[*wm.WME][]*token
-	jrOwners    map[*wm.WME][]*token // tokens whose joinResults include the WME
+	alphaByKey map[string]*alphaMem
+	top        *memNode
+	cs         *match.ConflictSet
+	populated  bool // set by the first Insert
+
+	// tokens and results are the slabs behind every token and
+	// negative-node join result; byWME heads each WME's lists of both
+	// (token.go). keys is the bucket-key scratch (index.go).
+	tokens  slab[token, *token]
+	results slab[joinResult, *joinResult]
+	byWME   map[*wm.WME]wmeRefs
+	keys    keyBuf
 
 	// disc holds each class's constant-test discrimination network
 	// (alpha.go); amemScratch and akbuf are pooled assert-path scratch
@@ -498,28 +443,18 @@ type Network struct {
 // condition ordering and beta-prefix sharing.
 func New() *Network {
 	n := &Network{
-		alphaByKey:  make(map[string]*alphaMem),
-		cs:          match.NewConflictSet(),
-		tokensByWME: make(map[*wm.WME][]*token),
-		jrOwners:    make(map[*wm.WME][]*token),
-		betaLevels:  make(map[string]*betaLevel),
-		chains:      make(map[string]*ruleChain),
-		disc:        make(map[string]*classDisc),
+		alphaByKey: make(map[string]*alphaMem),
+		cs:         match.NewConflictSet(),
+		byWME:      make(map[*wm.WME]wmeRefs),
+		betaLevels: make(map[string]*betaLevel),
+		chains:     make(map[string]*ruleChain),
+		disc:       make(map[string]*classDisc),
 	}
 	n.top = &memNode{net: n}
-	n.dummy = &token{node: n.top}
-	n.top.items = []*token{n.dummy}
+	root := n.tokens.get()
+	root.node = n.top
+	pushBack(&n.top.items, root, (*token).items)
 	return n
-}
-
-func (n *Network) registerToken(t *token) {
-	if t.w != nil {
-		n.tokensByWME[t.w] = append(n.tokensByWME[t.w], t)
-	}
-}
-
-func (n *Network) registerJoinResult(owner *token, w *wm.WME) {
-	n.jrOwners[w] = append(n.jrOwners[w], owner)
 }
 
 // ConflictSet returns the live conflict set.
@@ -566,22 +501,21 @@ func (n *Network) Remove(w *wm.WME) {
 		}
 	}
 	n.amemScratch = mems[:0]
-	// Delete the token trees rooted at tokens that matched w.
-	for _, t := range append([]*token(nil), n.tokensByWME[w]...) {
+	// Delete the token trees rooted at tokens that matched w, oldest
+	// first. A tree may hold later entries of w's own list (a self-join
+	// matches w at two levels); deleting them unlinks them, so popping
+	// the head never meets a deleted token.
+	for t := n.byWME[w].tok; t != nil; t = n.byWME[w].tok {
 		n.deleteToken(t)
 	}
-	delete(n.tokensByWME, w)
-	// Unblock negative-node tokens whose only join results included w.
-	owners := append([]*token(nil), n.jrOwners[w]...)
-	delete(n.jrOwners, w)
-	for _, owner := range owners {
-		if owner.joinResults == nil || !owner.joinResults[w] {
-			continue // owner was itself deleted above
-		}
-		delete(owner.joinResults, w)
-		if len(owner.joinResults) == 0 {
-			neg := owner.node.(*negNode)
-			for _, c := range neg.children {
+	// Unblock negative-node tokens whose only join result was w, in the
+	// order w blocked them. Tokens deleted above took their join
+	// results with them.
+	for r := n.byWME[w].jr; r != nil; r = n.byWME[w].jr {
+		owner := r.owner
+		n.dropJoinResult(r)
+		if owner.jr == nil {
+			for _, c := range owner.node.(*negNode).children {
 				c.onToken(owner)
 			}
 		}
@@ -589,13 +523,15 @@ func (n *Network) Remove(w *wm.WME) {
 }
 
 // deleteDescendants removes everything derived from t but keeps t.
+// The newest child goes first.
 func (n *Network) deleteDescendants(t *token) {
-	for len(t.children) > 0 {
-		n.deleteToken(t.children[len(t.children)-1])
+	for t.child != nil {
+		n.deleteToken(t.child)
 	}
 }
 
-// deleteToken removes t and its whole subtree from the network.
+// deleteToken removes t and its whole subtree from the network and
+// returns t to the slab.
 func (n *Network) deleteToken(t *token) {
 	n.deleteDescendants(t)
 	switch node := t.node.(type) {
@@ -603,39 +539,13 @@ func (n *Network) deleteToken(t *token) {
 		node.removeToken(t)
 	case *negNode:
 		node.removeToken(t)
-		for w := range t.joinResults {
-			n.unregisterJoinResult(t, w)
+		for t.jr != nil {
+			n.dropJoinResult(t.jr)
 		}
-		t.joinResults = nil
 	case *prodNode:
-		n.cs.Remove(t.instKey)
+		n.cs.Remove(t.inst.Key())
 	}
-	if t.w != nil {
-		n.unregisterTokenWME(t)
-	}
-	if t.parent != nil {
-		t.parent.removeChild(t)
-	}
-}
-
-func (n *Network) unregisterTokenWME(t *token) {
-	list := n.tokensByWME[t.w]
-	for i, x := range list {
-		if x == t {
-			n.tokensByWME[t.w] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-func (n *Network) unregisterJoinResult(owner *token, w *wm.WME) {
-	list := n.jrOwners[w]
-	for i, x := range list {
-		if x == owner {
-			n.jrOwners[w] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
+	n.freeToken(t)
 }
 
 // Stats reports network size for diagnostics.

@@ -16,9 +16,9 @@ func fuzzRecord() *Record {
 	if err := tx.Remove(gone.ID); err != nil {
 		panic(err)
 	}
-	tx.Insert("part", map[string]wm.Value{
-		"id": wm.Int(2), "name": wm.Str("gear"), "w": wm.Float(1.5),
-		"ok": wm.Bool(true), "stage": wm.Sym("ready"),
+	tx.Insert("part", []wm.AttrValue{
+		{Name: "id", Val: wm.Int(2)}, {Name: "name", Val: wm.Str("gear")}, {Name: "w", Val: wm.Float(1.5)},
+		{Name: "ok", Val: wm.Bool(true)}, {Name: "stage", Val: wm.Sym("ready")},
 	})
 	d, err := tx.Commit()
 	if err != nil {

@@ -19,7 +19,7 @@ import (
 func mkRecord(t *testing.T, live *wm.Store, rule string, class string, v int) *Record {
 	t.Helper()
 	tx := live.Begin()
-	tx.Insert(class, map[string]wm.Value{"v": wm.Int(int64(v))})
+	tx.Insert(class, []wm.AttrValue{{Name: "v", Val: wm.Int(int64(v))}})
 	d, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func BenchmarkInsert(b *testing.B) {
 func BenchmarkModify(b *testing.B) {
 	s := NewStore()
 	w := s.Insert("part", attrs("n", 0))
-	upd := attrs("n", 1)
+	upd := assigns("n", 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := s.Modify(w.ID, upd); err != nil {
@@ -71,10 +71,10 @@ func BenchmarkTxnCommit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tx := s.Begin()
-		if _, err := tx.Modify(base.ID, attrs("n", i)); err != nil {
+		if _, err := tx.Modify(base.ID, assigns("n", i)); err != nil {
 			b.Fatal(err)
 		}
-		tx.Insert("log", attrs("i", i))
+		tx.Insert("log", assigns("i", i))
 		if _, err := tx.Commit(); err != nil {
 			b.Fatal(err)
 		}

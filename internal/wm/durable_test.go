@@ -19,7 +19,7 @@ import (
 func commitLogged(t *testing.T, f *storage.File, s *wm.Store, class string, v int64) {
 	t.Helper()
 	tx := s.Begin()
-	tx.Insert(class, map[string]wm.Value{"v": wm.Int(v)})
+	tx.Insert(class, []wm.AttrValue{{Name: "v", Val: wm.Int(v)}})
 	delta, err := tx.Commit()
 	if err != nil {
 		t.Fatal(err)

@@ -30,7 +30,7 @@ func fuzzDeltaBytes() []byte {
 	if err := tx.Remove(1); err != nil {
 		panic(err)
 	}
-	tx.Insert("part", map[string]Value{"id": Int(2), "name": Str("gear"), "w": Float(1.5)})
+	tx.Insert("part", []AttrValue{{"id", Int(2)}, {"name", Str("gear")}, {"w", Float(1.5)}})
 	d, err := tx.Commit()
 	if err != nil {
 		panic(err)

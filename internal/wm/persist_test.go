@@ -128,10 +128,10 @@ func logDeltas(t *testing.T, live *Store) [][]byte {
 	for i := 0; i < 10; i++ {
 		tx := live.Begin()
 		c := tx.ByClass("counter")[0]
-		if _, err := tx.Modify(c.ID, attrs("n", i+1)); err != nil {
+		if _, err := tx.Modify(c.ID, assigns("n", i+1)); err != nil {
 			t.Fatal(err)
 		}
-		tx.Insert("log", attrs("step", i, "note", Str("x"), "ok", true))
+		tx.Insert("log", assigns("step", i, "note", Str("x"), "ok", true))
 		if i%3 == 2 {
 			logs := tx.ByClass("log")
 			if err := tx.Remove(logs[0].ID); err != nil {

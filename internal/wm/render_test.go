@@ -162,23 +162,23 @@ func TestAppendToEdgeCases(t *testing.T) {
 }
 
 // TestWithAttrsMatchesMap applies seeded random updates, to present
-// and absent names, nil ones included, and compares the result with
-// the same updates applied to the Attrs map; checkRender then holds
+// and absent names, nil ones included, names repeated, and compares
+// the result with the same updates applied in order to the Attrs map; checkRender then holds
 // the merged slice to sorted, unique names.
 func TestWithAttrsMatchesMap(t *testing.T) {
 	r := rand.New(rand.NewSource(38))
 	for i := 0; i < 5000; i++ {
 		w := randomWME(r, 16)
 		want := w.Attrs()
-		ups := make(map[string]Value)
+		var ups []AttrValue
 		for j, n := 0, r.Intn(16); j < n; j++ {
-			ups[fmt.Sprintf("a%d", r.Intn(65))] = randomValue(r)
+			ups = append(ups, AttrValue{fmt.Sprintf("a%d", r.Intn(65)), randomValue(r)})
 		}
-		for k, v := range ups {
-			if v.IsNil() {
-				delete(want, k)
+		for _, u := range ups { // in order, so a repeated name's last value wins
+			if u.Val.IsNil() {
+				delete(want, u.Name)
 			} else {
-				want[k] = v
+				want[u.Name] = u.Val
 			}
 		}
 		n := w.WithAttrs(ups)

@@ -206,7 +206,7 @@ func (s *Store) removeShardLocked(sh *classShard, w *WME) {
 // Modify replaces the attributes of the WME with the given ID,
 // returning the old and new versions. The new version keeps the ID but
 // receives a fresh time tag. Updates with nil values delete attributes.
-func (s *Store) Modify(id int64, updates map[string]Value) (old, new_ *WME, err error) {
+func (s *Store) Modify(id int64, updates []AttrValue) (old, new_ *WME, err error) {
 	w, ok := s.lookup(id)
 	if !ok {
 		return nil, nil, fmt.Errorf("wm: modify: no WME with id %d", id)

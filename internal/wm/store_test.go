@@ -2,6 +2,8 @@ package wm
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -9,26 +11,46 @@ import (
 
 func attrs(kv ...interface{}) map[string]Value {
 	m := make(map[string]Value)
+	for _, a := range assigns(kv...) {
+		m[a.Name] = a.Val
+	}
+	return m
+}
+
+// assigns is attrs as an assignment list, in argument order.
+func assigns(kv ...interface{}) []AttrValue {
+	var out []AttrValue
 	for i := 0; i < len(kv); i += 2 {
-		k := kv[i].(string)
+		var val Value
 		switch v := kv[i+1].(type) {
 		case int:
-			m[k] = Int(int64(v))
+			val = Int(int64(v))
 		case int64:
-			m[k] = Int(v)
+			val = Int(v)
 		case float64:
-			m[k] = Float(v)
+			val = Float(v)
 		case string:
-			m[k] = Sym(v)
+			val = Sym(v)
 		case bool:
-			m[k] = Bool(v)
+			val = Bool(v)
 		case Value:
-			m[k] = v
+			val = v
 		default:
 			panic("bad attr value")
 		}
+		out = append(out, AttrValue{kv[i].(string), val})
 	}
-	return m
+	return out
+}
+
+// toAssigns lists a map's assignments in name order.
+func toAssigns(m map[string]Value) []AttrValue {
+	out := make([]AttrValue, 0, len(m))
+	for k, v := range m {
+		out = append(out, AttrValue{k, v})
+	}
+	slices.SortFunc(out, func(x, y AttrValue) int { return strings.Compare(x.Name, y.Name) })
+	return out
 }
 
 func TestStoreInsertGetRemove(t *testing.T) {
@@ -59,7 +81,7 @@ func TestStoreInsertGetRemove(t *testing.T) {
 func TestStoreModifyKeepsIDFreshTimeTag(t *testing.T) {
 	s := NewStore()
 	w := s.Insert("part", attrs("status", "raw"))
-	old, n, err := s.Modify(w.ID, attrs("status", "done"))
+	old, n, err := s.Modify(w.ID, assigns("status", "done"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +207,7 @@ func TestWMEStringAndWithAttrs(t *testing.T) {
 	if got := w.String(); got != "(part ^a 1 ^b 2)" {
 		t.Errorf("String = %q", got)
 	}
-	n := w.WithAttrs(map[string]Value{"a": Nil(), "c": Int(3)})
+	n := w.WithAttrs([]AttrValue{{"a", Nil()}, {"c", Int(3)}})
 	if n.HasAttr("a") || !n.Attr("c").Equal(Int(3)) || !n.Attr("b").Equal(Int(2)) {
 		t.Errorf("WithAttrs wrong: %v", n)
 	}
@@ -220,7 +242,7 @@ func TestApplyAllocs(t *testing.T) {
 	}
 	s := NewStore()
 	cur := s.Insert("part", attrs("id", 1, "stage", 0, "w", 2.5, "name", "axle", "ok", true))
-	d := &Delta{Removes: []*WME{cur}, Adds: []*WME{cur.WithAttrs(attrs("stage", 1))}}
+	d := &Delta{Removes: []*WME{cur}, Adds: []*WME{cur.WithAttrs(assigns("stage", 1))}}
 	var applied *Delta
 	n := testing.AllocsPerRun(100, func() {
 		var err error
@@ -264,7 +286,7 @@ func TestTxnCommitAllocs(t *testing.T) {
 	}
 	s := NewStore()
 	cur := s.Insert("part", attrs("id", 1, "stage", 0))
-	up := attrs("stage", 1)
+	up := assigns("stage", 1)
 	n := testing.AllocsPerRun(100, func() {
 		tx := s.Begin()
 		if _, err := tx.Modify(cur.ID, up); err != nil {
@@ -340,7 +362,7 @@ func TestStoreGetDuringApply(t *testing.T) {
 		for i := round % 4; i < len(ids); i += 4 {
 			cur, _ := s.Get(ids[i])
 			d.Removes = append(d.Removes, cur)
-			d.Adds = append(d.Adds, cur.WithAttrs(attrs("n", round)))
+			d.Adds = append(d.Adds, cur.WithAttrs(assigns("n", round)))
 		}
 		if round%2 == 0 {
 			if _, err := s.Apply(d); err != nil {
@@ -350,7 +372,7 @@ func TestStoreGetDuringApply(t *testing.T) {
 		}
 		tx := s.Begin()
 		for _, w := range d.Removes {
-			if _, err := tx.Modify(w.ID, attrs("n", round)); err != nil {
+			if _, err := tx.Modify(w.ID, assigns("n", round)); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -80,8 +80,8 @@ func (t *Txn) ByClass(class string) []*WME {
 
 // Insert stages a new WME. The returned WME has a real (reserved) ID
 // but is not visible outside the transaction until commit.
-func (t *Txn) Insert(class string, attrs map[string]Value) *WME {
-	w := &WME{ID: t.store.allocID(), Class: class, attrs: attrsFromMap(attrs)}
+func (t *Txn) Insert(class string, attrs []AttrValue) *WME {
+	w := &WME{ID: t.store.allocID(), Class: class, attrs: sortAssigns(make([]attr, 0, len(attrs)), attrs)}
 	t.adds = append(t.adds, w)
 	return w
 }
@@ -108,7 +108,7 @@ func (t *Txn) Remove(id int64) error {
 
 // Modify stages an attribute update of the WME with the given ID and
 // returns the staged new version. Nil values delete attributes.
-func (t *Txn) Modify(id int64, updates map[string]Value) (*WME, error) {
+func (t *Txn) Modify(id int64, updates []AttrValue) (*WME, error) {
 	if i := indexOf(t.adds, id); i >= 0 {
 		n := t.adds[i].WithAttrs(updates)
 		t.adds[i] = n

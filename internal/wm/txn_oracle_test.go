@@ -92,7 +92,7 @@ func (t *oracleTxn) Modify(id int64, updates map[string]Value) (*WME, error) {
 	if !ok {
 		return nil, fmt.Errorf("wm: txn modify: no WME with id %d", id)
 	}
-	n := cur.WithAttrs(updates)
+	n := cur.WithAttrs(toAssigns(updates))
 	if _, isStaged := t.staged[id]; !isStaged {
 		t.removed[id] = cur
 		t.order = append(t.order, id)
@@ -167,7 +167,7 @@ func TestTxnMatchesOracle(t *testing.T) {
 			switch r.Intn(3) {
 			case 0:
 				cls, a := classes[r.Intn(len(classes))], attrs("v", r.Intn(3))
-				w := tx.Insert(cls, a)
+				w := tx.Insert(cls, toAssigns(a))
 				ow := ox.Insert(cls, a)
 				got, want = renderWMEs([]*WME{w}), renderWMEs([]*WME{ow})
 				ids = append(ids, w.ID)
@@ -178,7 +178,7 @@ func TestTxnMatchesOracle(t *testing.T) {
 				if r.Intn(4) == 0 {
 					up["k"] = Nil()
 				}
-				w, err := tx.Modify(id, up)
+				w, err := tx.Modify(id, toAssigns(up))
 				ow, oerr := ox.Modify(id, up)
 				got, want = errString(err), errString(oerr)
 				if err == nil && oerr == nil {

@@ -7,7 +7,7 @@ func TestTxnReadYourWrites(t *testing.T) {
 	base := s.Insert("part", attrs("status", "raw"))
 
 	tx := s.Begin()
-	staged := tx.Insert("part", attrs("status", "new"))
+	staged := tx.Insert("part", assigns("status", "new"))
 	if _, ok := tx.Get(staged.ID); !ok {
 		t.Fatal("txn must see its own insert")
 	}
@@ -18,7 +18,7 @@ func TestTxnReadYourWrites(t *testing.T) {
 		t.Fatalf("txn ByClass = %d WMEs, want 2", len(got))
 	}
 
-	if _, err := tx.Modify(base.ID, attrs("status", "done")); err != nil {
+	if _, err := tx.Modify(base.ID, assigns("status", "done")); err != nil {
 		t.Fatal(err)
 	}
 	got, _ := tx.Get(base.ID)
@@ -50,7 +50,7 @@ func TestTxnAbortDiscards(t *testing.T) {
 	s := NewStore()
 	base := s.Insert("x", attrs("v", 1))
 	tx := s.Begin()
-	tx.Insert("x", attrs("v", 2))
+	tx.Insert("x", assigns("v", 2))
 	if err := tx.Remove(base.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestTxnAbortDiscards(t *testing.T) {
 func TestTxnRemoveStagedInsert(t *testing.T) {
 	s := NewStore()
 	tx := s.Begin()
-	w := tx.Insert("x", attrs("v", 1))
+	w := tx.Insert("x", assigns("v", 1))
 	if err := tx.Remove(w.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +100,8 @@ func TestTxnRemoveThenCommit(t *testing.T) {
 func TestTxnModifyStagedInsert(t *testing.T) {
 	s := NewStore()
 	tx := s.Begin()
-	w := tx.Insert("x", attrs("v", 1))
-	if _, err := tx.Modify(w.ID, attrs("v", 2)); err != nil {
+	w := tx.Insert("x", assigns("v", 1))
+	if _, err := tx.Modify(w.ID, assigns("v", 2)); err != nil {
 		t.Fatal(err)
 	}
 	d := tx.Delta()
@@ -120,7 +120,7 @@ func TestTxnModifyOfRemovedFails(t *testing.T) {
 	if err := tx.Remove(a.ID); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Modify(a.ID, attrs("v", 2)); err == nil {
+	if _, err := tx.Modify(a.ID, assigns("v", 2)); err == nil {
 		t.Fatal("modify of removed WME should error")
 	}
 	if err := tx.Remove(999); err == nil {
@@ -132,10 +132,10 @@ func TestTxnDoubleModifyProducesSingleDelta(t *testing.T) {
 	s := NewStore()
 	a := s.Insert("x", attrs("v", 1))
 	tx := s.Begin()
-	if _, err := tx.Modify(a.ID, attrs("v", 2)); err != nil {
+	if _, err := tx.Modify(a.ID, assigns("v", 2)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tx.Modify(a.ID, attrs("v", 3)); err != nil {
+	if _, err := tx.Modify(a.ID, assigns("v", 3)); err != nil {
 		t.Fatal(err)
 	}
 	d := tx.Delta()

@@ -13,7 +13,7 @@ import (
 // The attributes are one slice of (name, value) pairs sorted by name,
 // each name once — the order every rendering and codec writes them in.
 // The slice is written only while its WME is being built — by
-// attrsFromMap, WithAttrs and the snapshot and delta decoder — and
+// attrsFromMap, Txn.Insert, WithAttrs and the snapshot and delta decoder — and
 // never after the WME is handed out. Versions may therefore share one slice: the
 // version Store.Apply installs adopts the slice of the WME it was given
 // instead of copying it.
@@ -53,6 +53,33 @@ func attrsFromMap(m map[string]Value) []attr {
 }
 
 func byName(x, y attr) int { return strings.Compare(x.name, y.name) }
+
+// AttrValue is one attribute assignment: a name and the value to give
+// it. Txn.Insert, Txn.Modify, Store.Modify and WithAttrs take a list
+// of them; when a list names an attribute more than once, the last
+// assignment wins.
+type AttrValue struct {
+	Name string
+	Val  Value
+}
+
+// sortAssigns appends the assignments to a, sorts them by name and
+// keeps only the last assignment of each name.
+func sortAssigns(a []attr, as []AttrValue) []attr {
+	n := len(a)
+	for _, x := range as {
+		a = append(a, attr{x.Name, x.Val})
+	}
+	slices.SortStableFunc(a[n:], byName)
+	out := a[:n]
+	for i := n; i < len(a); i++ {
+		if i+1 < len(a) && a[i+1].name == a[i].name {
+			continue
+		}
+		out = append(out, a[i])
+	}
+	return out
+}
 
 // find returns the index of the named attribute and whether it is
 // present. It scans: comparing names for equality costs less than a
@@ -94,20 +121,18 @@ func (w *WME) Attrs() map[string]Value {
 // WithAttrs returns a new WME that carries this WME's identity and
 // class but with the given attribute updates applied on top of the
 // existing attributes. Setting an attribute to the nil value deletes it.
-func (w *WME) WithAttrs(updates map[string]Value) *WME {
+func (w *WME) WithAttrs(updates []AttrValue) *WME {
 	var buf [8]attr
-	ups := buf[:0]
+	ups := sortAssigns(buf[:0], updates)
 	size := len(w.attrs)
-	for k, v := range updates {
-		ups = append(ups, attr{k, v})
-		switch _, ok := w.find(k); {
-		case ok && v.IsNil():
+	for _, u := range ups {
+		switch _, ok := w.find(u.name); {
+		case ok && u.val.IsNil():
 			size--
-		case !ok && !v.IsNil():
+		case !ok && !u.val.IsNil():
 			size++
 		}
 	}
-	slices.SortFunc(ups, byName)
 	out := make([]attr, 0, size)
 	old := w.attrs
 	for _, u := range ups {
