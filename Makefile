@@ -20,12 +20,13 @@ vet:
 # the quickstart program under a replayed schedule (byte-identical
 # across runs), the facade guards (every pdps.go export documented and
 # used by a caller, every pdps.X in the docs an export), the detsched
-# determinism proof, and the -race hammer on live snapshots. Regenerate the golden file after an intentional
+# determinism proofs (metrics, and a run as a function of its choice
+# sequence), and the -race hammer on live snapshots. Regenerate the golden file after an intentional
 # metrics change with:
 #   go test -run TestGoldenMetrics -update .
 metrics-check:
 	$(GO) test -run 'TestGoldenMetrics|TestExportedAPIDocumented|TestExportedAPIReferenced|TestDocsNameFacadeExports|TestMetricCatalogCovers' .
-	$(GO) test -run 'TestMetricsDeterministic|TestMetricsConflictCounters' ./internal/detsched
+	$(GO) test -run 'TestMetricsDeterministic|TestMetricsConflictCounters|TestRunIsFunctionOfChoices' ./internal/detsched
 	$(GO) test -race -run 'TestSnapshotDuringParallelRun|TestSerialEngineMetrics' ./internal/engine
 	$(GO) test -race ./internal/obs
 
@@ -57,20 +58,27 @@ bench:
 
 # bench-compare runs the firing ledger (bench/, see bench/README.md) on
 # BASE (default: merge-base with main) and on the working tree, three
-# sets each, and prints bench -compare's regression table. BASE is
-# exported into bench-artifacts/base, built from its own sources and
-# removed once measured.
+# rounds of one set each, alternating which side goes first so drift of
+# the host between rounds lands on both sides. It then prints bench
+# -compare's regression table over the pooled rounds. BASE is exported
+# into bench-artifacts/base, built from its own sources and removed
+# once the last round is measured.
 # The target exits non-zero exactly when bench -compare does: a "worse"
-# row or a failed run. bench-artifacts/ keeps base.json, head.json and
-# compare.txt.
+# row or a failed run. bench-artifacts/ keeps base.{1,2,3}.json,
+# head.{1,2,3}.json and compare.txt.
 BASE ?= $(shell git merge-base HEAD main 2>/dev/null || echo HEAD~1)
+bench_base = (cd bench-artifacts/base && bash bench/run.sh -repeat 1 -out ../base.$(1).json)
+bench_head = bash bench/run.sh -repeat 1 -out bench-artifacts/head.$(1).json
 bench-compare:
 	rm -rf bench-artifacts/base
 	mkdir -p bench-artifacts/base
 	git archive $(BASE) | tar -x -C bench-artifacts/base
-	cd bench-artifacts/base && bash bench/run.sh -repeat 3 -out ../base.json
+	$(call bench_base,1) && $(call bench_head,1)
+	$(call bench_head,2) && $(call bench_base,2)
+	$(call bench_base,3) && $(call bench_head,3)
 	rm -rf bench-artifacts/base
-	bash bench/run.sh -repeat 3 -out bench-artifacts/head.json
-	$(GO) run ./bench -compare bench-artifacts/base.json bench-artifacts/head.json \
+	$(GO) run ./bench -compare \
+		bench-artifacts/base.1.json,bench-artifacts/base.2.json,bench-artifacts/base.3.json \
+		bench-artifacts/head.1.json,bench-artifacts/head.2.json,bench-artifacts/head.3.json \
 		> bench-artifacts/compare.txt; status=$$?; \
 		cat bench-artifacts/compare.txt; exit $$status

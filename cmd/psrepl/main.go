@@ -44,7 +44,7 @@ func main() {
 
 		scheme      = flag.String("scheme", "rcrawa", "locking scheme: 2pl or rcrawa")
 		np          = flag.Int("np", 4, "worker count")
-		deadlock    = flag.String("deadlock", "detect", "deadlock policy: detect, wound-wait or wait-die")
+		deadlock    = flag.String("deadlock", "detect", "deadlock policy: detect or wound-wait")
 		abortPolicy = flag.String("abort", "always", "Rc-victim policy: always or reevaluate")
 		maxFirings  = flag.Int("max-firings", 0, "commit bound (0 = engine default)")
 		seed        = flag.Int64("seed", 1, "primary schedule seed")

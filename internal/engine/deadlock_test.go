@@ -60,7 +60,6 @@ func TestParallelDeadlockPolicies(t *testing.T) {
 	policies := []lock.DeadlockPolicy{
 		lock.DeadlockDetect,
 		lock.DeadlockWoundWait,
-		lock.DeadlockWaitDie,
 	}
 	for _, policy := range policies {
 		t.Run(policy.String(), func(t *testing.T) {
@@ -96,7 +95,6 @@ func TestParallelDeadlockPoliciesUnderLoad(t *testing.T) {
 	policies := []lock.DeadlockPolicy{
 		lock.DeadlockDetect,
 		lock.DeadlockWoundWait,
-		lock.DeadlockWaitDie,
 	}
 	for _, policy := range policies {
 		t.Run(policy.String(), func(t *testing.T) {

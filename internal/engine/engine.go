@@ -83,7 +83,7 @@ type Options struct {
 	// AbortPolicy selects victim handling in the dynamic engine.
 	AbortPolicy AbortPolicy
 	// Deadlock selects the lock manager's deadlock policy for the
-	// dynamic engine: detection (default), wound-wait or wait-die.
+	// dynamic engine: detection (default) or wound-wait.
 	Deadlock lock.DeadlockPolicy
 	// Verify recomputes the rule's matches from scratch against the
 	// shared store at every commit and fails the run if the committing

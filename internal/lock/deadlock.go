@@ -6,7 +6,7 @@ import "fmt"
 // The paper (Section 4.3) observes that the non-exclusive Rc lock
 // introduces no new deadlocks, so "the deadlock prevention, avoidance,
 // detection or resolution schemes for standard 2-phase locking can be
-// applied" — all three classic schemes are provided.
+// applied" — detection and one prevention scheme are provided.
 type DeadlockPolicy uint8
 
 const (
@@ -17,10 +17,6 @@ const (
 	// requester wounds (aborts) younger lock holders; a younger
 	// requester waits for older holders. No cycles can form.
 	DeadlockWoundWait
-	// DeadlockWaitDie is the non-preemptive prevention scheme: an
-	// older requester waits; a younger requester dies (aborts itself)
-	// instead of waiting on an older holder.
-	DeadlockWaitDie
 )
 
 // String names the policy.
@@ -30,8 +26,6 @@ func (p DeadlockPolicy) String() string {
 		return "detect"
 	case DeadlockWoundWait:
 		return "wound-wait"
-	case DeadlockWaitDie:
-		return "wait-die"
 	}
 	return fmt.Sprintf("DeadlockPolicy(%d)", uint8(p))
 }
@@ -39,41 +33,24 @@ func (p DeadlockPolicy) String() string {
 // resolveBlockedLocked applies the deadlock policy for transaction id
 // blocked by the given transactions. It returns abortSelf=true when
 // the requester must give up with ErrDeadlock; otherwise the requester
-// should (re-)wait. Caller holds the registry mutex. Blockers already
-// aborted or ending are left alone — their locks are about to be
-// released, so the requester just waits for the broadcast.
+// should (re-)wait. Caller holds m.mu. Blockers already aborted are
+// left alone — their locks are about to be released, so the requester
+// just waits for the release.
 func (m *Manager) resolveBlockedLocked(id TxnID, blockers map[TxnID]Mode) (abortSelf bool) {
-	settling := func(b TxnID) bool {
-		tx := m.reg.txns[b]
-		return tx == nil || tx.aborted || tx.ending
-	}
-	switch m.policy {
-	case DeadlockWoundWait:
+	if m.policy == DeadlockWoundWait {
 		// Wound every younger blocker; wait on older ones.
 		for b := range blockers {
-			if b > id && !settling(b) {
+			if b > id && !m.settlingLocked(b) {
 				m.abortLocked(b, ErrDeadlock)
 				m.met.deadlock()
 			}
 		}
 		return false
-	case DeadlockWaitDie:
-		// Die if any blocker is older.
-		for b := range blockers {
-			if b < id && !settling(b) {
-				m.met.deadlock()
-				return true
-			}
-		}
-		return false
-	default: // DeadlockDetect
-		if victim := m.findDeadlockVictimLocked(id); victim != 0 {
-			m.abortLocked(victim, ErrDeadlock)
-			m.met.deadlock()
-			if victim == id {
-				return true
-			}
-		}
-		return false
 	}
+	if victim := m.findDeadlockVictimLocked(id); victim != 0 {
+		m.abortLocked(victim, ErrDeadlock)
+		m.met.deadlock()
+		return victim == id
+	}
+	return false
 }

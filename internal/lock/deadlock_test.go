@@ -9,8 +9,8 @@ import (
 // crossAcquire sets up the classic two-resource crossing: t1 holds q
 // and requests r; t2 holds r and requests q. It returns the two
 // Acquire errors. The two requests race deliberately: under wound-wait
-// and wait-die the prevention outcome is the same whichever request is
-// processed first, so no ordering synchronisation is needed.
+// the prevention outcome is the same whichever request is processed
+// first, so no ordering synchronisation is needed.
 func crossAcquire(t *testing.T, m *Manager) (err1, err2 error, t1, t2 TxnID) {
 	t.Helper()
 	q := Resource{Class: "q", ID: 1}
@@ -59,43 +59,6 @@ func TestWoundWaitOlderWoundsYounger(t *testing.T) {
 	_ = t2
 }
 
-func TestWaitDieYoungerDies(t *testing.T) {
-	m := NewManagerPolicy(SchemeRcRaWa, DeadlockWaitDie)
-	err1, err2, t1, _ := crossAcquire(t, m)
-	// t2 is younger and blocked by older t1: it dies. t1 (older) waits
-	// for t2's locks and then proceeds.
-	if !errors.Is(err2, ErrDeadlock) {
-		t.Fatalf("younger transaction got %v, want ErrDeadlock", err2)
-	}
-	if err1 != nil {
-		t.Fatalf("older transaction failed: %v", err1)
-	}
-	m.End(t1)
-}
-
-func TestWaitDieOlderWaits(t *testing.T) {
-	// Older requester blocked by younger holder must wait, not die.
-	m := withMetrics(NewManagerPolicy(SchemeRcRaWa, DeadlockWaitDie))
-	q := Resource{Class: "q", ID: 1}
-	t1, t2 := m.Begin(), m.Begin()
-	if err := m.Acquire(t2, q, Wa); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- m.Acquire(t1, q, Wa) }()
-	waitForWaiters(t, m, 1)
-	select {
-	case err := <-done:
-		t.Fatalf("older requester returned early: %v", err)
-	default:
-	}
-	m.End(t2)
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	m.End(t1)
-}
-
 func TestWoundWaitYoungerWaits(t *testing.T) {
 	// Younger requester blocked by older holder waits under wound-wait.
 	m := withMetrics(NewManagerPolicy(SchemeRcRaWa, DeadlockWoundWait))
@@ -125,7 +88,6 @@ func TestWoundWaitYoungerWaits(t *testing.T) {
 func TestPolicyString(t *testing.T) {
 	if DeadlockDetect.String() != "detect" ||
 		DeadlockWoundWait.String() != "wound-wait" ||
-		DeadlockWaitDie.String() != "wait-die" ||
 		DeadlockPolicy(9).String() == "" {
 		t.Fatal("String() wrong")
 	}

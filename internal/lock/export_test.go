@@ -17,10 +17,10 @@ func withMetrics(m *Manager) *Manager {
 
 // waitForWaiters blocks until the manager has registered at least n
 // blocked acquisitions. lock_waits_total is incremented after the
-// waits-for edge is published and under the same shard mutex the
+// waits-for edge is published and under the same manager mutex the
 // waiter then registers its wakeup channel with, so once it reads n
 // the blocked requests are visible to the deadlock machinery and a
-// release that takes the shard mutex will wake them; the deadline
+// release that takes the mutex will wake them; the deadline
 // bounds liveness only, not correctness. m must carry metrics
 // (withMetrics).
 func waitForWaiters(t *testing.T, m *Manager, n int64) {
@@ -37,36 +37,30 @@ func waitForWaiters(t *testing.T, m *Manager, n int64) {
 // TryAcquire is a non-blocking Acquire: it reports whether the lock was
 // granted immediately.
 func (m *Manager) TryAcquire(id TxnID, res Resource, mode Mode) (bool, error) {
-	tx := m.txn(id)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tx := m.txns[id]
 	if tx == nil {
 		return false, fmt.Errorf("lock: unknown transaction %d", id)
 	}
-	s := m.shardFor(res.Class)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	m.reg.Lock()
 	if tx.aborted {
-		err := tx.abortErr
-		m.reg.Unlock()
-		return false, err
+		return false, tx.abortErr
 	}
 	if cur, held := tx.held[res]; held && cur >= mode {
-		m.reg.Unlock()
 		return true, nil
 	}
-	m.reg.Unlock()
-	if len(m.blockersLocked(s, id, res, mode)) > 0 {
+	if len(m.blockersLocked(id, res, mode)) > 0 {
 		return false, nil
 	}
-	m.grantLocked(s, tx, res, mode)
+	m.grantLocked(tx, res, mode)
 	return true, nil
 }
 
 // Held returns the modes the transaction currently holds.
 func (m *Manager) Held(id TxnID) map[Resource]Mode {
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	tx := m.reg.txns[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tx := m.txns[id]
 	if tx == nil {
 		return nil
 	}

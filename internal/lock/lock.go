@@ -8,15 +8,11 @@
 // restored at commit time by aborting the Rc holders that lost the
 // race (Section 4.3, rules (i) and (ii)).
 //
-// The lock tables are sharded by class hash: each shard has its own
-// mutex, waiter list and entry maps, so transactions locking
-// resources of different classes never contend on manager state. A
-// tuple-level resource and its class's relation-level resource always
-// land in the same shard, which keeps the tuple/relation escalation
-// checks and the commit-time RcVictims scan atomic per class. A
-// process-wide transaction registry (its own mutex) carries the
-// waits-for graph, so the deadlock detector and the wound-wait /
-// wait-die policies still see every shard's waiters.
+// One mutex guards the manager: the lock table, the transaction
+// registry with its waits-for graph, and the per-class waiter lists. A
+// release wakes exactly the waiters on resources of the classes the
+// ending transaction held, so which tasks wake — and so a controlled
+// run's schedule — depends only on the locks taken.
 //
 // Tuple/relation hierarchy is mediated by intention bookkeeping in the
 // multi-granularity style: every tuple-level grant also records an
@@ -30,8 +26,7 @@ package lock
 import (
 	"errors"
 	"fmt"
-	"hash/maphash"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -148,30 +143,25 @@ var (
 	ErrAborted = errors.New("lock: transaction aborted")
 )
 
-// txnState is one live transaction. held, aborted, abortErr, ending
-// and waitsOn are guarded by the registry mutex; id is immutable.
+// txnState is one live transaction. Everything but id is guarded by
+// the manager mutex; id is immutable.
 type txnState struct {
 	id       TxnID
 	held     map[Resource]Mode
 	aborted  bool
 	abortErr error
-	// ending marks a transaction inside End: its locks are about to be
-	// released, so blocked requesters wait for the release broadcast
-	// instead of wounding it or dying because of it.
-	ending bool
 	// waitsOn maps each transaction currently blocking this one to the
 	// lock mode it holds; rebuilt on every blocked-acquire iteration.
 	waitsOn map[TxnID]Mode
 	// waitCh, when non-nil, is the channel the transaction's Acquire is
-	// (about to be) blocked on; abortLocked signals it so a targeted
-	// abort reaches exactly the right waiter without touching any
-	// shard. Set and cleared under the registry mutex.
+	// blocked on; abortLocked signals it so a targeted abort reaches
+	// exactly the right waiter.
 	waitCh chan struct{}
 }
 
 // signal delivers a non-blocking wakeup on a one-slot channel. Unlike
-// close, it can be sent any number of times (broadcast on release plus
-// a targeted abort may both hit the same waiter).
+// close, it can be sent any number of times (a release plus a targeted
+// abort may both hit the same waiter).
 func signal(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
@@ -197,41 +187,12 @@ type entry struct {
 // live reports whether the entry still records any lock state.
 func (e *entry) live() bool { return len(e.holders) > 0 || len(e.intents) > 0 }
 
-// shard is one slice of the lock tables: every resource whose class
-// hashes here, tuple- and relation-level alike.
-type shard struct {
-	mu      sync.Mutex
-	entries map[Resource]*entry
-
-	// waiters holds one one-slot channel per blocked Acquire iteration;
-	// a release broadcast signals and clears them all. Channel waiters
-	// (rather than a sync.Cond) let a deterministic controller park on
-	// the same primitive the free-running path blocks on.
-	waiters []chan struct{}
-}
-
-// broadcastLocked wakes every waiter registered with the shard. Caller
-// holds s.mu.
-func (s *shard) broadcastLocked() {
-	for _, ch := range s.waiters {
-		signal(ch)
-	}
-	s.waiters = s.waiters[:0]
-}
-
-// DefaultShards is the lock-table shard count of every Manager.
-const DefaultShards = 16
-
-// Manager is the sharded lock manager. All methods are safe for
-// concurrent use.
-//
-// Lock ordering: a shard mutex may be held while taking the registry
-// mutex, never the reverse, and shard mutexes are never nested.
+// Manager is the lock manager. All methods are safe for concurrent
+// use; one mutex guards the lock table, the transaction registry and
+// the waiter lists.
 type Manager struct {
 	scheme Scheme
 	policy DeadlockPolicy
-	shards []*shard
-	seed   maphash.Seed
 	// ctl, when non-nil, is the deterministic scheduling controller:
 	// Acquire yields to it on entry (every lock request is a scheduling
 	// point) and parks through it instead of blocking natively.
@@ -241,11 +202,16 @@ type Manager struct {
 	met   *metrics
 	clock sched.Clock
 
-	reg struct {
-		sync.Mutex
-		txns   map[TxnID]*txnState
-		nextID TxnID
-	}
+	mu      sync.Mutex
+	entries map[Resource]*entry
+	txns    map[TxnID]*txnState
+	nextID  TxnID
+	// waiters holds, per class, one one-slot channel per blocked
+	// Acquire iteration on a resource of that class; a release in the
+	// class signals and clears them. Channel waiters (rather than a
+	// sync.Cond) let a deterministic controller park on the same
+	// primitive the free-running path blocks on.
+	waiters map[string][]chan struct{}
 }
 
 // NewManager returns a lock manager using the given scheme and the
@@ -255,15 +221,15 @@ func NewManager(s Scheme) *Manager {
 }
 
 // NewManagerPolicy returns a lock manager with an explicit deadlock
-// policy and DefaultShards lock-table shards.
+// policy.
 func NewManagerPolicy(s Scheme, p DeadlockPolicy) *Manager {
-	m := &Manager{scheme: s, policy: p, seed: maphash.MakeSeed()}
-	m.shards = make([]*shard, DefaultShards)
-	for i := range m.shards {
-		m.shards[i] = &shard{entries: make(map[Resource]*entry)}
+	return &Manager{
+		scheme:  s,
+		policy:  p,
+		entries: make(map[Resource]*entry),
+		txns:    make(map[TxnID]*txnState),
+		waiters: make(map[string][]chan struct{}),
 	}
-	m.reg.txns = make(map[TxnID]*txnState)
-	return m
 }
 
 // SetController installs a deterministic scheduling controller. Call
@@ -271,25 +237,20 @@ func NewManagerPolicy(s Scheme, p DeadlockPolicy) *Manager {
 // manager free-running.
 func (m *Manager) SetController(c sched.Controller) { m.ctl = c }
 
-// shardFor maps a class to its lock-table shard.
-func (m *Manager) shardFor(class string) *shard {
-	return m.shards[maphash.String(m.seed, class)%uint64(len(m.shards))]
-}
-
 // txn looks up a transaction in the registry.
 func (m *Manager) txn(id TxnID) *txnState {
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	return m.reg.txns[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.txns[id]
 }
 
 // Begin registers a new transaction and returns its ID.
 func (m *Manager) Begin() TxnID {
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	m.reg.nextID++
-	id := m.reg.nextID
-	m.reg.txns[id] = &txnState{id: id, held: make(map[Resource]Mode)}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.nextID++
+	id := m.nextID
+	m.txns[id] = &txnState{id: id, held: make(map[Resource]Mode)}
 	m.met.begin()
 	return id
 }
@@ -307,7 +268,6 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 		// exploration this is where interleavings branch.
 		m.ctl.Yield("lock:" + res.String())
 	}
-	s := m.shardFor(res.Class)
 	waited := false
 	conflicted := false
 	var waitStart time.Time
@@ -318,31 +278,26 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 			m.met.waitNS.ObserveDuration(m.clock.Now().Sub(waitStart))
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
-		m.reg.Lock()
 		tx.waitCh = nil
 		if tx.aborted {
 			tx.waitsOn = nil
-			err := tx.abortErr
-			m.reg.Unlock()
 			finishWait()
-			return err
+			return tx.abortErr
 		}
 		if cur, held := tx.held[res]; held && cur >= mode {
 			tx.waitsOn = nil
-			m.reg.Unlock()
 			finishWait()
 			return nil
 		}
-		m.reg.Unlock()
-		blockers := m.blockersLocked(s, id, res, mode)
+		blockers := m.blockersLocked(id, res, mode)
 		if len(blockers) == 0 {
-			m.grantLocked(s, tx, res, mode)
+			m.grantLocked(tx, res, mode)
 			if waited {
 				// Wake others: the wait graph changed.
-				s.broadcastLocked()
+				m.wakeLocked(res.Class)
 			}
 			finishWait()
 			return nil
@@ -354,85 +309,89 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 			m.met.conflict(blockers, mode)
 			conflicted = true
 		}
-		m.reg.Lock()
 		tx.waitsOn = blockers
-		abortSelf := m.resolveBlockedLocked(id, blockers)
-		if abortSelf {
+		if m.resolveBlockedLocked(id, blockers) {
 			tx.waitsOn = nil
-			m.reg.Unlock()
 			finishWait()
 			return ErrDeadlock
 		}
-		if tx.aborted {
-			// Aborted by the policy resolution itself or by a concurrent
-			// commit; loop back to the top, which returns the abort error.
-			m.reg.Unlock()
-			continue
-		}
-		settling := m.anySettlingLocked(blockers)
-		// Register the wakeup channel while still holding the registry
-		// mutex: abortLocked signals tx.waitCh, and the aborted re-check
-		// above ran in this same critical section, so an abort either
-		// happened before (we saw it) or will signal the channel.
-		ch := make(chan struct{}, 1)
-		tx.waitCh = ch
-		m.reg.Unlock()
-		if !settling && !waited {
-			// A blocker may be aborted (wounded by prevention, chosen by
-			// detection) or already releasing; it holds its locks until
-			// its owner finishes End, so wait for the release broadcast
-			// like any other waiter — but skip the wait-counter so
-			// retried checks are not double-counted.
+		if !waited && !m.anySettlingLocked(blockers) {
+			// An aborted blocker holds its locks until its owner finishes
+			// End, so wait for the release like any other waiter — but
+			// skip the wait-counter so retried checks are not
+			// double-counted.
 			waited = true
 			m.met.wait()
 			if m.clock != nil {
 				waitStart = m.clock.Now()
 			}
 		}
-		// Register with the shard before releasing its mutex: a release
-		// broadcast after this point signals ch, and one before it was
-		// observed by blockersLocked. No wakeup can be lost.
-		s.waiters = append(s.waiters, ch)
-		s.mu.Unlock()
-		if m.ctl != nil {
-			m.ctl.Park("lockwait:"+res.String(), ch)
-		} else {
-			<-ch
-		}
-		s.mu.Lock()
+		// Register both wakeups before releasing the mutex: a release in
+		// the class or an abort of tx after this point signals ch, and
+		// one before it was observed above. No wakeup can be lost.
+		ch := make(chan struct{}, 1)
+		tx.waitCh = ch
+		m.waiters[res.Class] = append(m.waiters[res.Class], ch)
+		m.park(res, ch)
 	}
 }
 
-// grantLocked records the lock; caller holds s.mu. A tuple-level grant
+// park releases the manager mutex while the request waits on ch and
+// re-takes it on the way out — also when a cancelled controller
+// unwinds the task with a panic, so Acquire's deferred unlock always
+// finds the mutex held.
+func (m *Manager) park(res Resource, ch chan struct{}) {
+	m.mu.Unlock()
+	defer m.mu.Lock()
+	if m.ctl != nil {
+		m.ctl.Park("lockwait:"+res.String(), ch)
+	} else {
+		<-ch
+	}
+}
+
+// wakeLocked signals and clears every waiter on a resource of the
+// class. Caller holds m.mu.
+func (m *Manager) wakeLocked(class string) {
+	ws := m.waiters[class]
+	if len(ws) == 0 {
+		return
+	}
+	for _, ch := range ws {
+		signal(ch)
+	}
+	clear(ws)
+	m.waiters[class] = ws[:0]
+}
+
+// grantLocked records the lock; caller holds m.mu. A tuple-level grant
 // also marks the transaction's intention mode on the class's relation
 // entry, so relation-level requests and commit-time victim scans read
 // one entry instead of walking the class's tuple entries.
-func (m *Manager) grantLocked(s *shard, tx *txnState, res Resource, mode Mode) {
-	e := s.entries[res]
+func (m *Manager) grantLocked(tx *txnState, res Resource, mode Mode) {
+	e := m.entries[res]
 	if e == nil {
 		e = &entry{holders: make(map[TxnID]Mode)}
-		s.entries[res] = e
+		m.entries[res] = e
 	}
 	if cur, ok := e.holders[tx.id]; !ok || mode > cur {
 		e.holders[tx.id] = mode
 	}
 	if res.ID != RelationLevel {
-		rel := s.entries[Relation(res.Class)]
+		rel := m.entries[Relation(res.Class)]
 		if rel == nil {
 			rel = &entry{holders: make(map[TxnID]Mode)}
-			s.entries[Relation(res.Class)] = rel
+			m.entries[Relation(res.Class)] = rel
 		}
 		if rel.intents == nil {
 			rel.intents = make(map[TxnID]uint8)
 		}
 		rel.intents[tx.id] |= intentBit(mode)
 	}
-	m.reg.Lock()
 	if cur, ok := tx.held[res]; !ok || mode > cur {
 		tx.held[res] = mode
 	}
 	tx.waitsOn = nil
-	m.reg.Unlock()
 	m.met.grant(mode)
 }
 
@@ -443,9 +402,8 @@ func (m *Manager) grantLocked(s *shard, tx *txnState, res Resource, mode Mode) {
 // plus the relation entry's full-mode holders; a relation-level
 // request checks the relation entry's full-mode holders plus its
 // intention marks, each judged by the underlying tuple mode. Caller
-// holds s.mu; the class's tuple- and relation-level entries all live
-// in s.
-func (m *Manager) blockersLocked(s *shard, id TxnID, res Resource, mode Mode) map[TxnID]Mode {
+// holds m.mu.
+func (m *Manager) blockersLocked(id TxnID, res Resource, mode Mode) map[TxnID]Mode {
 	blockers := make(map[TxnID]Mode)
 	note := func(hid TxnID, held Mode) {
 		if hid == id {
@@ -466,7 +424,7 @@ func (m *Manager) blockersLocked(s *shard, id TxnID, res Resource, mode Mode) ma
 		}
 	}
 	if res.ID == RelationLevel {
-		rel := s.entries[res]
+		rel := m.entries[res]
 		collect(rel)
 		if rel != nil {
 			for hid, bits := range rel.intents {
@@ -478,8 +436,8 @@ func (m *Manager) blockersLocked(s *shard, id TxnID, res Resource, mode Mode) ma
 			}
 		}
 	} else {
-		collect(s.entries[res])
-		collect(s.entries[Relation(res.Class)])
+		collect(m.entries[res])
+		collect(m.entries[Relation(res.Class)])
 	}
 	if len(blockers) == 0 {
 		return nil
@@ -488,21 +446,26 @@ func (m *Manager) blockersLocked(s *shard, id TxnID, res Resource, mode Mode) ma
 }
 
 // anySettlingLocked reports whether any of the transactions is aborted
-// or ending — i.e. its locks are about to be released. Caller holds
-// the registry mutex.
+// or gone — i.e. its locks are about to be released. Caller holds m.mu.
 func (m *Manager) anySettlingLocked(ids map[TxnID]Mode) bool {
 	for id := range ids {
-		tx := m.reg.txns[id]
-		if tx == nil || tx.aborted || tx.ending {
+		if m.settlingLocked(id) {
 			return true
 		}
 	}
 	return false
 }
 
+// settlingLocked reports whether the transaction is aborted or gone.
+// Caller holds m.mu.
+func (m *Manager) settlingLocked(id TxnID) bool {
+	tx := m.txns[id]
+	return tx == nil || tx.aborted
+}
+
 // findDeadlockVictimLocked looks for a waits-for cycle through id and
 // returns the youngest transaction in the cycle, or 0 if none. Caller
-// holds the registry mutex.
+// holds m.mu.
 func (m *Manager) findDeadlockVictimLocked(id TxnID) TxnID {
 	// DFS from id following waitsOn edges; a path back to id is a cycle.
 	var path []TxnID
@@ -525,7 +488,7 @@ func (m *Manager) findDeadlockVictimLocked(id TxnID) TxnID {
 			return false
 		}
 		visited[cur] = true
-		tx := m.reg.txns[cur]
+		tx := m.txns[cur]
 		if tx == nil || tx.aborted {
 			return false
 		}
@@ -538,7 +501,7 @@ func (m *Manager) findDeadlockVictimLocked(id TxnID) TxnID {
 		for n := range tx.waitsOn {
 			next = append(next, n)
 		}
-		sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
+		slices.Sort(next)
 		for _, n := range next {
 			if dfs(n) {
 				return true
@@ -551,24 +514,16 @@ func (m *Manager) findDeadlockVictimLocked(id TxnID) TxnID {
 	if !dfs(id) {
 		return 0
 	}
-	victim := cycle[0]
-	for _, t := range cycle[1:] {
-		if t > victim {
-			victim = t
-		}
-	}
-	return victim
+	return slices.Max(cycle)
 }
 
 // abortLocked marks a transaction aborted and signals its pending
 // Acquire, if any, through the per-transaction wait channel — a
-// targeted wakeup needing no shard mutex (replacing the old
-// broadcast-every-shard-from-a-goroutine scheme, which was both a
-// thundering herd and a source of scheduling nondeterminism). The
-// transaction's locks remain held until End is called (the owner must
-// roll back first). Caller holds the registry mutex.
+// targeted wakeup, not a broadcast. The transaction's locks remain
+// held until End is called (the owner must roll back first). Caller
+// holds m.mu.
 func (m *Manager) abortLocked(id TxnID, err error) {
-	tx := m.reg.txns[id]
+	tx := m.txns[id]
 	if tx == nil || tx.aborted {
 		return
 	}
@@ -584,16 +539,16 @@ func (m *Manager) abortLocked(id TxnID, err error) {
 // Abort marks the transaction aborted: a pending or future Acquire by
 // it returns ErrAborted. Its locks stay held until End.
 func (m *Manager) Abort(id TxnID) {
-	m.reg.Lock()
-	defer m.reg.Unlock()
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.abortLocked(id, ErrAborted)
 }
 
 // Aborted reports whether the transaction has been marked aborted.
 func (m *Manager) Aborted(id TxnID) bool {
-	m.reg.Lock()
-	defer m.reg.Unlock()
-	tx := m.reg.txns[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tx := m.txns[id]
 	return tx != nil && tx.aborted
 }
 
@@ -602,66 +557,45 @@ func (m *Manager) Aborted(id TxnID) bool {
 // forced to abort when this transaction commits first (Section 4.3,
 // rule (ii)). It is only meaningful under SchemeRcRaWa; under 2PL the
 // conflict cannot arise and the result is always empty.
-//
-// The scan is atomic per class: while the transaction holds Wa on a
-// resource, no new Rc can be granted on it (Table 4.1), so scanning
-// each class's shard under its own mutex loses no victim.
 func (m *Manager) RcVictims(id TxnID) []TxnID {
-	m.reg.Lock()
-	tx := m.reg.txns[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tx := m.txns[id]
 	if tx == nil {
-		m.reg.Unlock()
 		return nil
 	}
-	waRes := make([]Resource, 0, len(tx.held))
-	for res, mode := range tx.held {
-		if mode == Wa {
-			waRes = append(waRes, res)
-		}
-	}
-	m.reg.Unlock()
-
-	victims := make(map[TxnID]bool)
+	var out []TxnID
 	scan := func(e *entry) {
 		if e == nil {
 			return
 		}
 		for hid, held := range e.holders {
 			if hid != id && held == Rc {
-				victims[hid] = true
+				out = append(out, hid)
 			}
 		}
 	}
-	byShard := make(map[*shard][]Resource)
-	for _, res := range waRes {
-		s := m.shardFor(res.Class)
-		byShard[s] = append(byShard[s], res)
-	}
-	for s, rs := range byShard {
-		s.mu.Lock()
-		for _, res := range rs {
-			scan(s.entries[res])
-			if res.ID == RelationLevel {
-				// A class-level Wa also victimises tuple-level Rc holders
-				// inside the class: their intention marks carry the Rc bit.
-				if rel := s.entries[res]; rel != nil {
-					for hid, bits := range rel.intents {
-						if hid != id && bits&intentBit(Rc) != 0 {
-							victims[hid] = true
-						}
+	for res, mode := range tx.held {
+		if mode != Wa {
+			continue
+		}
+		scan(m.entries[res])
+		if res.ID == RelationLevel {
+			// A class-level Wa also victimises tuple-level Rc holders
+			// inside the class: their intention marks carry the Rc bit.
+			if rel := m.entries[res]; rel != nil {
+				for hid, bits := range rel.intents {
+					if hid != id && bits&intentBit(Rc) != 0 {
+						out = append(out, hid)
 					}
 				}
-			} else {
-				scan(s.entries[Relation(res.Class)])
 			}
+		} else {
+			scan(m.entries[Relation(res.Class)])
 		}
-		s.mu.Unlock()
 	}
-	out := make([]TxnID, 0, len(victims))
-	for v := range victims {
-		out = append(out, v)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	out = slices.Compact(out)
 	for range out {
 		// Each victim is one Rc–Wa conflict resolved at commit time
 		// (rule (ii)); count it into the same series a blocking scheme
@@ -671,50 +605,36 @@ func (m *Manager) RcVictims(id TxnID) []TxnID {
 	return out
 }
 
-// End releases all of the transaction's locks and forgets it. It is
-// called at commit and after abort rollback.
+// End releases all of the transaction's locks, wakes the waiters of
+// every class it held a lock in, and forgets it. It is called at
+// commit and after abort rollback.
 func (m *Manager) End(id TxnID) {
-	m.reg.Lock()
-	tx := m.reg.txns[id]
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	tx := m.txns[id]
 	if tx == nil {
-		m.reg.Unlock()
 		return
 	}
-	tx.ending = true
-	byShard := make(map[*shard][]Resource)
 	for res := range tx.held {
-		s := m.shardFor(res.Class)
-		byShard[s] = append(byShard[s], res)
-	}
-	m.reg.Unlock()
-
-	for s, rs := range byShard {
-		s.mu.Lock()
-		for _, res := range rs {
-			if e := s.entries[res]; e != nil {
-				delete(e.holders, id)
-				if !e.live() {
-					delete(s.entries, res)
-				}
+		if e := m.entries[res]; e != nil {
+			delete(e.holders, id)
+			if !e.live() {
+				delete(m.entries, res)
 			}
-			if res.ID != RelationLevel {
-				// Drop the intention mark; the whole class's tuple locks are
-				// released together here, so one delete per class would do,
-				// but per-resource keeps this loop shape simple.
-				relRes := Relation(res.Class)
-				if rel := s.entries[relRes]; rel != nil {
-					delete(rel.intents, id)
-					if !rel.live() {
-						delete(s.entries, relRes)
-					}
+		}
+		if res.ID != RelationLevel {
+			// Drop the intention mark; the whole class's tuple locks are
+			// released together here, so one delete per class would do,
+			// but per-resource keeps this loop shape simple.
+			relRes := Relation(res.Class)
+			if rel := m.entries[relRes]; rel != nil {
+				delete(rel.intents, id)
+				if !rel.live() {
+					delete(m.entries, relRes)
 				}
 			}
 		}
-		s.broadcastLocked()
-		s.mu.Unlock()
+		m.wakeLocked(res.Class)
 	}
-
-	m.reg.Lock()
-	delete(m.reg.txns, id)
-	m.reg.Unlock()
+	delete(m.txns, id)
 }

@@ -17,7 +17,7 @@ import (
 //     liberality) but Rc holders must then appear in RcVictims.
 func TestStressInvariants(t *testing.T) {
 	for _, scheme := range []Scheme{Scheme2PL, SchemeRcRaWa} {
-		for _, policy := range []DeadlockPolicy{DeadlockDetect, DeadlockWoundWait, DeadlockWaitDie} {
+		for _, policy := range []DeadlockPolicy{DeadlockDetect, DeadlockWoundWait} {
 			t.Run(scheme.String()+"/"+policy.String(), func(t *testing.T) {
 				m := NewManagerPolicy(scheme, policy)
 				resources := []Resource{

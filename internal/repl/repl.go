@@ -53,7 +53,7 @@ type RunConfig struct {
 	Scheme string `json:"scheme,omitempty"`
 	// Np is the worker count; 0 means 2 (the detsched default).
 	Np int `json:"np,omitempty"`
-	// Deadlock is "detect" (default), "wound-wait" or "wait-die".
+	// Deadlock is "detect" (default) or "wound-wait".
 	Deadlock string `json:"deadlock,omitempty"`
 	// Abort is "always" (default) or "reevaluate".
 	Abort string `json:"abort,omitempty"`
@@ -89,8 +89,6 @@ func (c RunConfig) detConfig() (detsched.Config, error) {
 		out.Deadlock = lock.DeadlockDetect
 	case "wound-wait":
 		out.Deadlock = lock.DeadlockWoundWait
-	case "wait-die":
-		out.Deadlock = lock.DeadlockWaitDie
 	default:
 		return out, fmt.Errorf("repl: unknown deadlock policy %q", c.Deadlock)
 	}

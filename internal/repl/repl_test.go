@@ -229,6 +229,12 @@ func TestBadConfigRejected(t *testing.T) {
 	if err == nil {
 		t.Fatal("unknown scheme accepted")
 	}
+	// Wait-die was removed; a config naming it is refused like any
+	// unknown policy.
+	_, err = NewPrimary(PrimaryOptions{Program: growProgram, Config: RunConfig{Deadlock: "wait-die"}})
+	if err == nil {
+		t.Fatal("deadlock policy wait-die accepted")
+	}
 	_, err = NewPrimary(PrimaryOptions{Program: "(p", Config: RunConfig{}})
 	if err == nil {
 		t.Fatal("unparsable program accepted")

@@ -6,11 +6,8 @@ import (
 	"pdps/internal/obs"
 )
 
-// storeMetrics counts working-memory traffic per class. Labels are by
-// class name, never by shard index: the class→shard mapping is seeded
-// randomly per Store (maphash.MakeSeed), so shard-labeled series would
-// differ between otherwise identical runs and break deterministic
-// snapshots. Handles are cached per class in a sync.Map, so the
+// storeMetrics counts working-memory traffic per class, labeled by
+// class name. Handles are cached per class in a sync.Map, so the
 // registry mutex is touched only on a class's first access.
 type storeMetrics struct {
 	reg     *obs.Registry

@@ -105,19 +105,22 @@ func TestStoreModifyKeepsIDFreshTimeTag(t *testing.T) {
 func TestStoreByClassAndClasses(t *testing.T) {
 	s := NewStore()
 	a := s.Insert("a", attrs("n", 1))
-	s.Insert("b", attrs("n", 2))
+	b := s.Insert("b", attrs("n", 2))
 	c := s.Insert("a", attrs("n", 3))
 	as := s.ByClass("a")
 	if len(as) != 2 || as[0] != a || as[1] != c {
 		t.Fatalf("ByClass(a) = %v", as)
 	}
-	if got := s.Classes(); len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Fatalf("Classes = %v", got)
-	}
 	s.Remove(a.ID)
 	s.Remove(c.ID)
-	if got := s.Classes(); len(got) != 1 || got[0] != "b" {
-		t.Fatalf("Classes after removes = %v", got)
+	if got := s.ByClass("a"); len(got) != 0 {
+		t.Fatalf("ByClass(a) after removes = %v", got)
+	}
+	if got := s.ByClass("b"); len(got) != 1 || got[0] != b {
+		t.Fatalf("ByClass(b) after removes = %v", got)
+	}
+	if got := s.All(); len(got) != 1 || got[0] != b {
+		t.Fatalf("All after removes = %v", got)
 	}
 }
 
@@ -231,11 +234,10 @@ func TestWMEEqualContent(t *testing.T) {
 }
 
 // TestApplyAllocs: applying a one-modify delta adopts the attribute
-// slice of the added version instead of copying it, and groups by
-// shard without building a map. The ceiling is what Apply returns: the
-// array behind both result slices, the new version and the delta. The
-// modified tuple is its class's only one, so emptying and recreating
-// the class map would cost more.
+// slice of the added version instead of copying it. The ceiling is
+// what Apply returns: the array behind both result slices, the new
+// version and the delta. The modified tuple is its class's only one,
+// so emptying and recreating the class map would cost more.
 func TestApplyAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates; allocation ceilings run without -race")
@@ -320,15 +322,35 @@ func TestStoreInsertAllocs(t *testing.T) {
 	}
 }
 
+// TestStoreClassChurnAllocs: inserting and removing a class's only
+// tuple allocates the WME and its attribute slice and nothing else;
+// the emptied class map stays for the next insert.
+func TestStoreClassChurnAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates; allocation ceilings run without -race")
+	}
+	s := NewStore()
+	a := attrs("goal", "sort")
+	n := testing.AllocsPerRun(1000, func() {
+		w := s.Insert("goal", a)
+		if _, ok := s.Remove(w.ID); !ok {
+			t.Fatal("remove of the inserted tuple failed")
+		}
+	})
+	const ceiling = 2
+	if n > ceiling {
+		t.Errorf("Insert+Remove of a class's only tuple: %v allocations, want at most %d", n, ceiling)
+	}
+}
+
 // TestStoreGetDuringApply: readers call Get and Live on every tuple
-// while a writer commits modify deltas that span classes whose tuples
-// share ID shards. A modify replaces the ID entry in place, so no
-// reader may ever see a tuple absent, and a version Live reports dead
-// must already have a newer one.
+// while a writer commits modify deltas that span classes. A delta is
+// applied under one lock, so no reader may ever see a tuple absent,
+// and a version Live reports dead must already have a newer one.
 func TestStoreGetDuringApply(t *testing.T) {
 	s := NewStore()
 	var ids []int64
-	for i := 0; i < 4*numShards; i++ {
+	for i := 0; i < 64; i++ {
 		ids = append(ids, s.Insert(fmt.Sprintf("c%d", i%5), attrs("n", 0)).ID)
 	}
 	var done atomic.Bool
@@ -356,8 +378,7 @@ func TestStoreGetDuringApply(t *testing.T) {
 		}()
 	}
 	for round := 0; round < 2000; round++ {
-		// Every fourth tuple from a rotating start: five classes, and
-		// IDs spread over the ID shards.
+		// Every fourth tuple from a rotating start, over five classes.
 		d := &Delta{}
 		for i := round % 4; i < len(ids); i += 4 {
 			cur, _ := s.Get(ids[i])

@@ -1,8 +1,9 @@
 // Package wm implements the working memory of a database production
-// system: typed values, working memory elements (WMEs), an indexed
-// tuple store, and transactions that stage RHS effects and apply them
-// atomically at commit, as required by the dynamic execution approach
-// of Srivastava et al. (ICDE 1990), Section 4.2.
+// system: typed values, working memory elements (WMEs), a tuple store
+// keyed by class and ID under one lock, and transactions that stage RHS
+// effects and apply them atomically at commit, as required by the
+// dynamic execution approach of Srivastava et al. (ICDE 1990), Section
+// 4.2.
 package wm
 
 import (
