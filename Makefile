@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet metrics-check serve-smoke repl-smoke bench bench-compare
+.PHONY: all build test race vet metrics-check serve-smoke repl-smoke chaos bench bench-compare
 
 all: build vet test
 
@@ -49,6 +49,19 @@ repl-smoke:
 	$(GO) build ./cmd/psrepl ./cmd/psload
 	$(GO) run ./cmd/psload -repl -events 500 -followers 2 -readers 1 \
 		-metrics-out metrics-artifacts/psrepl-metrics.json
+
+# chaos is the durability fault suite, run without -race because the
+# SIGKILL child harness skips under it: the fault-injecting backend
+# (internal/storage/storagetest) driven through durable server sessions
+# and the serial engines — nothing unsynced is streamed, a failed
+# session refuses every later request, no fsync is retried, reopen
+# recovers every acked record — the file backend's sticky failure, and
+# the kill-and-recover harness over single, both parallel schemes and
+# a session synced at its ack boundary.
+chaos:
+	$(GO) test -count=1 -run 'TestNoStreamAfterFailedSync|TestDurableSessionFailStop|TestDurableRunFsyncsPerPush|TestStorageRestart' ./internal/server
+	$(GO) test -count=1 -run 'TestFaulty|TestFileBackendFailedSyncIsSticky' ./internal/storage/...
+	$(GO) test -count=1 -run 'TestSessionFailStopsOnSyncError|TestStorageGroupCommitSerial|TestKillAndRecover|TestStorageRecoveryAllEngines' ./internal/engine
 
 # bench is the CI guard: one iteration of every benchmark, so a bench
 # that breaks (bad firing count, matcher divergence, a paper figure's

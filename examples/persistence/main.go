@@ -1,7 +1,9 @@
 // Persistence: the "knowledge persistence" half of the paper's
 // motivation for database production systems. A parallel run appends
-// every committed firing to a durable storage backend and fsyncs it;
-// the program then throws the in-memory state
+// every committed firing to a durable storage backend and fsyncs it
+// before the firing's worker learns it committed (an interactive
+// Session, the server's engine, fsyncs instead once per Sync or Run:
+// its ack boundary). The program then throws the in-memory state
 // away, recovers the working memory and the commit history from the
 // backend, proves the recovered store is identical and the recovered
 // trace admissible — then resumes rule execution on the recovered

@@ -119,10 +119,13 @@ type Options struct {
 	Log *trace.Log
 	// Storage, when non-nil, is the durability backend: every committed
 	// delta is appended as a storage record (rule, instantiation,
-	// matched-WME fingerprints, delta) and a commit is acknowledged to
-	// its firing only after a Sync covers it. Single, Session and the
-	// Parallel committer fsync every commit; Static fsyncs once per
-	// batch of non-interfering firings. The engine does not close the
+	// matched-WME fingerprints, delta), and a commit counts as
+	// acknowledged only once a Sync covers it. Single and the Parallel
+	// committer fsync every commit; Static fsyncs once per batch of
+	// non-interfering firings; a Session fsyncs at its ack boundary —
+	// Session.Sync, or the end of Session.Run — once for every commit
+	// staged since the last one, and its caller must not report a
+	// commit before that Sync returns. The engine does not close the
 	// backend — the caller owns its lifecycle. See internal/storage.
 	Storage storage.Backend
 	// Restore, when non-nil, seeds the engine's working memory with a

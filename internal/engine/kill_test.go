@@ -24,7 +24,8 @@ import (
 // binary as a child running TestKillChild, which drives an engine over
 // the file backend and SIGKILLs itself at a randomized append or fsync
 // count. The child prints "ACK <lsn>" after every successful fsync —
-// the durability promise the committer gives workers — and the parent
+// the durability promise the committer gives workers, and for a
+// Session the point where the server streams its commits — and the parent
 // then recovers the directory and asserts that (a) every acknowledged
 // commit survived, (b) the recovered store is byte-identical to an
 // independent replay of the surviving snapshot + log, and (c) the
@@ -109,6 +110,18 @@ func TestKillChild(t *testing.T) {
 	opts := Options{Np: 4, Storage: kb, Restore: base}
 	var eng interface{ Run() (Result, error) }
 	switch name := os.Getenv("PDPS_KILL_ENGINE"); name {
+	case "session":
+		s, err := NewSession(run, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := stepInGroups(s, killGroup); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return
 	case "single":
 		eng, err = NewSingle(run, opts)
 	case "parallel-2pl":
@@ -126,6 +139,30 @@ func TestKillChild(t *testing.T) {
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// killGroup is how many steps the session engine stages between Syncs,
+// the way a server session streams a trace batch.
+const killGroup = 4
+
+// stepInGroups drives a session to quiescence in groups of k steps,
+// each followed by a Sync: the server's ack boundary, so killBackend
+// prints ACK exactly where the server would stream.
+func stepInGroups(s *Session, k int) error {
+	for {
+		for i := 0; i < k; i++ {
+			name, err := s.Step()
+			if err != nil {
+				return err
+			}
+			if name == "" {
+				return s.Sync()
+			}
+		}
+		if err := s.Sync(); err != nil {
+			return err
+		}
 	}
 }
 
@@ -149,7 +186,7 @@ func TestKillAndRecover(t *testing.T) {
 	// One append per firing plus the initial-WM seed record.
 	maxAppends := killParts*killStages + 1
 
-	for seed, engineName := range []string{"single", "parallel-2pl", "parallel-rcrawa"} {
+	for seed, engineName := range []string{"single", "parallel-2pl", "parallel-rcrawa", "session"} {
 		engineName := engineName
 		rng := rand.New(rand.NewSource(0xC0FFEE + int64(seed)))
 		t.Run(engineName, func(t *testing.T) {

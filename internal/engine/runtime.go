@@ -117,9 +117,11 @@ func (rt *runtime) next() *match.Instantiation {
 
 // fire executes one selected instantiation serially — the act half of
 // the Section 3.1 recognize–act cycle that Single and Session share:
-// the optional Verify pre-check, the simulated rule cost, the actions,
-// the commit, and its own fsync group. It returns the first error,
-// including a storage failure latched in rt.err.
+// the optional Verify pre-check, the simulated rule cost, the actions
+// and the commit. The commit's record is only staged: Single syncs
+// after each fire, a Session at its ack boundary (Session.Sync). It
+// returns the first error, including a storage failure latched in
+// rt.err.
 func (rt *runtime) fire(in *match.Instantiation) error {
 	rt.fired[in.Key()] = in
 	if rt.opts.Verify && !verifyActive(rt.store, in) {
@@ -137,7 +139,6 @@ func (rt *runtime) fire(in *match.Instantiation) error {
 	if err := rt.commit(in, tx, 0, halt); err != nil {
 		return err
 	}
-	rt.syncStorage()
 	return rt.err
 }
 

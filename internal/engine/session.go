@@ -56,10 +56,12 @@ func (s *Session) Retract(id int64) error {
 }
 
 // Step fires one production (selected by the session's strategy) and
-// returns its rule name, or "" if the system is quiescent. Once a
+// returns its rule name, or "" if the system is quiescent. On a durable
+// session the commit's record is only staged; it is durable once Sync
+// returns, and a caller must not report the commit before then. Once a
 // storage failure has been recorded the session is fail-stopped: Step
-// fires nothing and returns that error, so memory never runs ahead of
-// the disk.
+// fires nothing and returns that error, so memory never runs further
+// ahead of the disk.
 func (s *Session) Step() (string, error) {
 	s.rt.halted = false
 	if s.rt.err != nil {
@@ -75,9 +77,29 @@ func (s *Session) Step() (string, error) {
 // Halted reports whether the last Step executed a halt action.
 func (s *Session) Halted() bool { return s.rt.halted }
 
+// Sync makes every record staged since the last Sync durable with one
+// fsync — the session's ack boundary — and returns the session's first
+// storage error. After that error it touches the backend no more: a
+// second fsync of a file whose fsync failed proves nothing. No-op
+// without a backend.
+func (s *Session) Sync() error {
+	if s.rt.err == nil {
+		s.rt.syncStorage()
+	}
+	return s.rt.err
+}
+
 // Run fires up to max productions, stopping early at quiescence or a
-// halt, and returns how many fired.
+// halt, syncs, and returns how many fired.
 func (s *Session) Run(max int) (n int, err error) {
+	n, err = s.steps(max)
+	if serr := s.Sync(); err == nil {
+		err = serr
+	}
+	return n, err
+}
+
+func (s *Session) steps(max int) (n int, err error) {
 	for ; n < max; n++ {
 		name, err := s.Step()
 		if err != nil || name == "" {

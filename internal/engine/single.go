@@ -44,7 +44,12 @@ func (e *Single) Run() (Result, error) {
 		}
 		rt.met.cycleInc()
 		rt.opts.Log.Append(trace.Event{Kind: trace.KindFire, Rule: in.Rule.Name, Inst: in.Key()})
-		if err := rt.fire(in); err != nil || rt.halted {
+		err := rt.fire(in)
+		if err == nil {
+			rt.syncStorage()
+			err = rt.err
+		}
+		if err != nil || rt.halted {
 			return rt.result(), err
 		}
 	}

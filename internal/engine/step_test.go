@@ -12,6 +12,7 @@ import (
 	"pdps/internal/engine"
 	"pdps/internal/lang"
 	"pdps/internal/storage"
+	"pdps/internal/storage/storagetest"
 	"pdps/internal/trace"
 	"pdps/internal/wm"
 )
@@ -147,33 +148,45 @@ func TestSessionRunStopsAtHalt(t *testing.T) {
 	}
 }
 
-// failingSync is a backend whose every Sync reports an I/O error.
-type failingSync struct{ *storage.Mem }
-
-func (failingSync) Sync() error { return syscall.EIO }
-
-// TestSessionFailStopsOnSyncError: once a commit's Sync fails, Step
-// fires nothing more, so memory never runs further ahead of the disk.
+// TestSessionFailStopsOnSyncError: a Step only stages its commit and
+// Sync is the session's ack boundary. Once Sync reports EIO, every
+// later Step fires nothing and every later Sync returns that error
+// without asking the backend again, so memory never runs further ahead
+// of the disk and no fsync is retried.
 func TestSessionFailStopsOnSyncError(t *testing.T) {
 	prog := parse(t, `(p dec (count ^n <n> ^n > 0) --> (modify 1 ^n (- <n> 1)))
 (wme count ^n 5)`)
-	s, err := engine.NewSession(prog, engine.Options{Storage: failingSync{storage.NewMem()}})
+	fb := storagetest.New(storage.NewMem(), storagetest.SyncEIO, 1)
+	s, err := engine.NewSession(prog, engine.Options{Storage: fb})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Step(); !errors.Is(err, syscall.EIO) {
-		t.Fatalf("first Step err = %v, want EIO", err)
+	if name, err := s.Step(); name != "dec" || err != nil {
+		t.Fatalf("first Step = %q, %v; want dec staged without error", name, err)
+	}
+	if fb.Syncs() != 0 {
+		t.Fatalf("Step fsynced %d times, want 0 (the fsync belongs to Sync)", fb.Syncs())
+	}
+	if err := s.Sync(); !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Sync err = %v, want EIO", err)
 	}
 	for i := 0; i < 3; i++ {
 		name, err := s.Step()
 		if !errors.Is(err, syscall.EIO) || name != "" {
 			t.Fatalf("Step after the failure = %q, %v; want nothing fired and EIO", name, err)
 		}
+		if err := s.Sync(); !errors.Is(err, syscall.EIO) {
+			t.Fatalf("Sync after the failure = %v, want EIO", err)
+		}
+	}
+	if n, err := s.Run(10); n != 0 || !errors.Is(err, syscall.EIO) {
+		t.Fatalf("Run after the failure = %d, %v; want 0 and EIO", n, err)
+	}
+	if fb.Syncs() != 1 || fb.Appends() != 1 {
+		t.Fatalf("backend saw %d syncs and %d appends, want 1 and 1 (no retry, nothing staged after)",
+			fb.Syncs(), fb.Appends())
 	}
 	if got := countN(t, s.Store()); got != 4 {
-		t.Fatalf("count = %d, want 4 (only the first firing committed)", got)
-	}
-	if got := len(s.Log().Commits()); got != 1 {
-		t.Fatalf("commits = %d, want 1", got)
+		t.Fatalf("count = %d, want 4 (only the unacknowledged first firing applied)", got)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"pdps/internal/lock"
 	"pdps/internal/match"
 	"pdps/internal/storage"
+	"pdps/internal/storage/storagetest"
 	"pdps/internal/trace"
 	"pdps/internal/wm"
 )
@@ -239,6 +240,62 @@ func TestStorageGroupCommitParallel(t *testing.T) {
 	h, ok := snap.Histogram("wal_group_size")
 	if !ok || h.Count != fsyncs || h.Sum != appends {
 		t.Fatalf("wal_group_size = %+v, want count %d sum %d", h, fsyncs, appends)
+	}
+}
+
+// TestStorageGroupCommitSerial pins where the serial engines fsync:
+// Single after every commit, a Session only at its ack boundary —
+// Sync, or the end of Run — so one fsync covers every commit staged
+// since the last one.
+func TestStorageGroupCommitSerial(t *testing.T) {
+	prog := tallyProgram(4, 3)
+	single, err := NewSingle(prog, Options{Storage: storage.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := single.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := single.Metrics().Snapshot()
+	if fsyncs := snap.Counter("wal_fsync_total"); fsyncs != int64(res.Firings) {
+		t.Fatalf("Single fsynced %d times for %d firings, want one per commit", fsyncs, res.Firings)
+	}
+
+	fb := storagetest.New(storage.NewMem(), storagetest.None, 0)
+	s, err := NewSession(prog, Options{Storage: fb})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if name, err := s.Step(); name == "" || err != nil {
+			t.Fatalf("Step %d = %q, %v", i, name, err)
+		}
+	}
+	if fb.Syncs() != 0 || fb.Appends() != 5 {
+		t.Fatalf("after 5 steps: %d syncs, %d appends; want 0 and 5", fb.Syncs(), fb.Appends())
+	}
+	for i := 0; i < 2; i++ {
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fb.Syncs() != 1 || fb.Durable() != 5 {
+		t.Fatalf("two Syncs: %d fsyncs covering %d records; want 1 covering 5 (nothing staged for the second)",
+			fb.Syncs(), fb.Durable())
+	}
+	n, err := s.Run(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n+5 != res.Firings || fb.Syncs() != 2 || fb.Durable() != res.Firings {
+		t.Fatalf("Run fired %d with %d fsyncs covering %d records; want %d, 2, %d",
+			n, fb.Syncs(), fb.Durable(), res.Firings-5, res.Firings)
+	}
+	snap = s.Metrics().Snapshot()
+	h, ok := snap.Histogram("wal_group_size")
+	if fsyncs := snap.Counter("wal_fsync_total"); fsyncs != 2 || !ok || h.Count != 2 || h.Sum != int64(res.Firings) {
+		t.Fatalf("wal_fsync_total = %d, wal_group_size = %+v; want 2 groups summing to %d", fsyncs, h, res.Firings)
 	}
 }
 

@@ -121,6 +121,10 @@ type Server struct {
 	sessions map[string]*session
 	dirs     map[string]string // resolved storage dir -> session id
 	nextSess atomic.Uint64
+
+	// wrapBackend, when set before Listen, wraps each durable session's
+	// file backend; the fault tests inject storage failures through it.
+	wrapBackend func(storage.Backend) storage.Backend
 }
 
 // New builds a server; call Listen (or Serve) to start it.
@@ -342,7 +346,10 @@ func (s *Server) createSession(q *Request, c *conn) *Response {
 			return errResp(q.ID, CodeInternal, fmt.Sprintf("storage: %v", err))
 		}
 		sess.backend, sess.dir = backend, dir
-		opts.Storage = backend
+		if s.wrapBackend != nil {
+			sess.backend = s.wrapBackend(backend)
+		}
+		opts.Storage = sess.backend
 		opts.Restore = restore
 		recovered, lsn = len(rec.Records), rec.LSN
 	}

@@ -62,6 +62,12 @@ type session struct {
 	once sync.Once
 
 	traceSeq int // log events already streamed (actor-only)
+
+	// failed is the first storage error (actor-only). Once set, every
+	// later request is refused with it before touching working memory:
+	// what memory holds past the disk is never shown, and the backend is
+	// never asked to fsync again.
+	failed error
 }
 
 // begin registers an in-flight submit attempt; it fails once teardown
@@ -160,6 +166,10 @@ func (s *session) handle(t task) {
 		t.fn()
 		return
 	}
+	if s.failed != nil {
+		s.sendStorageErr(t)
+		return
+	}
 	switch t.req.Type {
 	case ReqAssert:
 		s.handleAssert(t)
@@ -179,7 +189,9 @@ func (s *session) handle(t task) {
 // handleAssert parses and inserts the batch of tuple literals. On a
 // durable session the batch is logged as one non-firing record and
 // fsynced before the acknowledgment, so acked ingest survives a crash
-// exactly like acked commits do (PR 6 semantics).
+// exactly like streamed commits do. If the append or fsync fails, the
+// tuples stay in memory unacknowledged and the session fail-stops, so
+// no later request can observe them.
 func (s *session) handleAssert(t task) {
 	parsed := make([]engine.InitialWME, 0, len(t.req.WMEs))
 	for _, src := range t.req.WMEs {
@@ -198,8 +210,7 @@ func (s *session) handleAssert(t task) {
 		delta.Adds = append(delta.Adds, w)
 	}
 	s.srv.met.ingestWMEs.Add(int64(len(ids)))
-	if err := s.logDurable(&delta); err != nil {
-		t.c.sendErr(t.req, CodeInternal, fmt.Sprintf("storage: %v", err))
+	if !s.logDurable(t, &delta) {
 		return
 	}
 	t.c.send(&Response{Type: RespOK, ID: t.req.ID, Session: s.id, IDs: ids})
@@ -215,23 +226,36 @@ func (s *session) handleRetract(t task) {
 		t.c.sendErr(t.req, CodeNotFound, err.Error())
 		return
 	}
-	if err := s.logDurable(&wm.Delta{Removes: []*wm.WME{w}}); err != nil {
-		t.c.sendErr(t.req, CodeInternal, fmt.Sprintf("storage: %v", err))
+	if !s.logDurable(t, &wm.Delta{Removes: []*wm.WME{w}}) {
 		return
 	}
 	t.c.send(&Response{Type: RespOK, ID: t.req.ID, Session: s.id, IDs: []int64{t.req.WMEID}})
 }
 
 // logDurable appends one non-firing working-memory record and makes
-// it durable. No-op on ephemeral sessions or empty deltas.
-func (s *session) logDurable(d *wm.Delta) error {
+// it durable. If it cannot, it records the failure in s.failed,
+// answers the request with it and reports false. No-op on ephemeral
+// sessions or empty deltas. Every run ends in a flushTrace, so no
+// commit record is staged when it is called.
+func (s *session) logDurable(t task, d *wm.Delta) bool {
 	if s.backend == nil || (len(d.Adds) == 0 && len(d.Removes) == 0) {
-		return nil
+		return true
 	}
-	if _, err := s.backend.Append(&storage.Record{Delta: d}); err != nil {
-		return err
+	_, err := s.backend.Append(&storage.Record{Delta: d})
+	if err == nil {
+		err = s.backend.Sync()
 	}
-	return s.backend.Sync()
+	if err != nil {
+		s.failed = err
+		s.sendStorageErr(t)
+	}
+	return err == nil
+}
+
+// sendStorageErr refuses the request with the session's storage
+// failure.
+func (s *session) sendStorageErr(t task) {
+	t.c.sendErr(t.req, CodeInternal, fmt.Sprintf("storage: %v", s.failed))
 }
 
 // handleRun steps the recognize-act cycle up to Max firings (0 means
@@ -239,7 +263,9 @@ func (s *session) logDurable(d *wm.Delta) error {
 // every runFlushEvery commits and finishing with the run summary. A
 // halt ends the run; the next run command fires again. A teardown
 // mid-run aborts between steps; the firings already committed stay
-// committed (and, durably, synced).
+// committed. Every way out of the loop flushes, so a run leaves no
+// commit unsynced; if a flush's fsync fails, the run ends with the
+// storage error and streams nothing more.
 func (s *session) handleRun(t task) {
 	max := t.req.Max
 	if max <= 0 {
@@ -248,14 +274,16 @@ func (s *session) handleRun(t task) {
 	res := &Response{Type: RespRun, ID: t.req.ID, Session: s.id}
 	for res.Fired < max {
 		if s.stopped() {
-			s.flushTrace(t, true, false)
-			t.c.sendErr(t.req, CodeClosed, "session "+s.id+" closed mid-run")
+			if s.flushTrace(t, true, false) {
+				t.c.sendErr(t.req, CodeClosed, "session "+s.id+" closed mid-run")
+			}
 			return
 		}
 		name, err := s.eng.Step()
 		if err != nil {
-			s.flushTrace(t, true, false)
-			t.c.sendErr(t.req, CodeInternal, fmt.Sprintf("step: %v", err))
+			if s.flushTrace(t, true, false) {
+				t.c.sendErr(t.req, CodeInternal, fmt.Sprintf("step: %v", err))
+			}
 			return
 		}
 		if name == "" {
@@ -266,18 +294,28 @@ func (s *session) handleRun(t task) {
 		if res.Halted = s.eng.Halted(); res.Halted {
 			break
 		}
-		if res.Fired%runFlushEvery == 0 {
-			s.flushTrace(t, true, false)
+		if res.Fired%runFlushEvery == 0 && !s.flushTrace(t, true, false) {
+			return
 		}
 	}
-	s.flushTrace(t, true, false)
-	t.c.send(res)
+	if s.flushTrace(t, true, false) {
+		t.c.send(res)
+	}
 }
 
 // flushTrace streams the log events appended since the last flush.
 // Mid-run pushes set More and skip empty batches; a terminal flush
 // (explicit trace request) always answers, even with zero events.
-func (s *session) flushTrace(t task, more, always bool) {
+// It is the session's ack boundary: it first syncs the engine, so
+// every commit it streams is durable. If that fsync fails it streams
+// nothing, records the failure in s.failed, answers the request with
+// it and reports false.
+func (s *session) flushTrace(t task, more, always bool) bool {
+	if err := s.eng.Sync(); err != nil {
+		s.failed = err
+		s.sendStorageErr(t)
+		return false
+	}
 	var out []TraceEvent
 	s.eng.Log().Range(s.traceSeq, func(e trace.Event) bool {
 		out = append(out, TraceEvent{Seq: e.Seq, Kind: e.Kind.String(), Rule: e.Rule,
@@ -286,10 +324,11 @@ func (s *session) flushTrace(t task, more, always bool) {
 	})
 	s.traceSeq += len(out)
 	if len(out) == 0 && !always {
-		return
+		return true
 	}
 	s.srv.met.commitsStreamed.Add(int64(len(out)))
 	t.c.send(&Response{Type: RespTrace, ID: t.req.ID, Session: s.id, More: more, Events: out})
+	return true
 }
 
 func (s *session) handleWMEs(t task) {

@@ -1,8 +1,11 @@
 // Package storage is the pluggable durability layer under the engine:
 // an append-only log of commit records plus snapshot/checkpoint and
-// crash recovery. The engine appends one record per commit and fsyncs
-// before acknowledging it; the Static engine fsyncs once per batch of
-// non-interfering firings.
+// crash recovery. The engine appends one record per commit; nothing is
+// acknowledged until a Sync covers its record. Single and the Parallel
+// committer sync every commit, the Static engine once per batch of
+// non-interfering firings, and an interactive Session once per ack
+// boundary: a server session syncs before each trace frame it streams,
+// so one fsync covers every commit in the frame.
 //
 // Two implementations ship with the repo: Mem, an in-memory backend
 // for tests and for measuring the engine's no-durability ceiling, and
@@ -47,8 +50,11 @@ type Backend interface {
 	// Append stages one record in the log and returns its LSN. The
 	// record is not durable until the next Sync returns.
 	Append(*Record) (LSN, error)
-	// Sync makes every appended record durable. A commit is only
-	// acknowledged to its firing task after Sync covers it.
+	// Sync makes every appended record durable. Nothing is acknowledged
+	// — to a firing task, in a trace frame or as an ingest reply —
+	// before a Sync that covers it has returned. After a failed Sync
+	// the caller must not call Sync again: a second fsync can succeed
+	// for data the first one lost.
 	Sync() error
 	// Checkpoint folds the given store into a snapshot and truncates
 	// the log up to it, synchronously.
