@@ -55,13 +55,14 @@ repl-smoke:
 # (internal/storage/storagetest) driven through durable server sessions
 # and the serial engines — nothing unsynced is streamed, a failed
 # session refuses every later request, no fsync is retried, reopen
-# recovers every acked record — the file backend's sticky failure, and
-# the kill-and-recover harness over single, both parallel schemes and
-# a session synced at its ack boundary.
+# recovers every acked record, a refused append commits nothing — the
+# file backend's sticky failure, and the kill-and-recover harness over
+# single, both parallel schemes, static and a session synced at its
+# ack boundary.
 chaos:
 	$(GO) test -count=1 -run 'TestNoStreamAfterFailedSync|TestDurableSessionFailStop|TestDurableRunFsyncsPerPush|TestStorageRestart' ./internal/server
 	$(GO) test -count=1 -run 'TestFaulty|TestFileBackendFailedSyncIsSticky' ./internal/storage/...
-	$(GO) test -count=1 -run 'TestSessionFailStopsOnSyncError|TestStorageGroupCommitSerial|TestKillAndRecover|TestStorageRecoveryAllEngines' ./internal/engine
+	$(GO) test -count=1 -run 'TestSessionFailStopsOnSyncError|TestStorageGroupCommitSerial|TestKillAndRecover|TestStorageRecoveryAllEngines|TestAppendFailureCommitsNothing' ./internal/engine
 
 # bench is the CI guard: one iteration of every benchmark, so a bench
 # that breaks (bad firing count, matcher divergence, a paper figure's

@@ -8,19 +8,23 @@ package cr
 
 import (
 	"fmt"
-	"math/rand"
 
 	"pdps/internal/match"
 )
 
-// Strategy selects the dominant instantiation from a non-empty
-// conflict set. Implementations must be deterministic given their own
-// state (Random is deterministic per seed).
+// Strategy is a conflict-resolution strategy: a dominance relation
+// that totally orders Ranks (instantiations with equal keys aside,
+// which matched the same data), and Select, which returns the order's
+// maximum. An engine keeps its candidates ordered by Dominates — in a
+// heap — and picks the top instead of scanning the whole conflict set
+// each cycle.
 type Strategy interface {
 	// Name identifies the strategy.
 	Name() string
 	// Select returns the chosen instantiation; ins is non-empty.
 	Select(ins []*match.Instantiation) *match.Instantiation
+	// Dominates reports whether b dominates a.
+	Dominates(b, a *Rank) bool
 }
 
 // New returns the strategy with the given name: "fifo", "lex", "mea",
@@ -42,25 +46,6 @@ func New(name string) (Strategy, error) {
 	}
 	return nil, fmt.Errorf("cr: unknown strategy %q", name)
 }
-
-// Ordered is a strategy whose dominance relation is a total order
-// over Ranks (instantiations with equal keys aside, which matched the
-// same data): Select returns the order's maximum. An engine can keep
-// its candidates ordered by Dominates — in a heap, say — and pick the
-// top instead of scanning the whole conflict set each cycle.
-type Ordered interface {
-	Strategy
-	// Dominates reports whether b dominates a.
-	Dominates(b, a *Rank) bool
-}
-
-var (
-	_ Ordered = FIFO{}
-	_ Ordered = LEX{}
-	_ Ordered = MEA{}
-	_ Ordered = Priority{}
-	_ Ordered = Specificity{}
-)
 
 // FIFO picks the instantiation whose matched WMEs are oldest (smallest
 // recency, ties broken by key), giving queue-like behaviour.
@@ -147,8 +132,8 @@ const (
 	bySpecificity
 )
 
-// Rank is an instantiation's order key: everything the Ordered
-// strategies compare, derived once by Set — the descending recency
+// Rank is an instantiation's order key: everything the strategies
+// compare, derived once by Set — the descending recency
 // vector, the first CE's time tag, the rule's priority and specificity,
 // and (through In) the key. The recency vector lives in the Rank itself
 // when the instantiation matched at most eight WMEs, so a Rank on the
@@ -247,22 +232,45 @@ func firstTag(in *match.Instantiation) uint64 {
 	return in.WMEs[0].TimeTag
 }
 
-// Random selects uniformly at random with a seeded source, so runs are
-// reproducible. It is the strategy used by the semantic-consistency
-// property tests to explore many valid execution sequences.
-type Random struct{ rng *rand.Rand }
+// Random ranks instantiations by a seeded hash of their keys: a fixed
+// pseudo-random permutation per seed, ties broken by key, so the same
+// seed gives the same picks in every process. The property tests use
+// it to reach execution sequences no recency order produces.
+type Random struct{ seed uint64 }
 
 // NewRandom returns a Random strategy with the given seed.
-func NewRandom(seed int64) *Random {
-	return &Random{rng: rand.New(rand.NewSource(seed))}
-}
+func NewRandom(seed int64) Random { return Random{seed: uint64(seed)} }
 
 // Name returns "random".
-func (r *Random) Name() string { return "random" }
+func (Random) Name() string { return "random" }
 
-// Select returns a uniformly random instantiation.
-func (r *Random) Select(ins []*match.Instantiation) *match.Instantiation {
-	return ins[r.rng.Intn(len(ins))]
+// Select returns the instantiation whose key ranks first under the
+// seed.
+func (r Random) Select(ins []*match.Instantiation) *match.Instantiation {
+	best := ins[0]
+	for _, in := range ins[1:] {
+		if r.Dominates(&Rank{In: in}, &Rank{In: best}) {
+			best = in
+		}
+	}
+	return best
+}
+
+// Dominates reports whether b's key ranks before a's under the seed.
+func (r Random) Dominates(b, a *Rank) bool {
+	hb, ha := r.hash(b.Key()), r.hash(a.Key())
+	return hb < ha || (hb == ha && b.Key() < a.Key())
+}
+
+// hash is FNV-1a over the key's bytes from a seed-dependent start.
+// Unlike maphash it is fixed across processes.
+func (r Random) hash(key string) uint64 {
+	const prime = 1099511628211
+	h := (14695981039346656037 ^ r.seed) * prime
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime
+	}
+	return h
 }
 
 func specificity(r *match.Rule) int {

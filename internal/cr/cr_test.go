@@ -1,6 +1,8 @@
 package cr
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"pdps/internal/match"
@@ -134,6 +136,48 @@ func TestRandomIsSeededDeterministic(t *testing.T) {
 		if r1.Select(ins) != r2.Select(ins) {
 			t.Fatal("same seed must give same sequence")
 		}
+	}
+}
+
+// TestRandomIsAFixedPermutation: Random's pick is the minimum of its
+// dominance order, whatever order the candidates are listed in, and
+// two seeds rank the same keys differently.
+func TestRandomIsAFixedPermutation(t *testing.T) {
+	s := wm.NewStore()
+	var ins []*match.Instantiation
+	for i := 0; i < 12; i++ {
+		ins = append(ins, mkInst(t, s, fmt.Sprintf("r%d", i), 0, 1, 1))
+	}
+	rank := func(r Random) []string {
+		sorted := slices.Clone(ins)
+		slices.SortFunc(sorted, func(a, b *match.Instantiation) int {
+			switch {
+			case r.Dominates(&Rank{In: a}, &Rank{In: b}):
+				return -1
+			case r.Dominates(&Rank{In: b}, &Rank{In: a}):
+				return 1
+			}
+			return 0
+		})
+		if got := r.Select(slices.Clone(ins)); got != sorted[0] {
+			t.Fatalf("Select picked %s, the order's first is %s", got.Key(), sorted[0].Key())
+		}
+		slices.Reverse(ins)
+		if got := r.Select(ins); got != sorted[0] {
+			t.Fatalf("reversed input: Select picked %s, want %s", got.Key(), sorted[0].Key())
+		}
+		keys := make([]string, len(sorted))
+		for i, in := range sorted {
+			keys[i] = in.Key()
+		}
+		return keys
+	}
+	a, b := rank(NewRandom(1)), rank(NewRandom(2))
+	if slices.Equal(a, b) {
+		t.Fatalf("seeds 1 and 2 rank %d keys identically: %v", len(a), a)
+	}
+	if again := rank(NewRandom(1)); !slices.Equal(a, again) {
+		t.Fatalf("seed 1 ranked %v, then %v", a, again)
 	}
 }
 

@@ -1,14 +1,17 @@
 // Package detsched is the deterministic schedule-exploration harness
-// for the dynamic engines: it runs the Parallel engine under the
+// for the multiple-thread engines: it runs the committer loop under the
 // internal/sched controller so a whole concurrent run — firing
 // interleavings, lock waits, abort-backoff timers — is a pure function
 // of a scheduling policy, then checks every commit trace against the
 // single-thread execution semantics with engine.CheckTrace
 // (Definition 3.2: the trace must be a root-originating path of the
 // single-thread execution graph, ES_M ⊆ ES_single). The controller
-// replaces only the pool of goroutines a free-running Parallel fires
+// replaces only the pool of goroutines a free-running engine fires
 // on: the committer loop and the firing code are the ones every
 // free-running run executes, so what is explored here is what ships.
+// The exported drivers build the dynamic engine (engine.NewParallel);
+// the package's own tests also explore the static policy
+// (engine.NewStatic), whose waves Theorem 1 says commit in any order.
 //
 // Three drivers sit on top of one another:
 //
@@ -130,6 +133,35 @@ func Run(p engine.Program, cfg Config, policy sched.Policy) RunOutcome {
 // policy fed from the network. MaxSteps is defaulted from the config
 // when the caller left it zero.
 func RunUnder(p engine.Program, cfg Config, ctl *sched.Det) RunOutcome {
+	return runUnder(p, cfg, ctl, dynamic)
+}
+
+// runner is an engine a deterministic run drives.
+type runner interface {
+	Run() (engine.Result, error)
+	Metrics() *obs.Registry
+}
+
+// builder constructs the engine for one run.
+type builder func(engine.Program, Config, engine.Options) (runner, error)
+
+// dynamic builds the Parallel engine under the configured scheme.
+func dynamic(p engine.Program, cfg Config, opts engine.Options) (runner, error) {
+	return engine.NewParallel(p, cfg.Scheme, opts)
+}
+
+// static builds the committer loop under Section 4.1's static policy;
+// the configuration's lock fields do not apply to it.
+func static(p engine.Program, _ Config, opts engine.Options) (runner, error) {
+	return engine.NewStatic(p, opts)
+}
+
+// exploreStatic is Explore over the static policy.
+func exploreStatic(p engine.Program, cfg Config, maxSchedules int) (ExploreReport, error) {
+	return explore(p, cfg, maxSchedules, static)
+}
+
+func runUnder(p engine.Program, cfg Config, ctl *sched.Det, build builder) RunOutcome {
 	if ctl.MaxSteps == 0 {
 		ctl.MaxSteps = cfg.maxDecisions()
 	}
@@ -144,7 +176,7 @@ func RunUnder(p engine.Program, cfg Config, ctl *sched.Det) RunOutcome {
 		Storage:     cfg.Storage,
 		Restore:     cfg.Restore,
 	}
-	eng, err := engine.NewParallel(p, cfg.Scheme, opts)
+	eng, err := build(p, cfg, opts)
 	if err != nil {
 		return RunOutcome{Err: err}
 	}
@@ -208,10 +240,14 @@ type ExploreReport struct {
 // first violation aborts the walk with an error that carries the
 // reproducing decision script. maxSchedules 0 means unbounded.
 func Explore(p engine.Program, cfg Config, maxSchedules int) (ExploreReport, error) {
+	return explore(p, cfg, maxSchedules, dynamic)
+}
+
+func explore(p engine.Program, cfg Config, maxSchedules int, build builder) (ExploreReport, error) {
 	rep := ExploreReport{Serializations: make(map[string]int)}
 	var prefix []int
 	for {
-		out := Run(p, cfg, sched.NewReplay(prefix))
+		out := runUnder(p, cfg, sched.NewDet(sched.NewReplay(prefix)), build)
 		rep.Schedules++
 		if err := Check(p, out); err != nil {
 			return rep, fmt.Errorf("schedule %v: %w", prefix, err)

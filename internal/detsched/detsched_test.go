@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pdps/internal/engine"
+	"pdps/internal/lang"
 	"pdps/internal/lock"
 	"pdps/internal/match"
 	"pdps/internal/sched"
@@ -124,6 +125,27 @@ func counterProgram() engine.Program {
 	}
 }
 
+// readModifyProgram is the static approach's read-modify witness: bread
+// and amod do not interfere attribute by attribute, but amod's modify
+// re-tags the tuple bread read. Only the tuple guard (Clashes) keeps
+// them in separate waves.
+func readModifyProgram() engine.Program {
+	return lang.MustParse(`
+(p bread (c ^x 1) --> (make log ^v 1))
+(p amod (c ^y 0) --> (modify 1 ^y 1))
+(wme c ^x 1 ^y 0)`)
+}
+
+// twoClassProgram's rules touch disjoint classes, so the static policy
+// fires them in one wave and may commit them in either order.
+func twoClassProgram() engine.Program {
+	return lang.MustParse(`
+(p a (x ^v 0) --> (modify 1 ^v 1))
+(p b (y ^v 0) --> (modify 1 ^v 1))
+(wme x ^v 0)
+(wme y ^v 0)`)
+}
+
 // renderEvents flattens a trace for bit-for-bit comparison, excluding
 // only the wall-clock At timestamps.
 func renderEvents(log *trace.Log) []string {
@@ -204,7 +226,10 @@ func TestPCTPolicyRuns(t *testing.T) {
 // pair, the Rc–Wa abort-rule program, and a shared-counter workload),
 // under both 2PL and the improved scheme, EVERY schedule the engine
 // can produce yields a commit trace admitted by the single-thread
-// execution graph (engine.CheckTrace inside Explore).
+// execution graph (engine.CheckTrace inside Explore). The static
+// policy's rows do the same for Theorem 1 on Figure 4.4, the counter,
+// the read-modify witness and a two-class program whose wave commits
+// in either order.
 //
 // The schedule and serialization counts are pinned exactly: each
 // scheduling point of the controlled pipeline (task start, lock
@@ -248,6 +273,30 @@ func TestExhaustiveConsistency(t *testing.T) {
 				t.Logf("%d schedules, %d serializations", rep.Schedules, len(rep.Serializations))
 			})
 		}
+	}
+	for _, tc := range []struct {
+		name                      string
+		prog                      engine.Program
+		schedules, serializations int
+	}{
+		{"fig44", fig44Program(), 1, 1},
+		{"counter", counterProgram(), 1, 1},
+		{"read-modify", readModifyProgram(), 1, 1},
+		{"two-class", twoClassProgram(), 4, 2},
+	} {
+		t.Run(tc.name+"/static", func(t *testing.T) {
+			rep, err := exploreStatic(tc.prog, Config{Np: 2}, cap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Truncated {
+				t.Fatalf("state space over %d schedules; shrink the program", cap)
+			}
+			if rep.Schedules != tc.schedules || len(rep.Serializations) != tc.serializations {
+				t.Fatalf("explored %d schedules and %d serializations, want %d and %d",
+					rep.Schedules, len(rep.Serializations), tc.schedules, tc.serializations)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // agenda is every engine's ordered view of the conflict set: the
-// members no one has taken yet, ranked by an Ordered strategy in a
+// members no one has taken yet, ranked by the strategy in a
 // binary heap whose top is the dominant instantiation. The serial step
 // picks from it in O(log n) instead of listing and sorting the whole
 // set, and Parallel's committer dispatches from it in the same order.
@@ -16,7 +16,7 @@ import (
 // members. Removed entries are recycled, so in steady state a member
 // entering the agenda costs no allocation.
 type agenda struct {
-	order cr.Ordered
+	order cr.Strategy
 	// held reports keys kept out of the heap: fired keys, and under
 	// Parallel also the keys it has dispatched.
 	held  func(key string) bool
@@ -34,7 +34,7 @@ type agendaEntry struct {
 	flight
 }
 
-func newAgenda(o cr.Ordered, held func(key string) bool, met *engineMetrics) *agenda {
+func newAgenda(o cr.Strategy, held func(key string) bool, met *engineMetrics) *agenda {
 	return &agenda{order: o, held: held, met: met, byKey: make(map[string]*agendaEntry)}
 }
 

@@ -15,8 +15,9 @@ import (
 	"pdps/internal/workload"
 )
 
-// orderedStrategies are the strategies whose picks the agenda serves.
-var orderedStrategies = []cr.Ordered{cr.FIFO{}, cr.LEX{}, cr.MEA{}, cr.Priority{}, cr.Specificity{}}
+// orderedStrategies are the strategies whose picks the agenda serves:
+// every one.
+var orderedStrategies = []cr.Strategy{cr.FIFO{}, cr.LEX{}, cr.MEA{}, cr.Priority{}, cr.Specificity{}, cr.NewRandom(1)}
 
 // blockProgram's go instantiations are blocked by a b tuple on their
 // key and unblocked when it leaves, re-entering the conflict set under

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"pdps/internal/cr"
 	"pdps/internal/engine"
 	"pdps/internal/lock"
 	"pdps/internal/sched"
@@ -16,13 +15,12 @@ import (
 // TestParallelNp1EqualsSingle: with one worker nothing runs beside a
 // firing, so no lock conflicts and no abort happens, and Parallel
 // dispatches from the agenda exactly what the serial step picks. Under
-// every ordered strategy and both schemes it must commit Single's
+// every strategy and both schemes it must commit Single's
 // instantiation sequence on every footprint program.
 func TestParallelNp1EqualsSingle(t *testing.T) {
-	strategies := []cr.Ordered{cr.FIFO{}, cr.LEX{}, cr.MEA{}, cr.Priority{}, cr.Specificity{}}
 	schemes := []lock.Scheme{lock.Scheme2PL, lock.SchemeRcRaWa}
 	for name, p := range footprintPrograms(t) {
-		for _, st := range strategies {
+		for _, st := range orderedStrategies {
 			opts := engine.Options{Strategy: st, MaxFirings: 500}
 			single, err := engine.NewSingle(p, opts)
 			if err != nil {

@@ -1,13 +1,13 @@
 // Package engine implements the production-system interpreters of the
-// paper: the single execution thread mechanism (Section 3.1), the
-// multiple-thread dynamic approach — transactional rule firing by
-// goroutine workers under a lock manager, with commit-time victim
-// aborts (Sections 4.2–4.3) — and the multiple-thread static approach
-// based on pre-execution interference analysis (Section 4.1,
-// Theorem 1). Every engine matches with the Rete network of
-// internal/rete, the paper's match substrate. All engines record their
-// execution in a trace log whose commit subsequence can be checked
-// against the single-thread semantics (Definition 3.2).
+// paper: the single execution thread mechanism (Section 3.1) and the
+// two multiple-thread approaches on one committer loop, which differ
+// only in what admits a dispatch — a lock manager with commit-time
+// victim aborts (Parallel, Sections 4.2–4.3) or pre-execution
+// interference analysis (Static, Section 4.1, Theorem 1). Every engine
+// matches with the Rete network of internal/rete and picks in the
+// strategy's total order. All engines record their execution in a
+// trace log whose commit subsequence can be checked against the
+// single-thread semantics (Definition 3.2).
 package engine
 
 import (
@@ -69,9 +69,9 @@ func (p AbortPolicy) String() string {
 type Options struct {
 	// Strategy is the conflict-resolution strategy; nil means LEX. It
 	// orders every engine: the serial step picks by it, Static seeds
-	// each batch with its pick, and Parallel dispatches in its order
-	// when workers are fewer than ready instantiations. Random has no
-	// total order, so under it Parallel dispatches in FIFO's.
+	// each wave with its pick, and Parallel dispatches in its order
+	// when workers are fewer than ready instantiations. Every strategy,
+	// Random included, is a total order.
 	Strategy cr.Strategy
 	// MaxFirings bounds the number of commits; 0 means 10000. When the
 	// bound is hit the run stops with Result.LimitHit set. A Session
@@ -103,10 +103,11 @@ type Options struct {
 	// go through it. Nil means the wall clock (sched.Real); inject
 	// sched.Immediate to collapse every delay in tests.
 	Clock sched.Clock
-	// Sched, when non-nil, runs the dynamic engine under a
-	// deterministic cooperative scheduler: all engine goroutines become
-	// controlled tasks, lock waits and backoff timers are virtualised,
-	// and the interleaving is decided by the controller's policy.
+	// Sched, when non-nil, runs Parallel or Static under a
+	// deterministic cooperative scheduler: every firing becomes a
+	// controlled task, lock waits, simulated costs and backoff timers
+	// are virtualised, and the interleaving — under Static, the order a
+	// wave's members commit in — is decided by the controller's policy.
 	// Engine.Run must then be called from inside the controller's Run.
 	// Sched overrides Clock.
 	Sched sched.Controller
@@ -121,8 +122,8 @@ type Options struct {
 	// delta is appended as a storage record (rule, instantiation,
 	// matched-WME fingerprints, delta), and a commit counts as
 	// acknowledged only once a Sync covers it. Single and the Parallel
-	// committer fsync every commit; Static fsyncs once per batch of
-	// non-interfering firings; a Session fsyncs at its ack boundary —
+	// committer fsync every commit; Static fsyncs once per wave, when
+	// its last member has committed; a Session fsyncs at its ack boundary —
 	// Session.Sync, or the end of Session.Run — once for every commit
 	// staged since the last one, and its caller must not report a
 	// commit before that Sync returns. The engine does not close the
@@ -174,8 +175,8 @@ type Result struct {
 	// Skips counts dispatched instantiations found stale before
 	// execution.
 	Skips int
-	// Cycles counts recognize-act cycles (single-thread) or dispatch
-	// rounds (parallel).
+	// Cycles counts recognize-act cycles (single-thread), dispatch
+	// rounds (Parallel) or waves (Static).
 	Cycles int
 	// Halted reports that a halt action stopped the run.
 	Halted bool

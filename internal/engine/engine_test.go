@@ -9,6 +9,7 @@ import (
 	"pdps/internal/cr"
 	"pdps/internal/lock"
 	"pdps/internal/match"
+	"pdps/internal/sched"
 	"pdps/internal/trace"
 	"pdps/internal/wm"
 )
@@ -488,6 +489,52 @@ func TestStaticBatchesIndependentRules(t *testing.T) {
 	}
 	if res.Firings != 2 || res.Cycles != 1 {
 		t.Fatalf("firings = %d cycles = %d, want 2 firings in 1 cycle", res.Firings, res.Cycles)
+	}
+}
+
+// TestStaticHaltSkipsRanMembers: stop and go touch disjoint classes,
+// so they share one wave, and LEX seeds it with stop (its tuple is the
+// newer). At Np=1 the halt stops dispatch before go starts. At Np=2,
+// under every seeded schedule, go either commits before the halt or
+// ran and is skipped as "engine stopping" — never committed after it.
+func TestStaticHaltSkipsRanMembers(t *testing.T) {
+	p := Program{
+		Rules: []*match.Rule{
+			{Name: "go", Conditions: []match.Condition{{Class: "y"}},
+				Actions: []match.Action{{Kind: match.ActModify, CE: 0,
+					Assigns: []match.AttrAssign{{Attr: "v", Expr: match.ConstExpr{Val: wm.Int(1)}}}}}},
+			{Name: "stop", Conditions: []match.Condition{{Class: "x"}},
+				Actions: []match.Action{{Kind: match.ActHalt}}},
+		},
+		WMEs: []InitialWME{{Class: "y", Attrs: attrs("v", 0)}, {Class: "x", Attrs: attrs("v", 0)}},
+	}
+	e, err := NewStatic(p, Options{Np: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil || !res.Halted || res.Firings != 1 || res.Skips != 0 || res.Cycles != 1 {
+		t.Fatalf("Np=1: %+v, %v; want one halting firing, no skip, one wave", res, err)
+	}
+	seen := map[int]bool{}
+	for seed := int64(0); seed < 16; seed++ {
+		ctl := sched.NewDet(sched.NewRandom(seed))
+		e, err := NewStatic(p, Options{Np: 2, Sched: ctl})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Result
+		if err := ctl.Run(func() { res, err = e.Run() }); err != nil {
+			t.Fatal(err)
+		}
+		commits := res.Log.Commits()
+		if err != nil || !res.Halted || commits[len(commits)-1].Rule != "stop" || res.Firings+res.Skips != 2 {
+			t.Fatalf("seed %d: %+v, %v; want both members resolved and stop committed last", seed, res, err)
+		}
+		seen[res.Firings] = true
+	}
+	if !seen[1] || !seen[2] {
+		t.Fatalf("firing counts seen over 16 schedules: %v, want both 1 (go skipped) and 2", seen)
 	}
 }
 

@@ -128,6 +128,8 @@ func TestKillChild(t *testing.T) {
 		eng, err = NewParallel(run, lock.Scheme2PL, opts)
 	case "parallel-rcrawa":
 		eng, err = NewParallel(run, lock.SchemeRcRaWa, opts)
+	case "static":
+		eng, err = NewStatic(run, opts)
 	default:
 		t.Fatalf("unknown engine %q", name)
 	}
@@ -186,7 +188,7 @@ func TestKillAndRecover(t *testing.T) {
 	// One append per firing plus the initial-WM seed record.
 	maxAppends := killParts*killStages + 1
 
-	for seed, engineName := range []string{"single", "parallel-2pl", "parallel-rcrawa", "session"} {
+	for seed, engineName := range []string{"single", "parallel-2pl", "parallel-rcrawa", "session", "static"} {
 		engineName := engineName
 		rng := rand.New(rand.NewSource(0xC0FFEE + int64(seed)))
 		t.Run(engineName, func(t *testing.T) {

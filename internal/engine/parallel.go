@@ -2,11 +2,11 @@ package engine
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"pdps/internal/cr"
 	"pdps/internal/lock"
 	"pdps/internal/match"
 	"pdps/internal/obs"
@@ -30,13 +30,20 @@ import (
 // commit costs O(|delta|) dispatch work rather than a rescan of the
 // whole set.
 //
-// The loop is the same with and without Options.Sched: only the
-// controller that runs the firings and parks the waits differs — the
-// deterministic controller, or a pool of Np goroutines — so schedule
-// exploration covers the code every free-running run executes.
+// What admits a dispatch is the loop's policy: the lock manager here,
+// the rule-interference relation under Static (Section 4.1). The loop
+// is the same with and without Options.Sched: only the controller that
+// runs the firings and parks the waits differs — the deterministic
+// controller, or a pool of Np goroutines — so schedule exploration
+// covers the code every free-running run executes.
 type Parallel struct {
 	rt *runtime
-	lm *lock.Manager
+	// The admission policy: lm under the dynamic one, im under Static,
+	// whose current wave is wave, dispatched up to next (static.go).
+	lm   *lock.Manager
+	im   *match.InterferenceMatrix
+	wave []*agendaEntry
+	next int
 
 	// ctl runs every firing as a task and parks the committer and the
 	// firings awaiting its verdict.
@@ -191,9 +198,10 @@ func (q *queue) pop() (pevent, bool) {
 type pevKind uint8
 
 const (
-	// evCommit carries an executed firing's staged effects; the firing
-	// blocks on reply until the committer has resolved it (the lock
-	// transaction must outlive the commit so RcVictims sees its locks).
+	// evCommit carries an executed firing's staged effects; a dynamic
+	// firing blocks on reply until the committer has resolved it (the
+	// lock transaction must outlive the commit so RcVictims sees its
+	// locks), and a wave member sends no reply channel.
 	evCommit pevKind = iota
 	// evAborted reports a firing-side abort (lock denial, victim kill
 	// or action error); the transaction is already ended.
@@ -219,29 +227,34 @@ type pevent struct {
 
 // NewParallel builds a dynamic parallel engine using the given locking
 // scheme (lock.Scheme2PL or lock.SchemeRcRaWa). It dispatches in the
-// order of Options.Strategy, or FIFO's when the strategy has no total
-// order (Random).
+// order of Options.Strategy.
 func NewParallel(p Program, scheme lock.Scheme, opts Options) (*Parallel, error) {
+	e, err := newPipeline(p, opts)
+	if err != nil {
+		return nil, err
+	}
+	e.lm = lock.NewManagerPolicy(scheme, e.rt.opts.Deadlock)
+	e.lm.SetMetrics(e.rt.opts.Metrics)
+	e.lm.SetClock(e.rt.opts.Clock)
+	e.lm.SetController(e.rt.opts.Sched)
+	return e, nil
+}
+
+// newPipeline builds the committer loop without an admission policy:
+// the runtime, the event queue, the agenda and the controller.
+func newPipeline(p Program, opts Options) (*Parallel, error) {
 	rt, err := newRuntime(p, opts)
 	if err != nil {
 		return nil, err
 	}
 	e := &Parallel{
 		rt:       rt,
-		lm:       lock.NewManagerPolicy(scheme, rt.opts.Deadlock),
 		inflight: make(map[string]*agendaEntry),
 		q:        queue{wake: make(chan struct{}, 1)},
 	}
-	order, ok := rt.opts.Strategy.(cr.Ordered)
-	if !ok {
-		order = cr.FIFO{}
-	}
-	e.agenda = newAgenda(order, func(k string) bool { return rt.fired[k] != nil || e.inflight[k] != nil }, rt.met)
-	e.lm.SetMetrics(rt.opts.Metrics)
-	e.lm.SetClock(rt.opts.Clock)
+	e.agenda = newAgenda(rt.opts.Strategy, func(k string) bool { return rt.fired[k] != nil || e.inflight[k] != nil }, rt.met)
 	if rt.opts.Sched != nil {
 		e.ctl = controlled{rt.opts.Sched, e}
-		e.lm.SetController(rt.opts.Sched)
 	} else {
 		e.ctl = &pool{e: e}
 	}
@@ -272,6 +285,13 @@ func (e *Parallel) Run() (Result, error) {
 		// rt.stopping latches, and so does e.stopping.
 		if rt.stopping() {
 			e.stopping.Store(true)
+			for _, f := range e.wave[e.next:] {
+				e.land(f) // a stopped run dispatches no more of the wave
+			}
+			e.wave = e.wave[:e.next]
+		} else if e.im != nil {
+			e.agenda.drain(rt.matcher.ConflictSet())
+			e.dispatchWave()
 		} else {
 			// A drain that queued something counts as a cycle.
 			if e.agenda.drain(rt.matcher.ConflictSet()) > 0 {
@@ -303,6 +323,7 @@ func (e *Parallel) Run() (Result, error) {
 		e.ctl.Park("committer idle", e.q.wake)
 	}
 	e.ctl.wait()
+	rt.syncStorage()
 	return rt.result(), rt.err
 }
 
@@ -360,13 +381,17 @@ func (e *Parallel) submit(ev pevent) {
 // Every outcome closes the firing's reply channel. A successful commit
 // closes it only after the fsync, so a firing never observes success
 // before its commit is durable, and only after the stale flags are
-// set, so a firing that takes Rc locks this commit held sees them.
+// set, so a firing that takes Rc locks this commit held sees them. A
+// wave member has no reply, victims or fsync of its own (dispatchWave),
+// and admission promised it stays live: if not, the run fails.
 func (e *Parallel) resolveCommit(ev pevent) {
 	rt := e.rt
 	in := ev.f.In
-	defer close(ev.reply)
+	if ev.reply != nil {
+		defer close(ev.reply)
+	}
 	switch {
-	case e.lm.Aborted(ev.txn):
+	case e.lm != nil && e.lm.Aborted(ev.txn):
 		ev.wtx.Abort()
 		e.logResolution(trace.KindAbort, in, ev.txn, "rc-wa victim")
 		e.noteAbort(ev.f)
@@ -379,6 +404,9 @@ func (e *Parallel) resolveCommit(ev pevent) {
 		return
 	case !e.live(in.Key()):
 		ev.wtx.Abort()
+		if e.im != nil {
+			rt.fail(fmt.Errorf("%w: wave member %s invalidated before commit", ErrInconsistent, in.Key()))
+		}
 		e.logResolution(trace.KindAbort, in, ev.txn, "invalidated before commit")
 		e.dropAborted(ev.f)
 		return
@@ -398,6 +426,9 @@ func (e *Parallel) resolveCommit(ev pevent) {
 	rt.met.commitNS.ObserveDuration(lat)
 	rt.met.rule(in.Rule.Name).commitNS.ObserveDuration(lat)
 	e.land(ev.f)
+	if e.im != nil {
+		return
+	}
 	// Rule (ii): abort conflicting Rc holders — unless the reevaluate
 	// policy finds their instantiation untouched by this commit.
 	for _, victim := range e.lm.RcVictims(ev.txn) {
@@ -459,12 +490,16 @@ func (e *Parallel) logResolution(kind trace.Kind, in *match.Instantiation, txn l
 		Inst: in.Key(), Txn: int64(txn), Detail: detail})
 }
 
-// fire executes one dispatched instantiation as a transaction and
-// submits the outcome to the committer. It reads the entry's
-// instantiation once, at the start, and its stale flag under the Rc
-// locks; once the outcome is submitted the committer may recycle the
-// entry.
+// fire executes one dispatched instantiation — under the dynamic
+// policy as a lock transaction — and submits the outcome to the
+// committer. It reads the entry's instantiation once, at the start,
+// and its stale flag under the Rc locks; once the outcome is submitted
+// the committer may recycle the entry.
 func (e *Parallel) fire(f *agendaEntry) {
+	if e.im != nil {
+		e.fireStatic(f)
+		return
+	}
 	rt := e.rt
 	in := f.In
 	key := in.Key()

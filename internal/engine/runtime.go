@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 
-	"pdps/internal/cr"
 	"pdps/internal/match"
 	"pdps/internal/storage"
 	"pdps/internal/trace"
@@ -29,8 +28,8 @@ type runtime struct {
 	// which sets when the next one runs.
 	fired       map[string]*match.Instantiation
 	liveAtSweep int
-	// agenda orders the unfired conflict set for next under an Ordered
-	// strategy; nil until the first next, and after LoadSnapshot.
+	// agenda orders the unfired conflict set for next by the strategy;
+	// nil until the first next, and after LoadSnapshot.
 	agenda *agenda
 
 	// met holds the engine-layer metric handles; the run counters
@@ -81,38 +80,15 @@ func (rt *runtime) stopping() bool {
 	return rt.halted || rt.limit || rt.err != nil
 }
 
-// candidates returns the unfired instantiations of the conflict set in
-// key order — the list Static batches from, Session.ConflictSet shows,
-// and a strategy without a total order (Random) selects from.
-func (rt *runtime) candidates() []*match.Instantiation {
-	cs := rt.matcher.ConflictSet()
-	out := make([]*match.Instantiation, 0, cs.Len())
-	for _, in := range cs.All() {
-		if rt.fired[in.Key()] == nil {
-			out = append(out, in)
-		}
-	}
-	return out
-}
-
 // next returns the strategy's pick among the unfired candidates, or
-// nil when there is none. Under an Ordered strategy the pick comes from
-// the agenda, which the first call builds by switching the matcher's
-// change journal on; any other strategy selects from the listed
-// candidates.
+// nil when there is none. The pick comes from the agenda, which the
+// first call builds by switching the matcher's change journal on.
 func (rt *runtime) next() *match.Instantiation {
-	if o, ok := rt.opts.Strategy.(cr.Ordered); ok {
-		if rt.agenda == nil {
-			rt.agenda = newAgenda(o, func(k string) bool { return rt.fired[k] != nil }, rt.met)
-			rt.matcher.TrackChanges(true)
-		}
-		return rt.agenda.next(rt.matcher.ConflictSet())
+	if rt.agenda == nil {
+		rt.agenda = newAgenda(rt.opts.Strategy, func(k string) bool { return rt.fired[k] != nil }, rt.met)
+		rt.matcher.TrackChanges(true)
 	}
-	cands := rt.candidates()
-	if len(cands) == 0 {
-		return nil
-	}
-	return rt.opts.Strategy.Select(cands)
+	return rt.agenda.next(rt.matcher.ConflictSet())
 }
 
 // fire executes one selected instantiation serially — the act half of
@@ -157,7 +133,9 @@ func (rt *runtime) fail(err error) {
 //
 // The storage append only stages the record — it becomes durable at
 // the next syncStorage, after which the parallel committer closes the
-// firing's reply channel (ack after fsync).
+// firing's reply channel (ack after fsync). A commit whose record the
+// backend refused is no commit: commit records the error and returns
+// it before the matcher, refraction, counters or trace see the firing.
 func (rt *runtime) commit(in *match.Instantiation, tx *wm.Txn, txn int64, halt bool) error {
 	key := in.Key()
 	if rt.opts.Verify && !verifyActive(rt.store, in) {
@@ -174,10 +152,10 @@ func (rt *runtime) commit(in *match.Instantiation, tx *wm.Txn, txn int64, halt b
 			Rule: in.Rule.Name, Inst: key, WMEs: fps, Delta: delta,
 		}); err != nil {
 			rt.fail(err)
-		} else {
-			rt.smet.appends.Inc()
-			rt.pendingAppends++
+			return err
 		}
+		rt.smet.appends.Inc()
+		rt.pendingAppends++
 	}
 	for _, w := range delta.Removes {
 		rt.matcher.Remove(w)

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"pdps/internal/match"
 	"pdps/internal/obs"
@@ -35,8 +36,11 @@ func (s *Session) Store() *wm.Store { return s.rt.store }
 // Metrics returns the session's metrics registry.
 func (s *Session) Metrics() *obs.Registry { return s.rt.opts.Metrics }
 
-// ConflictSet returns the current unfired instantiations.
-func (s *Session) ConflictSet() []*match.Instantiation { return s.rt.candidates() }
+// ConflictSet returns the current unfired instantiations in key order.
+func (s *Session) ConflictSet() []*match.Instantiation {
+	fired := func(in *match.Instantiation) bool { return s.rt.fired[in.Key()] != nil }
+	return slices.DeleteFunc(s.rt.matcher.ConflictSet().All(), fired)
+}
 
 // AssertWME adds a tuple to working memory and updates the match state.
 func (s *Session) AssertWME(class string, attrs map[string]wm.Value) *wm.WME {

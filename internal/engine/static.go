@@ -1,144 +1,117 @@
 package engine
 
 import (
-	"sync"
+	"slices"
+	"strings"
 
 	"pdps/internal/match"
-	"pdps/internal/obs"
 	"pdps/internal/trace"
-	"pdps/internal/wm"
 )
 
-// Static is the multiple-thread static approach (Section 4.1): before
-// each execute phase, the candidate instantiations are partitioned by
-// the pre-computed rule-interference relation, and one group of
-// pairwise non-interfering productions, none writing a tuple another
-// touches, fires in parallel. Theorem 1: because members update
-// non-overlapping parts of working memory, the batch is equivalent to
-// firing its members in any serial order.
-type Static struct {
-	rt *runtime
-	// im is the pairwise rule-interference relation — the paper's
-	// pre-execution analysis that partitions each batch.
-	im *match.InterferenceMatrix
-}
+// Static is the multiple-thread static approach (Section 4.1): the
+// Parallel committer loop with no lock manager. The pre-computed
+// rule-interference relation admits waves of productions, none writing
+// a tuple another touches, whose members fire in parallel. Theorem 1:
+// the members update non-overlapping parts of working memory, so every
+// serial order of a wave is equivalent, and the committer commits them
+// in the order they arrive.
+type Static struct{ *Parallel }
 
-// NewStatic builds a static-partition parallel engine. The
-// rule-interference matrix — the paper's pre-execution analysis — is
-// constructed up front but materialises rows lazily, so large
-// generated programs (cmd/psgen) pay O(n) instead of O(n²) when only
-// a few rules ever activate together.
+// NewStatic builds a static-partition parallel engine: NewParallel's
+// committer, queue, controller and agenda, with the interference
+// matrix in place of a lock manager. The matrix materialises rows
+// lazily, so large generated programs (cmd/psgen) pay O(n) instead of
+// O(n²) when only a few rules ever activate together.
 func NewStatic(p Program, opts Options) (*Static, error) {
-	rt, err := newRuntime(p, opts)
+	e, err := newPipeline(p, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Static{rt: rt, im: match.NewInterferenceMatrix(p.Rules)}, nil
+	e.im = match.NewInterferenceMatrix(p.Rules)
+	return &Static{e}, nil
 }
 
-// Store exposes the engine's working memory.
-func (e *Static) Store() *wm.Store { return e.rt.store }
-
-// Metrics returns the engine's metrics registry.
-func (e *Static) Metrics() *obs.Registry { return e.rt.opts.Metrics }
-
-// Run executes batched cycles until no unfired instantiation remains,
-// a halt fires, or MaxFirings is hit.
-func (e *Static) Run() (Result, error) {
-	rt := e.rt
-	for {
-		fired := rt.firings()
-		if fired >= rt.opts.MaxFirings {
-			rt.limit = true
-			return rt.result(), nil
+// dispatchWave is the static admission policy. Once nothing is in
+// flight it makes the finished wave durable with one fsync and starts
+// the next wave; then it dispatches the wave's members while fewer
+// than Np of them run.
+func (e *Parallel) dispatchWave() {
+	if len(e.inflight) == 0 {
+		e.rt.syncStorage()
+		if e.rt.err != nil {
+			return
 		}
-		cands := rt.candidates()
-		if len(cands) == 0 {
-			return rt.result(), nil
-		}
-		rt.met.cycleInc()
-		batch := e.batch(cands)
-		if fired+len(batch) > rt.opts.MaxFirings {
-			batch = batch[:rt.opts.MaxFirings-fired]
-		}
-
-		// Execute the batch in parallel, each firing staging into its
-		// own transaction. Np bounds worker concurrency.
-		txs := make([]*wm.Txn, len(batch))
-		halts := make([]bool, len(batch))
-		errs := make([]error, len(batch))
-		sem := make(chan struct{}, rt.opts.Np)
-		var wg sync.WaitGroup
-		for i, in := range batch {
-			wg.Add(1)
-			go func(i int, in *match.Instantiation) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				rt.opts.Log.Append(trace.Event{Kind: trace.KindFire, Rule: in.Rule.Name, Inst: in.Key()})
-				if d := rt.opts.RuleDelay[in.Rule.Name]; d > 0 {
-					rt.opts.Clock.Sleep(d)
-				}
-				tx := rt.store.Begin()
-				halts[i], errs[i] = match.ExecuteActions(in, tx)
-				txs[i] = tx
-			}(i, in)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				for _, tx := range txs {
-					if tx != nil {
-						tx.Abort()
-					}
-				}
-				return rt.result(), err
-			}
-		}
-
-		// Commit sequentially in batch order: by Theorem 1 this is
-		// equivalent to any other serial order of the batch. The batch
-		// is also the fsync group — one sync makes it durable.
-		for i, in := range batch {
-			if err := rt.commit(in, txs[i], 0, halts[i]); err != nil {
-				rt.syncStorage()
-				return rt.result(), err
-			}
-		}
-		rt.syncStorage()
-		if rt.halted || rt.err != nil {
-			return rt.result(), rt.err
-		}
+		e.startWave()
+	}
+	for e.next < len(e.wave) && len(e.inflight)-(len(e.wave)-e.next) < e.rt.opts.Np {
+		f := e.wave[e.next]
+		e.next++
+		e.ctl.fire(f)
 	}
 }
 
-// batch greedily builds a batch of candidates, seeded by the
-// strategy's selection, that admit each other pairwise.
-func (e *Static) batch(cands []*match.Instantiation) []*match.Instantiation {
-	seed := e.rt.opts.Strategy.Select(cands)
-	batch := []*match.Instantiation{seed}
+// startWave builds a wave from the agenda: its top, which is the
+// strategy's pick over every unfired instantiation, then greedily
+// every other member in key order that each member so far admits, up
+// to the firings MaxFirings leaves. The members leave the agenda and
+// stay in flight until they land. A wave is one cycle.
+func (e *Parallel) startWave() {
+	seed := e.agenda.top()
+	if seed == nil {
+		return
+	}
+	e.rt.met.cycleInc()
+	room := e.rt.opts.MaxFirings - e.rt.firings()
+	e.wave, e.next = append(e.wave[:0], seed), 0
+	byKey := slices.Clone(e.agenda.heap)
+	slices.SortFunc(byKey, func(a, b *agendaEntry) int { return strings.Compare(a.Key(), b.Key()) })
 next:
-	for _, in := range cands {
-		if in == seed {
-			continue
+	for _, f := range byKey {
+		if len(e.wave) == room {
+			break
 		}
-		for _, member := range batch {
-			if !e.admits(member, in) {
+		for _, m := range e.wave {
+			if m == f || !e.admits(m.In, f.In) {
 				continue next
 			}
 		}
-		batch = append(batch, in)
+		e.wave = append(e.wave, f)
 	}
-	return batch
+	for _, f := range e.wave {
+		e.agenda.unlink(f)
+		e.inflight[f.Key()] = f
+	}
 }
 
-// admits reports whether two instantiations may fire in one batch:
+// admits reports whether two instantiations may fire in one wave:
 // their rules do not interfere (Section 4.1), and no tuple one writes
 // is read or written by the other. The second test is the granularity
 // problem the paper discusses: the matrix compares attributes, but a
 // modify re-tags the whole tuple, retiring every instantiation that
 // matched it. Together they make firing either first leave the other
 // active (Theorem 1).
-func (e *Static) admits(a, b *match.Instantiation) bool {
+func (e *Parallel) admits(a, b *match.Instantiation) bool {
 	return !e.im.Interferes(a.Rule.Name, b.Rule.Name) && !a.Clashes(b)
+}
+
+// fireStatic executes one wave member. Admission took the place of
+// locks and of the stale check, so it stages the member's effects and
+// submits them without waiting for the committer's verdict.
+func (e *Parallel) fireStatic(f *agendaEntry) {
+	rt := e.rt
+	in := f.In
+	rt.opts.Log.Append(trace.Event{Kind: trace.KindFire, Rule: in.Rule.Name, Inst: in.Key()})
+	start := rt.opts.Clock.Now()
+	if d := rt.opts.RuleDelay[in.Rule.Name]; d > 0 {
+		rt.opts.Clock.Sleep(d)
+	}
+	wtx := rt.store.Begin()
+	halt, err := match.ExecuteActions(in, wtx)
+	if err != nil {
+		wtx.Abort()
+		e.logResolution(trace.KindAbort, in, 0, "action error")
+		e.submit(pevent{kind: evAborted, f: f, err: err})
+		return
+	}
+	e.submit(pevent{kind: evCommit, f: f, wtx: wtx, halt: halt, start: start})
 }

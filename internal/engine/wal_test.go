@@ -2,7 +2,9 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"syscall"
 	"testing"
 
 	"pdps/internal/lock"
@@ -296,6 +298,68 @@ func TestStorageGroupCommitSerial(t *testing.T) {
 	h, ok := snap.Histogram("wal_group_size")
 	if fsyncs := snap.Counter("wal_fsync_total"); fsyncs != 2 || !ok || h.Count != 2 || h.Sum != int64(res.Firings) {
 		t.Fatalf("wal_fsync_total = %d, wal_group_size = %+v; want 2 groups summing to %d", fsyncs, h, res.Firings)
+	}
+}
+
+// TestAppendFailureCommitsNothing: a commit whose record the backend
+// refused is no commit. With the first Append failing with EIO, every
+// engine's run returns EIO having counted no firing and logged no
+// commit event.
+func TestAppendFailureCommitsNothing(t *testing.T) {
+	type outcome struct {
+		firings int
+		log     *trace.Log
+		err     error
+	}
+	runs := map[string]func(Program, Options) (outcome, error){
+		"single": func(p Program, o Options) (outcome, error) {
+			e, err := NewSingle(p, o)
+			if err != nil {
+				return outcome{}, err
+			}
+			res, err := e.Run()
+			return outcome{res.Firings, res.Log, err}, nil
+		},
+		"session": func(p Program, o Options) (outcome, error) {
+			s, err := NewSession(p, o)
+			if err != nil {
+				return outcome{}, err
+			}
+			n, err := s.Run(o.MaxFirings)
+			return outcome{n, s.Log(), err}, nil
+		},
+		"static": func(p Program, o Options) (outcome, error) {
+			e, err := NewStatic(p, o)
+			if err != nil {
+				return outcome{}, err
+			}
+			res, err := e.Run()
+			return outcome{res.Firings, res.Log, err}, nil
+		},
+		"parallel": func(p Program, o Options) (outcome, error) {
+			e, err := NewParallel(p, lock.SchemeRcRaWa, o)
+			if err != nil {
+				return outcome{}, err
+			}
+			res, err := e.Run()
+			return outcome{res.Firings, res.Log, err}, nil
+		},
+	}
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			fb := storagetest.New(storage.NewMem(), storagetest.AppendEIO, 1)
+			out, err := run(tallyProgram(2, 2), Options{Storage: fb, MaxFirings: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(out.err, syscall.EIO) {
+				t.Fatalf("run err = %v, want EIO", out.err)
+			}
+			if out.firings != 0 || len(out.log.Commits()) != 0 {
+				t.Fatalf("%d firings and %d commit events after the failed append, want none",
+					out.firings, len(out.log.Commits()))
+			}
+		})
 	}
 }
 
