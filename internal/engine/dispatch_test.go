@@ -74,7 +74,7 @@ func TestParallelFiringAllocs(t *testing.T) {
 	if engine.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	const ceiling = 43
+	const ceiling = 19
 	best := math.Inf(1)
 	for i := 0; i < 3; i++ {
 		e, err := engine.NewParallel(workload.Independent(32, 16), lock.SchemeRcRaWa, engine.Options{})

@@ -38,10 +38,10 @@ type PlannedLock struct {
 // plan, as a Parallel firing acquires them.
 func LockPlan(in *match.Instantiation) []PlannedLock {
 	var out []PlannedLock
-	for _, r := range rcResources(in) {
+	for _, r := range rcResources(nil, in) {
 		out = append(out, PlannedLock{r, lock.Rc})
 	}
-	for _, l := range rhsLocks(in) {
+	for _, l := range rhsLocks(nil, in) {
 		out = append(out, PlannedLock{l.res, l.mode})
 	}
 	return out

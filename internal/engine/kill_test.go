@@ -36,7 +36,18 @@ const (
 	killStages = 5
 )
 
-func killProgram() Program { return tallyProgram(killParts, killStages) }
+// killProgram is the program the named engine runs: tallyProgram,
+// whose rules all write one tally, except under static, where every
+// rule of tallyProgram interferes with every other and each wave would
+// have one member. There it is independentProgram, whose waves hold
+// all killParts rules, so a kill can land between a wave's appends and
+// its one fsync. Both fire killParts*killStages times.
+func killProgram(engine string) Program {
+	if engine == "static" {
+		return independentProgram(killParts, killStages)
+	}
+	return tallyProgram(killParts, killStages)
+}
 
 // killBackend wraps the file backend, acknowledging each fsync on
 // stdout and SIGKILLing the process at the configured append or sync
@@ -92,7 +103,8 @@ func TestKillChild(t *testing.T) {
 	}
 	kb := &killBackend{File: f, killAppend: killAppend, killSync: killSync}
 
-	prog := killProgram()
+	name := os.Getenv("PDPS_KILL_ENGINE")
+	prog := killProgram(name)
 	base := wm.NewStore()
 	var init wm.Delta
 	for _, iw := range prog.WMEs {
@@ -109,7 +121,7 @@ func TestKillChild(t *testing.T) {
 	run.WMEs = nil
 	opts := Options{Np: 4, Storage: kb, Restore: base}
 	var eng interface{ Run() (Result, error) }
-	switch name := os.Getenv("PDPS_KILL_ENGINE"); name {
+	switch name {
 	case "session":
 		s, err := NewSession(run, opts)
 		if err != nil {
@@ -204,7 +216,7 @@ func TestKillAndRecover(t *testing.T) {
 				}
 				out := runKillChild(t, exe, dir, engineName, killAppend, killSync)
 				maxAcked := parseAcks(t, out)
-				verifyKillRecovery(t, dir, maxAcked, fmt.Sprintf("%s point %d (killAppend=%d killSync=%d)", engineName, i, killAppend, killSync))
+				verifyKillRecovery(t, dir, killProgram(engineName), maxAcked, fmt.Sprintf("%s point %d (killAppend=%d killSync=%d)", engineName, i, killAppend, killSync))
 			}
 		})
 	}
@@ -252,7 +264,7 @@ func parseAcks(t *testing.T, out []byte) storage.LSN {
 
 // verifyKillRecovery checks the three crash promises over a killed
 // child's directory.
-func verifyKillRecovery(t *testing.T, dir string, maxAcked storage.LSN, label string) {
+func verifyKillRecovery(t *testing.T, dir string, prog Program, maxAcked storage.LSN, label string) {
 	t.Helper()
 
 	// Independent replay of the surviving files, before OpenFile gets a
@@ -341,7 +353,6 @@ func verifyKillRecovery(t *testing.T, dir string, maxAcked storage.LSN, label st
 	// (c) The surviving commit history must be admissible (Definition
 	// 3.2) from the snapshot's state. Only the seed record may be
 	// non-firing, and only at the head of the log.
-	prog := killProgram()
 	checkBase := base.Clone()
 	var commits []trace.Event
 	for i, r := range rec.Records {

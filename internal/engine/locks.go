@@ -14,8 +14,10 @@ import (
 // relation-level Rc for every negated condition element, the paper's
 // lock escalation for conditions that depend on the absence of tuples.
 // The plan is built in a stack buffer (a longer one spills to the
-// heap) and sorted for deterministic acquisition order.
-func rcResources(in *match.Instantiation) []lock.Resource {
+// heap), sorted for deterministic acquisition order and copied into
+// dst[:0] — the flight's buffer, so a recycled flight reuses the
+// capacity of the firings before it and a new one allocates once.
+func rcResources(dst []lock.Resource, in *match.Instantiation) []lock.Resource {
 	var buf [16]lock.Resource
 	plan := buf[:0]
 	in.Footprint(func(t match.Touch) {
@@ -23,7 +25,7 @@ func rcResources(in *match.Instantiation) []lock.Resource {
 			plan = append(plan, lock.Resource{Class: t.Class, ID: t.ID})
 		}
 	})
-	return slices.Clone(dedupeResources(plan))
+	return append(dst[:0], dedupeResources(plan)...)
 }
 
 // rhsLock pairs a resource with the mode the RHS needs on it.
@@ -38,8 +40,9 @@ type rhsLock struct {
 // action re-reads (Rule.ActionReads), and a relation-level Wa for every
 // class the action makes tuples in (creation can falsify negated
 // conditions anywhere in the class). A resource needed in both modes
-// gets Wa. The plan is built and sorted like rcResources'.
-func rhsLocks(in *match.Instantiation) []rhsLock {
+// gets Wa. The plan is built, sorted and copied into dst[:0] like
+// rcResources'.
+func rhsLocks(dst []rhsLock, in *match.Instantiation) []rhsLock {
 	var buf [16]rhsLock
 	plan := buf[:0]
 	in.Footprint(func(t match.Touch) {
@@ -56,7 +59,7 @@ func rhsLocks(in *match.Instantiation) []rhsLock {
 		return cmp.Or(compareResources(a.res, b.res), cmp.Compare(b.mode, a.mode))
 	})
 	plan = slices.CompactFunc(plan, func(a, b rhsLock) bool { return a.res == b.res })
-	return slices.Clone(plan)
+	return append(dst[:0], plan...)
 }
 
 // dedupeResources sorts the plan and compacts duplicates in place —

@@ -80,6 +80,19 @@ type flight struct {
 	// txn is the firing's lock transaction, or 0 until it begins; the
 	// AbortReevaluate policy finds an Rc victim's key by it.
 	txn atomic.Int64
+	// plans holds the buffers of the firing's lock plans, made by the
+	// entry's first flight and rebuilt in the same capacity by the
+	// next: a firing reads its plans only before it submits its
+	// outcome, and only then may the committer recycle the entry. A
+	// pointer, so that the entries of the serial engines' agendas,
+	// which never fly, do not grow.
+	plans *lockPlans
+}
+
+// lockPlans is the Rc plan and the Ra/Wa plan of a flight.
+type lockPlans struct {
+	rc  []lock.Resource
+	rhs []rhsLock
 }
 
 // controller runs the committer's firings as tasks. Under Options.Sched
@@ -514,7 +527,12 @@ func (e *Parallel) fire(f *agendaEntry) {
 	}
 
 	// Phase 1: Rc locks for condition evaluation (Figure 4.2).
-	for _, res := range rcResources(in) {
+	if f.plans == nil {
+		f.plans = new(lockPlans)
+	}
+	plans := f.plans
+	plans.rc = rcResources(plans.rc, in)
+	for _, res := range plans.rc {
 		if err := e.lm.Acquire(txn, res, lock.Rc); err != nil {
 			quit(trace.KindAbort, "rc: "+err.Error(), pevent{kind: evAborted, f: f})
 			return
@@ -538,7 +556,8 @@ func (e *Parallel) fire(f *agendaEntry) {
 	}
 
 	// Phase 2: all Ra and Wa locks at RHS start (Section 4.3).
-	for _, l := range rhsLocks(in) {
+	plans.rhs = rhsLocks(plans.rhs, in)
+	for _, l := range plans.rhs {
 		if err := e.lm.Acquire(txn, l.res, l.mode); err != nil {
 			quit(trace.KindAbort, l.mode.String()+": "+err.Error(), pevent{kind: evAborted, f: f})
 			return

@@ -36,12 +36,12 @@ func (p DeadlockPolicy) String() string {
 // should (re-)wait. Caller holds m.mu. Blockers already aborted are
 // left alone — their locks are about to be released, so the requester
 // just waits for the release.
-func (m *Manager) resolveBlockedLocked(id TxnID, blockers map[TxnID]Mode) (abortSelf bool) {
+func (m *Manager) resolveBlockedLocked(id TxnID, blockers []grant[TxnID]) (abortSelf bool) {
 	if m.policy == DeadlockWoundWait {
 		// Wound every younger blocker; wait on older ones.
-		for b := range blockers {
-			if b > id && !m.settlingLocked(b) {
-				m.abortLocked(b, ErrDeadlock)
+		for _, b := range blockers {
+			if b.key > id && !m.settlingLocked(b.key) {
+				m.abortLocked(b.key, ErrDeadlock)
 				m.met.deadlock()
 			}
 		}

@@ -46,7 +46,7 @@ func (m *Manager) TryAcquire(id TxnID, res Resource, mode Mode) (bool, error) {
 	if tx.aborted {
 		return false, tx.abortErr
 	}
-	if cur, held := tx.held[res]; held && cur >= mode {
+	if i := find(tx.held, res); i >= 0 && tx.held[i].mode >= mode {
 		return true, nil
 	}
 	if len(m.blockersLocked(id, res, mode)) > 0 {
@@ -65,8 +65,8 @@ func (m *Manager) Held(id TxnID) map[Resource]Mode {
 		return nil
 	}
 	out := make(map[Resource]Mode, len(tx.held))
-	for r, md := range tx.held {
-		out[r] = md
+	for _, h := range tx.held {
+		out[h.key] = h.mode
 	}
 	return out
 }

@@ -12,7 +12,11 @@
 // registry with its waits-for graph, and the per-class waiter lists. A
 // release wakes exactly the waiters on resources of the classes the
 // ending transaction held, so which tasks wake — and so a controlled
-// run's schedule — depends only on the locks taken.
+// run's schedule — depends only on the locks taken. The table reuses
+// what it stores: entries and transactions come from free lists, their
+// holders and held sets are short slices, and blocker sets are scratch
+// slices of the manager, so a lock round trip on a warmed manager
+// allocates nothing but the channel a blocked request waits on.
 //
 // Tuple/relation hierarchy is mediated by intention bookkeeping in the
 // multi-granularity style: every tuple-level grant also records an
@@ -24,6 +28,7 @@
 package lock
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -143,20 +148,53 @@ var (
 	ErrAborted = errors.New("lock: transaction aborted")
 )
 
-// txnState is one live transaction. Everything but id is guarded by
-// the manager mutex; id is immutable.
+// txnState is one transaction. Everything but id is guarded by the
+// manager mutex; id is set by Begin and fixed until End, which puts the
+// state on the manager's free list for a later Begin to reuse.
 type txnState struct {
-	id       TxnID
-	held     map[Resource]Mode
+	id TxnID
+	// held lists the transaction's locks in acquisition order, one
+	// element per resource at its strongest mode. A firing holds a
+	// handful, so a scan of the slice is the lookup.
+	held     []grant[Resource]
 	aborted  bool
 	abortErr error
-	// waitsOn maps each transaction currently blocking this one to the
-	// lock mode it holds; rebuilt on every blocked-acquire iteration.
-	waitsOn map[TxnID]Mode
+	// waitsOn lists each transaction currently blocking this one with
+	// the strongest lock mode it holds there, sorted by ID; rebuilt on
+	// every blocked-acquire iteration.
+	waitsOn []grant[TxnID]
 	// waitCh, when non-nil, is the channel the transaction's Acquire is
 	// blocked on; abortLocked signals it so a targeted abort reaches
 	// exactly the right waiter.
 	waitCh chan struct{}
+}
+
+// grant pairs a key with the strongest mode granted there: a
+// transaction on a lock entry or in a blocker set, a resource in a
+// transaction's held set.
+type grant[K comparable] struct {
+	key  K
+	mode Mode
+}
+
+// find returns the index of key in hs, or -1.
+func find[K comparable](hs []grant[K], key K) int {
+	for i := range hs {
+		if hs[i].key == key {
+			return i
+		}
+	}
+	return -1
+}
+
+// raise records key at mode in hs, keeping an existing element's
+// stronger mode, and returns the slice.
+func raise[K comparable](hs []grant[K], key K, mode Mode) []grant[K] {
+	if i := find(hs, key); i >= 0 {
+		hs[i].mode = max(hs[i].mode, mode)
+		return hs
+	}
+	return append(hs, grant[K]{key, mode})
 }
 
 // signal delivers a non-blocking wakeup on a one-slot channel. Unlike
@@ -173,23 +211,60 @@ func signal(ch chan struct{}) {
 // the class's relation entry (multi-granularity IRc/IRa/IWa).
 func intentBit(m Mode) uint8 { return 1 << m }
 
+// intent is one transaction's intention marks on a relation entry: the
+// bitmask of tuple modes it holds inside the class.
+type intent struct {
+	id   TxnID
+	bits uint8
+}
+
+// entry is one lock head: the holders of a resource. Entries come from
+// the manager's free list and go back to it when the last holder and
+// intention mark leave, keeping the capacity of both slices.
 type entry struct {
-	holders map[TxnID]Mode
-	// intents, on relation-level entries, maps each transaction holding
-	// tuple locks inside the class to the bitmask of tuple modes it
-	// holds — the intention modes (IRc/IRa/IWa) of hierarchical locking.
-	// A relation-level request conflicts with an intention mark exactly
-	// when it would conflict with the underlying tuple mode (Table 4.1).
-	// Nil on tuple-level entries.
-	intents map[TxnID]uint8
+	// holders lists the transactions holding the resource in full
+	// mode, in grant order. Table 4.1 lets Rc holders coexist with one
+	// Wa, so the usual length is one or two.
+	holders []grant[TxnID]
+	// intents, on relation-level entries, lists each transaction
+	// holding tuple locks inside the class with the bitmask of tuple
+	// modes it holds — the intention modes (IRc/IRa/IWa) of
+	// hierarchical locking. A relation-level request conflicts with an
+	// intention mark exactly when it would conflict with the underlying
+	// tuple mode (Table 4.1). Empty on tuple-level entries.
+	intents []intent
 }
 
 // live reports whether the entry still records any lock state.
 func (e *entry) live() bool { return len(e.holders) > 0 || len(e.intents) > 0 }
 
+// mark sets an intention bit for id.
+func (e *entry) mark(id TxnID, bit uint8) {
+	for i := range e.intents {
+		if e.intents[i].id == id {
+			e.intents[i].bits |= bit
+			return
+		}
+	}
+	e.intents = append(e.intents, intent{id, bit})
+}
+
+// drop removes id's full-mode hold and intention marks.
+func (e *entry) drop(id TxnID) {
+	if i := find(e.holders, id); i >= 0 {
+		e.holders = slices.Delete(e.holders, i, i+1)
+	}
+	for i := range e.intents {
+		if e.intents[i].id == id {
+			e.intents = slices.Delete(e.intents, i, i+1)
+			return
+		}
+	}
+}
+
 // Manager is the lock manager. All methods are safe for concurrent
-// use; one mutex guards the lock table, the transaction registry and
-// the waiter lists.
+// use; one mutex guards the lock table, the transaction registry, the
+// waiter lists, the free lists and the scratch slices.
 type Manager struct {
 	scheme Scheme
 	policy DeadlockPolicy
@@ -212,6 +287,16 @@ type Manager struct {
 	// sync.Cond) let a deterministic controller park on the same
 	// primitive the free-running path blocks on.
 	waiters map[string][]chan struct{}
+
+	// freeEntries and freeTxns hold the entries and transactions that
+	// End retired, for the next grant and Begin to reuse: a run keeps
+	// as many as were ever live at once, however long it runs.
+	freeEntries []*entry
+	freeTxns    []*txnState
+	// blockers is blockersLocked's result, valid until its next call;
+	// path and visited are the deadlock search's.
+	blockers      []grant[TxnID]
+	path, visited []TxnID
 }
 
 // NewManager returns a lock manager using the given scheme and the
@@ -249,10 +334,16 @@ func (m *Manager) Begin() TxnID {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.nextID++
-	id := m.nextID
-	m.txns[id] = &txnState{id: id, held: make(map[Resource]Mode)}
+	var tx *txnState
+	if n := len(m.freeTxns); n > 0 {
+		tx, m.freeTxns = m.freeTxns[n-1], m.freeTxns[:n-1]
+	} else {
+		tx = new(txnState)
+	}
+	tx.id = m.nextID
+	m.txns[tx.id] = tx
 	m.met.begin()
-	return id
+	return tx.id
 }
 
 // Acquire blocks until the transaction holds the resource in (at
@@ -283,12 +374,12 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 	for {
 		tx.waitCh = nil
 		if tx.aborted {
-			tx.waitsOn = nil
+			tx.waitsOn = tx.waitsOn[:0]
 			finishWait()
 			return tx.abortErr
 		}
-		if cur, held := tx.held[res]; held && cur >= mode {
-			tx.waitsOn = nil
+		if i := find(tx.held, res); i >= 0 && tx.held[i].mode >= mode {
+			tx.waitsOn = tx.waitsOn[:0]
 			finishWait()
 			return nil
 		}
@@ -309,13 +400,13 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 			m.met.conflict(blockers, mode)
 			conflicted = true
 		}
-		tx.waitsOn = blockers
-		if m.resolveBlockedLocked(id, blockers) {
-			tx.waitsOn = nil
+		tx.waitsOn = append(tx.waitsOn[:0], blockers...)
+		if m.resolveBlockedLocked(id, tx.waitsOn) {
+			tx.waitsOn = tx.waitsOn[:0]
 			finishWait()
 			return ErrDeadlock
 		}
-		if !waited && !m.anySettlingLocked(blockers) {
+		if !waited && !m.anySettlingLocked(tx.waitsOn) {
 			// An aborted blocker holds its locks until its owner finishes
 			// End, so wait for the release like any other waiter — but
 			// skip the wait-counter so retried checks are not
@@ -328,7 +419,11 @@ func (m *Manager) Acquire(id TxnID, res Resource, mode Mode) error {
 		}
 		// Register both wakeups before releasing the mutex: a release in
 		// the class or an abort of tx after this point signals ch, and
-		// one before it was observed above. No wakeup can be lost.
+		// one before it was observed above. No wakeup can be lost. The
+		// channel is new per wait: a reused one could still hold the
+		// signal of a wakeup this wait did not need, and the next wait
+		// would take it and re-check for nothing — under a controller,
+		// a scheduling decision the run would not otherwise make.
 		ch := make(chan struct{}, 1)
 		tx.waitCh = ch
 		m.waiters[res.Class] = append(m.waiters[res.Class], ch)
@@ -364,92 +459,106 @@ func (m *Manager) wakeLocked(class string) {
 	m.waiters[class] = ws[:0]
 }
 
+// entryLocked returns the resource's entry, taking one from the free
+// list if the resource has none. Caller holds m.mu.
+func (m *Manager) entryLocked(res Resource) *entry {
+	e := m.entries[res]
+	if e == nil {
+		if n := len(m.freeEntries); n > 0 {
+			e, m.freeEntries = m.freeEntries[n-1], m.freeEntries[:n-1]
+		} else {
+			e = new(entry)
+		}
+		m.entries[res] = e
+	}
+	return e
+}
+
+// retireLocked puts the resource's entry back on the free list once
+// it records no lock state. Caller holds m.mu.
+func (m *Manager) retireLocked(res Resource, e *entry) {
+	if !e.live() {
+		delete(m.entries, res)
+		m.freeEntries = append(m.freeEntries, e)
+	}
+}
+
 // grantLocked records the lock; caller holds m.mu. A tuple-level grant
 // also marks the transaction's intention mode on the class's relation
 // entry, so relation-level requests and commit-time victim scans read
 // one entry instead of walking the class's tuple entries.
 func (m *Manager) grantLocked(tx *txnState, res Resource, mode Mode) {
-	e := m.entries[res]
-	if e == nil {
-		e = &entry{holders: make(map[TxnID]Mode)}
-		m.entries[res] = e
-	}
-	if cur, ok := e.holders[tx.id]; !ok || mode > cur {
-		e.holders[tx.id] = mode
-	}
+	e := m.entryLocked(res)
+	e.holders = raise(e.holders, tx.id, mode)
 	if res.ID != RelationLevel {
-		rel := m.entries[Relation(res.Class)]
-		if rel == nil {
-			rel = &entry{holders: make(map[TxnID]Mode)}
-			m.entries[Relation(res.Class)] = rel
-		}
-		if rel.intents == nil {
-			rel.intents = make(map[TxnID]uint8)
-		}
-		rel.intents[tx.id] |= intentBit(mode)
+		m.entryLocked(Relation(res.Class)).mark(tx.id, intentBit(mode))
 	}
-	if cur, ok := tx.held[res]; !ok || mode > cur {
-		tx.held[res] = mode
-	}
-	tx.waitsOn = nil
+	tx.held = raise(tx.held, res, mode)
+	tx.waitsOn = tx.waitsOn[:0]
 	m.met.grant(mode)
 }
 
 // blockersLocked returns the transactions whose held locks are
-// incompatible with the request, mapped to the strongest such held
-// mode (for the conflict-by-mode-pair metric), considering the
-// tuple/relation hierarchy. A tuple-level request checks its own entry
-// plus the relation entry's full-mode holders; a relation-level
-// request checks the relation entry's full-mode holders plus its
-// intention marks, each judged by the underlying tuple mode. Caller
-// holds m.mu.
-func (m *Manager) blockersLocked(id TxnID, res Resource, mode Mode) map[TxnID]Mode {
-	blockers := make(map[TxnID]Mode)
-	note := func(hid TxnID, held Mode) {
-		if hid == id {
-			return
-		}
-		if !Compatible(m.scheme, held, mode) {
-			if cur, ok := blockers[hid]; !ok || held > cur {
-				blockers[hid] = held
-			}
-		}
-	}
-	collect := func(e *entry) {
-		if e == nil {
-			return
-		}
-		for hid, held := range e.holders {
-			note(hid, held)
-		}
-	}
+// incompatible with the request, each with the strongest such held
+// mode (for the conflict-by-mode-pair metric), sorted by ID and
+// considering the tuple/relation hierarchy. A tuple-level request
+// checks its own entry plus the relation entry's full-mode holders; a
+// relation-level request checks the relation entry's full-mode holders
+// plus its intention marks, each judged by the underlying tuple mode.
+// The result is m.blockers, valid until the next call. Caller holds
+// m.mu.
+func (m *Manager) blockersLocked(id TxnID, res Resource, mode Mode) []grant[TxnID] {
+	m.blockers = m.blockers[:0]
 	if res.ID == RelationLevel {
-		rel := m.entries[res]
-		collect(rel)
-		if rel != nil {
-			for hid, bits := range rel.intents {
+		if rel := m.entries[res]; rel != nil {
+			m.noteHoldersLocked(id, rel, mode)
+			for _, in := range rel.intents {
 				for tm := Rc; tm <= Wa; tm++ {
-					if bits&intentBit(tm) != 0 {
-						note(hid, tm)
+					if in.bits&intentBit(tm) != 0 {
+						m.noteLocked(id, in.id, tm, mode)
 					}
 				}
 			}
 		}
 	} else {
-		collect(m.entries[res])
-		collect(m.entries[Relation(res.Class)])
+		if e := m.entries[res]; e != nil {
+			m.noteHoldersLocked(id, e, mode)
+		}
+		if rel := m.entries[Relation(res.Class)]; rel != nil {
+			m.noteHoldersLocked(id, rel, mode)
+		}
 	}
-	if len(blockers) == 0 {
-		return nil
+	return m.blockers
+}
+
+// noteHoldersLocked adds the entry's full-mode holders that block a
+// request by id in mode to m.blockers. Caller holds m.mu.
+func (m *Manager) noteHoldersLocked(id TxnID, e *entry, mode Mode) {
+	for _, h := range e.holders {
+		m.noteLocked(id, h.key, h.mode, mode)
 	}
-	return blockers
+}
+
+// noteLocked adds hid to m.blockers, in ID order, if its held mode
+// blocks a request by id in mode, keeping its strongest such mode.
+// Caller holds m.mu.
+func (m *Manager) noteLocked(id, hid TxnID, held, mode Mode) {
+	if hid == id || Compatible(m.scheme, held, mode) {
+		return
+	}
+	i, found := slices.BinarySearchFunc(m.blockers, hid, func(b grant[TxnID], t TxnID) int { return cmp.Compare(b.key, t) })
+	if found {
+		m.blockers[i].mode = max(m.blockers[i].mode, held)
+		return
+	}
+	m.blockers = slices.Insert(m.blockers, i, grant[TxnID]{hid, held})
 }
 
 // anySettlingLocked reports whether any of the transactions is aborted
 // or gone — i.e. its locks are about to be released. Caller holds m.mu.
-func (m *Manager) anySettlingLocked(ids map[TxnID]Mode) bool {
-	for id := range ids {
-		if m.settlingLocked(id) {
+func (m *Manager) anySettlingLocked(hs []grant[TxnID]) bool {
+	for _, h := range hs {
+		if m.settlingLocked(h.key) {
 			return true
 		}
 	}
@@ -467,54 +576,41 @@ func (m *Manager) settlingLocked(id TxnID) bool {
 // returns the youngest transaction in the cycle, or 0 if none. Caller
 // holds m.mu.
 func (m *Manager) findDeadlockVictimLocked(id TxnID) TxnID {
-	// DFS from id following waitsOn edges; a path back to id is a cycle.
-	var path []TxnID
-	onPath := make(map[TxnID]bool)
-	visited := make(map[TxnID]bool)
-	var cycle []TxnID
-	var dfs func(cur TxnID) bool
-	dfs = func(cur TxnID) bool {
-		if onPath[cur] {
-			// Extract the cycle suffix.
-			for i := len(path) - 1; i >= 0; i-- {
-				cycle = append(cycle, path[i])
-				if path[i] == cur {
-					break
-				}
-			}
-			return true
-		}
-		if visited[cur] {
-			return false
-		}
-		visited[cur] = true
-		tx := m.txns[cur]
-		if tx == nil || tx.aborted {
-			return false
-		}
-		onPath[cur] = true
-		path = append(path, cur)
-		// Sorted edge order keeps victim selection deterministic when a
-		// node waits on several transactions (map iteration order would
-		// otherwise leak into which cycle is found first).
-		next := make([]TxnID, 0, len(tx.waitsOn))
-		for n := range tx.waitsOn {
-			next = append(next, n)
-		}
-		slices.Sort(next)
-		for _, n := range next {
-			if dfs(n) {
-				return true
-			}
-		}
-		path = path[:len(path)-1]
-		onPath[cur] = false
-		return false
-	}
-	if !dfs(id) {
+	m.path, m.visited = m.path[:0], m.visited[:0]
+	i := m.searchLocked(id)
+	if i < 0 {
 		return 0
 	}
-	return slices.Max(cycle)
+	return slices.Max(m.path[i:])
+}
+
+// searchLocked is the depth-first step of the deadlock search from
+// cur along waitsOn edges, with the current path in m.path and every
+// node entered in m.visited. It returns the index in m.path of the
+// node a path back closes the cycle at, or -1. Edges are walked in ID
+// order (waitsOn is sorted), so which cycle is found first, and so the
+// victim, does not depend on the order blockers were found. Caller
+// holds m.mu.
+func (m *Manager) searchLocked(cur TxnID) int {
+	if i := slices.Index(m.path, cur); i >= 0 {
+		return i
+	}
+	if slices.Contains(m.visited, cur) {
+		return -1
+	}
+	m.visited = append(m.visited, cur)
+	tx := m.txns[cur]
+	if tx == nil || tx.aborted {
+		return -1
+	}
+	m.path = append(m.path, cur)
+	for _, b := range tx.waitsOn {
+		if i := m.searchLocked(b.key); i >= 0 {
+			return i
+		}
+	}
+	m.path = m.path[:len(m.path)-1]
+	return -1
 }
 
 // abortLocked marks a transaction aborted and signals its pending
@@ -529,7 +625,7 @@ func (m *Manager) abortLocked(id TxnID, err error) {
 	}
 	tx.aborted = true
 	tx.abortErr = err
-	tx.waitsOn = nil
+	tx.waitsOn = tx.waitsOn[:0]
 	m.met.txnAbort()
 	if tx.waitCh != nil {
 		signal(tx.waitCh)
@@ -565,33 +661,23 @@ func (m *Manager) RcVictims(id TxnID) []TxnID {
 		return nil
 	}
 	var out []TxnID
-	scan := func(e *entry) {
-		if e == nil {
-			return
-		}
-		for hid, held := range e.holders {
-			if hid != id && held == Rc {
-				out = append(out, hid)
-			}
-		}
-	}
-	for res, mode := range tx.held {
-		if mode != Wa {
+	for _, h := range tx.held {
+		if h.mode != Wa {
 			continue
 		}
-		scan(m.entries[res])
-		if res.ID == RelationLevel {
+		out = appendRcHolders(out, id, m.entries[h.key])
+		if h.key.ID == RelationLevel {
 			// A class-level Wa also victimises tuple-level Rc holders
 			// inside the class: their intention marks carry the Rc bit.
-			if rel := m.entries[res]; rel != nil {
-				for hid, bits := range rel.intents {
-					if hid != id && bits&intentBit(Rc) != 0 {
-						out = append(out, hid)
+			if rel := m.entries[h.key]; rel != nil {
+				for _, in := range rel.intents {
+					if in.id != id && in.bits&intentBit(Rc) != 0 {
+						out = append(out, in.id)
 					}
 				}
 			}
 		} else {
-			scan(m.entries[Relation(res.Class)])
+			out = appendRcHolders(out, id, m.entries[Relation(h.key.Class)])
 		}
 	}
 	slices.Sort(out)
@@ -605,9 +691,23 @@ func (m *Manager) RcVictims(id TxnID) []TxnID {
 	return out
 }
 
-// End releases all of the transaction's locks, wakes the waiters of
-// every class it held a lock in, and forgets it. It is called at
-// commit and after abort rollback.
+// appendRcHolders appends the entry's Rc holders other than id.
+func appendRcHolders(out []TxnID, id TxnID, e *entry) []TxnID {
+	if e == nil {
+		return out
+	}
+	for _, h := range e.holders {
+		if h.key != id && h.mode == Rc {
+			out = append(out, h.key)
+		}
+	}
+	return out
+}
+
+// End releases all of the transaction's locks in acquisition order,
+// wakes the waiters of every class it held a lock in, forgets it and
+// keeps its state for a later Begin. It is called at commit and after
+// abort rollback.
 func (m *Manager) End(id TxnID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -615,26 +715,28 @@ func (m *Manager) End(id TxnID) {
 	if tx == nil {
 		return
 	}
-	for res := range tx.held {
+	for _, h := range tx.held {
+		res := h.key
 		if e := m.entries[res]; e != nil {
-			delete(e.holders, id)
-			if !e.live() {
-				delete(m.entries, res)
-			}
+			e.drop(id)
+			m.retireLocked(res, e)
 		}
 		if res.ID != RelationLevel {
-			// Drop the intention mark; the whole class's tuple locks are
-			// released together here, so one delete per class would do,
-			// but per-resource keeps this loop shape simple.
+			// Drop the transaction from the class's relation entry.
+			// Its intention mark stands for every tuple lock it holds
+			// in the class, and End releases a relation-level lock
+			// there too, so the first tuple of the class clears both
+			// and the rest find nothing.
 			relRes := Relation(res.Class)
 			if rel := m.entries[relRes]; rel != nil {
-				delete(rel.intents, id)
-				if !rel.live() {
-					delete(m.entries, relRes)
-				}
+				rel.drop(id)
+				m.retireLocked(relRes, rel)
 			}
 		}
 		m.wakeLocked(res.Class)
 	}
 	delete(m.txns, id)
+	clear(tx.held)
+	*tx = txnState{held: tx.held[:0], waitsOn: tx.waitsOn[:0]}
+	m.freeTxns = append(m.freeTxns, tx)
 }

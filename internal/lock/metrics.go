@@ -64,12 +64,12 @@ func (mt *metrics) wait() {
 
 // conflict records one blocked request: for each blocker, the
 // (held, requested) pair it contributed.
-func (mt *metrics) conflict(blockers map[TxnID]Mode, req Mode) {
+func (mt *metrics) conflict(blockers []grant[TxnID], req Mode) {
 	if mt == nil {
 		return
 	}
-	for _, held := range blockers {
-		mt.conflicts[held][req].Inc()
+	for _, b := range blockers {
+		mt.conflicts[b.mode][req].Inc()
 	}
 }
 

@@ -19,48 +19,38 @@ import (
 // disk, with the reason its order cannot. An entry is
 // "package.Func: range expr"; Func is Recv.Method for a method.
 var mapRangeAllowList = map[string]string{
-	"engine.Parallel.resolveCommit: range e.inflight":         "sets each flight's own stale flag; no flight reads another's",
-	"engine.Parallel.spared: range e.inflight":                "finds the one flight holding the victim's transaction ID",
-	"engine.runtime.refract: range rt.fired":                  "deletes dead refraction entries; the survivors do not depend on the order",
-	"lock.Manager.End: range tx.held":                         "releases every lock and signals waiters under m.mu; the controller orders woken tasks by task, not by signal",
-	"lock.Manager.RcVictims: range e.holders":                 "collects victims that are sorted and compacted before return",
-	"lock.Manager.RcVictims: range rel.intents":               "collects victims that are sorted and compacted before return",
-	"lock.Manager.RcVictims: range tx.held":                   "collects victims that are sorted and compacted before return",
-	"lock.Manager.anySettlingLocked: range ids":               "an any-of test",
-	"lock.Manager.blockersLocked: range e.holders":            "builds the blocker set, keeping each blocker's strongest mode",
-	"lock.Manager.blockersLocked: range rel.intents":          "builds the blocker set, keeping each blocker's strongest mode",
-	"lock.Manager.findDeadlockVictimLocked: range tx.waitsOn": "collects the wait-for edges, sorted before the search",
-	"lock.Manager.resolveBlockedLocked: range blockers":       "wound-wait aborts every younger blocker under m.mu; which set is aborted does not depend on the order",
-	"lock.metrics.conflict: range blockers":                   "increments one counter per blocker",
-	"match.Bindings.Clone: range b":                           "copies a map",
-	"match.ConflictSet.All: range cs.byKey":                   "collects keys that are sorted before use",
-	"match.ConflictSet.RemoveIf: range cs.byKey":              "TREAT's removal: the removed set does not depend on the order, and a consumer of the journal resolves keys by Contains",
-	"match.ConflictSet.TrackChanges: range cs.byKey":          "journals the initial membership; the agenda ranks it by the strategy's total order and wave growth sorts by key",
-	"match.Naive.ByClass: range n.byClass[class]":             "collects tuples that are sorted by ID before return",
-	"match.joinCols: range m":                                 "collects names that are sorted before the join",
-	"match.writesOverlap: range other":                        "an any-of test",
-	"match.writesOverlap: range w":                            "an any-of test",
-	"rete.Network.Dot: range n.alphaByKey":                    "collects keys that are sorted before rendering",
-	"rete.Network.Plans: range n.chains":                      "collects rule names that are sorted before use",
-	"rete.Network.Topology: range er.buckets":                 "counts nodes",
-	"rete.Network.Topology: range lv.eqRoots":                 "counts nodes",
-	"rete.Network.Topology: range n.alphaByKey":               "counts nodes",
-	"rete.Network.Topology: range n.betaLevels":               "counts nodes",
-	"rete.Network.Topology: range n.disc":                     "counts nodes",
-	"rete.Network.compileChain: range srcBound":               "fills a map",
-	"rete.Network.countSharedAlpha: range n.disc":             "counts nodes",
-	"rete.Network.updatePlanGauges: range n.betaLevels":       "counts nodes",
-	"rete.Network.updatePlanGauges: range n.chains":           "sums the plan-cost gauge: the float sum's rounding may follow the order, no firing does",
-	"rete.joinNode.onToken: range j.amem.items":               "open: ROADMAP item 23",
-	"rete.negNode.onToken: range n.amem.items":                "open: ROADMAP item 23",
-	"rete.placeCost: range bound":                             "copies a map",
-	"rete.prodNode.activateToken: range p.bindings":           "fills a map",
-	"rete.walkDisc: range er.buckets":                         "visits nodes for countSharedAlpha, which counts them",
-	"rete.walkDisc: range lv.eqRoots":                         "visits nodes for countSharedAlpha, which counts them",
-	"wm.Store.All: range s.byID":                              "collects tuples that are sorted before return",
-	"wm.Store.ByClass: range cls":                             "collects tuples that are sorted before return",
-	"wm.Store.Clone: range s.byClass":                         "copies maps",
-	"wm.attrsFromMap: range m":                                "collects attributes that are sorted by name before use",
+	"engine.Parallel.resolveCommit: range e.inflight":   "sets each flight's own stale flag; no flight reads another's",
+	"engine.Parallel.spared: range e.inflight":          "finds the one flight holding the victim's transaction ID",
+	"engine.runtime.refract: range rt.fired":            "deletes dead refraction entries; the survivors do not depend on the order",
+	"match.Bindings.Clone: range b":                     "copies a map",
+	"match.ConflictSet.All: range cs.byKey":             "collects keys that are sorted before use",
+	"match.ConflictSet.RemoveIf: range cs.byKey":        "TREAT's removal: the removed set does not depend on the order, and a consumer of the journal resolves keys by Contains",
+	"match.ConflictSet.TrackChanges: range cs.byKey":    "journals the initial membership; the agenda ranks it by the strategy's total order and wave growth sorts by key",
+	"match.Naive.ByClass: range n.byClass[class]":       "collects tuples that are sorted by ID before return",
+	"match.joinCols: range m":                           "collects names that are sorted before the join",
+	"match.writesOverlap: range other":                  "an any-of test",
+	"match.writesOverlap: range w":                      "an any-of test",
+	"rete.Network.Dot: range n.alphaByKey":              "collects keys that are sorted before rendering",
+	"rete.Network.Plans: range n.chains":                "collects rule names that are sorted before use",
+	"rete.Network.Topology: range er.buckets":           "counts nodes",
+	"rete.Network.Topology: range lv.eqRoots":           "counts nodes",
+	"rete.Network.Topology: range n.alphaByKey":         "counts nodes",
+	"rete.Network.Topology: range n.betaLevels":         "counts nodes",
+	"rete.Network.Topology: range n.disc":               "counts nodes",
+	"rete.Network.compileChain: range srcBound":         "fills a map",
+	"rete.Network.countSharedAlpha: range n.disc":       "counts nodes",
+	"rete.Network.updatePlanGauges: range n.betaLevels": "counts nodes",
+	"rete.Network.updatePlanGauges: range n.chains":     "sums the plan-cost gauge: the float sum's rounding may follow the order, no firing does",
+	"rete.joinNode.onToken: range j.amem.items":         "open: ROADMAP item 23",
+	"rete.negNode.onToken: range n.amem.items":          "open: ROADMAP item 23",
+	"rete.placeCost: range bound":                       "copies a map",
+	"rete.prodNode.activateToken: range p.bindings":     "fills a map",
+	"rete.walkDisc: range er.buckets":                   "visits nodes for countSharedAlpha, which counts them",
+	"rete.walkDisc: range lv.eqRoots":                   "visits nodes for countSharedAlpha, which counts them",
+	"wm.Store.All: range s.byID":                        "collects tuples that are sorted before return",
+	"wm.Store.ByClass: range cls":                       "collects tuples that are sorted before return",
+	"wm.Store.Clone: range s.byClass":                   "copies maps",
+	"wm.attrsFromMap: range m":                          "collects attributes that are sorted by name before use",
 }
 
 // TestMapRangesAllowListed is the determinism net. Go randomises map
