@@ -19,14 +19,15 @@ vet:
 # metrics-check pins the observability layer: the golden snapshot of
 # the quickstart program under a replayed schedule (byte-identical
 # across runs), the facade guards (every pdps.go export documented and
-# used by a caller, every pdps.X in the docs an export), the detsched
-# determinism proofs (metrics, and a run as a function of its choice
-# sequence), and the -race hammer on live snapshots. Regenerate the golden file after an intentional
-# metrics change with:
+# used by a caller, every pdps.X in the docs an export), the
+# determinism proofs (metrics, a run as a function of its choice
+# sequence, and Rete's alpha scans in program order), and the -race
+# hammer on live snapshots. Regenerate the golden file after an
+# intentional metrics change with:
 #   go test -run TestGoldenMetrics -update .
 metrics-check:
 	$(GO) test -run 'TestGoldenMetrics|TestExportedAPIDocumented|TestExportedAPIReferenced|TestDocsNameFacadeExports|TestMetricCatalogCovers' .
-	$(GO) test -run 'TestMetricsDeterministic|TestMetricsConflictCounters|TestRunIsFunctionOfChoices' ./internal/detsched
+	$(GO) test -run 'TestMetricsDeterministic|TestMetricsConflictCounters|TestRunIsFunctionOfChoices|TestAlphaScanOrder' ./internal/detsched ./internal/rete
 	$(GO) test -race -run 'TestSnapshotDuringParallelRun|TestSerialEngineMetrics' ./internal/engine
 	$(GO) test -race ./internal/obs
 

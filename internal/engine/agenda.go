@@ -11,53 +11,36 @@ import (
 // picks from it in O(log n) instead of listing and sorting the whole
 // set, and Parallel's committer dispatches from it in the same order.
 // It follows the set through its change journal
-// (ConflictSet.TakeChanges) and removes an entry as soon as its key
-// leaves the set, so it never holds more entries than the set has
-// members. Removed entries are recycled, so in steady state a member
-// entering the agenda costs no allocation.
+// (ConflictSet.TakeChanges), by identity: an instantiation keeps the
+// heap position of its entry (Instantiation.Pos), and its entry leaves
+// as soon as it leaves the set, so the agenda never holds more entries
+// than the set has members. Removed entries are recycled, so in steady
+// state a member entering the agenda costs no allocation.
 type agenda struct {
 	order cr.Strategy
-	// held reports keys kept out of the heap: fired keys, and under
-	// Parallel also the keys it has dispatched.
-	held  func(key string) bool
+	// fired is the refraction memory; a fired key is kept out of the
+	// heap. claim, if set, keeps out other entering members: Parallel's
+	// keys in flight.
+	fired map[string]*match.Instantiation
+	claim func(in *match.Instantiation) bool
 	met   *engineMetrics
 	heap  []*agendaEntry
-	byKey map[string]*agendaEntry
 	free  []*agendaEntry
 }
 
-// agendaEntry is one ranked member, its position in the heap, and the
-// state Parallel keeps on it while it is dispatched.
+// agendaEntry is one ranked member and the state Parallel keeps on it
+// while it is dispatched.
 type agendaEntry struct {
 	cr.Rank
-	pos int
 	flight
 }
 
-func newAgenda(o cr.Strategy, held func(key string) bool, met *engineMetrics) *agenda {
-	return &agenda{order: o, held: held, met: met, byKey: make(map[string]*agendaEntry)}
-}
-
-// next applies the journal of cs and returns the dominant member that
-// is not held, or nil when there is none.
-func (a *agenda) next(cs *match.ConflictSet) *match.Instantiation {
-	a.drain(cs)
-	if e := a.top(); e != nil {
-		return e.In
-	}
-	return nil
-}
-
 // drain applies the journal of cs and returns how many entries it
-// pushed. A journal without removals whose additions number the whole
-// set is a full membership — the initial one that switching tracking
-// on journals, or any delta after which every member is new — and the
-// agenda is already empty before it, since an entry leaves the agenda
-// as soon as its key leaves the set. Keys journaled as both removed
-// and added are resolved by Contains, and a member that re-entered the
-// set under a known key replaces the stale instantiation. A drain that
-// finds changes is one engine_journal_batch_size observation and
-// counts as a snapshot or a delta refresh.
+// pushed: a removed instantiation's entry leaves, and an added one
+// that is still a member and not kept out gets an entry. A drain that
+// finds changes is one engine_journal_batch_size observation and a
+// snapshot refresh if it is a full membership (no removals, every
+// member added: the agenda was empty before it), else a delta one.
 func (a *agenda) drain(cs *match.ConflictSet) (pushed int) {
 	added, removed := cs.TakeChanges()
 	full := len(removed) == 0 && len(added) == cs.Len()
@@ -69,18 +52,15 @@ func (a *agenda) drain(cs *match.ConflictSet) (pushed int) {
 			a.met.refreshDelta.Inc()
 		}
 	}
-	for _, k := range removed {
-		if e := a.byKey[k]; e != nil && !cs.Contains(k) {
-			a.remove(e)
+	for _, in := range removed {
+		if in.Pos > 0 {
+			e := a.heap[in.Pos-1]
+			a.unlink(e)
+			a.release(e)
 		}
 	}
 	for _, in := range added {
-		k := in.Key()
-		if !cs.Contains(k) || a.held(k) {
-			continue
-		}
-		if e := a.byKey[k]; e != nil {
-			e.In = in
+		if !cs.Contains(in) || a.fired[in.Key()] != nil || a.claim != nil && a.claim(in) {
 			continue
 		}
 		a.push(in)
@@ -89,15 +69,16 @@ func (a *agenda) drain(cs *match.ConflictSet) (pushed int) {
 	return pushed
 }
 
-// top returns the dominant entry that is not held, first dropping held
-// entries from the top, or nil when there is none.
+// top returns the dominant entry that has not fired, first dropping
+// fired entries from the top, or nil when there is none.
 func (a *agenda) top() *agendaEntry {
 	for len(a.heap) > 0 {
 		e := a.heap[0]
-		if !a.held(e.Key()) {
+		if a.fired[e.Key()] == nil {
 			return e
 		}
-		a.remove(e)
+		a.unlink(e)
+		a.release(e)
 	}
 	return nil
 }
@@ -115,38 +96,32 @@ func (a *agenda) push(in *match.Instantiation) {
 	a.link(e)
 }
 
-// link adds a ranked entry to the heap and the key index.
+// link adds a ranked entry to the heap.
 func (a *agenda) link(e *agendaEntry) {
-	e.pos = len(a.heap)
-	a.byKey[e.Key()] = e
+	e.In.Pos = int32(len(a.heap)) + 1
 	a.heap = append(a.heap, e)
-	a.up(e.pos)
+	a.up(len(a.heap) - 1)
 }
 
-// unlink takes e out of the heap and the key index without recycling
-// it; Parallel holds an unlinked entry while it is in flight.
+// unlink takes e out of the heap without recycling it; Parallel holds
+// an unlinked entry while it is in flight.
 func (a *agenda) unlink(e *agendaEntry) {
-	delete(a.byKey, e.Key())
 	last := len(a.heap) - 1
-	i := e.pos
+	i := int(e.In.Pos) - 1
 	a.swap(i, last)
 	a.heap[last] = nil
 	a.heap = a.heap[:last]
+	e.In.Pos = 0
 	if i < last {
 		a.down(i)
 		a.up(i)
 	}
 }
 
-// remove deletes e from the agenda and recycles it.
-func (a *agenda) remove(e *agendaEntry) {
-	a.unlink(e)
-	a.release(e)
-}
-
-// release puts an entry that is in no heap on the free list.
+// release puts an entry that is in no heap on the free list, keeping
+// no instantiation alive.
 func (a *agenda) release(e *agendaEntry) {
-	e.Rank = cr.Rank{}
+	e.Rank, e.member = cr.Rank{}, nil
 	a.free = append(a.free, e)
 }
 
@@ -157,7 +132,7 @@ func (a *agenda) before(i, j int) bool {
 
 func (a *agenda) swap(i, j int) {
 	a.heap[i], a.heap[j] = a.heap[j], a.heap[i]
-	a.heap[i].pos, a.heap[j].pos = i, j
+	a.heap[i].In.Pos, a.heap[j].In.Pos = int32(i)+1, int32(j)+1
 }
 
 func (a *agenda) up(i int) {

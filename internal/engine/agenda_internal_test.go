@@ -5,6 +5,7 @@ import (
 	goruntime "runtime"
 	"testing"
 
+	"pdps/internal/lock"
 	"pdps/internal/match"
 	"pdps/internal/wm"
 )
@@ -65,6 +66,9 @@ func TestAgendaBounded(t *testing.T) {
 // TestAgendaAllocs: in steady state a pick allocates nothing. Each
 // firing of the pipeline replaces one instantiation by one new one,
 // and the new one's agenda entry is the recycled entry of the old.
+// The new member's key, which the pick's refraction check is the
+// first to read, is rendered before the pick is measured: it is the
+// instantiation's own allocation (TestInstantiationKeyAllocs).
 func TestAgendaAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates; allocation ceilings run without -race")
@@ -86,6 +90,9 @@ func TestAgendaAllocs(t *testing.T) {
 	var before, after goruntime.MemStats
 	var allocs uint64
 	for i := 0; i < steps; i++ {
+		for _, in := range s.rt.matcher.ConflictSet().All() {
+			in.Key()
+		}
 		goruntime.ReadMemStats(&before)
 		s.rt.next()
 		goruntime.ReadMemStats(&after)
@@ -97,5 +104,54 @@ func TestAgendaAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(20, func() { s.rt.next() }); n != 0 {
 		t.Errorf("%.1f allocations per pick with nothing journaled, want 0", n)
+	}
+}
+
+// TestFlightFollowsReenteredKey: a key that leaves the conflict set and
+// re-enters it while its flight is out comes back as a new
+// instantiation. The flight claims it, so the agenda holds it back and
+// the flight stays live; when the flight lands, its entry goes back on
+// the agenda as the new instantiation.
+func TestFlightFollowsReenteredKey(t *testing.T) {
+	kx := match.AttrTest{Attr: "k", Op: match.OpEq, Var: "x"}
+	p := Program{
+		Rules: []*match.Rule{{Name: "work", Conditions: []match.Condition{
+			{Class: "job", Tests: []match.AttrTest{kx}},
+			{Class: "block", Negated: true, Tests: []match.AttrTest{kx}},
+		}, Actions: []match.Action{{Kind: match.ActRemove, CE: 0}}}},
+		WMEs: []InitialWME{{Class: "job", Attrs: attrs("k", 0)}},
+	}
+	e, err := NewParallel(p, lock.SchemeRcRaWa, Options{Np: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := e.rt
+	e.refresh()
+	f := e.agenda.top()
+	if f == nil {
+		t.Fatal("no instantiation on the agenda")
+	}
+	first := f.In
+	e.takeOff(f)
+
+	block := rt.store.Insert("block", attrs("k", 0))
+	rt.matcher.Insert(block)
+	e.refresh()
+	if e.live(f) {
+		t.Fatal("flight live while its key is blocked")
+	}
+	rt.store.Remove(block.ID)
+	rt.matcher.Remove(block)
+	e.refresh()
+	if !e.live(f) || f.member == first || f.member.Key() != first.Key() {
+		t.Fatal("flight did not claim its re-entered key")
+	}
+	if n := len(e.agenda.heap); n != 0 {
+		t.Fatalf("agenda holds %d entries while the key is in flight, want 0", n)
+	}
+
+	e.land(f)
+	if len(e.inflight) != 0 || e.agenda.top() != f || f.In != f.member || f.In.Pos != 1 {
+		t.Fatal("landed flight did not go back on the agenda as the new instantiation")
 	}
 }

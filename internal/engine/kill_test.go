@@ -205,24 +205,37 @@ func TestKillAndRecover(t *testing.T) {
 		rng := rand.New(rand.NewSource(0xC0FFEE + int64(seed)))
 		t.Run(engineName, func(t *testing.T) {
 			t.Parallel()
+			// Sync kill points range over the engine's own syncs, which
+			// an unkilled run counts: a static wave or a session group
+			// syncs once for several commits.
+			out, _ := runKillChild(t, exe, t.TempDir(), engineName, 0, 0)
+			syncs := bytes.Count(out, []byte("ACK "))
+			killed := 0
 			for i := 0; i < points; i++ {
 				dir := t.TempDir()
 				killAppend, killSync := 0, 0
+				// The +2 and +1 leave room for runs that complete
+				// un-killed.
 				if rng.Intn(2) == 0 {
-					// +2 leaves room for runs that complete un-killed.
 					killAppend = 1 + rng.Intn(maxAppends+2)
 				} else {
-					killSync = 1 + rng.Intn(maxAppends/2+2)
+					killSync = 1 + rng.Intn(syncs+1)
 				}
-				out := runKillChild(t, exe, dir, engineName, killAppend, killSync)
+				out, k := runKillChild(t, exe, dir, engineName, killAppend, killSync)
+				if k {
+					killed++
+				}
 				maxAcked := parseAcks(t, out)
 				verifyKillRecovery(t, dir, killProgram(engineName), maxAcked, fmt.Sprintf("%s point %d (killAppend=%d killSync=%d)", engineName, i, killAppend, killSync))
 			}
+			t.Logf("%d syncs unkilled; %d of %d points killed", syncs, killed, points)
 		})
 	}
 }
 
-func runKillChild(t *testing.T, exe, dir, engineName string, killAppend, killSync int) []byte {
+// runKillChild runs the child and returns its output and whether it
+// died by its own SIGKILL.
+func runKillChild(t *testing.T, exe, dir, engineName string, killAppend, killSync int) ([]byte, bool) {
 	t.Helper()
 	cmd := exec.Command(exe, "-test.run=^TestKillChild$", "-test.count=1")
 	cmd.Env = append(os.Environ(),
@@ -241,10 +254,11 @@ func runKillChild(t *testing.T, exe, dir, engineName string, killAppend, killSyn
 		if !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
 			t.Fatalf("child died abnormally: %v\n%s", err, out)
 		}
+		return out, true
 	} else if bytes.Contains(out, []byte("FAIL")) {
 		t.Fatalf("child test failed:\n%s", out)
 	}
-	return out
+	return out, false
 }
 
 func parseAcks(t *testing.T, out []byte) storage.LSN {

@@ -99,3 +99,31 @@ func TestLockPlanAllocs(t *testing.T) {
 		t.Fatalf("lock plans allocate %v times, want 0", n)
 	}
 }
+
+// TestParallelKeepsPlansPerFlight: lock-plan buffers come from the
+// committer's free list at dispatch and go back when the flight lands,
+// so a finished run keeps one pair per flight at the peak (Np here: a
+// low-conflict program never aborts), and the recycled agenda entries
+// keep neither plans nor an instantiation alive.
+func TestParallelKeepsPlansPerFlight(t *testing.T) {
+	const np = 3
+	e, err := NewParallel(lowConflictProgram(4, 8, 6), lock.SchemeRcRaWa, Options{Np: np})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.Run()
+	if err != nil || res.Firings != 4*8*6 || res.Aborts != 0 {
+		t.Fatalf("fired %d with %d aborts, err %v; want %d, none", res.Firings, res.Aborts, err, 4*8*6)
+	}
+	if n := len(e.plans); n == 0 || n > np {
+		t.Fatalf("%d lock-plan pairs kept, want 1..%d", n, np)
+	}
+	if len(e.inflight) != 0 {
+		t.Fatalf("%d flights left", len(e.inflight))
+	}
+	for _, f := range e.agenda.free {
+		if f.plans != nil || f.member != nil || f.In != nil {
+			t.Fatal("a recycled agenda entry keeps lock plans or an instantiation")
+		}
+	}
+}

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -54,13 +55,15 @@ type Parallel struct {
 
 	// Committer-owned dispatch state. The agenda holds the live
 	// conflict-set members that are neither fired nor in flight, in
-	// the strategy's order. inflight holds every dispatched key from
-	// dispatch until it commits, is dropped, or re-enters the agenda
-	// after an abort's backoff, so its size is the running firings plus
-	// the armed backoff timers, which timers counts.
+	// the strategy's order. inflight holds every dispatched entry, in
+	// dispatch order, until it commits, is dropped, or re-enters the
+	// agenda after an abort's backoff: the running firings plus the
+	// armed backoff timers, which timers counts. plans is the free list
+	// of the flights' lock-plan buffers.
 	agenda   *agenda
-	inflight map[string]*agendaEntry
+	inflight []*agendaEntry
 	timers   int
+	plans    []*lockPlans
 
 	// q carries the firings' and timers' events to the committer.
 	q queue
@@ -78,15 +81,15 @@ type flight struct {
 	// the key has stopped being a live, unfired conflict-set member.
 	stale atomic.Bool
 	// txn is the firing's lock transaction, or 0 until it begins; the
-	// AbortReevaluate policy finds an Rc victim's key by it.
+	// AbortReevaluate policy finds an Rc victim's flight by it.
 	txn atomic.Int64
-	// plans holds the buffers of the firing's lock plans, made by the
-	// entry's first flight and rebuilt in the same capacity by the
-	// next: a firing reads its plans only before it submits its
-	// outcome, and only then may the committer recycle the entry. A
-	// pointer, so that the entries of the serial engines' agendas,
-	// which never fly, do not grow.
+	// plans holds a dynamic firing's lock-plan buffers, taken from the
+	// committer's free list at dispatch and returned when it lands.
 	plans *lockPlans
+	// member, the committer's, is the conflict-set member the flight
+	// stands for: In, or the instantiation its key re-entered as
+	// while the flight was out (claim).
+	member *match.Instantiation
 }
 
 // lockPlans is the Rc plan and the Ra/Wa plan of a flight.
@@ -260,12 +263,8 @@ func newPipeline(p Program, opts Options) (*Parallel, error) {
 	if err != nil {
 		return nil, err
 	}
-	e := &Parallel{
-		rt:       rt,
-		inflight: make(map[string]*agendaEntry),
-		q:        queue{wake: make(chan struct{}, 1)},
-	}
-	e.agenda = newAgenda(rt.opts.Strategy, func(k string) bool { return rt.fired[k] != nil || e.inflight[k] != nil }, rt.met)
+	e := &Parallel{rt: rt, q: queue{wake: make(chan struct{}, 1)}}
+	e.agenda = &agenda{order: rt.opts.Strategy, fired: rt.fired, claim: e.claim, met: rt.met}
 	if rt.opts.Sched != nil {
 		e.ctl = controlled{rt.opts.Sched, e}
 	} else {
@@ -302,14 +301,9 @@ func (e *Parallel) Run() (Result, error) {
 				e.land(f) // a stopped run dispatches no more of the wave
 			}
 			e.wave = e.wave[:e.next]
-		} else if e.im != nil {
-			e.agenda.drain(rt.matcher.ConflictSet())
+		} else if e.refresh(); e.im != nil {
 			e.dispatchWave()
 		} else {
-			// A drain that queued something counts as a cycle.
-			if e.agenda.drain(rt.matcher.ConflictSet()) > 0 {
-				rt.met.cycleInc()
-			}
 			// Keys waiting out an abort's backoff are in flight but do
 			// not count against Np.
 			for len(e.inflight)-e.timers < rt.opts.Np {
@@ -317,8 +311,12 @@ func (e *Parallel) Run() (Result, error) {
 				if f == nil {
 					break
 				}
-				e.agenda.unlink(f)
-				e.inflight[f.Key()] = f
+				e.takeOff(f)
+				if n := len(e.plans); n > 0 {
+					f.plans, e.plans = e.plans[n-1], e.plans[:n-1]
+				} else {
+					f.plans = new(lockPlans)
+				}
 				f.txn.Store(0)
 				e.ctl.fire(f)
 			}
@@ -340,21 +338,65 @@ func (e *Parallel) Run() (Result, error) {
 	return rt.result(), rt.err
 }
 
-// live reports whether key is a conflict-set member that has not fired.
-func (e *Parallel) live(key string) bool {
-	return e.rt.matcher.ConflictSet().Contains(key) && e.rt.fired[key] == nil
+// refresh brings the agenda up to the conflict set; under the dynamic
+// policy a drain that queued something is a cycle. A stopping run
+// leaves the agenda as it is, and only the flights claim their keys.
+func (e *Parallel) refresh() {
+	cs := e.rt.matcher.ConflictSet()
+	if e.rt.stopping() {
+		added, _ := cs.TakeChanges()
+		for _, in := range added {
+			e.claim(in) // the last instantiation claimed is the member if any is
+		}
+		return
+	}
+	if e.agenda.drain(cs) > 0 && e.im == nil {
+		e.rt.met.cycleInc()
+	}
 }
 
-// land ends f's flight. The entry goes back on the agenda if the run
-// goes on and its key is still live — after an abort's backoff, or
-// because the key left the set and re-entered while in flight — and is
-// recycled otherwise. Only a flight has its stale flag set, so an entry
-// on the agenda or the free list always has it clear.
+// claim reports whether in's key is in flight, and if so makes in the
+// member that flight stands for: a key that re-enters the set while
+// its flight is out waits for it to land. The scan is over Np firings
+// and the armed timers.
+func (e *Parallel) claim(in *match.Instantiation) bool {
+	for _, f := range e.inflight {
+		if f.In.Rule == in.Rule && f.Key() == in.Key() {
+			f.member = in
+			return true
+		}
+	}
+	return false
+}
+
+// live reports whether f's key has a conflict-set member, which has
+// not fired.
+func (e *Parallel) live(f *agendaEntry) bool {
+	return e.rt.matcher.ConflictSet().Contains(f.member) && e.rt.fired[f.Key()] == nil
+}
+
+// takeOff moves f from the agenda into flight.
+func (e *Parallel) takeOff(f *agendaEntry) {
+	e.agenda.unlink(f)
+	f.member = f.In
+	e.inflight = append(e.inflight, f)
+}
+
+// land ends f's flight and returns its lock plans. The entry goes back
+// on the agenda if the run goes on and its key is still live — after
+// an abort's backoff, or because the key left the set and re-entered
+// while in flight, when it goes back as the new member — and is
+// recycled otherwise. Only a flight has its stale flag set, so an
+// entry on the agenda or the free list always has it clear.
 func (e *Parallel) land(f *agendaEntry) {
-	k := f.Key()
-	delete(e.inflight, k)
+	i := slices.Index(e.inflight, f)
+	e.inflight = slices.Delete(e.inflight, i, i+1)
+	if f.plans != nil {
+		e.plans, f.plans = append(e.plans, f.plans), nil
+	}
 	f.stale.Store(false)
-	if !e.rt.stopping() && e.live(k) {
+	if !e.rt.stopping() && e.live(f) {
+		f.In = f.member
 		e.agenda.link(f)
 		return
 	}
@@ -388,8 +430,9 @@ func (e *Parallel) submit(ev pevent) {
 
 // resolveCommit is the committer's half of a firing: validate the
 // submission against the current conflict set and lock state, commit
-// through the shared runtime, kill Rc victims, mark the flights the
-// commit invalidated, fsync the commit, and reply.
+// through the shared runtime, fsync the commit, bring the agenda up to
+// the new conflict set, kill Rc victims, mark the flights the commit
+// invalidated, and reply.
 //
 // Every outcome closes the firing's reply channel. A successful commit
 // closes it only after the fsync, so a firing never observes success
@@ -415,7 +458,7 @@ func (e *Parallel) resolveCommit(ev pevent) {
 		rt.met.skipInc()
 		e.land(ev.f)
 		return
-	case !e.live(in.Key()):
+	case !e.live(ev.f):
 		ev.wtx.Abort()
 		if e.im != nil {
 			rt.fail(fmt.Errorf("%w: wave member %s invalidated before commit", ErrInconsistent, in.Key()))
@@ -442,6 +485,8 @@ func (e *Parallel) resolveCommit(ev pevent) {
 	if e.im != nil {
 		return
 	}
+	rt.syncStorage()
+	e.refresh()
 	// Rule (ii): abort conflicting Rc holders — unless the reevaluate
 	// policy finds their instantiation untouched by this commit.
 	for _, victim := range e.lm.RcVictims(ev.txn) {
@@ -450,22 +495,17 @@ func (e *Parallel) resolveCommit(ev pevent) {
 		}
 		e.lm.Abort(victim)
 	}
-	for k, f := range e.inflight {
-		f.stale.Store(!e.live(k))
+	for _, f := range e.inflight {
+		f.stale.Store(!e.live(f))
 	}
-	rt.syncStorage()
 }
 
 // spared reports whether the Rc victim's instantiation is still live,
 // so AbortReevaluate lets it run on. A victim holds Rc locks, so its
 // firing is in flight.
 func (e *Parallel) spared(victim lock.TxnID) bool {
-	for k, f := range e.inflight {
-		if f.txn.Load() == int64(victim) {
-			return e.live(k)
-		}
-	}
-	return false
+	i := slices.IndexFunc(e.inflight, func(f *agendaEntry) bool { return f.txn.Load() == int64(victim) })
+	return i >= 0 && e.live(e.inflight[i])
 }
 
 // noteAbort counts an abort and, if the instantiation is still live,
@@ -475,7 +515,7 @@ func (e *Parallel) spared(victim lock.TxnID) bool {
 // key stays in flight until the timer fires.
 func (e *Parallel) noteAbort(f *agendaEntry) {
 	rt := e.rt
-	if rt.stopping() || !e.live(f.Key()) {
+	if rt.stopping() || !e.live(f) {
 		e.dropAborted(f)
 		return
 	}
@@ -527,9 +567,6 @@ func (e *Parallel) fire(f *agendaEntry) {
 	}
 
 	// Phase 1: Rc locks for condition evaluation (Figure 4.2).
-	if f.plans == nil {
-		f.plans = new(lockPlans)
-	}
 	plans := f.plans
 	plans.rc = rcResources(plans.rc, in)
 	for _, res := range plans.rc {

@@ -85,10 +85,14 @@ func (rt *runtime) stopping() bool {
 // first call builds by switching the matcher's change journal on.
 func (rt *runtime) next() *match.Instantiation {
 	if rt.agenda == nil {
-		rt.agenda = newAgenda(rt.opts.Strategy, func(k string) bool { return rt.fired[k] != nil }, rt.met)
+		rt.agenda = &agenda{order: rt.opts.Strategy, fired: rt.fired, met: rt.met}
 		rt.matcher.TrackChanges(true)
 	}
-	return rt.agenda.next(rt.matcher.ConflictSet())
+	rt.agenda.drain(rt.matcher.ConflictSet())
+	if e := rt.agenda.top(); e != nil {
+		return e.In
+	}
+	return nil
 }
 
 // fire executes one selected instantiation serially — the act half of

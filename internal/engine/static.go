@@ -78,8 +78,7 @@ next:
 		e.wave = append(e.wave, f)
 	}
 	for _, f := range e.wave {
-		e.agenda.unlink(f)
-		e.inflight[f.Key()] = f
+		e.takeOff(f)
 	}
 }
 

@@ -3,7 +3,6 @@ package match
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -19,6 +18,11 @@ type Instantiation struct {
 	WMEs     []*wm.WME
 	Bindings Bindings
 
+	// Pos is not the matcher's: the engines' agenda keeps its entry's
+	// heap position in it, plus one (zero: no entry). slot is the index
+	// in the conflict set's members while the instantiation is one.
+	Pos, slot int32
+
 	keyOnce sync.Once
 	key     string
 }
@@ -26,9 +30,9 @@ type Instantiation struct {
 // Key returns a string uniquely identifying the instantiation: the
 // rule name plus the identities and versions of the matched WMEs. Two
 // instantiations with equal keys matched the same data. The key is
-// memoized — the engine asks for it on every dispatch, staleness check
-// and commit, from workers and committer concurrently, and the inputs
-// (rule and matched WME versions) are immutable once matched. The key
+// memoized — refraction, the trace and the WAL ask for it, from
+// workers and committer concurrently, and the inputs (rule and
+// matched WME versions) are immutable once matched. The key
 // is rendered in a stack buffer, so a key of up to 256 bytes costs one
 // allocation, the string.
 func (in *Instantiation) Key() string {
@@ -79,37 +83,31 @@ func (in *Instantiation) String() string {
 	return fmt.Sprintf("%s [%s]", in.Rule.Name, strings.Join(parts, ", "))
 }
 
-// ConflictSet is the set of active instantiations (the paper's P^A).
-// It is not safe for concurrent use; engines serialise access to it.
+// ConflictSet is the set of active instantiations (the paper's P^A),
+// held by identity: a matcher adds each instantiation it makes and
+// removes that same pointer when the match dies, so no two members are
+// compared by key. The members sit in a dense slice and each knows its
+// own slot. The zero value is an empty set. It is not safe for
+// concurrent use; engines serialise access to it.
 //
 // With change tracking enabled the set additionally journals every
 // membership change, so an engine can follow the set incrementally
-// instead of rescanning it: the dynamic engine dispatches newly
-// activated instantiations after each commit, and the serial engines
-// keep their ordered agenda from it. Tracking is off by default, and
-// an engine that enables it must drain the journal with TakeChanges
-// so it does not accumulate.
+// instead of rescanning it: the engines keep their ordered agenda from
+// it. Tracking is off by default, and an engine that enables it must
+// drain the journal with TakeChanges so it does not accumulate.
 type ConflictSet struct {
-	byKey map[string]*Instantiation
+	members []*Instantiation
 
-	track   bool
-	added   []*Instantiation
-	removed []string
-}
-
-// NewConflictSet returns an empty conflict set.
-func NewConflictSet() *ConflictSet {
-	return &ConflictSet{byKey: make(map[string]*Instantiation)}
+	track          bool
+	added, removed []*Instantiation
 }
 
 // TrackChanges switches membership journaling on or off. Switching it
 // on while the set is populated journals the current members as added,
-// so the first TakeChanges drain sees them.
+// in slot order, so the first TakeChanges drain sees them.
 func (cs *ConflictSet) TrackChanges(on bool) {
 	if on && !cs.track {
-		for _, in := range cs.byKey {
-			cs.added = append(cs.added, in)
-		}
+		cs.added = append(cs.added, cs.members...)
 	}
 	cs.track = on
 	if !on {
@@ -117,74 +115,59 @@ func (cs *ConflictSet) TrackChanges(on bool) {
 	}
 }
 
-// TakeChanges drains the journal: instantiations added and keys removed
-// since the last drain. The journal records raw events, not the net
-// effect — a key may appear in both lists; consult Contains for the
-// final state.
-func (cs *ConflictSet) TakeChanges() (added []*Instantiation, removed []string) {
+// TakeChanges drains the journal: the instantiations added and removed
+// since the last drain, each in the order of the change. The journal
+// records raw events, not the net effect: an instantiation added and
+// removed between two drains is in both lists, and Contains tells
+// whether it is still a member.
+func (cs *ConflictSet) TakeChanges() (added, removed []*Instantiation) {
 	added, removed = cs.added, cs.removed
 	cs.added, cs.removed = nil, nil
 	return added, removed
 }
 
-// Add inserts an instantiation; it reports whether it was new.
-func (cs *ConflictSet) Add(in *Instantiation) bool {
-	k := in.Key()
-	if _, ok := cs.byKey[k]; ok {
-		return false
-	}
-	cs.byKey[k] = in
+// Add inserts an instantiation that is not a member.
+func (cs *ConflictSet) Add(in *Instantiation) {
+	in.slot = int32(len(cs.members))
+	cs.members = append(cs.members, in)
 	if cs.track {
 		cs.added = append(cs.added, in)
 	}
-	return true
 }
 
-// Remove deletes the instantiation with the given key; it reports
-// whether it was present.
-func (cs *ConflictSet) Remove(key string) bool {
-	if _, ok := cs.byKey[key]; !ok {
-		return false
-	}
-	delete(cs.byKey, key)
+// Remove deletes a member; the last member takes its slot.
+func (cs *ConflictSet) Remove(in *Instantiation) {
+	last := len(cs.members) - 1
+	moved := cs.members[last]
+	cs.members[in.slot], moved.slot = moved, in.slot
+	cs.members[last] = nil
+	cs.members = cs.members[:last]
 	if cs.track {
-		cs.removed = append(cs.removed, key)
+		cs.removed = append(cs.removed, in)
 	}
-	return true
 }
 
-// RemoveIf deletes every instantiation for which drop reports true, in
-// one unordered pass.
+// RemoveIf deletes every member for which drop reports true, from the
+// last slot down, so each removal moves in a member already kept.
 func (cs *ConflictSet) RemoveIf(drop func(*Instantiation) bool) {
-	for k, in := range cs.byKey {
-		if drop(in) {
-			delete(cs.byKey, k)
-			if cs.track {
-				cs.removed = append(cs.removed, k)
-			}
+	for i := len(cs.members) - 1; i >= 0; i-- {
+		if in := cs.members[i]; drop(in) {
+			cs.Remove(in)
 		}
 	}
 }
 
 // Len reports the number of instantiations.
-func (cs *ConflictSet) Len() int { return len(cs.byKey) }
+func (cs *ConflictSet) Len() int { return len(cs.members) }
 
-// Contains reports whether an instantiation with the key is present.
-func (cs *ConflictSet) Contains(key string) bool {
-	_, ok := cs.byKey[key]
-	return ok
+// Contains reports whether in is a member.
+func (cs *ConflictSet) Contains(in *Instantiation) bool {
+	return int(in.slot) < len(cs.members) && cs.members[in.slot] == in
 }
 
 // All returns the instantiations ordered deterministically by key.
 func (cs *ConflictSet) All() []*Instantiation {
-	keys := make([]string, 0, len(cs.byKey))
-	for k := range cs.byKey {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := make([]*Instantiation, len(keys))
-	for i, k := range keys {
-		out[i] = cs.byKey[k]
-	}
+	out := slices.Clone(cs.members)
+	slices.SortFunc(out, func(a, b *Instantiation) int { return strings.Compare(a.Key(), b.Key()) })
 	return out
 }

@@ -174,7 +174,7 @@ func (n *Naive) ByClass(class string) []*wm.WME {
 
 // ConflictSet recomputes the full conflict set.
 func (n *Naive) ConflictSet() *ConflictSet {
-	cs := NewConflictSet()
+	cs := new(ConflictSet)
 	for _, r := range n.rules {
 		for _, in := range MatchRule(n, r) {
 			cs.Add(in)

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"slices"
 	"testing"
 
 	"pdps/internal/wm"
@@ -152,18 +153,44 @@ func TestConflictSetOperations(t *testing.T) {
 	n.Insert(m)
 	cs := n.ConflictSet()
 	in := cs.All()[0]
-
-	if !cs.Contains(in.Key()) {
+	if !cs.Contains(in) {
 		t.Fatal("Contains failed")
 	}
-	if cs.Add(in) {
-		t.Fatal("re-adding same instantiation must report false")
+	// Membership is by identity: an instantiation with in's key is not in.
+	twin := &Instantiation{Rule: in.Rule, WMEs: in.WMEs, Bindings: in.Bindings}
+	if cs.Contains(twin) {
+		t.Fatal("Contains matched an instantiation by key")
 	}
-	if cs.RemoveIf(func(in *Instantiation) bool { return in.Uses(p) }); cs.Len() != 0 {
+	if cs.RemoveIf(func(in *Instantiation) bool { return in.Uses(p) }); cs.Len() != 0 || cs.Contains(in) {
 		t.Fatal("RemoveIf failed")
 	}
-	if cs.Remove(in.Key()) {
-		t.Fatal("Remove of absent key must report false")
+}
+
+// TestConflictSetSlots: removal moves the last member into the freed
+// slot, and the journal records the very pointers added and removed.
+func TestConflictSetSlots(t *testing.T) {
+	cs := new(ConflictSet)
+	cs.TrackChanges(true)
+	r := &Rule{Name: "r"}
+	ins := make([]*Instantiation, 4)
+	for i := range ins {
+		ins[i] = &Instantiation{Rule: r}
+		cs.Add(ins[i])
+	}
+	cs.Remove(ins[1])
+	cs.Remove(ins[3])
+	cs.RemoveIf(func(in *Instantiation) bool { return in == ins[0] })
+	if cs.Len() != 1 || !cs.Contains(ins[2]) {
+		t.Fatalf("members: %d, want only the third", cs.Len())
+	}
+	for _, i := range []int{0, 1, 3} {
+		if cs.Contains(ins[i]) {
+			t.Fatalf("removed instantiation %d still a member", i)
+		}
+	}
+	added, removed := cs.TakeChanges()
+	if !slices.Equal(added, ins) || !slices.Equal(removed, []*Instantiation{ins[1], ins[3], ins[0]}) {
+		t.Fatalf("journal: added %v removed %v", added, removed)
 	}
 }
 

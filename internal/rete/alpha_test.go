@@ -204,3 +204,43 @@ func TestRuleChurnOracle(t *testing.T) {
 		})
 	}
 }
+
+// TestAlphaScanOrder: a join with no equality test scans its alpha
+// memory oldest first, so the instantiations one insert makes reach
+// the conflict-set journal in program order. The rule
+// (a ^k <x>) (b ^k > <x>) joins one a with eight b tuples by a scan;
+// twenty runs must journal them in one order.
+func TestAlphaScanOrder(t *testing.T) {
+	r := &match.Rule{Name: "above", Conditions: []match.Condition{
+		{Class: "a", Tests: []match.AttrTest{{Attr: "k", Op: match.OpEq, Var: "x"}}},
+		{Class: "b", Tests: []match.AttrTest{{Attr: "k", Op: match.OpGt, Var: "x"}}},
+	}, Actions: []match.Action{{Kind: match.ActHalt}}}
+	orders := make(map[string]bool)
+	for run := 0; run < 20; run++ {
+		n := New()
+		if err := n.AddRule(r); err != nil {
+			t.Fatal(err)
+		}
+		n.TrackChanges(true)
+		s := wm.NewStore()
+		for k := 1; k <= 8; k++ {
+			n.Insert(s.Insert("b", map[string]wm.Value{"k": wm.Int(int64(k))}))
+		}
+		n.Insert(s.Insert("a", map[string]wm.Value{"k": wm.Int(0)}))
+		added, _ := n.ConflictSet().TakeChanges()
+		if len(added) != 8 {
+			t.Fatalf("run %d: %d instantiations journaled, want 8", run, len(added))
+		}
+		order := ""
+		for i, in := range added {
+			if i > 0 && in.WMEs[1].ID < added[i-1].WMEs[1].ID {
+				t.Fatalf("run %d: b tuples journaled newest first: %v", run, added)
+			}
+			order += in.Key() + " "
+		}
+		orders[order] = true
+	}
+	if len(orders) != 1 {
+		t.Fatalf("20 runs journaled %d orders, want 1", len(orders))
+	}
+}

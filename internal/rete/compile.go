@@ -2,11 +2,11 @@ package rete
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"pdps/internal/match"
-	"pdps/internal/wm"
 )
 
 // bindingPos records where a variable was first bound: the chain level
@@ -135,15 +135,18 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 
 	var source betaSource = n.top
 	prefix := ""
+	var classes []string // of the positive levels so far
 	for lvl, cc := range ces {
 		amem := n.alphaMemFor(cc.cond.Class, cc.consts, cc.intras, cc.presence)
 		prefix += levelSig(cc.cond.Negated, amem.key, cc.joins)
 		last := lvl == m-1
+		self := slices.Contains(classes, cc.cond.Class)
 
 		if cc.cond.Negated {
 			bl := n.betaLevels[prefix]
 			if bl == nil {
 				neg := newNegNode(n, amem, cc.joins)
+				neg.selfJoin = self
 				source.addChildSink(neg)
 				amem.successors = append(amem.successors, neg)
 				for t := nextValid(source.firstToken()); t != nil; t = nextValid(t.item.next) {
@@ -167,6 +170,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 
 		if last {
 			join := newJoinNode(n, source, amem, cc.joins, prod)
+			join.selfJoin = self
 			source.addChildSink(join)
 			amem.successors = append(amem.successors, join)
 			for t := nextValid(source.firstToken()); t != nil; t = nextValid(t.item.next) {
@@ -180,6 +184,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 		if bl == nil {
 			mem := &memNode{net: n}
 			join := newJoinNode(n, source, amem, cc.joins, mem)
+			join.selfJoin = self
 			source.addChildSink(join)
 			amem.successors = append(amem.successors, join)
 			for t := nextValid(source.firstToken()); t != nil; t = nextValid(t.item.next) {
@@ -191,6 +196,7 @@ func (n *Network) compileChain(r *match.Rule, order []int, cost float64) *ruleCh
 		bl.refs++
 		rc.levels = append(rc.levels, bl)
 		source = bl.mem
+		classes = append(classes, cc.cond.Class)
 	}
 	return rc
 }
@@ -220,7 +226,7 @@ func (n *Network) alphaMemFor(class string, consts []match.AttrTest, intras []in
 	if am, ok := n.alphaByKey[key]; ok {
 		return am
 	}
-	am := &alphaMem{key: key, class: class, items: make(map[*wm.WME]bool)}
+	am := &alphaMem{key: key, class: class}
 	n.alphaByKey[key] = am
 	n.discAttach(am, consts, intras, presence)
 	return am

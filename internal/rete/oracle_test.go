@@ -112,30 +112,47 @@ func sameConflictSets(t *testing.T, seed int64, a, b *match.ConflictSet) {
 		t.Fatalf("seed %d: conflict sets differ in size: rete=%d naive=%d\nrete: %v\nnaive: %v",
 			seed, a.Len(), b.Len(), a.All(), b.All())
 	}
-	for _, in := range a.All() {
-		if !b.Contains(in.Key()) {
-			t.Fatalf("seed %d: rete has %v, naive does not", seed, in)
-		}
+	if err := sameKeys(a, b); err != nil {
+		t.Fatalf("seed %d: %v", seed, err)
 	}
 }
 
-// journalMirror is a conflict set rebuilt only from a matcher's
-// TakeChanges journal, the way the engine's agenda follows the set.
-type journalMirror map[string]*match.Instantiation
-
-// drain applies cs's journal. Keys journaled as both removed and added
-// are resolved by Contains; a later addition under a key replaces an
-// earlier one.
-func (m journalMirror) drain(cs *match.ConflictSet) {
-	added, removed := cs.TakeChanges()
-	for _, k := range removed {
-		if !cs.Contains(k) {
-			delete(m, k)
+// sameKeys reports how got's members differ from want's by key, after
+// checking that no two members of got share a key: an incremental
+// matcher holds one live instantiation per match.
+func sameKeys(got, want *match.ConflictSet) error {
+	keys := make(map[string]bool, want.Len())
+	for _, in := range want.All() {
+		keys[in.Key()] = true
+	}
+	seen := make(map[string]bool, got.Len())
+	for _, in := range got.All() {
+		if seen[in.Key()] {
+			return fmt.Errorf("two live instantiations with key %s", in.Key())
+		}
+		seen[in.Key()] = true
+		if !keys[in.Key()] {
+			return fmt.Errorf("matcher has %v, naive does not", in)
 		}
 	}
+	return nil
+}
+
+// journalMirror is a conflict set rebuilt only from a matcher's
+// TakeChanges journal, the way the engine's agenda follows the set:
+// by identity, never by key.
+type journalMirror map[*match.Instantiation]bool
+
+// drain applies cs's journal: a removed instantiation leaves, and an
+// added one enters if it is still a member.
+func (m journalMirror) drain(cs *match.ConflictSet) {
+	added, removed := cs.TakeChanges()
+	for _, in := range removed {
+		delete(m, in)
+	}
 	for _, in := range added {
-		if cs.Contains(in.Key()) {
-			m[in.Key()] = in
+		if cs.Contains(in) {
+			m[in] = true
 		}
 	}
 }
@@ -146,8 +163,12 @@ func (m journalMirror) equal(want *match.ConflictSet) error {
 	if len(m) != want.Len() {
 		return fmt.Errorf("mirror has %d members, want %d", len(m), want.Len())
 	}
+	byKey := make(map[string]*match.Instantiation, len(m))
+	for in := range m {
+		byKey[in.Key()] = in
+	}
 	for _, in := range want.All() {
-		got := m[in.Key()]
+		got := byKey[in.Key()]
 		if got == nil {
 			return fmt.Errorf("mirror lacks %s", in.Key())
 		}

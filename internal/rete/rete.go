@@ -6,9 +6,9 @@
 // insertions. Structure follows Doorenbos's "Production Matching for
 // Large Learning Systems" basic algorithm with hashed alpha and beta
 // memories (index.go, buckets keyed by a 64-bit hash), without
-// unlinking. Tokens and negative-node join results come from
-// per-network slabs and sit on intrusive lists — a token's children,
-// its memory's items, its WME's tokens (token.go) — so matching
+// unlinking. Tokens, negative-node join results and alpha-memory items
+// come from per-network slabs and sit on intrusive lists — a token's
+// children, a memory's items, a WME's tokens (token.go) — so matching
 // allocates only the instantiations it emits once the slabs and
 // indexes have grown.
 package rete
@@ -69,13 +69,16 @@ func runTests(tests []joinTest, parent *token, w *wm.WME) bool {
 	return true
 }
 
-// alphaMem holds the WMEs passing one constant-test pattern. Alpha
-// memories are shared between rules with identical patterns; the
-// class's discrimination network (alpha.go) routes WMEs into them.
+// alphaMem holds the WMEs passing one constant-test pattern, oldest
+// first, so a join or negative node that scans it does so in program
+// order. Alpha memories are shared between rules with identical
+// patterns; the class's discrimination network (alpha.go) routes WMEs
+// into them.
 type alphaMem struct {
 	key        string
 	class      string
-	items      map[*wm.WME]bool
+	items      *alphaItem // oldest first
+	n          int        // length of items
 	successors []alphaSink
 }
 
@@ -124,6 +127,9 @@ type joinNode struct {
 	amem   *alphaMem
 	tests  []joinTest
 	out    pairSink
+	// selfJoin is set when an earlier level of the chain reads the
+	// alpha memory's class, so one WME may match both (see holds).
+	selfJoin bool
 
 	eq    []joinTest
 	left  map[uint64]bucket[*token]  // parent tokens by token-side key
@@ -145,10 +151,10 @@ func newJoinNode(net *Network, parent betaSource, amem *alphaMem, tests []joinTe
 
 func (j *joinNode) onToken(t *token) {
 	if len(j.eq) == 0 {
-		j.net.metScan(len(j.amem.items))
-		for w := range j.amem.items {
-			if runTests(j.tests, t, w) {
-				j.out.receive(t, w)
+		j.net.metScan(j.amem.n)
+		for it := j.amem.items; it != nil; it = it.inMem.next {
+			if runTests(j.tests, t, it.w) {
+				j.out.receive(t, it.w)
 			}
 		}
 		return
@@ -183,7 +189,7 @@ func (j *joinNode) rightActivate(w *wm.WME) {
 		scanned := 0
 		for t := nextValid(j.parent.firstToken()); t != nil; t = nextValid(t.item.next) {
 			scanned++
-			if runTests(j.tests, t, w) {
+			if !(j.selfJoin && t.holds(w)) && runTests(j.tests, t, w) {
 				j.out.receive(t, w)
 			}
 		}
@@ -225,6 +231,7 @@ type negNode struct {
 	tests    []joinTest
 	items    *token // oldest first
 	children []tokenSink
+	selfJoin bool // as for joinNode
 
 	eq    []joinTest
 	left  map[uint64]bucket[*token]  // owned tokens by parent-chain key
@@ -266,10 +273,10 @@ func (n *negNode) onToken(parent *token) {
 		// the negated CE under this token — it stays valid forever and
 		// needs no index entry.
 	} else {
-		n.net.metScan(len(n.amem.items))
-		for w := range n.amem.items {
-			if runTests(n.tests, parent, w) {
-				n.net.addJoinResult(t, w)
+		n.net.metScan(n.amem.n)
+		for it := n.amem.items; it != nil; it = it.inMem.next {
+			if runTests(n.tests, parent, it.w) {
+				n.net.addJoinResult(t, it.w)
 			}
 		}
 	}
@@ -285,7 +292,9 @@ func (n *negNode) rightActivate(w *wm.WME) {
 		scanned := 0
 		for t := n.items; t != nil; t = t.item.next {
 			scanned++
-			n.block(t, w)
+			if !(n.selfJoin && t.holds(w)) {
+				n.block(t, w)
+			}
 		}
 		n.net.metScan(scanned)
 		return
@@ -417,13 +426,15 @@ type Network struct {
 	cs         *match.ConflictSet
 	populated  bool // set by the first Insert
 
-	// tokens and results are the slabs behind every token and
-	// negative-node join result; byWME heads each WME's lists of both
-	// (token.go). keys is the bucket-key scratch (index.go).
-	tokens  slab[token, *token]
-	results slab[joinResult, *joinResult]
-	byWME   map[*wm.WME]wmeRefs
-	keys    keyBuf
+	// tokens, results and alphaItems are the slabs behind every token,
+	// negative-node join result and alpha-memory item; byWME heads each
+	// WME's lists of all three (token.go). keys is the bucket-key
+	// scratch (index.go).
+	tokens     slab[token, *token]
+	results    slab[joinResult, *joinResult]
+	alphaItems slab[alphaItem, *alphaItem]
+	byWME      map[*wm.WME]wmeRefs
+	keys       keyBuf
 
 	// disc holds each class's constant-test discrimination network
 	// (alpha.go); amemScratch and akbuf are pooled assert-path scratch
@@ -444,7 +455,7 @@ type Network struct {
 func New() *Network {
 	n := &Network{
 		alphaByKey: make(map[string]*alphaMem),
-		cs:         match.NewConflictSet(),
+		cs:         new(match.ConflictSet),
 		byWME:      make(map[*wm.WME]wmeRefs),
 		betaLevels: make(map[string]*betaLevel),
 		chains:     make(map[string]*ruleChain),
@@ -474,8 +485,8 @@ func (n *Network) TrackChanges(on bool) { n.cs.TrackChanges(on) }
 func (n *Network) Insert(w *wm.WME) {
 	n.populated = true
 	mems := n.routeWME(w, n.amemScratch[:0])
-	for _, am := range mems {
-		am.items[w] = true
+	if len(mems) > 0 {
+		n.addAlphaItems(w, mems)
 	}
 	for _, am := range mems {
 		for _, s := range am.successors {
@@ -489,12 +500,10 @@ func (n *Network) Insert(w *wm.WME) {
 // it are deleted, and negative-node tokens it was blocking may become
 // valid again.
 func (n *Network) Remove(w *wm.WME) {
+	n.dropAlphaItems(w)
 	// WME versions are immutable, so re-routing reproduces exactly the
-	// memories the insert matched.
+	// memories the insert matched, whose successors unhook w.
 	mems := n.routeWME(w, n.amemScratch[:0])
-	for _, am := range mems {
-		delete(am.items, w)
-	}
 	for _, am := range mems {
 		for _, s := range am.successors {
 			s.rightRetract(w)
@@ -543,7 +552,7 @@ func (n *Network) deleteToken(t *token) {
 			n.dropJoinResult(t.jr)
 		}
 	case *prodNode:
-		n.cs.Remove(t.inst.Key())
+		n.cs.Remove(t.inst)
 	}
 	n.freeToken(t)
 }

@@ -39,6 +39,22 @@ func (t *token) up(n int) *token {
 	return t
 }
 
+// holds reports whether w is in t's chain, which, while w is being
+// inserted, means this insert made t. Every alpha memory the WME
+// enters holds it before any successor runs, so a scanning node's left
+// activation that made t already met w, and its right activation
+// skips t: a WME matching two levels of one chain is joined once. An
+// indexed node needs no skip, since its right index takes the WME only
+// when the node is right-activated.
+func (t *token) holds(w *wm.WME) bool {
+	for ; t != nil; t = t.parent {
+		if t.w == w {
+			return true
+		}
+	}
+	return false
+}
+
 // nextValid returns t or the first token after it in its owner's items
 // that is valid (has no join results); memNode tokens always are.
 func nextValid(t *token) *token {
@@ -61,11 +77,24 @@ type joinResult struct {
 func (r *joinResult) owners() *link[joinResult] { return &r.byOwn }
 func (r *joinResult) wmes() *link[joinResult]   { return &r.byW }
 
-// wmeRefs heads a WME's two lists: the tokens built on it and the join
-// results it takes part in.
+// alphaItem records that w is in mem. It is linked into mem's items
+// and into w's list, so removing w finds its memberships without a
+// search; w's list is only ever dropped whole, so it is singly linked.
+type alphaItem struct {
+	w     *wm.WME
+	mem   *alphaMem
+	inMem link[alphaItem] // oldest first
+	nextW *alphaItem
+}
+
+func (it *alphaItem) mems() *link[alphaItem] { return &it.inMem }
+
+// wmeRefs heads a WME's three lists: the tokens built on it, the join
+// results it takes part in and its alpha-memory items.
 type wmeRefs struct {
 	tok *token
 	jr  *joinResult
+	am  *alphaItem
 }
 
 // link is one intrusive list membership. A list is its head pointer;
@@ -128,6 +157,7 @@ type slab[T any, P interface {
 
 func (t *token) freeLink() **token           { return &t.sib.next }
 func (r *joinResult) freeLink() **joinResult { return &r.byOwn.next }
+func (it *alphaItem) freeLink() **alphaItem  { return &it.inMem.next }
 
 func (s *slab[T, P]) get() *T {
 	s.live++
@@ -181,9 +211,9 @@ func (n *Network) freeToken(t *token) {
 }
 
 // storeRefs writes a WME's list heads back, dropping the entry once
-// both lists are empty so the map never holds a dead WME.
+// every list is empty so the map never holds a dead WME.
 func (n *Network) storeRefs(w *wm.WME, refs wmeRefs) {
-	if refs.tok == nil && refs.jr == nil {
+	if refs == (wmeRefs{}) {
 		delete(n.byWME, w)
 		return
 	}
@@ -208,4 +238,31 @@ func (n *Network) dropJoinResult(r *joinResult) {
 	unlink(&refs.jr, r, (*joinResult).wmes)
 	n.storeRefs(r.w, refs)
 	n.results.put(r)
+}
+
+// addAlphaItems appends w to the items of every memory in mems.
+func (n *Network) addAlphaItems(w *wm.WME, mems []*alphaMem) {
+	refs := n.byWME[w]
+	for _, mem := range mems {
+		it := n.alphaItems.get()
+		it.w, it.mem, it.nextW = w, mem, refs.am
+		refs.am = it
+		pushBack(&mem.items, it, (*alphaItem).mems)
+		mem.n++
+	}
+	n.byWME[w] = refs
+}
+
+// dropAlphaItems takes w out of every memory that holds it.
+func (n *Network) dropAlphaItems(w *wm.WME) {
+	refs := n.byWME[w]
+	for it := refs.am; it != nil; {
+		next := it.nextW
+		unlink(&it.mem.items, it, (*alphaItem).mems)
+		it.mem.n--
+		n.alphaItems.put(it)
+		it = next
+	}
+	refs.am = nil
+	n.storeRefs(w, refs)
 }

@@ -134,7 +134,7 @@ func TestReteChurnAllocs(t *testing.T) {
 	if got := n.ConflictSet().Len(); got != keys-1 {
 		t.Fatalf("conflict set holds %d instantiations, want %d", got, keys-1)
 	}
-	if allocs != 5 {
-		t.Fatalf("insert+remove of a task allocates %.0f times, want 5 (the instantiation, its WMEs, bindings map and group, and key)", allocs)
+	if allocs != 4 {
+		t.Fatalf("insert+remove of a task allocates %.0f times, want 4 (the instantiation, its WMEs, bindings map and group)", allocs)
 	}
 }

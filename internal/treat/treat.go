@@ -8,6 +8,7 @@ package treat
 
 import (
 	"fmt"
+	"slices"
 
 	"pdps/internal/match"
 	"pdps/internal/wm"
@@ -51,7 +52,7 @@ type Matcher struct {
 
 // New returns an empty TREAT matcher.
 func New() *Matcher {
-	return &Matcher{byName: make(map[string]*compiledRule), cs: match.NewConflictSet()}
+	return &Matcher{byName: make(map[string]*compiledRule), cs: new(match.ConflictSet)}
 }
 
 // AddRule validates and compiles a rule. Rules added after WMEs do not
@@ -98,7 +99,7 @@ func (m *Matcher) Insert(w *wm.WME) {
 			if cr.alphas[i].cond.Negated {
 				m.retractBlocked(cr, i, w)
 			} else {
-				m.addSeeded(cr, i, w)
+				m.addSeeded(cr, i, w, nil)
 			}
 		}
 	}
@@ -108,21 +109,20 @@ func (m *Matcher) Insert(w *wm.WME) {
 // and instantiations blocked only by it (through a negated CE) appear.
 func (m *Matcher) Remove(w *wm.WME) {
 	for _, cr := range m.rules {
-		var left []int
+		var unblocked []int
 		for i, a := range cr.alphas {
-			if a.items[w] {
-				delete(a.items, w)
-				left = append(left, i)
+			if !a.items[w] {
+				continue
 			}
-		}
-		for _, i := range left {
-			if cr.alphas[i].cond.Negated {
-				// The blocker is gone: instantiations it suppressed may
-				// now hold. Recompute the rule's matches; Add dedups.
-				m.addSeeded(cr, -1, nil)
+			delete(a.items, w)
+			if a.cond.Negated {
+				unblocked = append(unblocked, i)
 			} else {
 				m.cs.RemoveIf(func(in *match.Instantiation) bool { return in.Uses(w) })
 			}
+		}
+		if unblocked != nil {
+			m.addSeeded(cr, -1, w, unblocked)
 		}
 	}
 }
@@ -140,41 +140,51 @@ func (m *Matcher) retractBlocked(cr *compiledRule, ci int, w *wm.WME) {
 	})
 }
 
-// addSeeded enumerates instantiations of cr. When pin >= 0, only
-// instantiations using pinW at positive CE pin are generated (the
-// seeded TREAT join); pin < 0 enumerates all.
-func (m *Matcher) addSeeded(cr *compiledRule, pin int, pinW *wm.WME) {
-	var rec func(ci int, wmes []*wm.WME, b match.Bindings)
-	rec = func(ci int, wmes []*wm.WME, b match.Bindings) {
+// addSeeded adds instantiations of cr that are not yet in the conflict
+// set. With pin >= 0 (the seeded TREAT join) they use w at positive CE
+// pin and at no earlier CE, so a WME entering several CEs of a rule
+// seeds each of its tuples once. With pin < 0 they are the ones w, a
+// removed blocker, blocked at one of the negated CEs in unblocked.
+func (m *Matcher) addSeeded(cr *compiledRule, pin int, w *wm.WME, unblocked []int) {
+	var rec func(ci int, wmes []*wm.WME, b match.Bindings, hit bool)
+	rec = func(ci int, wmes []*wm.WME, b match.Bindings, hit bool) {
 		if ci == len(cr.alphas) {
-			ws := make([]*wm.WME, len(wmes))
-			copy(ws, wmes)
-			m.cs.Add(&match.Instantiation{Rule: cr.rule, WMEs: ws, Bindings: b.Clone()})
+			if pin >= 0 || hit {
+				ws := make([]*wm.WME, len(wmes))
+				copy(ws, wmes)
+				m.cs.Add(&match.Instantiation{Rule: cr.rule, WMEs: ws, Bindings: b.Clone()})
+			}
 			return
 		}
 		a := cr.alphas[ci]
 		if a.cond.Negated {
-			for w := range a.items {
-				if _, ok := match.TestCE(a.cond, w, b); ok {
+			for x := range a.items {
+				if _, ok := match.TestCE(a.cond, x, b); ok {
 					return
 				}
 			}
-			rec(ci+1, wmes, b)
+			if !hit && slices.Contains(unblocked, ci) {
+				_, hit = match.TestCE(a.cond, w, b)
+			}
+			rec(ci+1, wmes, b, hit)
 			return
 		}
 		if ci == pin {
-			if nb, ok := match.TestCE(a.cond, pinW, b); ok {
-				rec(ci+1, append(wmes, pinW), nb)
+			if nb, ok := match.TestCE(a.cond, w, b); ok {
+				rec(ci+1, append(wmes, w), nb, hit)
 			}
 			return
 		}
-		for w := range a.items {
-			if nb, ok := match.TestCE(a.cond, w, b); ok {
-				rec(ci+1, append(wmes, w), nb)
+		for x := range a.items {
+			if ci < pin && x == w {
+				continue
+			}
+			if nb, ok := match.TestCE(a.cond, x, b); ok {
+				rec(ci+1, append(wmes, x), nb, hit)
 			}
 		}
 	}
-	rec(0, nil, make(match.Bindings))
+	rec(0, nil, make(match.Bindings), false)
 }
 
 var _ match.Matcher = (*Matcher)(nil)

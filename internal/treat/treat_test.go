@@ -155,22 +155,20 @@ func randomRule(rng *rand.Rand, name string) *match.Rule {
 }
 
 // journalMirror is a conflict set rebuilt only from a matcher's
-// TakeChanges journal, the way the engine's agenda follows the set.
-type journalMirror map[string]*match.Instantiation
+// TakeChanges journal, the way the engine's agenda follows the set:
+// by identity, never by key.
+type journalMirror map[*match.Instantiation]bool
 
-// drain applies cs's journal. Keys journaled as both removed and added
-// are resolved by Contains; a later addition under a key replaces an
-// earlier one.
+// drain applies cs's journal: a removed instantiation leaves, and an
+// added one enters if it is still a member.
 func (m journalMirror) drain(cs *match.ConflictSet) {
 	added, removed := cs.TakeChanges()
-	for _, k := range removed {
-		if !cs.Contains(k) {
-			delete(m, k)
-		}
+	for _, in := range removed {
+		delete(m, in)
 	}
 	for _, in := range added {
-		if cs.Contains(in.Key()) {
-			m[in.Key()] = in
+		if cs.Contains(in) {
+			m[in] = true
 		}
 	}
 }
@@ -181,8 +179,12 @@ func (m journalMirror) equal(want *match.ConflictSet) error {
 	if len(m) != want.Len() {
 		return fmt.Errorf("mirror has %d members, want %d", len(m), want.Len())
 	}
+	byKey := make(map[string]*match.Instantiation, len(m))
+	for in := range m {
+		byKey[in.Key()] = in
+	}
 	for _, in := range want.All() {
-		got := m[in.Key()]
+		got := byKey[in.Key()]
 		if got == nil {
 			return fmt.Errorf("mirror lacks %s", in.Key())
 		}
@@ -250,10 +252,16 @@ func TestTreatMatchesNaiveOracle(t *testing.T) {
 				t.Fatalf("seed %d step %d: treat=%d naive=%d\ntreat: %v\nnaive: %v",
 					seed, step, a.Len(), b.Len(), a.All(), b.All())
 			}
+			keys := make(map[string]bool, b.Len())
+			for _, in := range b.All() {
+				keys[in.Key()] = true
+			}
+			seen := make(map[string]bool, a.Len())
 			for _, in := range a.All() {
-				if !b.Contains(in.Key()) {
-					t.Fatalf("seed %d: treat has %v, naive does not", seed, in)
+				if seen[in.Key()] || !keys[in.Key()] {
+					t.Fatalf("seed %d: treat has %v twice, or naive does not have it", seed, in)
 				}
+				seen[in.Key()] = true
 			}
 			if mirror != nil {
 				mirror.drain(a)

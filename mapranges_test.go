@@ -19,13 +19,8 @@ import (
 // disk, with the reason its order cannot. An entry is
 // "package.Func: range expr"; Func is Recv.Method for a method.
 var mapRangeAllowList = map[string]string{
-	"engine.Parallel.resolveCommit: range e.inflight":   "sets each flight's own stale flag; no flight reads another's",
-	"engine.Parallel.spared: range e.inflight":          "finds the one flight holding the victim's transaction ID",
 	"engine.runtime.refract: range rt.fired":            "deletes dead refraction entries; the survivors do not depend on the order",
 	"match.Bindings.Clone: range b":                     "copies a map",
-	"match.ConflictSet.All: range cs.byKey":             "collects keys that are sorted before use",
-	"match.ConflictSet.RemoveIf: range cs.byKey":        "TREAT's removal: the removed set does not depend on the order, and a consumer of the journal resolves keys by Contains",
-	"match.ConflictSet.TrackChanges: range cs.byKey":    "journals the initial membership; the agenda ranks it by the strategy's total order and wave growth sorts by key",
 	"match.Naive.ByClass: range n.byClass[class]":       "collects tuples that are sorted by ID before return",
 	"match.joinCols: range m":                           "collects names that are sorted before the join",
 	"match.writesOverlap: range other":                  "an any-of test",
@@ -41,8 +36,6 @@ var mapRangeAllowList = map[string]string{
 	"rete.Network.countSharedAlpha: range n.disc":       "counts nodes",
 	"rete.Network.updatePlanGauges: range n.betaLevels": "counts nodes",
 	"rete.Network.updatePlanGauges: range n.chains":     "sums the plan-cost gauge: the float sum's rounding may follow the order, no firing does",
-	"rete.joinNode.onToken: range j.amem.items":         "open: ROADMAP item 23",
-	"rete.negNode.onToken: range n.amem.items":          "open: ROADMAP item 23",
 	"rete.placeCost: range bound":                       "copies a map",
 	"rete.prodNode.activateToken: range p.bindings":     "fills a map",
 	"rete.walkDisc: range er.buckets":                   "visits nodes for countSharedAlpha, which counts them",
